@@ -1,5 +1,9 @@
 #!/usr/bin/env python3
-"""Fractal dimension of the fidelity signal vs disorder and chain length."""
+"""Fractal dimension of the fidelity signal vs disorder and chain length.
+
+The single-realization box count of the N = 500 reference point is
+`spinchain fractal --n 500 --eps-j 0.26 --seed SEED --out FILE`.
+"""
 
 import argparse
 from pathlib import Path
@@ -25,20 +29,6 @@ def main():
     t_max = 2000.0 if args.quick else args.t_max
     grid = np.geomspace(0.05, 1.2, 14)
     args.out_dir.mkdir(parents=True, exist_ok=True)
-
-    # single-realization reference point
-    spec = sc.ChainSpec(n_sites=500, eps_j=0.26)
-    series = sc.fidelity_series(spec, sc.sample_disorder(spec, sc.substream(args.seed, 0)),
-                                t_max, args.dt)
-    fit, curve = sc.dimension_of_series(series)
-    print(f"N=500, eps_j=0.26, T={t_max:g}: D = {fit.params['dimension']:.3f} "
-          f"(window {fit.window[0]:.3g}..{fit.window[1]:.3g})")
-    path = args.out_dir / "box_counts_n500_eps026.csv"
-    write_csv(path, ("box_length", "m"), zip(curve.lengths, curve.m_values),
-              metadata={"seed": args.seed, "t_max": t_max, "dt": args.dt})
-    write_sidecar(path, {"fit": {"dimension": fit.params["dimension"],
-                                 "stderr": fit.stderr["dimension"],
-                                 "window": list(fit.window)}})
 
     rows, curves = [], {}
     for ni, n in enumerate(n_values):

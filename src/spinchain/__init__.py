@@ -8,8 +8,8 @@ fidelity signal, and a second-order perturbative cross-check.
 __version__ = "0.1.0"
 
 from .chain import (ChainSpec, DisorderRealization, TridiagonalHamiltonian,
-                    build_hamiltonian, clean_hamiltonian, sample_disorder,
-                    substream, zero_disorder)
+                    build_hamiltonian, clean_hamiltonian, disorder_ensemble,
+                    sample_disorder, substream, zero_disorder)
 from .evolve import (FidelitySeries, SpectralDecomposition, amplitudes,
                      eigendecompose, ensemble_average, fidelity_of_amplitude,
                      fidelity_series, transfer_amplitude, transfer_time)

@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .chain import ChainSpec, sample_disorder, substream
+from .chain import ChainSpec, disorder_ensemble
 from .evolve import FidelitySeries, fidelity_series
 from .fitting import FitResult, ThresholdScaling, line_fit, threshold_scaling
 
@@ -162,22 +162,29 @@ def _auto_window(lengths, logl, logm, r2_min, min_points, min_ratio):
     the slope (a strictly periodic signal then reads D ~ 1.9 rather
     than 2).  Near-exact ties go to the longer window, then to the one
     farthest from the grid ends.
+
+    Returns (best, closest): best is (i, j, R^2) of the chosen window, or
+    None when no window qualifies; closest is ((L_i, L_j), R^2) of the
+    highest-R^2 window of any R^2 (the first one on exact ties), or
+    (None, -inf) when no window spans min_ratio.
     """
     n = lengths.shape[0]
     sums = _window_stats(logl, logm)
-    best, best_key = None, None
+    best, best_key, closest = None, None, (None, -np.inf)
     for i in range(1, n - 1):
         for j in range(i + min_points - 1, n - 1):
             if lengths[j] / lengths[i] < min_ratio:
                 continue
             r2 = _r_squared(sums, i, j)
+            if r2 > closest[1]:
+                closest = ((float(lengths[i]), float(lengths[j])), r2)
             if r2 < r2_min:
                 continue
             edge = min(i, (n - 1) - j)
             key = (round(r2, 9), j - i, edge, -abs(i - ((n - 1) - j)))
             if best_key is None or key > best_key:
                 best, best_key = (i, j, r2), key
-    return best
+    return best, closest
 
 
 def fit_dimension(curve: BoxCountCurve, window=None, r2_min: float = 0.995,
@@ -211,12 +218,13 @@ def fit_dimension(curve: BoxCountCurve, window=None, r2_min: float = 0.995,
                 f"need >= {min_points}")
         i, j = int(np.argmax(sel)), int(len(sel) - 1 - np.argmax(sel[::-1]))
     else:
-        found = _auto_window(lengths, logl, logm, r2_min, min_points, min_ratio)
+        found, (closest, closest_r2) = _auto_window(lengths, logl, logm, r2_min,
+                                                    min_points, min_ratio)
         if found is None:
-            diag = _best_diagnostic(lengths, logl, logm, min_points, min_ratio)
             raise WindowSelectionError(
                 "no contiguous box-length window spanning "
-                f">= {min_ratio}x reached R^2 >= {r2_min}; best candidate {diag}")
+                f">= {min_ratio}x reached R^2 >= {r2_min}; best candidate "
+                f"window={closest} with R^2={closest_r2:.6f}")
         i, j, _ = found
 
     slope, intercept, slope_err, r2, rss = line_fit(logl[i:j + 1], logm[i:j + 1])
@@ -229,20 +237,6 @@ def fit_dimension(curve: BoxCountCurve, window=None, r2_min: float = 0.995,
         mask=tuple(int(g) for g in grid_index[i:j + 1]),
         window=(float(lengths[i]), float(lengths[j])),
     )
-
-
-def _best_diagnostic(lengths, logl, logm, min_points, min_ratio):
-    n = lengths.shape[0]
-    sums = _window_stats(logl, logm)
-    best_r2, best_win = -np.inf, None
-    for i in range(1, n - 1):
-        for j in range(i + min_points - 1, n - 1):
-            if lengths[j] / lengths[i] < min_ratio:
-                continue
-            r2 = _r_squared(sums, i, j)
-            if r2 > best_r2:
-                best_r2, best_win = r2, (float(lengths[i]), float(lengths[j]))
-    return f"window={best_win} with R^2={best_r2:.6f}"
 
 
 def dimension_of_series(series: FidelitySeries, lengths=None, window=None,
@@ -262,7 +256,8 @@ def dimension_curve(n_sites: int, eps_j_grid, n_real: int, master_seed: int,
     The dimension is fitted per realization and the fits averaged
     (averaging the fidelity first would restore periodicity and destroy
     the fractal signal).  Points where every realization is refused or
-    degenerate come back as NaN, with one note per failure.
+    degenerate come back as NaN, with one note per failure.  Realization
+    r of grid point i draws from substream(master_seed, *key_prefix, i, r).
     """
     d_mean = np.full(len(eps_j_grid), np.nan)
     d_err = np.full(len(eps_j_grid), np.nan)
@@ -271,9 +266,9 @@ def dimension_curve(n_sites: int, eps_j_grid, n_real: int, master_seed: int,
         spec = ChainSpec(n_sites=n_sites, base_coupling=base_coupling,
                          eps_j=float(eps_j), corr_p=corr_p)
         dims = []
-        for r in range(n_real):
-            stream = substream(master_seed, *key_prefix, i, r)
-            series = fidelity_series(spec, sample_disorder(spec, stream), t_max, dt)
+        for r, realization in enumerate(
+                disorder_ensemble(spec, n_real, master_seed, key_prefix + (i,))):
+            series = fidelity_series(spec, realization, t_max, dt)
             try:
                 fit, _ = dimension_of_series(series, trim_threshold=trim_threshold)
             except (WindowSelectionError, DegenerateSeriesError) as err:
@@ -292,10 +287,4 @@ def dimension_threshold(curves: dict, d_target: float) -> ThresholdScaling:
     curves maps N -> (eps_grid, D_values); non-finite D entries (refused
     fits) are dropped before locating the crossing.
     """
-    cleaned = {}
-    for n, (grid, vals) in curves.items():
-        grid = np.asarray(grid, dtype=float)
-        vals = np.asarray(vals, dtype=float)
-        ok = np.isfinite(vals)
-        cleaned[n] = (grid[ok], vals[ok])
-    return threshold_scaling(cleaned, d_target, model="dimension-threshold")
+    return threshold_scaling(curves, d_target, model="dimension-threshold")

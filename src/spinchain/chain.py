@@ -22,6 +22,7 @@ __all__ = [
     "TridiagonalHamiltonian",
     "substream",
     "sample_disorder",
+    "disorder_ensemble",
     "zero_disorder",
     "build_hamiltonian",
     "clean_hamiltonian",
@@ -140,6 +141,21 @@ def sample_disorder(spec: ChainSpec, stream: np.random.Generator) -> DisorderRea
         flips = np.where(coins[1:] < spec.corr_p, 1.0, -1.0)
         signs[1:] = signs[0] * np.cumprod(flips)
     return DisorderRealization(delta=signs * magnitude, field_err=field_err)
+
+
+def disorder_ensemble(spec: ChainSpec, n_real: int, master_seed: int,
+                      key_prefix: tuple = ()):
+    """The n_real realizations of one ensemble, in ascending r.
+
+    Realization r draws from substream(master_seed, *key_prefix, r); every
+    ensemble in the package uses this key layout, so a realization can be
+    reproduced from its key alone.  n_real is checked on the call, before
+    anything is drawn.
+    """
+    if n_real < 1:
+        raise ValueError("n_real must be >= 1")
+    return (sample_disorder(spec, substream(master_seed, *key_prefix, r))
+            for r in range(n_real))
 
 
 def zero_disorder(spec: ChainSpec) -> DisorderRealization:

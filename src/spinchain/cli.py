@@ -11,12 +11,10 @@ import argparse
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
-from .chain import ChainSpec, sample_disorder, substream
+from .chain import ChainSpec, disorder_ensemble
 from .boxcount import box_count, fit_dimension, transient_trim
-from .evolve import fidelity_series, transfer_time
+from .evolve import fidelity_series
 from .levelstats import collect_spacings, eta, eta_curve, spacing_histogram
 from .scans import (FidelityPoint, ScanConfig, fit_scaling, points_from_rows,
                     perturbation_comparison, run_correlated_scan, scan_fidelity,
@@ -155,16 +153,40 @@ OPTIONS = {
 }
 
 
-def _cmd_transfer(cfg):
-    spec = ChainSpec(n_sites=cfg["n"], base_coupling=cfg["j"], eps_j=cfg["eps_j"],
+def _spec(cfg) -> ChainSpec:
+    return ChainSpec(n_sites=cfg["n"], base_coupling=cfg["j"], eps_j=cfg["eps_j"],
                      eps_b=cfg["eps_b"], corr_p=cfg["corr_p"])
-    realization = sample_disorder(spec, substream(cfg["seed"], 0))
+
+
+def _write(cfg, command, header, rows, csv_extra, **sidecar):
+    """Write the CSV and its sidecar.  A command run from options records
+    them (plus csv_extra) in both; a command that reads a table records
+    csv_extra alone: the table and the metadata it carried."""
+    if "table" in cfg:
+        metadata = csv_extra
+    else:
+        metadata = _meta(cfg, command=command, **csv_extra)
+        sidecar["config"] = _meta(cfg)
+    write_csv(cfg["out"], header, rows, metadata=metadata)
+    write_sidecar(cfg["out"], {"command": command, **sidecar})
+
+
+def _read_points(path):
+    """(metadata, FidelityPoint list) of a scan table; other tables exit."""
+    metadata, header, rows = read_csv(path)
+    if tuple(header) != FidelityPoint.HEADER:
+        raise SystemExit(f"{path}: expected a scan table with header "
+                         f"{','.join(FidelityPoint.HEADER)}, found {','.join(header)}")
+    return metadata, points_from_rows(rows)
+
+
+def _cmd_transfer(cfg):
+    spec = _spec(cfg)
+    [realization] = disorder_ensemble(spec, 1, cfg["seed"])
     series = fidelity_series(spec, realization, cfg["t_max"], cfg["dt"])
     rows = zip(series.times, series.amplitude.real, series.amplitude.imag,
                series.fidelity)
-    write_csv(cfg["out"], ("time", "amp_real", "amp_imag", "fidelity"), rows,
-              metadata=_meta(cfg, command="transfer"))
-    write_sidecar(cfg["out"], {"command": "transfer", "config": _meta(cfg)})
+    _write(cfg, "transfer", ("time", "amp_real", "amp_imag", "fidelity"), rows, {})
 
 
 def _scan_config(cfg, corr_values=None) -> ScanConfig:
@@ -177,34 +199,28 @@ def _scan_config(cfg, corr_values=None) -> ScanConfig:
         n_real=cfg["n_real"], base_coupling=cfg["j"], t_eval=cfg.get("t_eval"))
 
 
-def _write_points(cfg, points, command):
-    write_csv(cfg["out"], FidelityPoint.HEADER, (p.row() for p in points),
-              metadata=_meta(cfg, command=command))
-    write_sidecar(cfg["out"], {"command": command, "config": _meta(cfg)})
-
-
 def _cmd_scan(cfg):
-    _write_points(cfg, scan_fidelity(_scan_config(cfg)), "scan")
+    points = scan_fidelity(_scan_config(cfg))
+    _write(cfg, "scan", FidelityPoint.HEADER, (p.row() for p in points), {})
 
 
 def _cmd_corr_scan(cfg):
     config = _scan_config({**cfg, "eps_b": (0.0,)}, corr_values=cfg["corr_p"])
-    _write_points(cfg, run_correlated_scan(config), "corr-scan")
+    points = run_correlated_scan(config)
+    _write(cfg, "corr-scan", FidelityPoint.HEADER, (p.row() for p in points), {})
 
 
 def _cmd_fit_scaling(cfg):
-    metadata, _, rows = read_csv(cfg["table"])
-    fit = fit_scaling(points_from_rows(rows))
+    metadata, points = _read_points(cfg["table"])
+    fit = fit_scaling(points)
     out_rows = [(name, fit.params[name], fit.stderr[name]) for name in sorted(fit.params)]
-    write_csv(cfg["out"], ("parameter", "estimate", "stderr"), out_rows,
-              metadata={"table": cfg["table"], **metadata})
-    write_sidecar(cfg["out"], {"command": "fit-scaling", "table": cfg["table"],
-                               "fit": _fit_payload(fit)})
+    _write(cfg, "fit-scaling", ("parameter", "estimate", "stderr"), out_rows,
+           {"table": cfg["table"], **metadata},
+           table=cfg["table"], fit=_fit_payload(fit))
 
 
 def _cmd_threshold(cfg):
-    metadata, _, rows = read_csv(cfg["table"])
-    points = points_from_rows(rows)
+    metadata, points = _read_points(cfg["table"])
     out_rows, fits = [], {}
     for target in cfg["f_target"]:
         scaling = threshold_extract(points, target, param=cfg["param"])
@@ -214,24 +230,19 @@ def _cmd_threshold(cfg):
             "fit": _fit_payload(scaling.fit),
             "skipped": list(scaling.skipped),
         }
-    write_csv(cfg["out"], ("param", "f_target", "n_sites", "eps_c"), out_rows,
-              metadata={"table": cfg["table"], "param": cfg["param"], **metadata})
-    write_sidecar(cfg["out"], {"command": "threshold", "table": cfg["table"],
-                               "param": cfg["param"], "targets": fits})
+    _write(cfg, "threshold", ("param", "f_target", "n_sites", "eps_c"), out_rows,
+           {"table": cfg["table"], "param": cfg["param"], **metadata},
+           table=cfg["table"], param=cfg["param"], targets=fits)
 
 
 def _cmd_spectrum(cfg):
-    spec = ChainSpec(n_sites=cfg["n"], base_coupling=cfg["j"], eps_j=cfg["eps_j"],
-                     eps_b=cfg["eps_b"], corr_p=cfg["corr_p"])
-    sample = collect_spacings(spec, cfg["n_real"], cfg["seed"])
+    sample = collect_spacings(_spec(cfg), cfg["n_real"], cfg["seed"])
     hist = spacing_histogram(sample.spacings, cfg["bin_width"])
     value = eta(sample, cfg["bin_width"])
     rows = zip(hist.edges[:-1], hist.edges[1:], hist.centers, hist.density)
-    write_csv(cfg["out"], ("bin_left", "bin_right", "bin_center", "density"), rows,
-              metadata=_meta(cfg, command="spectrum", eta=value,
-                             n_spacings=sample.spacings.size))
-    write_sidecar(cfg["out"], {"command": "spectrum", "config": _meta(cfg),
-                               "eta": value, "n_spacings": int(sample.spacings.size)})
+    _write(cfg, "spectrum", ("bin_left", "bin_right", "bin_center", "density"), rows,
+           {"eta": value, "n_spacings": sample.spacings.size},
+           eta=value, n_spacings=int(sample.spacings.size))
 
 
 def _cmd_eta_scan(cfg):
@@ -242,31 +253,26 @@ def _cmd_eta_scan(cfg):
                            key_prefix=(ni,))
         rows.extend((n_sites, eps, val)
                     for eps, val in zip(cfg["eps_j"], values))
-    write_csv(cfg["out"], ("n_sites", "eps_j", "eta"), rows,
-              metadata=_meta(cfg, command="eta-scan"))
-    write_sidecar(cfg["out"], {"command": "eta-scan", "config": _meta(cfg)})
+    _write(cfg, "eta-scan", ("n_sites", "eps_j", "eta"), rows, {})
 
 
 def _cmd_fractal(cfg):
-    spec = ChainSpec(n_sites=cfg["n"], base_coupling=cfg["j"], eps_j=cfg["eps_j"],
-                     eps_b=cfg["eps_b"], corr_p=cfg["corr_p"])
-    series = fidelity_series(spec, sample_disorder(spec, substream(cfg["seed"], 0)),
-                             cfg["t_max"], cfg["dt"])
+    missing = [flag for flag, edge in (("--l-min", cfg["l_min"]), ("--l-max", cfg["l_max"]))
+               if edge is None]
+    if len(missing) == 1:
+        raise SystemExit("fractal: a manual fit window needs both --l-min and "
+                         f"--l-max; {missing[0]} is missing")
+    window = None if missing else (cfg["l_min"], cfg["l_max"])
+    spec = _spec(cfg)
+    [realization] = disorder_ensemble(spec, 1, cfg["seed"])
+    series = fidelity_series(spec, realization, cfg["t_max"], cfg["dt"])
     trimmed, reached = transient_trim(series)
     curve = box_count(trimmed)
-    window = None
-    if cfg["l_min"] is not None and cfg["l_max"] is not None:
-        window = (cfg["l_min"], cfg["l_max"])
     fit = fit_dimension(curve, window=window)
-    rows = zip(curve.lengths, curve.m_values)
-    write_csv(cfg["out"], ("box_length", "m"), rows,
-              metadata=_meta(cfg, command="fractal",
-                             dimension=fit.params["dimension"]))
-    write_sidecar(cfg["out"], {
-        "command": "fractal", "config": _meta(cfg), "fit": _fit_payload(fit),
-        "transient_reached": bool(reached),
-        "trimmed_samples": len(series) - len(trimmed.times),
-    })
+    _write(cfg, "fractal", ("box_length", "m"), zip(curve.lengths, curve.m_values),
+           {"dimension": fit.params["dimension"]},
+           fit=_fit_payload(fit), transient_reached=bool(reached),
+           trimmed_samples=len(series) - len(trimmed.times))
 
 
 def _cmd_perturbation(cfg):
@@ -286,12 +292,10 @@ def _cmd_perturbation(cfg):
             "coefficients_step": result["coefficients_step"],
             "t": result["t"],
         }
-    write_csv(cfg["out"],
-              ("sector", "eps", "fbar_mc", "stderr", "f_pert",
-               "infid_mc", "infid_pert", "ratio", "mc_over_sector_sum"),
-              rows, metadata=_meta(cfg, command="perturbation"))
-    write_sidecar(cfg["out"], {"command": "perturbation", "config": _meta(cfg),
-                               "sectors": payload})
+    _write(cfg, "perturbation",
+           ("sector", "eps", "fbar_mc", "stderr", "f_pert",
+            "infid_mc", "infid_pert", "ratio", "mc_over_sector_sum"),
+           rows, {}, sectors=payload)
 
 
 def _meta(cfg, **extra) -> dict:

@@ -13,7 +13,7 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
 from .chain import (ChainSpec, DisorderRealization, TridiagonalHamiltonian,
-                    build_hamiltonian, sample_disorder, substream)
+                    build_hamiltonian, disorder_ensemble)
 
 __all__ = [
     "SpectralDecomposition",
@@ -193,13 +193,11 @@ def ensemble_average(spec: ChainSpec, n_real: int, master_seed: int, t_list,
     (mean, standard error); the standard error is sample std / sqrt(n)
     with zero reported for a single realization.
     """
-    if n_real < 1:
-        raise ValueError("n_real must be >= 1")
+    realizations = disorder_ensemble(spec, n_real, master_seed, key_prefix)
     t_list = np.atleast_1d(np.asarray(t_list, dtype=float))
     fid = np.empty((n_real, t_list.shape[0]))
-    for r in range(n_real):
-        stream = substream(master_seed, *key_prefix, r)
-        sd = eigendecompose(build_hamiltonian(spec, sample_disorder(spec, stream)))
+    for r, realization in enumerate(realizations):
+        sd = eigendecompose(build_hamiltonian(spec, realization))
         fid[r] = fidelity_of_amplitude(transfer_amplitude(sd, t_list))
     mean = fid.mean(axis=0)
     if n_real == 1:

@@ -120,12 +120,16 @@ def crossing_loglinear(x, values, target):
 def threshold_scaling(curves: dict, target, model: str) -> ThresholdScaling:
     """Crossing point per N plus the power-law exponent of its N dependence.
 
-    curves maps N -> (x_grid, values); entries whose curve never crosses
-    the target are reported in `skipped` and left out of the fit.
+    curves maps N -> (x_grid, values); non-finite values (refused
+    estimates) are dropped before locating the crossing.  Entries whose
+    curve never crosses the target are reported in `skipped` and left out
+    of the fit.
     """
     thresholds, skipped = {}, []
     for n, (grid, vals) in curves.items():
-        xc = crossing_loglinear(grid, vals, target)
+        vals = np.asarray(vals, dtype=float)
+        ok = np.isfinite(vals)
+        xc = crossing_loglinear(np.asarray(grid, dtype=float)[ok], vals[ok], target)
         if xc is None:
             skipped.append((n, "target not crossed within the grid"))
         else:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import eigvalsh_tridiagonal
 
-from .chain import ChainSpec, build_hamiltonian, sample_disorder, substream
+from .chain import ChainSpec, build_hamiltonian, disorder_ensemble
 from .fitting import ThresholdScaling, threshold_scaling
 
 __all__ = [
@@ -83,12 +83,10 @@ def collect_spacings(spec: ChainSpec, n_real: int, master_seed: int,
     realization bandwidth fluctuations before pooling.  Degenerate
     eigenvalues contribute zero spacings and are kept.
     """
-    if n_real < 1:
-        raise ValueError("n_real must be >= 1")
+    realizations = disorder_ensemble(spec, n_real, master_seed, key_prefix)
     pooled = np.empty((n_real, spec.n_sites - 1))
-    for r in range(n_real):
-        stream = substream(master_seed, *key_prefix, r)
-        h = build_hamiltonian(spec, sample_disorder(spec, stream))
+    for r, realization in enumerate(realizations):
+        h = build_hamiltonian(spec, realization)
         # root-free QL: robust for near-severed chains, eigenvalues only
         levels = eigvalsh_tridiagonal(h.diag, h.offdiag, lapack_driver="sterf")
         gaps = np.diff(np.sort(levels))
@@ -140,8 +138,6 @@ def _eta_from_histogram(hist: SpacingHistogram) -> float:
 
 def eta(sample: SpacingSample, bin_width: float = 0.05) -> float:
     """Crossover parameter: 1 for the clean delta peak, ~0 for Poisson."""
-    if sample.spacings.size == 0:
-        raise ValueError("empty spacing sample")
     return _eta_from_histogram(spacing_histogram(sample.spacings, bin_width))
 
 

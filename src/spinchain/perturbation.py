@@ -171,7 +171,7 @@ def _coefficients_on_grid(sd: SpectralDecomposition, times: np.ndarray):
     t_end = float(times[-1])
     d_diag = np.empty(n, dtype=complex)
     f_diag = np.empty(n - 1, dtype=complex)
-    col_l = _column_history(sd, phase, 0)
+    col_l = u1
     for l in range(n):
         col_next = _column_history(sd, phase, l + 1) if l + 1 < n else None
         u1l = u1[:, l]

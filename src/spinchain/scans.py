@@ -11,14 +11,14 @@ bit-reproducible and cells could be evaluated in any order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .chain import ChainSpec
 from .evolve import ensemble_average, transfer_time
-from .fitting import (FitResult, ThresholdScaling, crossing_loglinear,
-                      fit_through_origin, power_law_fit, threshold_scaling)
+from .fitting import (FitResult, ThresholdScaling, fit_through_origin,
+                      power_law_fit, threshold_scaling)
 from .perturbation import (clean_propagator_table, compute_coefficients,
                            infidelity_sums, perturbative_fidelity)
 
@@ -111,17 +111,6 @@ def points_from_rows(rows) -> list:
                           fbar=r[4], stderr=r[5], n_real=int(r[6])) for r in rows]
 
 
-def _cell(config: ScanConfig, n_sites: int, eps_j: float, eps_b: float,
-          corr_p: float, key: tuple) -> FidelityPoint:
-    spec = ChainSpec(n_sites=n_sites, base_coupling=config.base_coupling,
-                     eps_j=eps_j, eps_b=eps_b, corr_p=corr_p)
-    mean, err = ensemble_average(spec, config.n_real, config.seed,
-                                 [config.evaluation_time()], key_prefix=key)
-    return FidelityPoint(n_sites=n_sites, eps_j=eps_j, eps_b=eps_b,
-                         corr_p=corr_p, fbar=float(mean[0]), stderr=float(err[0]),
-                         n_real=config.n_real)
-
-
 def scan_fidelity(config: ScanConfig) -> list:
     """Averaged fidelity at the evaluation time over the (N, eps) grid.
 
@@ -131,37 +120,34 @@ def scan_fidelity(config: ScanConfig) -> list:
     """
     points = []
     n_b = len(config.eps_b_values)
+    t_list = [config.evaluation_time()]
     for ni, n_sites in enumerate(config.n_values):
         for ji, eps_j in enumerate(config.eps_j_values):
             for bi, eps_b in enumerate(config.eps_b_values):
-                points.append(_cell(config, n_sites, eps_j, eps_b,
-                                    config.corr_p, key=(ni, ji * n_b + bi)))
+                spec = ChainSpec(n_sites=n_sites, base_coupling=config.base_coupling,
+                                 eps_j=eps_j, eps_b=eps_b, corr_p=config.corr_p)
+                mean, err = ensemble_average(spec, config.n_real, config.seed, t_list,
+                                             key_prefix=(ni, ji * n_b + bi))
+                points.append(FidelityPoint(
+                    n_sites=n_sites, eps_j=eps_j, eps_b=eps_b, corr_p=config.corr_p,
+                    fbar=float(mean[0]), stderr=float(err[0]), n_real=config.n_real))
     return points
 
 
 def run_correlated_scan(config: ScanConfig) -> list:
     """Fidelity vs eps_j for each sign-correlation probability.
 
-    Rows are ordered by (corr_p, N, eps_j).  Cells share stream keys
-    with scan_fidelity, and the sampler consumes the same draws for any
-    corr_p, so the corr_p = 0.5 rows coincide bit for bit with an
-    uncorrelated scan of the same grid and the curves for different
-    corr_p are coupled (same magnitudes, different signs).
+    Rows are ordered by (corr_p, N, eps_j).  Each corr_p is a field-free
+    scan_fidelity run, whose cell keys (N index, eps_j index) are those of
+    an uncorrelated scan of the same grid; the sampler consumes the same
+    draws for any corr_p, so the corr_p = 0.5 rows coincide bit for bit
+    with that scan and the curves for different corr_p are coupled (same
+    magnitudes, different signs).
     """
     corr_values = config.corr_p_values or (config.corr_p,)
-    points = []
-    for corr_p in corr_values:
-        for ni, n_sites in enumerate(config.n_values):
-            for ji, eps_j in enumerate(config.eps_j_values):
-                points.append(_cell(config, n_sites, eps_j, 0.0, corr_p,
-                                    key=(ni, ji)))
-    return points
-
-
-def _kappa_fit(points, indices, x_of_point):
-    x = np.array([x_of_point(points[i]) for i in indices])
-    y = np.array([np.log(2.0 * points[i].fbar - 1.0) for i in indices])
-    return fit_through_origin(x, y)
+    return [point for corr_p in corr_values
+            for point in scan_fidelity(replace(config, corr_p=corr_p,
+                                               eps_b_values=(0.0,)))]
 
 
 def fit_scaling(points, mask_floor: float = SCALING_MASK_FLOOR) -> FitResult:
@@ -174,27 +160,24 @@ def fit_scaling(points, mask_floor: float = SCALING_MASK_FLOOR) -> FitResult:
     four usable rows; a constant whose rows are absent entirely is
     simply not reported.
     """
-    j_rows = [i for i, p in enumerate(points)
-              if p.eps_j > 0 and p.eps_b == 0 and 2 * p.fbar - 1 > mask_floor]
-    b_rows = [i for i, p in enumerate(points)
-              if p.eps_b > 0 and p.eps_j == 0 and 2 * p.fbar - 1 > mask_floor]
+    sectors = (("kappa_j", "coupling", "eps_j", "eps_b",
+                lambda p: -p.n_sites * p.eps_j ** 2),
+               ("kappa_b", "field", "eps_b", "eps_j",
+                lambda p: -p.eps_b ** 2 / p.n_sites))
     params, stderr, rss_total, used = {}, {}, 0.0, []
-    if any(p.eps_j > 0 and p.eps_b == 0 for p in points):
-        if len(j_rows) < 4:
-            raise ValueError(f"only {len(j_rows)} usable pure-coupling rows, need >= 4")
-        k, k_err, rss = _kappa_fit(points, j_rows,
-                                   lambda p: -p.n_sites * p.eps_j ** 2)
-        params["kappa_j"], stderr["kappa_j"] = k, k_err
+    for name, label, param, other, x_of_point in sectors:
+        pure = [i for i, p in enumerate(points)
+                if getattr(p, param) > 0 and getattr(p, other) == 0]
+        if not pure:
+            continue
+        rows = [i for i in pure if 2 * points[i].fbar - 1 > mask_floor]
+        if len(rows) < 4:
+            raise ValueError(f"only {len(rows)} usable pure-{label} rows, need >= 4")
+        x = np.array([x_of_point(points[i]) for i in rows])
+        y = np.array([np.log(2.0 * points[i].fbar - 1.0) for i in rows])
+        params[name], stderr[name], rss = fit_through_origin(x, y)
         rss_total += rss
-        used += j_rows
-    if any(p.eps_b > 0 and p.eps_j == 0 for p in points):
-        if len(b_rows) < 4:
-            raise ValueError(f"only {len(b_rows)} usable pure-field rows, need >= 4")
-        k, k_err, rss = _kappa_fit(points, b_rows,
-                                   lambda p: -p.eps_b ** 2 / p.n_sites)
-        params["kappa_b"], stderr["kappa_b"] = k, k_err
-        rss_total += rss
-        used += b_rows
+        used += rows
     if not params:
         raise ValueError("no pure-disorder rows to fit")
     return FitResult(model="fidelity-scaling", params=params, stderr=stderr,

@@ -229,3 +229,41 @@ def test_dimension_threshold_synthetic_exponent():
     curves[4] = (curves[4][0], np.where(curves[4][0] > 0.3, np.nan, curves[4][1]))
     scaling2 = dimension_threshold(curves, 1.6)
     assert set(scaling2.thresholds) == {4, 16, 64}
+
+
+def test_dimension_curve_matches_hand_loop_over_keys():
+    from spinchain import dimension_curve, dimension_of_series
+
+    grid = (0.1, 0.6)
+    d_mean, d_err, notes = dimension_curve(12, grid, 3, 17, t_max=200.0, dt=0.05,
+                                           key_prefix=(4,))
+    assert notes == []
+    for i, eps_j in enumerate(grid):
+        spec = ChainSpec(n_sites=12, eps_j=eps_j)
+        dims = [dimension_of_series(fidelity_series(
+                    spec, sample_disorder(spec, substream(17, 4, i, r)), 200.0, 0.05)
+                )[0].params["dimension"] for r in range(3)]
+        assert d_mean[i] == float(np.mean(dims))
+        assert d_err[i] == float(np.std(dims, ddof=1) / np.sqrt(3))
+    with pytest.raises(ValueError, match="n_real"):
+        dimension_curve(12, grid, 0, 17, t_max=200.0, dt=0.05)
+
+
+def test_refusal_names_the_brute_force_best_window():
+    rng = np.random.default_rng(8)
+    lengths = np.geomspace(0.1, 100.0, 25)
+    m_values = np.exp(-np.log(lengths) ** 2 + 0.05 * rng.normal(size=lengths.size))
+    curve = BoxCountCurve(lengths=lengths, m_values=m_values, dt=0.01)
+    best_r2, best_window = -np.inf, None
+    for i in range(1, lengths.size - 1):
+        for j in range(i + 5, lengths.size - 1):
+            if lengths[j] / lengths[i] < 10.0:
+                continue
+            r2 = np.corrcoef(np.log(lengths[i:j + 1]), np.log(m_values[i:j + 1]))[0, 1] ** 2
+            if r2 > best_r2:
+                best_r2, best_window = r2, (float(lengths[i]), float(lengths[j]))
+    assert best_r2 < 0.995
+    with pytest.raises(WindowSelectionError) as err:
+        fit_dimension(curve)
+    assert str(err.value).endswith(
+        f"best candidate window={best_window} with R^2={best_r2:.6f}")

@@ -126,3 +126,43 @@ def test_config_file_with_flag_override(tmp_path):
 def test_missing_seed_is_an_error(tmp_path):
     with pytest.raises(SystemExit):
         main(["scan", "--n", "8", "--out", str(tmp_path / "x.csv")])
+
+
+def test_corr_scan_half_rows_equal_scan_rows(tmp_path):
+    grid = ("--n", 8, 12, "--eps-j", 0.05, 0.2, "--n-real", 10, "--seed", 5)
+    corr, plain = tmp_path / "corr.csv", tmp_path / "scan.csv"
+    run_cli("corr-scan", *grid, "--corr-p", 0.1, 0.5, 0.9, "--out", corr)
+    run_cli("scan", *grid, "--out", plain)
+    _, corr_header, corr_rows = read_csv(corr)
+    _, scan_header, scan_rows = read_csv(plain)
+    assert corr_header == scan_header
+    assert [r[3] for r in corr_rows] == [0.1] * 4 + [0.5] * 4 + [0.9] * 4
+    half = [r for r in corr_rows if r[3] == 0.5]
+    assert len(half) == len(scan_rows) == 4
+    for row, ref in zip(half, scan_rows):
+        for field, value, expected in zip(scan_header, row, ref):
+            assert value == expected, field
+    assert read_sidecar(corr)["command"] == "corr-scan"
+
+
+@pytest.mark.parametrize("given, missing", [("--l-min", "--l-max"),
+                                            ("--l-max", "--l-min")])
+def test_fractal_manual_window_needs_both_edges(tmp_path, given, missing):
+    out = tmp_path / "frac.csv"
+    with pytest.raises(SystemExit) as err:
+        main(["fractal", "--n", "20", "--eps-j", "0.4", "--seed", "6",
+              "--t-max", "200", given, "1", "--out", str(out)])
+    assert f"{missing} is missing" in str(err.value)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["fit-scaling", "threshold"])
+def test_table_commands_reject_a_table_of_another_kind(tmp_path, command):
+    table = tmp_path / "eta.csv"
+    run_cli("eta-scan", "--n", 10, "--eps-j", 0.1, 0.5, "--n-real", 3,
+            "--seed", 4, "--out", table)
+    with pytest.raises(SystemExit) as err:
+        main([command, "--table", str(table), "--out", str(tmp_path / "x.csv")])
+    message = str(err.value)
+    assert "n_sites,eps_j,eps_b,corr_p,fbar,stderr,n_real" in message
+    assert "found n_sites,eps_j,eta" in message

@@ -220,3 +220,15 @@ def test_small_perturbation_continuity():
     for i in range(len(grid) - 1):
         assert means[i + 1] - means[i] > -3.0 * np.hypot(errs[i], errs[i + 1])
     assert means[-1] > 1.0 - 1e-4
+
+
+def test_ensemble_average_matches_hand_loop_over_keys():
+    spec = ChainSpec(n_sites=15, eps_j=0.2, eps_b=0.1, corr_p=0.3)
+    t_list = [0.4, transfer_time()]
+    mean, err = ensemble_average(spec, 6, 21, t_list, key_prefix=(2, 5))
+    fid = np.array([
+        fidelity_of_amplitude(transfer_amplitude(eigendecompose(build_hamiltonian(
+            spec, sample_disorder(spec, substream(21, 2, 5, r)))), t_list))
+        for r in range(6)])
+    assert np.array_equal(mean, fid.mean(axis=0))
+    assert np.array_equal(err, fid.std(axis=0, ddof=1) / np.sqrt(6))

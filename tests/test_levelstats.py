@@ -118,3 +118,20 @@ def test_eta_threshold_reports_out_of_range():
     scaling = eta_threshold(curves, 0.5)
     assert 20 not in scaling.thresholds
     assert any(n == 20 for n, _ in scaling.skipped)
+
+
+def test_collect_spacings_matches_hand_loop_over_keys():
+    from scipy.linalg import eigvalsh_tridiagonal
+
+    from spinchain import build_hamiltonian, sample_disorder, substream
+
+    spec = ChainSpec(n_sites=18, eps_j=0.4, eps_b=0.2)
+    sample = collect_spacings(spec, 5, 31, key_prefix=(1,))
+    pooled = []
+    for r in range(5):
+        h = build_hamiltonian(spec, sample_disorder(spec, substream(31, 1, r)))
+        gaps = np.diff(np.sort(eigvalsh_tridiagonal(h.diag, h.offdiag,
+                                                    lapack_driver="sterf")))
+        pooled.append(gaps / gaps.mean())
+    assert np.array_equal(sample.spacings, np.concatenate(pooled))
+    assert sample.n_realizations == 5

@@ -26,6 +26,8 @@ __all__ = [
     "zero_disorder",
     "build_hamiltonian",
     "clean_hamiltonian",
+    "gershgorin_radii",
+    "spectral_half_width",
 ]
 
 
@@ -185,3 +187,30 @@ def build_hamiltonian(spec: ChainSpec, realization: DisorderRealization) -> Trid
 def clean_hamiltonian(n_sites: int, base_coupling: float = 1.0) -> TridiagonalHamiltonian:
     spec = ChainSpec(n_sites=n_sites, base_coupling=base_coupling)
     return build_hamiltonian(spec, zero_disorder(spec))
+
+
+def gershgorin_radii(diag, offdiag) -> np.ndarray:
+    """Gershgorin radii |d_j| + |o_j| + |o_(j-1)| of tridiagonal matrices.
+
+    Works on the last axis, so a stack of Hamiltonians gives one row of
+    radii per Hamiltonian; the spectrum of each lies within [-max, max].
+    """
+    radius = np.abs(np.asarray(diag, dtype=float))
+    off = np.abs(np.asarray(offdiag, dtype=float))
+    radius[..., :-1] += off
+    radius[..., 1:] += off
+    return radius
+
+
+def spectral_half_width(spec: ChainSpec) -> float:
+    """A bound a with every Hamiltonian that spec can draw inside [-a, a].
+
+    This is the largest Gershgorin radius of the worst-case realization
+    (every delta_k = eps_j, every b_j = eps_b), built and summed exactly
+    as any drawn realization is.  Rounding is monotone, so no drawn
+    realization's radii exceed it, even in the last bit.
+    """
+    n = spec.n_sites
+    worst = build_hamiltonian(spec, DisorderRealization(
+        delta=np.full(n - 1, spec.eps_j), field_err=np.full(n, spec.eps_b)))
+    return float(np.max(gershgorin_radii(worst.diag, worst.offdiag)))

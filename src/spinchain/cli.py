@@ -14,8 +14,9 @@ from pathlib import Path
 from . import __version__
 from .chain import ChainSpec, disorder_ensemble
 from .boxcount import box_count, fit_dimension, transient_trim
-from .evolve import fidelity_series
+from .evolve import fidelity_series, transfer_time
 from .levelstats import collect_spacings, eta, eta_curve, spacing_histogram
+from .perturbation import clean_propagator_table, compute_coefficients
 from .scans import (FidelityPoint, ScanConfig, fit_scaling, points_from_rows,
                     perturbation_comparison, run_correlated_scan, scan_fidelity,
                     threshold_extract)
@@ -212,7 +213,10 @@ def _cmd_corr_scan(cfg):
 
 def _cmd_fit_scaling(cfg):
     metadata, points = _read_points(cfg["table"])
-    fit = fit_scaling(points)
+    try:
+        fit = fit_scaling(points)
+    except ValueError as err:
+        raise SystemExit(f"fit-scaling: {cfg['table']}: {err}") from None
     out_rows = [(name, fit.params[name], fit.stderr[name]) for name in sorted(fit.params)]
     _write(cfg, "fit-scaling", ("parameter", "estimate", "stderr"), out_rows,
            {"table": cfg["table"], **metadata},
@@ -223,7 +227,10 @@ def _cmd_threshold(cfg):
     metadata, points = _read_points(cfg["table"])
     out_rows, fits = [], {}
     for target in cfg["f_target"]:
-        scaling = threshold_extract(points, target, param=cfg["param"])
+        try:
+            scaling = threshold_extract(points, target, param=cfg["param"])
+        except ValueError as err:
+            raise SystemExit(f"threshold: {cfg['table']}: {err}") from None
         for n in sorted(scaling.thresholds):
             out_rows.append((cfg["param"], target, n, scaling.thresholds[n]))
         fits[format(target, ".17g")] = {
@@ -277,11 +284,14 @@ def _cmd_fractal(cfg):
 
 def _cmd_perturbation(cfg):
     sectors = ("j", "b") if cfg["sector"] == "both" else (cfg["sector"],)
+    t = transfer_time(cfg["j"]) if cfg["t"] is None else cfg["t"]
+    coefficients = compute_coefficients(clean_propagator_table(cfg["n"], cfg["j"], t=t))
     rows, payload = [], {}
     for sector in sectors:
         result = perturbation_comparison(cfg["n"], cfg["eps"], sector,
                                          cfg["n_real"], cfg["seed"],
-                                         base_coupling=cfg["j"], t=cfg.get("t"))
+                                         base_coupling=cfg["j"], t=t,
+                                         coefficients=coefficients)
         for r in result["rows"]:
             rows.append((sector, r["eps"], r["fbar_mc"], r["stderr"], r["f_pert"],
                          r["infid_mc"], r["infid_pert"], r["ratio"],

@@ -1,19 +1,29 @@
 """Exact time evolution in the single-excitation sector.
 
-Propagation uses one eigendecomposition per Hamiltonian; amplitudes at
-any time follow from phase factors on the spectrum, so long time series
-cost O(N) per grid point after the O(N^2)-ish setup.
+Two propagators, each where it is cheaper:
+
+* Ensembles at a few given times (ensemble_average) expand
+  exp(-iHt) e_1 in Chebyshev polynomials (Tal-Ezer & Kosloff 1984) on
+  the spectral interval of the ChainSpec, a whole block of realizations
+  at once and with no eigensolve.  The cost grows with half-width x t.
+* Single Hamiltonians and long time series (eigendecompose,
+  transfer_amplitude, fidelity_series) use one eigendecomposition;
+  amplitudes at any time then follow from phase factors on the
+  spectrum, so a series costs O(N) per grid point after the setup.
 """
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
 from .chain import (ChainSpec, DisorderRealization, TridiagonalHamiltonian,
-                    build_hamiltonian, disorder_ensemble)
+                    build_hamiltonian, disorder_ensemble, gershgorin_radii,
+                    spectral_half_width)
 
 __all__ = [
     "SpectralDecomposition",
@@ -32,6 +42,16 @@ UNITARITY_SLACK = 1e-9
 
 # Anchor stride for the incremental phase recurrence on uniform grids.
 _PHASE_CHUNK = 4096
+
+# Realizations propagated together by ensemble_average; caps the
+# Chebyshev work arrays at a few (N, _REALIZATION_BLOCK) float arrays.
+_REALIZATION_BLOCK = 128
+
+# The Chebyshev series stops where the Kapteyn bound on the sum of every
+# remaining term 2 |J_k(x)| falls below this.
+_CHEBYSHEV_TAIL = 1e-16
+
+_log = logging.getLogger(__name__)
 
 
 def transfer_time(base_coupling: float = 1.0, n: int = 0) -> float:
@@ -91,14 +111,18 @@ def eigendecompose(h: TridiagonalHamiltonian) -> SpectralDecomposition:
     decomposition deterministic; amplitudes are insensitive to the
     choice since eigenvectors always enter in pairs.
 
-    The fast MRRR driver can refuse strongly disordered chains (a delta
-    near -1 almost severs the chain); those fall through to the robust
-    implicit-QL driver.  The fallback is a function of the input alone,
-    so outputs stay deterministic.
+    The fast MRRR driver (stemr) sometimes refuses a matrix; that falls
+    through to the implicit-QL driver (stev), which is several times
+    slower, and logs a WARNING naming N.  Refusals are not confined to
+    near-severed chains: stemr refuses 28 of 200 eps_j = 1, N = 200
+    chains whose smallest hopping is 0.08 to 3.3.  The fallback is a
+    function of the input alone, so outputs stay deterministic.
     """
     try:
         w, v = eigh_tridiagonal(h.diag, h.offdiag, lapack_driver="stemr")
     except np.linalg.LinAlgError:
+        _log.warning("stemr refused an N = %d Hamiltonian; falling back to stev",
+                     h.n_sites)
         w, v = eigh_tridiagonal(h.diag, h.offdiag, lapack_driver="stev")
     first_nonzero = np.argmax(v != 0.0, axis=0)
     flip = v[first_nonzero, np.arange(v.shape[1])] < 0.0
@@ -184,21 +208,125 @@ def fidelity_series(spec: ChainSpec, realization: DisorderRealization,
                           fidelity=fidelity_of_amplitude(amp))
 
 
+def _chebyshev_terms(x: float) -> int:
+    """Number of terms K with sum_(k >= K) 2 |J_k(x)| < _CHEBYSHEV_TAIL.
+
+    Every term beyond k = x is bounded by Kapteyn's inequality
+    |J_k(k sech a)| <= exp(k (tanh a - a)), and the bounds are summed.
+    """
+    if x == 0.0:
+        return 1
+    k = np.arange(np.floor(x) + 1.0, np.ceil(x + 40.0 * np.cbrt(x) + 60.0))
+    bound = 2.0 * np.exp(k * (np.sqrt(1.0 - (x / k) ** 2) - np.arccosh(k / x)))
+    tail = np.cumsum(bound[::-1])[::-1]
+    return int(k[np.argmax(tail < _CHEBYSHEV_TAIL)])
+
+
+def _chebyshev_coefficients(x: np.ndarray) -> np.ndarray:
+    """(2 - delta_k0) (-i)^k J_k(x_t) for k < K, one row per x_t.
+
+    By Jacobi-Anger, exp(-i x cos th) = sum_k (-i)^k J_k(x) exp(i k th),
+    so one FFT of the sampled left side gives every coefficient.  With
+    M >= 2K samples the aliased terms are in the truncated tail.
+    """
+    n_terms = max((_chebyshev_terms(abs(float(v))) for v in x), default=1)
+    m = 1 << int(np.ceil(np.log2(2 * n_terms)))
+    theta = 2.0 * np.pi * np.arange(m) / m
+    coef = np.fft.fft(np.exp(-1j * np.outer(x, np.cos(theta))), axis=1)[:, :n_terms] / m
+    coef[:, 1:] *= 2.0
+    return coef
+
+
+def _chebyshev_transfer_amplitude(hamiltonians, half_width: float,
+                                  times: np.ndarray) -> np.ndarray:
+    """f_N(t) of every Hamiltonian in a list of equal-N ones, as (R, T).
+
+    With H~ = H / half_width and x = half_width t,
+    f_N(t) = sum_k (2 - delta_k0) (-i)^k J_k(x) phi_k[N-1], where
+    phi_0 = e_1, phi_1 = H~ e_1 and phi_(k+1) = 2 H~ phi_k - phi_(k-1).
+    The recurrence runs on the whole stack elementwise, so each row's
+    bits depend on its own Hamiltonian, half_width and times alone, not
+    on the stack it runs in.  phi_k vanishes beyond site k (the light
+    cone), so terms k < N-1 are zero, and each step updates only the
+    sites that a later term still reads.
+
+    Every spectrum must lie in [-half_width, half_width]; a Hamiltonian
+    whose Gershgorin radius exceeds it raises ValueError, since the
+    recurrence would grow.  Truncation leaves |error| < 1e-16; rounding
+    grows with the term count K and stays below 4e-13 up to N = 500 at
+    5 t1 (K about 8000) against a matrix-exponential oracle.
+
+    Cost: K ~ half_width max(t) + O((half_width max(t))^(1/3)) steps,
+    each updating at most N R elements, while the eigen path pays one
+    eigensolve with vectors per realization whatever t.  Propagation
+    alone at eps_j = 0.1, one core: N = 100, R = 1000 takes 78 / 424 /
+    1063 ms at 1 / 5 / 10 t1 against 990 ms on the eigen path; N = 20
+    takes 15 / 42 / 68 ms against 120 ms; N = 500, R = 100 takes 103 /
+    1017 / 1956 ms against 2400 ms.  The expansion is the cheaper one up
+    to about 10 t1; long times belong on the eigen path (fidelity_series),
+    since the coefficient table alone holds 2K complex values per time.
+    """
+    diag = np.array([h.diag for h in hamiltonians])
+    offdiag = np.array([h.offdiag for h in hamiltonians])
+    radius = float(np.max(gershgorin_radii(diag, offdiag)))
+    if radius > half_width:
+        raise ValueError(f"Gershgorin radius {radius!r} exceeds the Chebyshev "
+                         f"half-width {half_width!r}")
+    coef = _chebyshev_coefficients(half_width * times)
+    n_real, n = diag.shape
+    n_terms = coef.shape[1]
+    out = np.zeros((n_real, times.shape[0]), dtype=complex)
+    if n_terms < n:  # every term that reaches site N lies in the tail
+        return out
+    # sites outer, realizations inner: a site range is one contiguous slice
+    d2 = np.ascontiguousarray(diag.T) * (2.0 / half_width)
+    o2 = np.ascontiguousarray(offdiag.T) * (2.0 / half_width)
+    prev, cur, nxt = (np.zeros((n, n_real)) for _ in range(3))
+    tmp = np.empty((n - 1, n_real))
+    prev[0] = 1.0
+    cur[0], cur[1] = 0.5 * d2[0], 0.5 * o2[0]
+    for k in range(1, n_terms):
+        if k >= n - 1:
+            out += np.multiply.outer(cur[n - 1], coef[:, k])
+        if k + 1 == n_terms:
+            break
+        # phi_(k+1) on sites lo..hi-1: beyond k+1 it is zero, and below lo
+        # no term up to K-1 reads it
+        lo, hi = max(0, n + k + 1 - n_terms), min(k + 2, n)
+        np.multiply(d2[lo:hi], cur[lo:hi], out=nxt[lo:hi])
+        top = min(hi, n - 1)
+        np.multiply(o2[lo:top], cur[lo + 1:top + 1], out=tmp[lo:top])
+        nxt[lo:top] += tmp[lo:top]
+        bottom = max(lo, 1)
+        np.multiply(o2[bottom - 1:hi - 1], cur[bottom - 1:hi - 1],
+                    out=tmp[bottom - 1:hi - 1])
+        nxt[bottom:hi] += tmp[bottom - 1:hi - 1]
+        nxt[lo:hi] -= prev[lo:hi]
+        prev, cur, nxt = cur, nxt, prev
+    return out
+
+
 def ensemble_average(spec: ChainSpec, n_real: int, master_seed: int, t_list,
                      key_prefix: tuple = ()) -> tuple[np.ndarray, np.ndarray]:
     """Disorder-averaged fidelity at the given times.
 
-    Realization r draws from substream(master_seed, *key_prefix, r) and
+    Realization r draws from substream(master_seed, *key_prefix, r).
+    Blocks of _REALIZATION_BLOCK realizations are propagated together by
+    the Chebyshev expansion on spectral_half_width(spec), so a
+    realization's fidelity does not depend on the block it lands in, and
     the mean runs in ascending r for bit reproducibility.  Returns
     (mean, standard error); the standard error is sample std / sqrt(n)
     with zero reported for a single realization.
     """
     realizations = disorder_ensemble(spec, n_real, master_seed, key_prefix)
     t_list = np.atleast_1d(np.asarray(t_list, dtype=float))
+    half_width = spectral_half_width(spec)
     fid = np.empty((n_real, t_list.shape[0]))
-    for r, realization in enumerate(realizations):
-        sd = eigendecompose(build_hamiltonian(spec, realization))
-        fid[r] = fidelity_of_amplitude(transfer_amplitude(sd, t_list))
+    for start in range(0, n_real, _REALIZATION_BLOCK):
+        block = [build_hamiltonian(spec, realization)
+                 for realization in islice(realizations, _REALIZATION_BLOCK)]
+        fid[start:start + len(block)] = fidelity_of_amplitude(
+            _chebyshev_transfer_amplitude(block, half_width, t_list))
     mean = fid.mean(axis=0)
     if n_real == 1:
         return mean, np.zeros_like(mean)

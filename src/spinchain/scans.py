@@ -19,8 +19,9 @@ from .chain import ChainSpec
 from .evolve import ensemble_average, transfer_time
 from .fitting import (FitResult, ThresholdScaling, fit_through_origin,
                       power_law_fit, threshold_scaling)
-from .perturbation import (clean_propagator_table, compute_coefficients,
-                           infidelity_sums, perturbative_fidelity)
+from .perturbation import (PerturbationCoefficients, clean_propagator_table,
+                           compute_coefficients, infidelity_sums,
+                           perturbative_fidelity)
 
 __all__ = [
     "ScanConfig",
@@ -150,6 +151,19 @@ def run_correlated_scan(config: ScanConfig) -> list:
                                                eps_b_values=(0.0,)))]
 
 
+def _one_corr_p(points):
+    """Refuse points that pool several sign-correlation probabilities.
+
+    Each corr_p is its own fidelity curve, so a fit or a threshold over
+    rows of several would match none of them.
+    """
+    values = sorted({p.corr_p for p in points})
+    if len(values) > 1:
+        raise ValueError("the points mix corr_p values "
+                         + ", ".join(format(v, "g") for v in values)
+                         + "; select the rows of one corr_p")
+
+
 def fit_scaling(points, mask_floor: float = SCALING_MASK_FLOOR) -> FitResult:
     """Scaling constants of F = (1 + exp(-k_j N e_j^2 - k_b e_b^2 / N)) / 2.
 
@@ -158,8 +172,9 @@ def fit_scaling(points, mask_floor: float = SCALING_MASK_FLOOR) -> FitResult:
     rows and y = -kappa_b (eps_b^2 / N) on pure field rows.  Rows with
     2F - 1 <= mask_floor are masked out.  Each constant needs at least
     four usable rows; a constant whose rows are absent entirely is
-    simply not reported.
+    simply not reported.  Points of more than one corr_p are refused.
     """
+    _one_corr_p(points)
     sectors = (("kappa_j", "coupling", "eps_j", "eps_b",
                 lambda p: -p.n_sites * p.eps_j ** 2),
                ("kappa_b", "field", "eps_b", "eps_j",
@@ -190,10 +205,12 @@ def threshold_extract(points, f_target: float, param: str = "eps_j") -> Threshol
     Uses the pure rows of the requested parameter (the other disorder
     amplitude must be zero).  Crossings interpolate linearly in log eps;
     chains whose curve never reaches the target are reported in
-    `skipped` and excluded from the power-law fit of eps_c vs N.
+    `skipped` and excluded from the power-law fit of eps_c vs N.  Points
+    of more than one corr_p are refused.
     """
     if param not in ("eps_j", "eps_b"):
         raise ValueError(f"param must be eps_j or eps_b, got {param!r}")
+    _one_corr_p(points)
     other = "eps_b" if param == "eps_j" else "eps_j"
     curves = {}
     for p in points:
@@ -213,20 +230,31 @@ def threshold_extract(points, f_target: float, param: str = "eps_j") -> Threshol
 
 def perturbation_comparison(n_sites: int, eps_values, sector: str,
                             n_real: int, seed: int, base_coupling: float = 1.0,
-                            t: float | None = None) -> dict:
+                            t: float | None = None,
+                            coefficients: PerturbationCoefficients | None = None) -> dict:
     """Monte-Carlo infidelity against the perturbative formula per eps.
 
     sector is "j" (coupling disorder) or "b" (field disorder).  Returns
     the comparison rows, the log-log slope of the MC infidelity vs eps,
     and the fitted prefactor ratio between the Monte Carlo and the
     plain sector sum (the formula's own prefactor is eps^2/9).
+
+    coefficients are the clean chain's second-order coefficients at t,
+    from compute_coefficients(clean_propagator_table(n_sites,
+    base_coupling, t=t)); they do not depend on the sector, so a caller
+    comparing both sectors computes them once and passes them to each
+    call.  They are computed here when not given.
     """
     if sector not in ("j", "b"):
         raise ValueError("sector must be 'j' or 'b'")
     t = transfer_time(base_coupling) if t is None else float(t)
-    table = clean_propagator_table(n_sites, base_coupling, t=t)
-    coeffs = compute_coefficients(table)
-    field_sum, coupling_sum = infidelity_sums(coeffs)
+    if coefficients is None:
+        coefficients = compute_coefficients(clean_propagator_table(n_sites, base_coupling, t=t))
+    elif coefficients.c.shape[0] != n_sites or not np.isclose(coefficients.time, t,
+                                                             rtol=1e-12, atol=0.0):
+        raise ValueError(f"coefficients are for N={coefficients.c.shape[0]} at "
+                         f"t={coefficients.time!r}, not N={n_sites} at t={t!r}")
+    field_sum, coupling_sum = infidelity_sums(coefficients)
     sector_sum = coupling_sum if sector == "j" else field_sum
 
     rows = []
@@ -234,7 +262,7 @@ def perturbation_comparison(n_sites: int, eps_values, sector: str,
         kwargs = {"eps_j": eps} if sector == "j" else {"eps_b": eps}
         spec = ChainSpec(n_sites=n_sites, base_coupling=base_coupling, **kwargs)
         mean, err = ensemble_average(spec, n_real, seed, [t], key_prefix=(ei,))
-        f_pert = perturbative_fidelity(coeffs, **kwargs)
+        f_pert = perturbative_fidelity(coefficients, **kwargs)
         infid_mc = 1.0 - float(mean[0])
         infid_pert = 1.0 - f_pert
         rows.append({
@@ -258,5 +286,5 @@ def perturbation_comparison(n_sites: int, eps_values, sector: str,
         "t": t,
         "sector_sum": sector_sum,
         "slope_fit": slope_fit,
-        "coefficients_step": coeffs.step,
+        "coefficients_step": coefficients.step,
     }

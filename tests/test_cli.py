@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from spinchain import ChainSpec, fidelity_series, sample_disorder, substream
+from spinchain import (ChainSpec, fidelity_series, perturbation_comparison,
+                       sample_disorder, substream)
 from spinchain.cli import main
 from spinchain.tableio import read_csv, sidecar_path
 
@@ -166,3 +167,27 @@ def test_table_commands_reject_a_table_of_another_kind(tmp_path, command):
     message = str(err.value)
     assert "n_sites,eps_j,eps_b,corr_p,fbar,stderr,n_real" in message
     assert "found n_sites,eps_j,eta" in message
+
+
+@pytest.mark.parametrize("command", ["fit-scaling", "threshold"])
+def test_table_commands_refuse_a_table_of_several_corr_p(tmp_path, command):
+    table = tmp_path / "corr.csv"
+    run_cli("corr-scan", "--n", 8, 12, "--eps-j", 0.05, 0.2, "--corr-p", 0.1, 0.9,
+            "--n-real", 4, "--seed", 3, "--out", table)
+    out = tmp_path / "x.csv"
+    with pytest.raises(SystemExit) as err:
+        main([command, "--table", str(table), "--out", str(out)])
+    assert "mix corr_p values 0.1, 0.9" in str(err.value)
+    assert not out.exists()
+
+
+def test_perturbation_both_sectors_match_one_library_call_each(tmp_path):
+    # the command shares one set of clean coefficients between the sectors
+    out = tmp_path / "pert.csv"
+    run_cli("perturbation", "--n", 6, "--eps", 0.003, 0.01, "--n-real", 50,
+            "--seed", 9, "--out", out)
+    _, header, rows = read_csv(out)
+    expected = [(sector, r["eps"], r["fbar_mc"], r["f_pert"])
+                for sector in ("j", "b")
+                for r in perturbation_comparison(6, [0.003, 0.01], sector, 50, 9)["rows"]]
+    assert [(r[0], r[1], r[2], r[4]) for r in rows] == expected

@@ -1,13 +1,19 @@
+import logging
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse import diags
+from scipy.sparse.linalg import expm_multiply
 
-from spinchain import (ChainSpec, amplitudes, build_hamiltonian,
-                       clean_hamiltonian, eigendecompose, ensemble_average,
-                       fidelity_of_amplitude, fidelity_series, sample_disorder,
-                       substream, transfer_amplitude, transfer_time,
-                       zero_disorder)
+from spinchain import (ChainSpec, DisorderRealization, amplitudes,
+                       build_hamiltonian, clean_hamiltonian, eigendecompose,
+                       ensemble_average, fidelity_of_amplitude, fidelity_series,
+                       sample_disorder, substream, transfer_amplitude,
+                       transfer_time, zero_disorder)
+from spinchain.chain import spectral_half_width
+from spinchain.evolve import _chebyshev_transfer_amplitude
 
 from conftest import oracle_amplitudes
 
@@ -179,11 +185,13 @@ def test_ensemble_single_realization_matches_direct():
     spec = ChainSpec(n_sites=40, eps_j=0.05)
     t_list = [0.3, transfer_time(), 2.0]
     mean, err = ensemble_average(spec, 1, 99, t_list)
-    real = sample_disorder(spec, substream(99, 0))
-    sd = eigendecompose(build_hamiltonian(spec, real))
-    direct = fidelity_of_amplitude(transfer_amplitude(sd, t_list))
+    h = build_hamiltonian(spec, sample_disorder(spec, substream(99, 0)))
+    direct = fidelity_of_amplitude(_chebyshev_transfer_amplitude(
+        [h], spectral_half_width(spec), np.array(t_list))[0])
     assert np.array_equal(mean, direct)
     assert np.all(err == 0.0)
+    eigen = fidelity_of_amplitude(transfer_amplitude(eigendecompose(h), t_list))
+    assert np.max(np.abs(mean - eigen)) <= 1e-12
 
 
 def test_ensemble_clean_disorder_free():
@@ -226,9 +234,96 @@ def test_ensemble_average_matches_hand_loop_over_keys():
     spec = ChainSpec(n_sites=15, eps_j=0.2, eps_b=0.1, corr_p=0.3)
     t_list = [0.4, transfer_time()]
     mean, err = ensemble_average(spec, 6, 21, t_list, key_prefix=(2, 5))
+    hams = [build_hamiltonian(spec, sample_disorder(spec, substream(21, 2, 5, r)))
+            for r in range(6)]
     fid = np.array([
-        fidelity_of_amplitude(transfer_amplitude(eigendecompose(build_hamiltonian(
-            spec, sample_disorder(spec, substream(21, 2, 5, r)))), t_list))
-        for r in range(6)])
+        fidelity_of_amplitude(_chebyshev_transfer_amplitude(
+            [h], spectral_half_width(spec), np.array(t_list))[0])
+        for h in hams])
     assert np.array_equal(mean, fid.mean(axis=0))
     assert np.array_equal(err, fid.std(axis=0, ddof=1) / np.sqrt(6))
+    eigen = np.array([fidelity_of_amplitude(transfer_amplitude(eigendecompose(h), t_list))
+                      for h in hams])
+    assert np.max(np.abs(fid - eigen)) <= 1e-12
+
+
+def test_ensemble_average_across_realization_blocks():
+    # more realizations than one propagation block holds
+    spec = ChainSpec(n_sites=8, eps_j=0.3, eps_b=0.2)
+    n_real = 2 * 128 + 3
+    t_list = [transfer_time(), 2.0]
+    mean, err = ensemble_average(spec, n_real, 4, t_list)
+    fid = np.array([
+        fidelity_of_amplitude(_chebyshev_transfer_amplitude(
+            [build_hamiltonian(spec, sample_disorder(spec, substream(4, r)))],
+            spectral_half_width(spec), np.array(t_list))[0])
+        for r in range(n_real)])
+    assert np.array_equal(mean, fid.mean(axis=0))
+    assert np.array_equal(err, fid.std(axis=0, ddof=1) / np.sqrt(n_real))
+
+
+def _expm_transfer(h, times):
+    """f_N(t) by scipy's expm_multiply (Al-Mohy & Higham truncated Taylor
+    series): independent of both package propagators."""
+    e1 = np.zeros(h.n_sites, dtype=complex)
+    e1[0] = 1.0
+    a = -1j * diags([h.offdiag, h.diag, h.offdiag], [-1, 0, 1], format="csr")
+    return np.array([expm_multiply(t * a, e1)[-1] for t in times])
+
+
+@pytest.mark.parametrize("n", [2, 3, 20, 100, 200, 500])
+def test_chebyshev_matches_expm_and_eigen_paths(n):
+    t1 = transfer_time()
+    times = np.array([0.0, t1, 5 * t1])
+    for ji, eps_j in enumerate((0.0, 0.02, 0.3, 1.0)):
+        for eps_b in (0.0, 1.0):
+            spec = ChainSpec(n_sites=n, eps_j=eps_j, eps_b=eps_b)
+            h = build_hamiltonian(spec, sample_disorder(spec, substream(11, n, ji, int(eps_b))))
+            f = _chebyshev_transfer_amplitude([h], spectral_half_width(spec), times)[0]
+            assert f[0] == 0.0
+            assert np.max(np.abs(f - _expm_transfer(h, times))) <= 1e-12
+            assert np.max(np.abs(f - transfer_amplitude(eigendecompose(h), times))) <= 2e-12
+
+
+def test_chebyshev_on_a_near_severed_chain():
+    spec = ChainSpec(n_sites=60, eps_j=1.0)
+    delta = np.zeros(59)
+    delta[29] = -1.0 + 1e-15
+    h = build_hamiltonian(spec, DisorderRealization(delta=delta, field_err=np.zeros(60)))
+    times = np.array([0.0, transfer_time(), 5 * transfer_time()])
+    f = _chebyshev_transfer_amplitude([h], spectral_half_width(spec), times)[0]
+    assert np.max(np.abs(f)) < 1e-13    # about 1e-14: the bond is 6e-14
+    assert np.max(np.abs(f - _expm_transfer(h, times))) <= 1e-12
+    assert np.max(np.abs(f - transfer_amplitude(eigendecompose(h), times))) <= 2e-12
+
+
+def test_chebyshev_rows_do_not_depend_on_the_stack():
+    spec = ChainSpec(n_sites=37, eps_j=0.3, eps_b=0.2)
+    hams = [build_hamiltonian(spec, sample_disorder(spec, substream(5, r))) for r in range(10)]
+    times = np.array([0.2, transfer_time(), 5 * transfer_time()])
+    a = spectral_half_width(spec)
+    stacked = _chebyshev_transfer_amplitude(hams, a, times)
+    for r, h in enumerate(hams):
+        assert np.array_equal(stacked[r], _chebyshev_transfer_amplitude([h], a, times)[0])
+
+
+def test_chebyshev_refuses_a_hamiltonian_outside_the_interval():
+    spec = ChainSpec(n_sites=30, eps_j=0.1, eps_b=0.1)
+    # the worst case the spec can draw sits exactly on the bound and passes
+    worst = build_hamiltonian(spec, DisorderRealization(
+        delta=np.full(29, 0.1), field_err=np.full(30, 0.1)))
+    _chebyshev_transfer_amplitude([worst], spectral_half_width(spec), np.array([1.0]))
+    beyond = build_hamiltonian(spec, DisorderRealization(
+        delta=np.full(29, 0.2), field_err=np.zeros(30)))
+    with pytest.raises(ValueError, match="Gershgorin radius"):
+        _chebyshev_transfer_amplitude([worst, beyond], spectral_half_width(spec),
+                                      np.array([transfer_time()]))
+
+
+def test_eigensolver_fallback_logs_a_warning(caplog):
+    spec = ChainSpec(n_sites=200, eps_j=1.0)
+    h = build_hamiltonian(spec, sample_disorder(spec, substream(7, 0, 7)))
+    with caplog.at_level(logging.WARNING, logger="spinchain.evolve"):
+        eigendecompose(h)
+    assert any(rec.levelno == logging.WARNING and "N = 200" in rec.getMessage()
+               for rec in caplog.records)

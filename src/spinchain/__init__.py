@@ -21,9 +21,9 @@ from .boxcount import (BoxCountCurve, DegenerateSeriesError, TrimResult,
                        dimension_curve, dimension_of_series, dimension_threshold,
                        fit_dimension, transient_trim)
 from .perturbation import (CleanPropagatorTable, PerturbationCoefficients,
-                           QuadratureError, clean_propagator_table,
-                           compute_coefficients, infidelity_sums,
-                           perturbative_fidelity)
+                           clean_propagator_table, compute_coefficients,
+                           infidelity_sums, perturbative_fidelity,
+                           require_transfer_time)
 from .scans import (FidelityPoint, ScanConfig, fit_scaling,
                     perturbation_comparison, run_correlated_scan,
                     scan_fidelity, threshold_extract)

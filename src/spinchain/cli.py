@@ -16,7 +16,8 @@ from .chain import ChainSpec, disorder_ensemble
 from .boxcount import box_count, fit_dimension, transient_trim
 from .evolve import fidelity_series, transfer_time
 from .levelstats import collect_spacings, eta, eta_curve, spacing_histogram
-from .perturbation import clean_propagator_table, compute_coefficients
+from .perturbation import (clean_propagator_table, compute_coefficients,
+                           require_transfer_time)
 from .scans import (FidelityPoint, ScanConfig, fit_scaling, points_from_rows,
                     perturbation_comparison, run_correlated_scan, scan_fidelity,
                     threshold_extract)
@@ -285,7 +286,12 @@ def _cmd_fractal(cfg):
 def _cmd_perturbation(cfg):
     sectors = ("j", "b") if cfg["sector"] == "both" else (cfg["sector"],)
     t = transfer_time(cfg["j"]) if cfg["t"] is None else cfg["t"]
-    coefficients = compute_coefficients(clean_propagator_table(cfg["n"], cfg["j"], t=t))
+    table = clean_propagator_table(cfg["n"], cfg["j"])
+    try:
+        coefficients = compute_coefficients(table, t)
+        require_transfer_time(coefficients, cfg["j"])
+    except ValueError as err:
+        raise SystemExit(f"perturbation: --t {t!r}: {err}") from None
     rows, payload = [], {}
     for sector in sectors:
         result = perturbation_comparison(cfg["n"], cfg["eps"], sector,
@@ -299,7 +305,6 @@ def _cmd_perturbation(cfg):
         payload[sector] = {
             "sector_sum": result["sector_sum"],
             "slope_fit": _fit_payload(result["slope_fit"]) if result["slope_fit"] else None,
-            "coefficients_step": result["coefficients_step"],
             "t": result["t"],
         }
     _write(cfg, "perturbation",

@@ -14,12 +14,24 @@ U_l^k(t) = <l| exp(-iHt) |k>:
 
 and D_kk, F_kk second-order double integrals over the ordered time
 simplex 0 <= t2 <= t1 <= t (ordering is what makes the result invariant
-under the constant part of the field term).  Every double integral
-separates, per intermediate site, into an outer integrand times a
-cumulative inner integral, so the cost stays linear in the number of
-grid points.  Quadrature is composite Simpson; results are accepted
-only when halving the step leaves every coefficient family unchanged
-to a relative tolerance.
+under the constant part of the field term).  The leading 1 holds only
+where the clean chain transfers perfectly, t = (2n+1) pi / (4J).
+
+The coefficients are exact sums over the clean eigenbasis, with no time
+grid.  Every integrand is a sum of exponentials exp(-i w s), so with
+f(z) = exp(z t) and nodes z_m = -i E_m the single integrals are first
+divided differences f[z_m, z_n] and the ordered double integrals second
+divided differences f[z_m, z_p, z_n] (Van Loan, IEEE TAC 23, 395
+(1978)).  The clean spectrum is the lattice E_m = 2J(2m - N + 1), so two
+nodes coincide exactly when their labels do, and the confluent cases
+(derivatives of f) are chosen by label, never by comparing floats.  The
+lattice is symmetric, -E_n = E_{N-1-n}, so the F integrals use the same
+divided-difference tensor as D with the last label reflected.  The cost
+is one N x N by N x N^2 product, O(N^4) flops, and O(N^3) memory.
+Second differences cancel like eps / (J t)^2: against Gauss-Legendre
+quadrature D and F agree to about 1e-13 relative at J t = 0.01 and
+1e-10 at J t = 1e-4.  t = 0 gives exact zeros, and every caller in the
+package works at a transfer time, J t >= pi / 4.
 
 This module serves as an independent check on the Monte-Carlo engine;
 it never touches the disorder sampler.
@@ -32,44 +44,29 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chain import clean_hamiltonian
-from .evolve import SpectralDecomposition, eigendecompose
+from .evolve import SpectralDecomposition, eigendecompose, transfer_time
 
 __all__ = [
-    "QuadratureError",
     "CleanPropagatorTable",
     "PerturbationCoefficients",
     "clean_propagator_table",
     "compute_coefficients",
+    "require_transfer_time",
     "perturbative_fidelity",
     "infidelity_sums",
 ]
 
-SAMPLES_PER_PERIOD = 20
-
-
-class QuadratureError(RuntimeError):
-    """The quadrature step is too coarse for a trustworthy result."""
+# A clean transfer amplitude |f_N(t)| below 1 - TRANSFER_TOL is no
+# perfect transfer; at t = (2n+1) pi / (4J) it is 1 to rounding.
+TRANSFER_TOL = 1e-9
 
 
 @dataclass(frozen=True)
 class CleanPropagatorTable:
-    """Clean-chain spectrum plus the reference quadrature grid."""
+    """Clean-chain spectrum plus the default evaluation time."""
 
     decomposition: SpectralDecomposition
-    times: np.ndarray
-
-    def __post_init__(self):
-        t = np.asarray(self.times, dtype=float)
-        t.flags.writeable = False
-        object.__setattr__(self, "times", t)
-
-    @property
-    def step(self) -> float:
-        return float(self.times[1] - self.times[0])
-
-    @property
-    def horizon(self) -> float:
-        return float(self.times[-1])
+    horizon: float
 
 
 @dataclass(frozen=True)
@@ -78,7 +75,8 @@ class PerturbationCoefficients:
 
     c and e are real; d_diag and f_diag are the (complex) time-ordered
     double integrals.  e and f_diag carry one entry per bond (length
-    N-1), c and d_diag one per site.
+    N-1), c and d_diag one per site.  clean_transfer is the clean
+    chain's |f_N(time)|, 1 at the perfect-transfer times.
     """
 
     time: float
@@ -86,165 +84,101 @@ class PerturbationCoefficients:
     d_diag: np.ndarray
     e: np.ndarray
     f_diag: np.ndarray
-    step: float
-    richardson_rel: float
+    clean_transfer: float
 
-
-def _even_subdivisions(t: float, step_target: float) -> int:
-    return 2 * max(1, int(np.ceil(t / (2.0 * step_target))))
+    @property
+    def step(self) -> float:
+        # read by benchmark/tracer.py; the phases are taken at s = 0 and t only
+        return self.time
 
 
 def clean_propagator_table(n_sites: int, base_coupling: float = 1.0,
-                           t: float | None = None, step: float | None = None,
-                           samples_per_period: int = SAMPLES_PER_PERIOD) -> CleanPropagatorTable:
-    """Decompose the clean chain and fix the quadrature grid up to time t.
-
-    The default step resolves the shortest spectral period
-    2 pi / (E_max - E_min) with samples_per_period points; t defaults to
-    the first transfer time pi / (4J).
-    """
+                           t: float | None = None) -> CleanPropagatorTable:
+    """Decompose the clean chain; t (default pi / (4J)) is the default time."""
     sd = eigendecompose(clean_hamiltonian(n_sites, base_coupling))
     if t is None:
-        t = np.pi / (4.0 * base_coupling)
-    if t <= 0:
-        raise ValueError("table horizon t must be > 0")
-    span = float(sd.eigenvalues[-1] - sd.eigenvalues[0])
-    period = 2.0 * np.pi / span
-    if step is None:
-        step = period / samples_per_period
-    elif step > period / SAMPLES_PER_PERIOD * (1.0 + 1e-9):
-        raise QuadratureError(
-            f"step {step} leaves fewer than {SAMPLES_PER_PERIOD} samples on the "
-            f"shortest spectral period {period}")
-    m = _even_subdivisions(t, step)
-    times = np.arange(m + 1) * (t / m)
-    return CleanPropagatorTable(decomposition=sd, times=times)
+        t = transfer_time(base_coupling)
+    if t < 0:
+        raise ValueError("table horizon t must be >= 0")
+    return CleanPropagatorTable(decomposition=sd, horizon=float(t))
 
 
-def _simpson(y: np.ndarray, h: float) -> np.ndarray:
-    """Composite Simpson along axis 0; needs an even number of intervals."""
-    m = y.shape[0] - 1
-    if m < 2 or m % 2:
-        raise ValueError(f"Simpson needs an even interval count, got {m}")
-    return (h / 3.0) * (y[0] + y[-1]
-                        + 4.0 * y[1:-1:2].sum(axis=0)
-                        + 2.0 * y[2:-1:2].sum(axis=0))
+def _divided_differences(nodes: np.ndarray, t: float):
+    """First and second divided differences of exp(z t) on distinct nodes.
 
-
-def _cumulative_simpson(y: np.ndarray, h: float) -> np.ndarray:
-    """Running integral along axis 0, fourth order, Q[0] = 0.
-
-    Even grid points use plain Simpson pairs; odd points add the
-    quadratic-interpolation correction for the trailing interval.
+    Returns (f1, f2) with f1[m, n] = f[z_m, z_n] and
+    f2[m, p, n] = f[z_m, z_p, z_n]; a repeated label gives the confluent
+    (derivative) value.
     """
-    m = y.shape[0] - 1
-    q = np.zeros_like(y)
-    if m == 0:
-        return q
-    if m >= 2:
-        pair = (h / 3.0) * (y[0:-2:2] + 4.0 * y[1:-1:2] + y[2::2])
-        q[2::2] = np.cumsum(pair, axis=0)
-        q[1] = (h / 12.0) * (5.0 * y[0] + 8.0 * y[1] - y[2])
-        if m >= 3:
-            q[3::2] = q[2:-1:2] + (h / 12.0) * (-y[1:-2:2] + 8.0 * y[2:-1:2]
-                                                + 5.0 * y[3::2])
-    else:  # single interval, trapezoid fallback (never hit with even grids)
-        q[1] = 0.5 * h * (y[0] + y[1])
-    return q
+    n = nodes.shape[0]
+    k = np.arange(n)
+    h = np.exp(nodes * t)
+    gap = nodes[None, :] - nodes[:, None]          # z_n - z_m
+    gap[k, k] = 1.0
+    f1 = (h[None, :] - h[:, None]) / gap
+    f1[k, k] = t * h
+    f2 = (f1[None, :, :] - f1[:, :, None]) / gap[:, None, :]
+    f2[k, :, k] = (f1 - f1[k, k][:, None]) / gap
+    f2[k, k, k] = 0.5 * t * t * h
+    return f1, f2
 
 
-def _column_history(sd: SpectralDecomposition, phase: np.ndarray, j: int) -> np.ndarray:
-    """U[s, k] = <k| exp(-iH t_s) |j> for every grid time s."""
-    v = sd.eigenvectors
-    return (phase * v[j]) @ v.T
-
-
-def _coefficients_on_grid(sd: SpectralDecomposition, times: np.ndarray):
-    n = sd.n_sites
-    h = float(times[1] - times[0])
-    phase = np.exp(np.outer(times, -1j * sd.eigenvalues))
-    u1 = _column_history(sd, phase, 0)           # U_l^1(t_s), column l
-
-    c = _simpson(1.0 - 2.0 * np.abs(u1) ** 2, h).real
-    e = _simpson(4.0 * (u1[:, :-1] * u1[:, 1:].conj()).real, h)
-
-    t_end = float(times[-1])
-    d_diag = np.empty(n, dtype=complex)
-    f_diag = np.empty(n - 1, dtype=complex)
-    col_l = u1
-    for l in range(n):
-        col_next = _column_history(sd, phase, l + 1) if l + 1 < n else None
-        u1l = u1[:, l]
-        occ = np.abs(u1l) ** 2
-        p = u1l.conj()[:, None] * col_l
-        inner = _cumulative_simpson(p, h).conj()
-        d_diag[l] = (0.5 * t_end ** 2
-                     - 2.0 * _simpson(occ * times, h)
-                     - 2.0 * _simpson(_cumulative_simpson(occ, h), h)
-                     + 4.0 * _simpson(np.sum(p * inner, axis=1), h))
-        if col_next is not None:
-            u1r = u1[:, l + 1]
-            outer = u1l.conj()[:, None] * col_next + u1r.conj()[:, None] * col_l
-            b = u1l.conj()[:, None] * col_next.conj() + u1r.conj()[:, None] * col_l.conj()
-            f_diag[l] = 4.0 * _simpson(np.sum(outer * _cumulative_simpson(b, h), axis=1), h)
-        col_l = col_next
-    return c, d_diag, e, f_diag
-
-
-def _richardson_rel(coarse, fine) -> float:
-    """Worst relative change across the four coefficient families.
-
-    Each family is measured against its own sup norm, floored at 1e-3 of
-    the largest family so that families that vanish identically (E does,
-    by the chiral symmetry of the zero-diagonal clean chain) do not stall
-    the check on pure roundoff.
-    """
-    sups = [float(np.max(np.abs(f))) for f in fine]
-    floor = 1e-3 * max(max(sups), 1e-300)
-    return max(float(np.max(np.abs(c - f))) / max(s, floor)
-               for c, f, s in zip(coarse, fine, sups))
-
-
-def compute_coefficients(table: CleanPropagatorTable, t: float | None = None,
-                         rel_tol: float = 1e-6,
-                         max_refinements: int = 8) -> PerturbationCoefficients:
-    """Evaluate every coefficient at time t with a step-halving check.
-
-    The integrals run on an even Simpson grid with the table's step and
-    again with the step halved; the result is accepted only once no
-    coefficient family moves by more than rel_tol (sup norm, relative to
-    the family scale) under the halving.  The grid refines automatically
-    up to max_refinements times; pass max_refinements=0 to demand the
-    table's own step, in which case a too-coarse step refuses outright.
-    """
+def compute_coefficients(table: CleanPropagatorTable,
+                         t: float | None = None) -> PerturbationCoefficients:
+    """Evaluate every coefficient at time t (default: the table's horizon)."""
     sd = table.decomposition
     if t is None:
         t = table.horizon
     if t < 0:
         raise ValueError("t must be >= 0")
-    n = sd.n_sites
-    if t == 0.0:
-        zc = np.zeros(n)
-        return PerturbationCoefficients(
-            time=0.0, c=zc, d_diag=np.zeros(n, complex),
-            e=np.zeros(n - 1), f_diag=np.zeros(n - 1, complex),
-            step=table.step, richardson_rel=0.0)
+    t = float(t)
+    v = sd.eigenvectors
+    x = v * v[0]                                   # x[l, m] = V_lm V_1m
+    f1, f2 = _divided_differences(-1j * sd.eigenvalues, t)
+    back = np.exp(1j * sd.eigenvalues * t)         # undoes the node shift by E_m
+    xb = x * back
 
-    m = _even_subdivisions(t, table.step)
-    coarse = _coefficients_on_grid(sd, np.arange(m + 1) * (t / m))
-    rel = np.inf
-    for _ in range(max_refinements + 1):
-        fine = _coefficients_on_grid(sd, np.arange(2 * m + 1) * (t / (2 * m)))
-        rel = _richardson_rel(coarse, fine)
-        if rel <= rel_tol:
-            c, d_diag, e, f_diag = fine
-            return PerturbationCoefficients(time=float(t), c=c, d_diag=d_diag,
-                                            e=e, f_diag=f_diag, step=t / (2 * m),
-                                            richardson_rel=rel)
-        m, coarse = 2 * m, fine
-    raise QuadratureError(
-        f"halving the step still moves coefficients by {rel:.3e} relative "
-        f"(> {rel_tol:.0e}) after {max_refinements} refinements")
+    # C and E: int_0^t exp(-i (E_m - E_n) s) ds = f1[m, n] exp(i E_n t)
+    p = x @ f1
+    c = t - 2.0 * np.sum(p * xb, axis=1).real
+    e = 4.0 * np.sum(p[:-1] * xb[1:], axis=1).real
+
+    # y[l, p, n] = sum_m x_lm exp(i E_m t) f[z_m, z_p, z_n]
+    n = sd.n_sites
+    y = (xb @ f2.reshape(n, n * n)).reshape(n, n, n)
+    # D's occupation terms integrate to t C_l - t^2 / 2; the rest pairs
+    # (l, p) and (l, n) through the intermediate site's weight V_lp^2
+    d_diag = t * c - 0.5 * t * t + 4.0 * np.einsum("lpn,lp,ln->l", y, v * v, x)
+    # F pairs the bond's weights x_lm V_{l+1,p} + x_{l+1,m} V_lp on both
+    # sides, the second one with n reflected since -E_n = E_{N-1-n}
+    xr = x[:, ::-1]
+    left, right = v[:-1], v[1:]
+    f_diag = 4.0 * (np.einsum("lpn,lp,ln->l", y[:-1], right * right, xr[:-1])
+                    + np.einsum("lpn,lp,ln->l", y[:-1], right * left, xr[1:])
+                    + np.einsum("lpn,lp,ln->l", y[1:], left * right, xr[:-1])
+                    + np.einsum("lpn,lp,ln->l", y[1:], left * left, xr[1:]))
+    clean_transfer = abs(np.sum(x[-1] * np.conj(back)))
+    return PerturbationCoefficients(time=t, c=c, d_diag=d_diag, e=e,
+                                    f_diag=f_diag, clean_transfer=float(clean_transfer))
+
+
+def require_transfer_time(coefficients: PerturbationCoefficients,
+                          base_coupling: float = 1.0) -> None:
+    """Refuse coefficients taken where the clean chain does not transfer.
+
+    perturbative_fidelity expands around a clean fidelity of 1, which
+    holds only at t = (2n+1) pi / (4J); elsewhere its 1 - ... is wrong
+    at zeroth order.  The message names the nearest transfer time.
+    """
+    if coefficients.clean_transfer >= 1.0 - TRANSFER_TOL:
+        return
+    t = coefficients.time
+    n = max(0, round(2.0 * base_coupling * t / np.pi - 0.5))
+    nearest = transfer_time(base_coupling, n)
+    raise ValueError(
+        f"t = {t!r} is no perfect-transfer time of the clean chain "
+        f"(|f_N| = {coefficients.clean_transfer:.6g}); the perturbative "
+        f"fidelity holds only at (2n+1) pi / (4J), nearest t = {nearest!r}")
 
 
 def infidelity_sums(coeffs: PerturbationCoefficients) -> tuple[float, float]:

@@ -21,7 +21,7 @@ from .fitting import (FitResult, ThresholdScaling, fit_through_origin,
                       power_law_fit, threshold_scaling)
 from .perturbation import (PerturbationCoefficients, clean_propagator_table,
                            compute_coefficients, infidelity_sums,
-                           perturbative_fidelity)
+                           perturbative_fidelity, require_transfer_time)
 
 __all__ = [
     "ScanConfig",
@@ -244,6 +244,9 @@ def perturbation_comparison(n_sites: int, eps_values, sector: str,
     base_coupling, t=t)); they do not depend on the sector, so a caller
     comparing both sectors computes them once and passes them to each
     call.  They are computed here when not given.
+
+    Raises ValueError when t is no perfect-transfer time of the clean
+    chain, where the perturbative formula does not apply.
     """
     if sector not in ("j", "b"):
         raise ValueError("sector must be 'j' or 'b'")
@@ -254,6 +257,7 @@ def perturbation_comparison(n_sites: int, eps_values, sector: str,
                                                              rtol=1e-12, atol=0.0):
         raise ValueError(f"coefficients are for N={coefficients.c.shape[0]} at "
                          f"t={coefficients.time!r}, not N={n_sites} at t={t!r}")
+    require_transfer_time(coefficients, base_coupling)
     field_sum, coupling_sum = infidelity_sums(coefficients)
     sector_sum = coupling_sum if sector == "j" else field_sum
 
@@ -286,5 +290,4 @@ def perturbation_comparison(n_sites: int, eps_values, sector: str,
         "t": t,
         "sector_sum": sector_sum,
         "slope_fit": slope_fit,
-        "coefficients_step": coefficients.step,
     }

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from spinchain import (ChainSpec, fidelity_series, perturbation_comparison,
-                       sample_disorder, substream)
+                       sample_disorder, substream, transfer_time)
 from spinchain.cli import main
 from spinchain.tableio import read_csv, sidecar_path
 
@@ -107,6 +107,23 @@ def test_perturbation_command(tmp_path):
     assert [r[0] for r in rows] == ["b", "b"]
     side = read_sidecar(out)
     assert abs(side["sectors"]["b"]["slope_fit"]["params"]["exponent"] - 2.0) < 0.3
+
+
+@pytest.mark.parametrize("t, refused", [(1.0, True), (0.0, True),
+                                        (3 * transfer_time(), False)])
+def test_perturbation_refuses_a_non_transfer_time(tmp_path, t, refused):
+    out = tmp_path / "pert.csv"
+    argv = ("perturbation", "--n", 6, "--eps", 0.01, "--sector", "b",
+            "--n-real", 20, "--seed", 1, "--t", t, "--out", out)
+    if not refused:
+        run_cli(*argv)
+        assert 0.99 < read_csv(out)[2][0][4] < 1.0
+        return
+    with pytest.raises(SystemExit) as err:
+        main([str(a) for a in argv])
+    assert f"perturbation: --t {t!r}: " in str(err.value)
+    assert "nearest t = 0.7853981633974483" in str(err.value)
+    assert not out.exists()
 
 
 def test_config_file_with_flag_override(tmp_path):

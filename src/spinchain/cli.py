@@ -155,6 +155,30 @@ OPTIONS = {
 }
 
 
+# Admissible values of the ranged options; --t-max is checked against --dt.
+RANGES = {
+    "n_real": (lambda v: v >= 1, "must be >= 1"),
+    "eps_j": (lambda v: v >= 0, "must be >= 0"),
+    "eps_b": (lambda v: v >= 0, "must be >= 0"),
+    "eps": (lambda v: v >= 0, "must be >= 0"),
+    "dt": (lambda v: v > 0, "must be > 0"),
+}
+
+
+def _check_ranges(command, cfg):
+    """Exit naming the flag of the first option outside its range, so a
+    bad value from the command line or a config file fails before any
+    work is done."""
+    for dest, (admissible, rule) in RANGES.items():
+        value = cfg.get(dest)
+        for v in value if isinstance(value, tuple) else (value,):
+            if v is not None and not admissible(v):
+                raise SystemExit(f"{command}: --{dest.replace('_', '-')} {v!r}: {rule}")
+    if "t_max" in cfg and not cfg["t_max"] >= cfg["dt"]:
+        raise SystemExit(f"{command}: --t-max {cfg['t_max']!r}: must be >= "
+                         f"--dt {cfg['dt']!r}")
+
+
 def _spec(cfg) -> ChainSpec:
     return ChainSpec(n_sites=cfg["n"], base_coupling=cfg["j"], eps_j=cfg["eps_j"],
                      eps_b=cfg["eps_b"], corr_p=cfg["corr_p"])
@@ -360,6 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     cfg = _resolve(args, OPTIONS[args.command])
+    _check_ranges(args.command, cfg)
     HANDLERS[args.command](cfg)
     return 0
 

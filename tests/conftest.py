@@ -105,7 +105,7 @@ def oracle_transfer_series(n, t_max, dt, j=1.0, delta=None, fields=None,
 
     Every sample is exp(-i E t_i) evaluated afresh, so no error carries
     from one sample to the next; independent of the package's
-    tridiagonal eigensolver and of its incremental phase recurrence.
+    tridiagonal eigensolver and of its phase tables.
     Returns (times, f_N).
     """
     energies, vectors = np.linalg.eigh(sector_matrix(n, j, delta, fields))

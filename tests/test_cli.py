@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import spinchain
 from spinchain import (ChainSpec, fidelity_series, perturbation_comparison,
                        sample_disorder, substream, transfer_time)
 from spinchain.cli import main
@@ -208,3 +213,42 @@ def test_perturbation_both_sectors_match_one_library_call_each(tmp_path):
                 for sector in ("j", "b")
                 for r in perturbation_comparison(6, [0.003, 0.01], sector, 50, 9)["rows"]]
     assert [(r[0], r[1], r[2], r[4]) for r in rows] == expected
+
+
+@pytest.mark.parametrize("argv, config, flag", [
+    ("perturbation --n 6 --n-real 0", "", "--n-real"),
+    ("perturbation --n 6 --eps 0.01 -0.01", "", "--eps"),
+    ("scan --n 8 --eps-j -0.1", "", "--eps-j"),
+    ("scan --n 8", "eps_b = 0.1 -0.1", "--eps-b"),
+    ("corr-scan --n 8 --eps-j 0.1", "n-real = 0", "--n-real"),
+    ("spectrum --n 8 --n-real -3", "", "--n-real"),
+    ("eta-scan --n 8 --eps-j 0.1 --n-real 0", "", "--n-real"),
+    ("transfer --n 8 --eps-b -0.1", "", "--eps-b"),
+    ("transfer --n 8", "dt = 0", "--dt"),
+    ("fractal --n 8 --dt 0", "", "--dt"),
+    ("fractal --n 8 --t-max 0.01", "", "--t-max"),
+])
+def test_out_of_range_options_exit_naming_the_flag(tmp_path, argv, config, flag):
+    out = tmp_path / "x.csv"
+    extra = ["--seed", "1", "--out", str(out)]
+    if config:
+        (tmp_path / "run.cfg").write_text(config + "\n")
+        extra += ["--config", str(tmp_path / "run.cfg")]
+    with pytest.raises(SystemExit) as err:
+        main(argv.split() + extra)
+    assert f"{argv.split()[0]}: {flag} " in str(err.value)
+    assert not out.exists()
+
+
+def test_transfer_bytes_do_not_depend_on_blas_threads(tmp_path):
+    src = str(Path(spinchain.__file__).parents[1])
+    outputs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}.csv"
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "OMP_NUM_THREADS": threads, "PYTHONPATH": src}
+        subprocess.run([sys.executable, "-m", "spinchain", "transfer", "--n", "300",
+                        "--eps-j", "0.1", "--t-max", "2e3", "--dt", "0.05",
+                        "--seed", "3", "--out", str(out)], env=env, check=True)
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]

@@ -15,7 +15,7 @@ from spinchain import (ChainSpec, DisorderRealization, amplitudes,
 from spinchain.chain import spectral_half_width
 from spinchain.evolve import _chebyshev_transfer_amplitude
 
-from conftest import oracle_amplitudes
+from conftest import oracle_amplitudes, oracle_transfer_series
 
 
 def _random_disordered_sd(n, eps_j, eps_b, seed):
@@ -150,6 +150,37 @@ def test_series_fast_path_matches_direct_evaluation():
     sd = eigendecompose(build_hamiltonian(spec, real))
     direct = transfer_amplitude(sd, series.times)
     assert np.max(np.abs(series.amplitude - direct)) < 1e-11
+
+
+def test_series_matches_dense_oracle_at_long_times():
+    # Two float64 eigensolvers place each E_m within a few eps |H| of the
+    # exact one, so their amplitudes part by up to about eps |H| t: 9e-10
+    # at t = 1e4 here, for either series path.  The bound allows 4x that
+    # and 1e-11 more.  The series path itself is checked against a direct
+    # sum on one decomposition, where this part cancels, by the tests
+    # next to this one (1e-11 and 1e-12).
+    spec = ChainSpec(n_sites=200, eps_j=0.05)
+    real = sample_disorder(spec, substream(11, 0))
+    series = fidelity_series(spec, real, 1e4, 0.05)
+    times, oracle = oracle_transfer_series(200, 1e4, 0.05, delta=real.delta,
+                                           fields=real.field_err)
+    assert np.array_equal(series.times, times)
+    budget = 1e-11 + 4 * np.finfo(float).eps * spectral_half_width(spec) * times
+    assert np.all(np.abs(series.amplitude - oracle) <= budget)
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5, 17, 400, 401, 20001])
+def test_series_of_every_grid_length_matches_direct_evaluation(m):
+    # perfect squares, squares + 1 and primes: every split into anchor
+    # rows of ceil(sqrt(m)) samples, with and without a partial last row
+    dt = 2.0 ** -7
+    spec = ChainSpec(n_sites=20, eps_j=0.1, eps_b=0.05)
+    real = sample_disorder(spec, substream(5, 0))
+    series = fidelity_series(spec, real, (m - 1) * dt, dt)
+    assert len(series) == series.amplitude.shape[0] == m
+    direct = transfer_amplitude(eigendecompose(build_hamiltonian(spec, real)),
+                                series.times)
+    assert np.max(np.abs(series.amplitude - direct)) <= 1e-12
 
 
 def test_clean_series_peaks_and_period():

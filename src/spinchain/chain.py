@@ -23,6 +23,7 @@ __all__ = [
     "substream",
     "sample_disorder",
     "disorder_ensemble",
+    "hamiltonian_block",
     "zero_disorder",
     "build_hamiltonian",
     "clean_hamiltonian",
@@ -132,17 +133,43 @@ def sample_disorder(spec: ChainSpec, stream: np.random.Generator) -> DisorderRea
     The draw order (magnitudes, sign coins, field errors) is fixed, so
     runs that differ only in corr_p share magnitudes and field errors.
     """
-    n = spec.n_sites
-    magnitude = stream.uniform(0.0, spec.eps_j, n - 1)
-    coins = stream.random(n - 1)
-    field_err = stream.uniform(-spec.eps_b, spec.eps_b, n)
+    magnitude, coins, field_err = _draws(spec, stream)
+    return DisorderRealization(delta=_coupling_errors(spec, magnitude, coins),
+                               field_err=field_err)
 
-    signs = np.empty(n - 1)
-    signs[0] = 1.0 if coins[0] < 0.5 else -1.0
-    if n > 2:
-        flips = np.where(coins[1:] < spec.corr_p, 1.0, -1.0)
-        signs[1:] = signs[0] * np.cumprod(flips)
-    return DisorderRealization(delta=signs * magnitude, field_err=field_err)
+
+def _draws(spec: ChainSpec, stream: np.random.Generator) -> tuple:
+    """The three draws of one realization, in their fixed order."""
+    n = spec.n_sites
+    return (stream.uniform(0.0, spec.eps_j, n - 1), stream.random(n - 1),
+            stream.uniform(-spec.eps_b, spec.eps_b, n))
+
+
+def _coupling_errors(spec: ChainSpec, magnitude: np.ndarray, coins: np.ndarray) -> np.ndarray:
+    """delta_k from magnitudes and sign coins, along the last axis."""
+    first = np.where(coins[..., :1] < 0.5, 1.0, -1.0)
+    flips = np.where(coins[..., 1:] < spec.corr_p, 1.0, -1.0)
+    signs = np.concatenate([first, first * np.cumprod(flips, axis=-1)], axis=-1)
+    return signs * magnitude
+
+
+def hamiltonian_block(spec: ChainSpec, master_seed: int, key_prefix: tuple,
+                      rows: range) -> tuple[np.ndarray, np.ndarray]:
+    """(diag, offdiag) of realizations r in rows, as (R, N) and (R, N-1).
+
+    Row i draws from substream(master_seed, *key_prefix, rows[i]) exactly
+    as sample_disorder does, and the block is then built with
+    build_hamiltonian's arithmetic, so every row equals
+    build_hamiltonian(spec, sample_disorder(spec, substream(...))) bit for
+    bit, with no per-realization objects.
+    """
+    n = spec.n_sites
+    magnitude, coins = np.empty((len(rows), n - 1)), np.empty((len(rows), n - 1))
+    field_err = np.empty((len(rows), n))
+    for i, r in enumerate(rows):
+        magnitude[i], coins[i], field_err[i] = _draws(
+            spec, substream(master_seed, *key_prefix, r))
+    return _hamiltonian_arrays(spec, _coupling_errors(spec, magnitude, coins), field_err)
 
 
 def disorder_ensemble(spec: ChainSpec, n_real: int, master_seed: int,
@@ -178,10 +205,15 @@ def build_hamiltonian(spec: ChainSpec, realization: DisorderRealization) -> Trid
     if realization.delta.shape != (n - 1,) or realization.field_err.shape != (n,):
         raise ValueError(
             f"realization sized for N={realization.field_err.shape[0]}, spec has N={n}")
-    k = np.arange(1, n, dtype=float)
-    offdiag = 2.0 * spec.base_coupling * np.sqrt(k * (n - k)) * (1.0 + realization.delta)
-    diag = -2.0 * realization.field_err
+    diag, offdiag = _hamiltonian_arrays(spec, realization.delta, realization.field_err)
     return TridiagonalHamiltonian(diag=diag, offdiag=offdiag)
+
+
+def _hamiltonian_arrays(spec: ChainSpec, delta: np.ndarray, field_err: np.ndarray) -> tuple:
+    """(diag, offdiag) of build_hamiltonian, along the last axis."""
+    n = spec.n_sites
+    k = np.arange(1, n, dtype=float)
+    return -2.0 * field_err, 2.0 * spec.base_coupling * np.sqrt(k * (n - k)) * (1.0 + delta)
 
 
 def clean_hamiltonian(n_sites: int, base_coupling: float = 1.0) -> TridiagonalHamiltonian:

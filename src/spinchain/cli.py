@@ -8,6 +8,7 @@ given on the command line win over the file.  Seeds are always explicit.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -156,12 +157,20 @@ OPTIONS = {
 
 
 # Admissible values of the ranged options; --t-max is checked against --dt.
+# NaN fails every rule.
 RANGES = {
+    "n": (lambda v: v >= 2, "must be >= 2"),
     "n_real": (lambda v: v >= 1, "must be >= 1"),
-    "eps_j": (lambda v: v >= 0, "must be >= 0"),
-    "eps_b": (lambda v: v >= 0, "must be >= 0"),
-    "eps": (lambda v: v >= 0, "must be >= 0"),
+    "j": (lambda v: 0 < v < math.inf, "must be finite and > 0"),
+    "eps_j": (lambda v: 0 <= v < math.inf, "must be finite and >= 0"),
+    "eps_b": (lambda v: 0 <= v < math.inf, "must be finite and >= 0"),
+    "eps": (lambda v: 0 <= v < math.inf, "must be finite and >= 0"),
+    "corr_p": (lambda v: 0 <= v <= 1, "must lie in [0, 1]"),
     "dt": (lambda v: v > 0, "must be > 0"),
+    "t_max": (math.isfinite, "must be finite"),
+    "t_eval": (math.isfinite, "must be finite"),
+    "t": (math.isfinite, "must be finite"),
+    "bin_width": (lambda v: 0 < v < math.inf, "must be finite and > 0"),
 }
 
 

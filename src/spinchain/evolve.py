@@ -2,10 +2,13 @@
 
 Two propagators, each where it is cheaper:
 
-* Ensembles at a few given times (ensemble_average) expand
-  exp(-iHt) e_1 in Chebyshev polynomials (Tal-Ezer & Kosloff 1984) on
-  the spectral interval of the ChainSpec, a whole block of realizations
-  at once and with no eigensolve.  The cost grows with half-width x t.
+* Ensembles at a few given times (ensemble_averages, and
+  ensemble_average for one cell) expand exp(-iHt) e_1 in Chebyshev
+  polynomials (Tal-Ezer & Kosloff 1984) with no eigensolve.  The
+  realizations of every cell of one chain length are drawn straight
+  into arrays and stream through shared blocks, which may span cells;
+  each row runs on its own cell's spectral interval, so its bits do not
+  depend on the block.  The cost grows with half-width x t.
 * Single Hamiltonians and long time series (eigendecompose,
   transfer_amplitude, fidelity_series) use one eigendecomposition;
   amplitudes at any time then follow from phase factors on the
@@ -19,13 +22,12 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from itertools import islice
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
 from .chain import (ChainSpec, DisorderRealization, TridiagonalHamiltonian,
-                    build_hamiltonian, disorder_ensemble, gershgorin_radii,
+                    build_hamiltonian, gershgorin_radii, hamiltonian_block,
                     spectral_half_width)
 
 __all__ = [
@@ -38,6 +40,7 @@ __all__ = [
     "fidelity_of_amplitude",
     "fidelity_series",
     "ensemble_average",
+    "ensemble_averages",
 ]
 
 # Tolerated overshoot of |f| beyond 1 before declaring unitarity broken.
@@ -46,8 +49,8 @@ UNITARITY_SLACK = 1e-9
 # Times per phase table in transfer_amplitude; caps it at 4096 x N.
 _PHASE_CHUNK = 4096
 
-# Realizations propagated together by ensemble_average; caps the
-# Chebyshev work arrays at a few (N, _REALIZATION_BLOCK) float arrays.
+# Realizations propagated together by ensemble_averages, across cells;
+# caps the Chebyshev work arrays at a few (N, _REALIZATION_BLOCK) arrays.
 _REALIZATION_BLOCK = 128
 
 # The Chebyshev series stops where the Kapteyn bound on the sum of every
@@ -236,26 +239,31 @@ def _chebyshev_coefficients(x: np.ndarray) -> np.ndarray:
     return coef
 
 
-def _chebyshev_transfer_amplitude(hamiltonians, half_width: float,
+def _chebyshev_transfer_amplitude(diag: np.ndarray, offdiag: np.ndarray, half_width,
                                   times: np.ndarray) -> np.ndarray:
-    """f_N(t) of every Hamiltonian in a list of equal-N ones, as (R, T).
+    """f_N(t) of a stack of equal-N Hamiltonians, as (R, T).
 
-    With H~ = H / half_width and x = half_width t,
+    diag and offdiag are (R, N) and (R, N-1); half_width is one value or
+    one per row.  With H~ = H / a and x = a t for a row's half-width a,
     f_N(t) = sum_k (2 - delta_k0) (-i)^k J_k(x) phi_k[N-1], where
     phi_0 = e_1, phi_1 = H~ e_1 and phi_(k+1) = 2 H~ phi_k - phi_(k-1).
-    The recurrence runs on the whole stack elementwise, so each row's
-    bits depend on its own Hamiltonian, half_width and times alone, not
-    on the stack it runs in.  phi_k vanishes beyond site k (the light
-    cone), so terms k < N-1 are zero, and each step updates only the
-    sites that a later term still reads.
+    Each distinct half-width gets one coefficient table, computed as for
+    a stack of that half-width alone and padded with zeros past its own
+    term count.  The recurrence runs on the whole stack elementwise to
+    the largest term count K, so each row's bits depend on its own
+    Hamiltonian, half-width and times alone, not on the stack it runs in:
+    the extra terms of a row add exact zeros, and the sites it reads only
+    grow.  phi_k vanishes beyond site k (the light cone), so
+    terms k < N-1 are zero, and each step updates only the sites that a
+    later term still reads.
 
-    Every spectrum must lie in [-half_width, half_width]; a Hamiltonian
-    whose Gershgorin radius exceeds it raises ValueError, since the
-    recurrence would grow.  Truncation leaves |error| < 1e-16; rounding
-    grows with the term count K and stays below 4e-13 up to N = 500 at
-    5 t1 (K about 8000) against a matrix-exponential oracle.
+    Every spectrum must lie in its row's [-a, a]; a Hamiltonian whose
+    Gershgorin radius exceeds it raises ValueError, since the recurrence
+    would grow.  Truncation leaves |error| < 1e-16; rounding grows with
+    the term count K and stays below 4e-13 up to N = 500 at 5 t1 (K about
+    8000) against a matrix-exponential oracle.
 
-    Cost: K ~ half_width max(t) + O((half_width max(t))^(1/3)) steps,
+    Cost: K ~ a max(t) + O((a max(t))^(1/3)) steps for the largest a,
     each updating at most N R elements, while the eigen path pays one
     eigensolve with vectors per realization whatever t.  Propagation
     alone at eps_j = 0.1, one core: N = 100, R = 1000 takes 78 / 424 /
@@ -265,15 +273,22 @@ def _chebyshev_transfer_amplitude(hamiltonians, half_width: float,
     to about 10 t1; long times belong on the eigen path (fidelity_series),
     since the coefficient table alone holds 2K complex values per time.
     """
-    diag = np.array([h.diag for h in hamiltonians])
-    offdiag = np.array([h.offdiag for h in hamiltonians])
-    radius = float(np.max(gershgorin_radii(diag, offdiag)))
-    if radius > half_width:
-        raise ValueError(f"Gershgorin radius {radius!r} exceeds the Chebyshev "
-                         f"half-width {half_width!r}")
-    coef = _chebyshev_coefficients(half_width * times)
     n_real, n = diag.shape
-    n_terms = coef.shape[1]
+    half_width = np.broadcast_to(np.asarray(half_width, dtype=float), (n_real,))
+    radius = np.max(gershgorin_radii(diag, offdiag), axis=1)
+    beyond = np.flatnonzero(radius > half_width)
+    if beyond.size:
+        r = beyond[0]
+        raise ValueError(f"Gershgorin radius {float(radius[r])!r} exceeds the Chebyshev "
+                         f"half-width {float(half_width[r])!r}")
+    # one table per distinct half-width, stacked as (K, widths, T), and
+    # each row's table, so that a step reads every row's coefficient at once
+    widths, table_of_row = np.unique(half_width, return_inverse=True)
+    tables = [_chebyshev_coefficients(float(a) * times) for a in widths]
+    n_terms = max(table.shape[1] for table in tables)
+    coef = np.zeros((n_terms, len(tables), times.shape[0]), dtype=complex)
+    for i, table in enumerate(tables):
+        coef[:table.shape[1], i] = table.T
     out = np.zeros((n_real, times.shape[0]), dtype=complex)
     if n_terms < n:  # every term that reaches site N lies in the tail
         return out
@@ -286,7 +301,7 @@ def _chebyshev_transfer_amplitude(hamiltonians, half_width: float,
     cur[0], cur[1] = 0.5 * d2[0], 0.5 * o2[0]
     for k in range(1, n_terms):
         if k >= n - 1:
-            out += np.multiply.outer(cur[n - 1], coef[:, k])
+            out += cur[n - 1][:, None] * coef[k].take(table_of_row, axis=0)
         if k + 1 == n_terms:
             break
         # phi_(k+1) on sites lo..hi-1: beyond k+1 it is zero, and below lo
@@ -305,28 +320,61 @@ def _chebyshev_transfer_amplitude(hamiltonians, half_width: float,
     return out
 
 
+def ensemble_averages(cells, n_real: int, master_seed: int, t_list) -> list:
+    """Disorder-averaged fidelity of several equal-N cells at the given times.
+
+    cells is a sequence of (spec, key_prefix); realization r of a cell
+    draws from substream(master_seed, *key_prefix, r).  The cells'
+    realizations stream, cell after cell, through blocks of
+    _REALIZATION_BLOCK rows, and a block may span cells; each row is
+    propagated by the Chebyshev expansion on its own cell's
+    spectral_half_width, so its fidelity does not depend on the block it
+    lands in.  Each cell's mean runs over its own contiguous rows in
+    ascending r, for bit reproducibility.  Returns one (mean, standard
+    error) per cell; the standard error is sample std / sqrt(n) with zero
+    reported for a single realization.
+
+    n_real, the cells' chain lengths and the times are checked before
+    anything is drawn; a NaN or infinite time raises ValueError naming it.
+    """
+    cells = list(cells)
+    t_list = np.atleast_1d(np.asarray(t_list, dtype=float))
+    for t in t_list:
+        if not np.isfinite(t):
+            raise ValueError(f"evaluation time {float(t)!r} is not finite")
+    if n_real < 1:
+        raise ValueError("n_real must be >= 1")
+    if len({spec.n_sites for spec, _ in cells}) > 1:
+        raise ValueError("the cells of one call must share the chain length N")
+    half_widths = [spectral_half_width(spec) for spec, _ in cells]
+    total = len(cells) * n_real
+    fid = np.empty((total, t_list.shape[0]))
+    for start in range(0, total, _REALIZATION_BLOCK):
+        stop = min(start + _REALIZATION_BLOCK, total)
+        diag, offdiag, widths = [], [], []
+        for c in range(start // n_real, (stop - 1) // n_real + 1):
+            spec, key_prefix = cells[c]
+            rows = range(max(start - c * n_real, 0), min(stop - c * n_real, n_real))
+            d, o = hamiltonian_block(spec, master_seed, key_prefix, rows)
+            diag.append(d)
+            offdiag.append(o)
+            widths.append(np.full(len(rows), half_widths[c]))
+        fid[start:stop] = fidelity_of_amplitude(_chebyshev_transfer_amplitude(
+            np.concatenate(diag), np.concatenate(offdiag), np.concatenate(widths),
+            t_list))
+    results = []
+    for c in range(len(cells)):
+        cell = fid[c * n_real:(c + 1) * n_real]
+        mean = cell.mean(axis=0)
+        err = (np.zeros_like(mean) if n_real == 1
+               else cell.std(axis=0, ddof=1) / np.sqrt(n_real))
+        results.append((mean, err))
+    return results
+
+
 def ensemble_average(spec: ChainSpec, n_real: int, master_seed: int, t_list,
                      key_prefix: tuple = ()) -> tuple[np.ndarray, np.ndarray]:
-    """Disorder-averaged fidelity at the given times.
-
-    Realization r draws from substream(master_seed, *key_prefix, r).
-    Blocks of _REALIZATION_BLOCK realizations are propagated together by
-    the Chebyshev expansion on spectral_half_width(spec), so a
-    realization's fidelity does not depend on the block it lands in, and
-    the mean runs in ascending r for bit reproducibility.  Returns
-    (mean, standard error); the standard error is sample std / sqrt(n)
-    with zero reported for a single realization.
-    """
-    realizations = disorder_ensemble(spec, n_real, master_seed, key_prefix)
-    t_list = np.atleast_1d(np.asarray(t_list, dtype=float))
-    half_width = spectral_half_width(spec)
-    fid = np.empty((n_real, t_list.shape[0]))
-    for start in range(0, n_real, _REALIZATION_BLOCK):
-        block = [build_hamiltonian(spec, realization)
-                 for realization in islice(realizations, _REALIZATION_BLOCK)]
-        fid[start:start + len(block)] = fidelity_of_amplitude(
-            _chebyshev_transfer_amplitude(block, half_width, t_list))
-    mean = fid.mean(axis=0)
-    if n_real == 1:
-        return mean, np.zeros_like(mean)
-    return mean, fid.std(axis=0, ddof=1) / np.sqrt(n_real)
+    """Disorder-averaged fidelity at the given times: ensemble_averages of
+    the one cell (spec, key_prefix), returned as (mean, standard error)."""
+    [result] = ensemble_averages([(spec, key_prefix)], n_real, master_seed, t_list)
+    return result

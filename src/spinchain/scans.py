@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .chain import ChainSpec
-from .evolve import ensemble_average, transfer_time
+from .evolve import ensemble_averages, transfer_time
 from .fitting import (FitResult, ThresholdScaling, fit_through_origin,
                       power_law_fit, threshold_scaling)
 from .perturbation import (PerturbationCoefficients, clean_propagator_table,
@@ -117,21 +117,23 @@ def scan_fidelity(config: ScanConfig) -> list:
 
     Rows come out in grid order (N outer, eps_j, then eps_b).  The
     stream key of a cell is (N index, flattened eps index, realization),
-    which a correlated scan with matching grids reproduces exactly.
+    which a correlated scan with matching grids reproduces exactly.  All
+    cells of one N go through one ensemble_averages call.
     """
     points = []
     n_b = len(config.eps_b_values)
     t_list = [config.evaluation_time()]
     for ni, n_sites in enumerate(config.n_values):
-        for ji, eps_j in enumerate(config.eps_j_values):
-            for bi, eps_b in enumerate(config.eps_b_values):
-                spec = ChainSpec(n_sites=n_sites, base_coupling=config.base_coupling,
-                                 eps_j=eps_j, eps_b=eps_b, corr_p=config.corr_p)
-                mean, err = ensemble_average(spec, config.n_real, config.seed, t_list,
-                                             key_prefix=(ni, ji * n_b + bi))
-                points.append(FidelityPoint(
-                    n_sites=n_sites, eps_j=eps_j, eps_b=eps_b, corr_p=config.corr_p,
-                    fbar=float(mean[0]), stderr=float(err[0]), n_real=config.n_real))
+        cells = [(ChainSpec(n_sites=n_sites, base_coupling=config.base_coupling,
+                            eps_j=eps_j, eps_b=eps_b, corr_p=config.corr_p),
+                  (ni, ji * n_b + bi))
+                 for ji, eps_j in enumerate(config.eps_j_values)
+                 for bi, eps_b in enumerate(config.eps_b_values)]
+        results = ensemble_averages(cells, config.n_real, config.seed, t_list)
+        for (spec, _), (mean, err) in zip(cells, results):
+            points.append(FidelityPoint(
+                n_sites=n_sites, eps_j=spec.eps_j, eps_b=spec.eps_b, corr_p=config.corr_p,
+                fbar=float(mean[0]), stderr=float(err[0]), n_real=config.n_real))
     return points
 
 
@@ -261,12 +263,14 @@ def perturbation_comparison(n_sites: int, eps_values, sector: str,
     field_sum, coupling_sum = infidelity_sums(coefficients)
     sector_sum = coupling_sum if sector == "j" else field_sum
 
+    eps_sorted = sorted(float(x) for x in eps_values)
+    kwargs = [{"eps_j": eps} if sector == "j" else {"eps_b": eps} for eps in eps_sorted]
+    cells = [(ChainSpec(n_sites=n_sites, base_coupling=base_coupling, **kw), (ei,))
+             for ei, kw in enumerate(kwargs)]
     rows = []
-    for ei, eps in enumerate(sorted(float(x) for x in eps_values)):
-        kwargs = {"eps_j": eps} if sector == "j" else {"eps_b": eps}
-        spec = ChainSpec(n_sites=n_sites, base_coupling=base_coupling, **kwargs)
-        mean, err = ensemble_average(spec, n_real, seed, [t], key_prefix=(ei,))
-        f_pert = perturbative_fidelity(coefficients, **kwargs)
+    for eps, kw, (mean, err) in zip(eps_sorted, kwargs,
+                                    ensemble_averages(cells, n_real, seed, [t])):
+        f_pert = perturbative_fidelity(coefficients, **kw)
         infid_mc = 1.0 - float(mean[0])
         infid_pert = 1.0 - f_pert
         rows.append({

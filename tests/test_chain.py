@@ -4,8 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spinchain import (ChainSpec, DisorderRealization, build_hamiltonian,
-                       clean_hamiltonian, sample_disorder, substream,
-                       zero_disorder)
+                       clean_hamiltonian, hamiltonian_block, sample_disorder,
+                       substream, zero_disorder)
 
 from conftest import sector_matrix, single_excitation_block
 
@@ -170,3 +170,20 @@ def test_disorder_ensemble_keys_and_eager_size_check():
         assert np.array_equal(real.field_err, ref.field_err)
     with pytest.raises(ValueError, match="n_real"):
         disorder_ensemble(spec, 0, 12)
+
+
+@pytest.mark.parametrize("n", [2, 3, 20, 200])
+@pytest.mark.parametrize("corr_p", [0.0, 0.5, 1.0])
+def test_hamiltonian_block_matches_one_realization_at_a_time(n, corr_p):
+    for eps_j in (0.0, 0.3):
+        for eps_b in (0.0, 0.2):
+            spec = ChainSpec(n_sites=n, eps_j=eps_j, eps_b=eps_b, corr_p=corr_p)
+            for key_prefix in ((), (4,), (2, 7)):
+                rows = range(3, 9)
+                diag, offdiag = hamiltonian_block(spec, 17, key_prefix, rows)
+                assert diag.shape == (6, n) and offdiag.shape == (6, n - 1)
+                for i, r in enumerate(rows):
+                    h = build_hamiltonian(
+                        spec, sample_disorder(spec, substream(17, *key_prefix, r)))
+                    assert diag[i].tobytes() == h.diag.tobytes()
+                    assert offdiag[i].tobytes() == h.offdiag.tobytes()

@@ -227,6 +227,19 @@ def test_perturbation_both_sectors_match_one_library_call_each(tmp_path):
     ("transfer --n 8", "dt = 0", "--dt"),
     ("fractal --n 8 --dt 0", "", "--dt"),
     ("fractal --n 8 --t-max 0.01", "", "--t-max"),
+    ("scan --n 8 1", "", "--n"),
+    ("transfer --n 1", "", "--n"),
+    ("scan --n 8 --j 0", "", "--j"),
+    ("perturbation --n 6", "j = inf", "--j"),
+    ("scan --n 8 --eps-j inf", "", "--eps-j"),
+    ("corr-scan --n 8 --eps-j 0.1 --corr-p 0.5 1.5", "", "--corr-p"),
+    ("transfer --n 8 --corr-p nan", "", "--corr-p"),
+    ("spectrum --n 8 --bin-width 0", "", "--bin-width"),
+    ("eta-scan --n 8 --eps-j 0.1", "bin_width = inf", "--bin-width"),
+    ("fractal --n 8 --t-max inf", "", "--t-max"),
+    ("scan --n 8 --t-eval nan", "", "--t-eval"),
+    ("corr-scan --n 8 --eps-j 0.1", "t_eval = inf", "--t-eval"),
+    ("perturbation --n 6", "t = -inf", "--t"),
 ])
 def test_out_of_range_options_exit_naming_the_flag(tmp_path, argv, config, flag):
     out = tmp_path / "x.csv"
@@ -252,3 +265,17 @@ def test_transfer_bytes_do_not_depend_on_blas_threads(tmp_path):
                         "--seed", "3", "--out", str(out)], env=env, check=True)
         outputs.append(out.read_bytes())
     assert outputs[0] == outputs[1]
+
+
+# Tables written at fixed seeds by the commit that recorded tests/data; the
+# CSV bytes of a fixed seed are part of the package's contract.
+@pytest.mark.parametrize("name, argv", [
+    ("scan", "scan --n 6 16 --eps-j 0 0.05 0.3 --eps-b 0 0.2 --corr-p 0.3 "
+             "--n-real 150 --seed 13"),
+    ("perturbation", "perturbation --n 8 --eps 0.003 0.01 0.03 --n-real 150 --seed 9"),
+])
+def test_output_matches_the_committed_golden_table(tmp_path, name, argv):
+    out = tmp_path / f"{name}.csv"
+    run_cli(*argv.split(), "--out", out)
+    golden = Path(__file__).parent / "data" / f"{name}.csv"
+    assert out.read_bytes() == golden.read_bytes()

@@ -9,13 +9,20 @@ from scipy.sparse.linalg import expm_multiply
 
 from spinchain import (ChainSpec, DisorderRealization, amplitudes,
                        build_hamiltonian, clean_hamiltonian, eigendecompose,
-                       ensemble_average, fidelity_of_amplitude, fidelity_series,
-                       sample_disorder, substream, transfer_amplitude,
-                       transfer_time, zero_disorder)
+                       ensemble_average, ensemble_averages, fidelity_of_amplitude,
+                       fidelity_series, sample_disorder, substream,
+                       transfer_amplitude, transfer_time, zero_disorder)
 from spinchain.chain import spectral_half_width
 from spinchain.evolve import _chebyshev_transfer_amplitude
 
 from conftest import oracle_amplitudes, oracle_transfer_series
+
+
+def _chebyshev(hams, half_width, times):
+    """_chebyshev_transfer_amplitude of a list of Hamiltonians."""
+    return _chebyshev_transfer_amplitude(np.array([h.diag for h in hams]),
+                                         np.array([h.offdiag for h in hams]),
+                                         half_width, times)
 
 
 def _random_disordered_sd(n, eps_j, eps_b, seed):
@@ -217,7 +224,7 @@ def test_ensemble_single_realization_matches_direct():
     t_list = [0.3, transfer_time(), 2.0]
     mean, err = ensemble_average(spec, 1, 99, t_list)
     h = build_hamiltonian(spec, sample_disorder(spec, substream(99, 0)))
-    direct = fidelity_of_amplitude(_chebyshev_transfer_amplitude(
+    direct = fidelity_of_amplitude(_chebyshev(
         [h], spectral_half_width(spec), np.array(t_list))[0])
     assert np.array_equal(mean, direct)
     assert np.all(err == 0.0)
@@ -268,7 +275,7 @@ def test_ensemble_average_matches_hand_loop_over_keys():
     hams = [build_hamiltonian(spec, sample_disorder(spec, substream(21, 2, 5, r)))
             for r in range(6)]
     fid = np.array([
-        fidelity_of_amplitude(_chebyshev_transfer_amplitude(
+        fidelity_of_amplitude(_chebyshev(
             [h], spectral_half_width(spec), np.array(t_list))[0])
         for h in hams])
     assert np.array_equal(mean, fid.mean(axis=0))
@@ -285,12 +292,33 @@ def test_ensemble_average_across_realization_blocks():
     t_list = [transfer_time(), 2.0]
     mean, err = ensemble_average(spec, n_real, 4, t_list)
     fid = np.array([
-        fidelity_of_amplitude(_chebyshev_transfer_amplitude(
+        fidelity_of_amplitude(_chebyshev(
             [build_hamiltonian(spec, sample_disorder(spec, substream(4, r)))],
             spectral_half_width(spec), np.array(t_list))[0])
         for r in range(n_real)])
     assert np.array_equal(mean, fid.mean(axis=0))
     assert np.array_equal(err, fid.std(axis=0, ddof=1) / np.sqrt(n_real))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_ensemble_refuses_a_non_finite_time_before_drawing(monkeypatch, bad):
+    import spinchain.chain
+
+    def no_draw(*args):
+        raise AssertionError("a realization was drawn")
+
+    monkeypatch.setattr(spinchain.chain, "substream", no_draw)
+    spec = ChainSpec(n_sites=10, eps_j=0.1)
+    with pytest.raises(ValueError, match=f"evaluation time {float(bad)!r} is not finite"):
+        ensemble_average(spec, 5, 1, [1.0, bad])
+    with pytest.raises(ValueError, match=f"evaluation time {float(bad)!r}"):
+        ensemble_averages([(spec, (0,)), (spec, (1,))], 5, 1, [bad])
+
+
+def test_ensemble_averages_refuses_cells_of_several_chain_lengths():
+    cells = [(ChainSpec(n_sites=10), (0,)), (ChainSpec(n_sites=11), (1,))]
+    with pytest.raises(ValueError, match="chain length"):
+        ensemble_averages(cells, 5, 1, [1.0])
 
 
 def _expm_transfer(h, times):
@@ -310,7 +338,7 @@ def test_chebyshev_matches_expm_and_eigen_paths(n):
         for eps_b in (0.0, 1.0):
             spec = ChainSpec(n_sites=n, eps_j=eps_j, eps_b=eps_b)
             h = build_hamiltonian(spec, sample_disorder(spec, substream(11, n, ji, int(eps_b))))
-            f = _chebyshev_transfer_amplitude([h], spectral_half_width(spec), times)[0]
+            f = _chebyshev([h], spectral_half_width(spec), times)[0]
             assert f[0] == 0.0
             assert np.max(np.abs(f - _expm_transfer(h, times))) <= 1e-12
             assert np.max(np.abs(f - transfer_amplitude(eigendecompose(h), times))) <= 2e-12
@@ -322,7 +350,7 @@ def test_chebyshev_on_a_near_severed_chain():
     delta[29] = -1.0 + 1e-15
     h = build_hamiltonian(spec, DisorderRealization(delta=delta, field_err=np.zeros(60)))
     times = np.array([0.0, transfer_time(), 5 * transfer_time()])
-    f = _chebyshev_transfer_amplitude([h], spectral_half_width(spec), times)[0]
+    f = _chebyshev([h], spectral_half_width(spec), times)[0]
     assert np.max(np.abs(f)) < 1e-13    # about 1e-14: the bond is 6e-14
     assert np.max(np.abs(f - _expm_transfer(h, times))) <= 1e-12
     assert np.max(np.abs(f - transfer_amplitude(eigendecompose(h), times))) <= 2e-12
@@ -333,9 +361,31 @@ def test_chebyshev_rows_do_not_depend_on_the_stack():
     hams = [build_hamiltonian(spec, sample_disorder(spec, substream(5, r))) for r in range(10)]
     times = np.array([0.2, transfer_time(), 5 * transfer_time()])
     a = spectral_half_width(spec)
-    stacked = _chebyshev_transfer_amplitude(hams, a, times)
+    stacked = _chebyshev(hams, a, times)
     for r, h in enumerate(hams):
-        assert np.array_equal(stacked[r], _chebyshev_transfer_amplitude([h], a, times)[0])
+        assert np.array_equal(stacked[r], _chebyshev([h], a, times)[0])
+    # several specs' half-widths in one stack, one spec in two runs apart:
+    # every row keeps the bits of its solo run
+    specs = [spec, ChainSpec(n_sites=37, eps_j=1.0), ChainSpec(n_sites=37),
+             ChainSpec(n_sites=37, eps_b=3.0)]
+    hams, widths = [], []
+    for i, (s, count) in enumerate([(0, 3), (1, 4), (2, 1), (3, 2), (0, 2)]):
+        hams += [build_hamiltonian(specs[s], sample_disorder(specs[s], substream(6, i, r)))
+                 for r in range(count)]
+        widths += [spectral_half_width(specs[s])] * count
+    stacked = _chebyshev(hams, np.array(widths), times)
+    for row, h, w in zip(stacked, hams, widths):
+        assert row.tobytes() == _chebyshev([h], w, times)[0].tobytes()
+    # a row whose own series ends before site N, next to one that reaches it
+    short, reaching = ChainSpec(n_sites=30), ChainSpec(n_sites=30, eps_b=400.0)
+    hams = [build_hamiltonian(s, sample_disorder(s, substream(8, r)))
+            for r, s in enumerate((short, reaching))]
+    widths = [spectral_half_width(short), spectral_half_width(reaching)]
+    stacked = _chebyshev(hams, np.array(widths), np.array([0.01]))
+    solo = [_chebyshev([h], w, np.array([0.01]))[0] for h, w in zip(hams, widths)]
+    assert not np.any(solo[0]) and np.all(solo[1] != 0.0)
+    for row, ref in zip(stacked, solo):
+        assert row.tobytes() == ref.tobytes()
 
 
 def test_chebyshev_refuses_a_hamiltonian_outside_the_interval():
@@ -343,11 +393,11 @@ def test_chebyshev_refuses_a_hamiltonian_outside_the_interval():
     # the worst case the spec can draw sits exactly on the bound and passes
     worst = build_hamiltonian(spec, DisorderRealization(
         delta=np.full(29, 0.1), field_err=np.full(30, 0.1)))
-    _chebyshev_transfer_amplitude([worst], spectral_half_width(spec), np.array([1.0]))
+    _chebyshev([worst], spectral_half_width(spec), np.array([1.0]))
     beyond = build_hamiltonian(spec, DisorderRealization(
         delta=np.full(29, 0.2), field_err=np.zeros(30)))
     with pytest.raises(ValueError, match="Gershgorin radius"):
-        _chebyshev_transfer_amplitude([worst, beyond], spectral_half_width(spec),
+        _chebyshev([worst, beyond], spectral_half_width(spec),
                                       np.array([transfer_time()]))
 
 

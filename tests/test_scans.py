@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from spinchain import (FidelityPoint, ScanConfig, fit_scaling,
-                       run_correlated_scan, scan_fidelity, threshold_extract)
+from spinchain import (ChainSpec, FidelityPoint, ScanConfig, ensemble_average,
+                       fit_scaling, run_correlated_scan, scan_fidelity,
+                       threshold_extract)
 from spinchain.fitting import crossing_loglinear, power_law_fit
 
 
@@ -44,6 +45,22 @@ def test_scan_rows_in_grid_order_and_deterministic():
     assert [(p.n_sites, p.eps_j, p.eps_b) for p in a] == \
         [(n, ej, eb) for n in (6, 9) for ej in (0.01, 0.1) for eb in (0.0, 0.2)]
     assert all(pa == pb for pa, pb in zip(a, b))
+
+
+@pytest.mark.parametrize("n_real", [50, 1])
+def test_scan_rows_equal_one_ensemble_average_per_cell(n_real):
+    # 3 cells x 50 realizations: the first 128-row block spans all three
+    # cells and the second holds the tail of the third
+    cfg = ScanConfig(n_values=(9, 14), seed=8, eps_j_values=(0.1, 0.5, 1.0),
+                     eps_b_values=(0.2,), corr_p=0.7, n_real=n_real, t_eval=2.5)
+    points = scan_fidelity(cfg)
+    expected = []
+    for ni, n in enumerate(cfg.n_values):
+        for ji, eps_j in enumerate(cfg.eps_j_values):
+            spec = ChainSpec(n_sites=n, eps_j=eps_j, eps_b=0.2, corr_p=0.7)
+            mean, err = ensemble_average(spec, n_real, 8, [2.5], key_prefix=(ni, ji))
+            expected.append((n, eps_j, float(mean[0]), float(err[0])))
+    assert [(p.n_sites, p.eps_j, p.fbar, p.stderr) for p in points] == expected
 
 
 def test_fit_scaling_recovers_synthetic_constants():

@@ -8,8 +8,8 @@ fidelity signal, and a second-order perturbative cross-check.
 __version__ = "0.1.0"
 
 from .chain import (ChainSpec, DisorderRealization, TridiagonalHamiltonian,
-                    build_hamiltonian, clean_hamiltonian, disorder_ensemble,
-                    hamiltonian_block, sample_disorder, substream, zero_disorder)
+                    build_hamiltonian, clean_hamiltonian, hamiltonian_block,
+                    sample_disorder, substream, zero_disorder)
 from .evolve import (FidelitySeries, SpectralDecomposition, amplitudes,
                      eigendecompose, ensemble_average, ensemble_averages,
                      fidelity_of_amplitude, fidelity_series, transfer_amplitude,
@@ -21,10 +21,8 @@ from .boxcount import (BoxCountCurve, DegenerateSeriesError, TrimResult,
                        WindowSelectionError, box_count, default_box_lengths,
                        dimension_curve, dimension_of_series, dimension_threshold,
                        fit_dimension, transient_trim)
-from .perturbation import (CleanPropagatorTable, PerturbationCoefficients,
-                           clean_propagator_table, compute_coefficients,
+from .perturbation import (PerturbationCoefficients, compute_coefficients,
                            infidelity_sums, perturbative_fidelity,
                            require_transfer_time)
 from .scans import (FidelityPoint, ScanConfig, fit_scaling,
-                    perturbation_comparison, run_correlated_scan,
-                    scan_fidelity, threshold_extract)
+                    perturbation_comparison, scan_fidelity, threshold_extract)

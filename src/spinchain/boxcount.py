@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .chain import ChainSpec, disorder_ensemble
+from .chain import ChainSpec, TridiagonalHamiltonian, hamiltonian_block
 from .evolve import FidelitySeries, fidelity_series
 from .fitting import FitResult, ThresholdScaling, line_fit, threshold_scaling
 
@@ -63,16 +63,16 @@ class BoxCountCurve:
             object.__setattr__(self, name, a)
 
 
-def transient_trim(series: FidelitySeries, threshold: float = TRIM_THRESHOLD) -> TrimResult:
+def transient_trim(series: FidelitySeries) -> TrimResult:
     """Drop the head of the series before fidelity first falls to ~1/2.
 
-    Everything before the first sample with F <= threshold goes; if the
-    threshold is never reached the series comes back unchanged with
+    Everything before the first sample with F <= TRIM_THRESHOLD goes; if
+    the threshold is never reached the series comes back unchanged with
     reached=False so callers can flag it.
     """
     if len(series) == 0:
         raise ValueError("empty series")
-    hit = series.fidelity <= threshold
+    hit = series.fidelity <= TRIM_THRESHOLD
     if not np.any(hit):
         return TrimResult(series, False)
     i = int(np.argmax(hit))
@@ -239,38 +239,41 @@ def fit_dimension(curve: BoxCountCurve, window=None, r2_min: float = 0.995,
     )
 
 
-def dimension_of_series(series: FidelitySeries, lengths=None, window=None,
-                        trim_threshold: float = TRIM_THRESHOLD):
+def dimension_of_series(series: FidelitySeries, lengths=None, window=None):
     """Trim the transient, box count, fit: returns (FitResult, BoxCountCurve)."""
-    trimmed, _ = transient_trim(series, trim_threshold)
+    trimmed, _ = transient_trim(series)
     curve = box_count(trimmed, lengths)
     return fit_dimension(curve, window=window), curve
 
 
 def dimension_curve(n_sites: int, eps_j_grid, n_real: int, master_seed: int,
-                    base_coupling: float = 1.0, corr_p: float = 0.5,
-                    t_max: float = 1e4, dt: float = 0.05,
-                    trim_threshold: float = TRIM_THRESHOLD, key_prefix: tuple = ()):
+                    base_coupling: float = 1.0, t_max: float = 1e4, dt: float = 0.05,
+                    key_prefix: tuple = ()):
     """Mean fractal dimension vs coupling disorder for one chain length.
 
     The dimension is fitted per realization and the fits averaged
     (averaging the fidelity first would restore periodicity and destroy
     the fractal signal).  Points where every realization is refused or
     degenerate come back as NaN, with one note per failure.  Realization
-    r of grid point i draws from substream(master_seed, *key_prefix, i, r).
+    r of grid point i is row r of hamiltonian_block(spec, master_seed,
+    key_prefix + (i,), range(n_real)); n_real is checked first.
     """
+    if n_real < 1:
+        raise ValueError("n_real must be >= 1")
     d_mean = np.full(len(eps_j_grid), np.nan)
     d_err = np.full(len(eps_j_grid), np.nan)
     notes = []
     for i, eps_j in enumerate(eps_j_grid):
         spec = ChainSpec(n_sites=n_sites, base_coupling=base_coupling,
-                         eps_j=float(eps_j), corr_p=corr_p)
+                         eps_j=float(eps_j))
+        diag, offdiag = hamiltonian_block(spec, master_seed, key_prefix + (i,),
+                                          range(n_real))
         dims = []
-        for r, realization in enumerate(
-                disorder_ensemble(spec, n_real, master_seed, key_prefix + (i,))):
-            series = fidelity_series(spec, realization, t_max, dt)
+        for r in range(n_real):
+            h = TridiagonalHamiltonian(diag=diag[r], offdiag=offdiag[r])
+            series = fidelity_series(h, t_max, dt)
             try:
-                fit, _ = dimension_of_series(series, trim_threshold=trim_threshold)
+                fit, _ = dimension_of_series(series)
             except (WindowSelectionError, DegenerateSeriesError) as err:
                 notes.append((float(eps_j), r, f"{type(err).__name__}: {err}"))
                 continue

@@ -22,7 +22,6 @@ __all__ = [
     "TridiagonalHamiltonian",
     "substream",
     "sample_disorder",
-    "disorder_ensemble",
     "hamiltonian_block",
     "zero_disorder",
     "build_hamiltonian",
@@ -157,11 +156,13 @@ def hamiltonian_block(spec: ChainSpec, master_seed: int, key_prefix: tuple,
                       rows: range) -> tuple[np.ndarray, np.ndarray]:
     """(diag, offdiag) of realizations r in rows, as (R, N) and (R, N-1).
 
-    Row i draws from substream(master_seed, *key_prefix, rows[i]) exactly
-    as sample_disorder does, and the block is then built with
-    build_hamiltonian's arithmetic, so every row equals
-    build_hamiltonian(spec, sample_disorder(spec, substream(...))) bit for
-    bit, with no per-realization objects.
+    Every ensemble in the package draws here: realization r draws from
+    substream(master_seed, *key_prefix, r), so it can be reproduced from
+    its key alone.  Row i draws exactly as sample_disorder does, and the
+    block is then built with build_hamiltonian's arithmetic, so every row
+    equals build_hamiltonian(spec, sample_disorder(spec, substream(...)))
+    bit for bit, with no per-realization objects; those two functions
+    remain the one-at-a-time reference.
     """
     n = spec.n_sites
     magnitude, coins = np.empty((len(rows), n - 1)), np.empty((len(rows), n - 1))
@@ -170,21 +171,6 @@ def hamiltonian_block(spec: ChainSpec, master_seed: int, key_prefix: tuple,
         magnitude[i], coins[i], field_err[i] = _draws(
             spec, substream(master_seed, *key_prefix, r))
     return _hamiltonian_arrays(spec, _coupling_errors(spec, magnitude, coins), field_err)
-
-
-def disorder_ensemble(spec: ChainSpec, n_real: int, master_seed: int,
-                      key_prefix: tuple = ()):
-    """The n_real realizations of one ensemble, in ascending r.
-
-    Realization r draws from substream(master_seed, *key_prefix, r); every
-    ensemble in the package uses this key layout, so a realization can be
-    reproduced from its key alone.  n_real is checked on the call, before
-    anything is drawn.
-    """
-    if n_real < 1:
-        raise ValueError("n_real must be >= 1")
-    return (sample_disorder(spec, substream(master_seed, *key_prefix, r))
-            for r in range(n_real))
 
 
 def zero_disorder(spec: ChainSpec) -> DisorderRealization:

@@ -13,15 +13,12 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .chain import ChainSpec, disorder_ensemble
+from .chain import ChainSpec, TridiagonalHamiltonian, hamiltonian_block
 from .boxcount import box_count, fit_dimension, transient_trim
 from .evolve import fidelity_series, transfer_time
 from .levelstats import collect_spacings, eta, eta_curve, spacing_histogram
-from .perturbation import (clean_propagator_table, compute_coefficients,
-                           require_transfer_time)
 from .scans import (FidelityPoint, ScanConfig, fit_scaling, points_from_rows,
-                    perturbation_comparison, run_correlated_scan, scan_fidelity,
-                    threshold_extract)
+                    perturbation_comparison, scan_fidelity, threshold_extract)
 from .tableio import read_csv, write_csv, write_sidecar
 
 
@@ -193,6 +190,13 @@ def _spec(cfg) -> ChainSpec:
                      eps_b=cfg["eps_b"], corr_p=cfg["corr_p"])
 
 
+def _series(cfg):
+    """Fidelity series of realization 0 of the seed: row 0 of a one-row block."""
+    diag, offdiag = hamiltonian_block(_spec(cfg), cfg["seed"], (), range(1))
+    h = TridiagonalHamiltonian(diag=diag[0], offdiag=offdiag[0])
+    return fidelity_series(h, cfg["t_max"], cfg["dt"])
+
+
 def _write(cfg, command, header, rows, csv_extra, **sidecar):
     """Write the CSV and its sidecar.  A command run from options records
     them (plus csv_extra) in both; a command that reads a table records
@@ -209,29 +213,24 @@ def _write(cfg, command, header, rows, csv_extra, **sidecar):
 def _read_points(path):
     """(metadata, FidelityPoint list) of a scan table; other tables exit."""
     metadata, header, rows = read_csv(path)
-    if tuple(header) != FidelityPoint.HEADER:
-        raise SystemExit(f"{path}: expected a scan table with header "
-                         f"{','.join(FidelityPoint.HEADER)}, found {','.join(header)}")
-    return metadata, points_from_rows(rows)
+    try:
+        return metadata, points_from_rows(header, rows)
+    except ValueError as err:
+        raise SystemExit(f"{path}: {err}") from None
 
 
 def _cmd_transfer(cfg):
-    spec = _spec(cfg)
-    [realization] = disorder_ensemble(spec, 1, cfg["seed"])
-    series = fidelity_series(spec, realization, cfg["t_max"], cfg["dt"])
+    series = _series(cfg)
     rows = zip(series.times, series.amplitude.real, series.amplitude.imag,
                series.fidelity)
     _write(cfg, "transfer", ("time", "amp_real", "amp_imag", "fidelity"), rows, {})
 
 
-def _scan_config(cfg, corr_values=None) -> ScanConfig:
+def _scan_config(cfg) -> ScanConfig:
     return ScanConfig(
-        n_values=cfg["n"], seed=cfg["seed"],
-        eps_j_values=cfg.get("eps_j", (0.0,)),
-        eps_b_values=cfg.get("eps_b", (0.0,)),
-        corr_p=cfg["corr_p"] if not corr_values else 0.5,
-        corr_p_values=corr_values or (),
-        n_real=cfg["n_real"], base_coupling=cfg["j"], t_eval=cfg.get("t_eval"))
+        n_values=cfg["n"], seed=cfg["seed"], eps_j_values=cfg["eps_j"],
+        eps_b_values=cfg.get("eps_b", (0.0,)), corr_p=cfg["corr_p"],
+        n_real=cfg["n_real"], base_coupling=cfg["j"], t_eval=cfg["t_eval"])
 
 
 def _cmd_scan(cfg):
@@ -240,8 +239,9 @@ def _cmd_scan(cfg):
 
 
 def _cmd_corr_scan(cfg):
-    config = _scan_config({**cfg, "eps_b": (0.0,)}, corr_values=cfg["corr_p"])
-    points = run_correlated_scan(config)
+    # one field-free scan per corr_p, rows ordered by (corr_p, N, eps_j)
+    points = [p for corr_p in cfg["corr_p"]
+              for p in scan_fidelity(_scan_config({**cfg, "corr_p": corr_p}))]
     _write(cfg, "corr-scan", FidelityPoint.HEADER, (p.row() for p in points), {})
 
 
@@ -304,9 +304,7 @@ def _cmd_fractal(cfg):
         raise SystemExit("fractal: a manual fit window needs both --l-min and "
                          f"--l-max; {missing[0]} is missing")
     window = None if missing else (cfg["l_min"], cfg["l_max"])
-    spec = _spec(cfg)
-    [realization] = disorder_ensemble(spec, 1, cfg["seed"])
-    series = fidelity_series(spec, realization, cfg["t_max"], cfg["dt"])
+    series = _series(cfg)
     trimmed, reached = transient_trim(series)
     curve = box_count(trimmed)
     fit = fit_dimension(curve, window=window)
@@ -318,19 +316,14 @@ def _cmd_fractal(cfg):
 
 def _cmd_perturbation(cfg):
     sectors = ("j", "b") if cfg["sector"] == "both" else (cfg["sector"],)
-    t = transfer_time(cfg["j"]) if cfg["t"] is None else cfg["t"]
-    table = clean_propagator_table(cfg["n"], cfg["j"])
     try:
-        coefficients = compute_coefficients(table, t)
-        require_transfer_time(coefficients, cfg["j"])
+        results = perturbation_comparison(cfg["n"], cfg["eps"], sectors, cfg["n_real"],
+                                          cfg["seed"], base_coupling=cfg["j"], t=cfg["t"])
     except ValueError as err:
+        t = transfer_time(cfg["j"]) if cfg["t"] is None else cfg["t"]
         raise SystemExit(f"perturbation: --t {t!r}: {err}") from None
     rows, payload = [], {}
-    for sector in sectors:
-        result = perturbation_comparison(cfg["n"], cfg["eps"], sector,
-                                         cfg["n_real"], cfg["seed"],
-                                         base_coupling=cfg["j"], t=t,
-                                         coefficients=coefficients)
+    for sector, result in results.items():
         for r in result["rows"]:
             rows.append((sector, r["eps"], r["fbar_mc"], r["stderr"], r["f_pert"],
                          r["infid_mc"], r["infid_pert"], r["ratio"],

@@ -26,9 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
-from .chain import (ChainSpec, DisorderRealization, TridiagonalHamiltonian,
-                    build_hamiltonian, gershgorin_radii, hamiltonian_block,
-                    spectral_half_width)
+from .chain import (ChainSpec, TridiagonalHamiltonian, gershgorin_radii,
+                    hamiltonian_block, spectral_half_width)
 
 __all__ = [
     "SpectralDecomposition",
@@ -195,17 +194,15 @@ def fidelity_of_amplitude(f):
     return float(out) if out.ndim == 0 else out
 
 
-def fidelity_series(spec: ChainSpec, realization: DisorderRealization,
-                    t_max: float, dt: float) -> FidelitySeries:
-    """Fidelity of the last spin on the grid t_i = i dt, 0 <= t_i <= t_max."""
+def fidelity_series(h: TridiagonalHamiltonian, t_max: float, dt: float) -> FidelitySeries:
+    """Fidelity of the last spin under h on the grid t_i = i dt, 0 <= t_i <= t_max."""
     if dt <= 0:
         raise ValueError("dt must be > 0")
     if t_max < dt:
         raise ValueError("t_max must be >= dt")
     n_steps = int(np.floor(t_max / dt + 1e-9))
     times = np.arange(n_steps + 1) * dt
-    sd = eigendecompose(build_hamiltonian(spec, realization))
-    amp = _transfer_amplitude_uniform(sd, times)
+    amp = _transfer_amplitude_uniform(eigendecompose(h), times)
     return FidelitySeries(times=times, amplitude=amp,
                           fidelity=fidelity_of_amplitude(amp))
 

@@ -5,6 +5,10 @@ spacings form a delta peak at s = 1; strong coupling disorder pushes the
 spacing distribution to the Poisson law exp(-s).  The crossover is
 summarized by eta, the integrated distance of P(s) from the Poisson law
 over s in [0, 1], normalized by the same distance for the delta peak.
+
+Each ensemble is one chain.hamiltonian_block, whose rows are
+diagonalized for eigenvalues only (LAPACK sterf); realization r of a
+sample draws from substream(master_seed, *key_prefix, r).
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import eigvalsh_tridiagonal
 
-from .chain import ChainSpec, build_hamiltonian, disorder_ensemble
+from .chain import ChainSpec, hamiltonian_block
 from .fitting import ThresholdScaling, threshold_scaling
 
 __all__ = [
@@ -81,14 +85,16 @@ def collect_spacings(spec: ChainSpec, n_real: int, master_seed: int,
     Per realization the N-1 consecutive gaps of the ascending spectrum
     are divided by their own mean, which removes realization-to-
     realization bandwidth fluctuations before pooling.  Degenerate
-    eigenvalues contribute zero spacings and are kept.
+    eigenvalues contribute zero spacings and are kept.  The realizations
+    are the rows of one hamiltonian_block; n_real is checked first.
     """
-    realizations = disorder_ensemble(spec, n_real, master_seed, key_prefix)
+    if n_real < 1:
+        raise ValueError("n_real must be >= 1")
+    diag, offdiag = hamiltonian_block(spec, master_seed, key_prefix, range(n_real))
     pooled = np.empty((n_real, spec.n_sites - 1))
-    for r, realization in enumerate(realizations):
-        h = build_hamiltonian(spec, realization)
+    for r in range(n_real):
         # root-free QL: robust for near-severed chains, eigenvalues only
-        levels = eigvalsh_tridiagonal(h.diag, h.offdiag, lapack_driver="sterf")
+        levels = eigvalsh_tridiagonal(diag[r], offdiag[r], lapack_driver="sterf")
         gaps = np.diff(np.sort(levels))
         pooled[r] = gaps / gaps.mean()
     return SpacingSample(spacings=pooled.ravel(), n_realizations=n_real)
@@ -142,13 +148,17 @@ def eta(sample: SpacingSample, bin_width: float = 0.05) -> float:
 
 
 def eta_curve(n_sites: int, eps_j_grid, n_real: int, master_seed: int,
-              base_coupling: float = 1.0, corr_p: float = 0.5,
-              bin_width: float = 0.05, key_prefix: tuple = ()) -> np.ndarray:
-    """eta as a function of coupling-disorder strength for one chain length."""
+              base_coupling: float = 1.0, bin_width: float = 0.05,
+              key_prefix: tuple = ()) -> np.ndarray:
+    """eta as a function of coupling-disorder strength for one chain length.
+
+    Realization r of grid point i draws from
+    substream(master_seed, *key_prefix, i, r).
+    """
     out = np.empty(len(eps_j_grid))
     for i, eps_j in enumerate(eps_j_grid):
         spec = ChainSpec(n_sites=n_sites, base_coupling=base_coupling,
-                         eps_j=float(eps_j), corr_p=corr_p)
+                         eps_j=float(eps_j))
         sample = collect_spacings(spec, n_real, master_seed,
                                   key_prefix=key_prefix + (i,))
         out[i] = eta(sample, bin_width)

@@ -34,7 +34,9 @@ quadrature D and F agree to about 1e-13 relative at J t = 0.01 and
 package works at a transfer time, J t >= pi / 4.
 
 This module serves as an independent check on the Monte-Carlo engine;
-it never touches the disorder sampler.
+it never touches the disorder sampler.  compute_coefficients decomposes
+the clean chain itself, and scans.perturbation_comparison calls it once
+for every sector it compares.
 """
 
 from __future__ import annotations
@@ -44,12 +46,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chain import clean_hamiltonian
-from .evolve import SpectralDecomposition, eigendecompose, transfer_time
+from .evolve import eigendecompose, transfer_time
 
 __all__ = [
-    "CleanPropagatorTable",
     "PerturbationCoefficients",
-    "clean_propagator_table",
     "compute_coefficients",
     "require_transfer_time",
     "perturbative_fidelity",
@@ -59,14 +59,6 @@ __all__ = [
 # A clean transfer amplitude |f_N(t)| below 1 - TRANSFER_TOL is no
 # perfect transfer; at t = (2n+1) pi / (4J) it is 1 to rounding.
 TRANSFER_TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class CleanPropagatorTable:
-    """Clean-chain spectrum plus the default evaluation time."""
-
-    decomposition: SpectralDecomposition
-    horizon: float
 
 
 @dataclass(frozen=True)
@@ -92,17 +84,6 @@ class PerturbationCoefficients:
         return self.time
 
 
-def clean_propagator_table(n_sites: int, base_coupling: float = 1.0,
-                           t: float | None = None) -> CleanPropagatorTable:
-    """Decompose the clean chain; t (default pi / (4J)) is the default time."""
-    sd = eigendecompose(clean_hamiltonian(n_sites, base_coupling))
-    if t is None:
-        t = transfer_time(base_coupling)
-    if t < 0:
-        raise ValueError("table horizon t must be >= 0")
-    return CleanPropagatorTable(decomposition=sd, horizon=float(t))
-
-
 def _divided_differences(nodes: np.ndarray, t: float):
     """First and second divided differences of exp(z t) on distinct nodes.
 
@@ -123,15 +104,17 @@ def _divided_differences(nodes: np.ndarray, t: float):
     return f1, f2
 
 
-def compute_coefficients(table: CleanPropagatorTable,
+def compute_coefficients(n_sites: int, base_coupling: float = 1.0,
                          t: float | None = None) -> PerturbationCoefficients:
-    """Evaluate every coefficient at time t (default: the table's horizon)."""
-    sd = table.decomposition
-    if t is None:
-        t = table.horizon
+    """Every coefficient of the clean N-site chain at time t.
+
+    t defaults to the first transfer time pi / (4J).  The clean chain is
+    decomposed here, once per call.
+    """
+    t = transfer_time(base_coupling) if t is None else float(t)
     if t < 0:
         raise ValueError("t must be >= 0")
-    t = float(t)
+    sd = eigendecompose(clean_hamiltonian(n_sites, base_coupling))
     v = sd.eigenvectors
     x = v * v[0]                                   # x[l, m] = V_lm V_1m
     f1, f2 = _divided_differences(-1j * sd.eigenvalues, t)

@@ -3,15 +3,21 @@
 These reproduce the figure pipelines: averaged fidelity at the first
 transfer time t1 = pi/(4J) as a function of disorder strength and chain
 length, the exponential scaling collapse with constants kappa_j and
-kappa_b, threshold disorder strengths versus N, and the correlated-sign
-variant.  Every cell of a scan draws from a random stream keyed by
-(seed, N index, grid index, realization index), so tables are
-bit-reproducible and cells could be evaluated in any order.
+kappa_b, threshold disorder strengths versus N, and the perturbative
+cross-check.  The correlated-sign variant is one scan per corr_p.
+Every cell of a scan draws from a random stream keyed by (seed, N
+index, grid index, realization index), so tables are bit-reproducible
+and cells could be evaluated in any order.  A scan makes one
+ensemble_averages call per N, and a perturbation comparison one call
+for all of its sectors.
+
+The scan table's columns are FidelityPoint.HEADER; points_from_rows
+reads them back and refuses any other header.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,15 +25,14 @@ from .chain import ChainSpec
 from .evolve import ensemble_averages, transfer_time
 from .fitting import (FitResult, ThresholdScaling, fit_through_origin,
                       power_law_fit, threshold_scaling)
-from .perturbation import (PerturbationCoefficients, clean_propagator_table,
-                           compute_coefficients, infidelity_sums,
+from .perturbation import (compute_coefficients, infidelity_sums,
                            perturbative_fidelity, require_transfer_time)
 
 __all__ = [
     "ScanConfig",
     "FidelityPoint",
+    "points_from_rows",
     "scan_fidelity",
-    "run_correlated_scan",
     "fit_scaling",
     "threshold_extract",
     "perturbation_comparison",
@@ -54,7 +59,6 @@ class ScanConfig:
     eps_j_values: tuple = (0.0,)
     eps_b_values: tuple = (0.0,)
     corr_p: float = 0.5
-    corr_p_values: tuple = ()
     n_real: int = 1000
     base_coupling: float = 1.0
     t_eval: float | None = None
@@ -63,7 +67,6 @@ class ScanConfig:
         object.__setattr__(self, "n_values", tuple(int(n) for n in self.n_values))
         object.__setattr__(self, "eps_j_values", tuple(float(x) for x in self.eps_j_values))
         object.__setattr__(self, "eps_b_values", tuple(float(x) for x in self.eps_b_values))
-        object.__setattr__(self, "corr_p_values", tuple(float(x) for x in self.corr_p_values))
         if not self.n_values or not self.eps_j_values or not self.eps_b_values:
             raise ValueError("parameter grids must be nonempty")
         if self.n_real < 1:
@@ -82,7 +85,6 @@ class ScanConfig:
             "eps_j_values": " ".join(format(x, ".17g") for x in self.eps_j_values),
             "eps_b_values": " ".join(format(x, ".17g") for x in self.eps_b_values),
             "corr_p": self.corr_p,
-            "corr_p_values": " ".join(format(x, ".17g") for x in self.corr_p_values),
             "n_real": self.n_real,
             "seed": self.seed,
             "base_coupling": self.base_coupling,
@@ -107,7 +109,12 @@ class FidelityPoint:
                 self.fbar, self.stderr, self.n_real)
 
 
-def points_from_rows(rows) -> list:
+def points_from_rows(header, rows) -> list:
+    """FidelityPoints of a scan table's rows; any other header raises
+    ValueError naming the expected and the found header."""
+    if tuple(header) != FidelityPoint.HEADER:
+        raise ValueError(f"expected a scan table with header "
+                         f"{','.join(FidelityPoint.HEADER)}, found {','.join(header)}")
     return [FidelityPoint(n_sites=int(r[0]), eps_j=r[1], eps_b=r[2], corr_p=r[3],
                           fbar=r[4], stderr=r[5], n_real=int(r[6])) for r in rows]
 
@@ -117,8 +124,10 @@ def scan_fidelity(config: ScanConfig) -> list:
 
     Rows come out in grid order (N outer, eps_j, then eps_b).  The
     stream key of a cell is (N index, flattened eps index, realization),
-    which a correlated scan with matching grids reproduces exactly.  All
-    cells of one N go through one ensemble_averages call.
+    independent of corr_p: the sampler consumes the same draws for any
+    corr_p, so field-free scans of one grid at several corr_p share
+    magnitudes and differ in signs only.  All cells of one N go through
+    one ensemble_averages call.
     """
     points = []
     n_b = len(config.eps_b_values)
@@ -135,22 +144,6 @@ def scan_fidelity(config: ScanConfig) -> list:
                 n_sites=n_sites, eps_j=spec.eps_j, eps_b=spec.eps_b, corr_p=config.corr_p,
                 fbar=float(mean[0]), stderr=float(err[0]), n_real=config.n_real))
     return points
-
-
-def run_correlated_scan(config: ScanConfig) -> list:
-    """Fidelity vs eps_j for each sign-correlation probability.
-
-    Rows are ordered by (corr_p, N, eps_j).  Each corr_p is a field-free
-    scan_fidelity run, whose cell keys (N index, eps_j index) are those of
-    an uncorrelated scan of the same grid; the sampler consumes the same
-    draws for any corr_p, so the corr_p = 0.5 rows coincide bit for bit
-    with that scan and the curves for different corr_p are coupled (same
-    magnitudes, different signs).
-    """
-    corr_values = config.corr_p_values or (config.corr_p,)
-    return [point for corr_p in corr_values
-            for point in scan_fidelity(replace(config, corr_p=corr_p,
-                                               eps_b_values=(0.0,)))]
 
 
 def _one_corr_p(points):
@@ -230,50 +223,49 @@ def threshold_extract(points, f_target: float, param: str = "eps_j") -> Threshol
     return threshold_scaling(prepared, f_target, model=f"{param}-threshold")
 
 
-def perturbation_comparison(n_sites: int, eps_values, sector: str,
-                            n_real: int, seed: int, base_coupling: float = 1.0,
-                            t: float | None = None,
-                            coefficients: PerturbationCoefficients | None = None) -> dict:
+def perturbation_comparison(n_sites: int, eps_values, sectors, n_real: int,
+                            seed: int, base_coupling: float = 1.0,
+                            t: float | None = None) -> dict:
     """Monte-Carlo infidelity against the perturbative formula per eps.
 
-    sector is "j" (coupling disorder) or "b" (field disorder).  Returns
-    the comparison rows, the log-log slope of the MC infidelity vs eps,
-    and the fitted prefactor ratio between the Monte Carlo and the
-    plain sector sum (the formula's own prefactor is eps^2/9).
+    sectors holds "j" (coupling disorder) and/or "b" (field disorder).
+    Returns {sector: result}, each result holding the comparison rows,
+    the log-log slope of the MC infidelity vs eps, and the fitted
+    prefactor ratio between the Monte Carlo and the plain sector sum (the
+    formula's own prefactor is eps^2/9).
 
-    coefficients are the clean chain's second-order coefficients at t,
-    from compute_coefficients(clean_propagator_table(n_sites,
-    base_coupling, t=t)); they do not depend on the sector, so a caller
-    comparing both sectors computes them once and passes them to each
-    call.  They are computed here when not given.
+    The clean chain's coefficients are computed once for every sector,
+    and the cells of every sector go through one ensemble_averages call;
+    the cell of the ei-th smallest eps draws with key (ei,) in either
+    sector, so a one-sector call gives that sector's rows bit for bit.
 
-    Raises ValueError when t is no perfect-transfer time of the clean
+    Raises ValueError, before anything is drawn, for an unknown sector and
+    when t (default pi / (4J)) is no perfect-transfer time of the clean
     chain, where the perturbative formula does not apply.
     """
-    if sector not in ("j", "b"):
-        raise ValueError("sector must be 'j' or 'b'")
-    t = transfer_time(base_coupling) if t is None else float(t)
-    if coefficients is None:
-        coefficients = compute_coefficients(clean_propagator_table(n_sites, base_coupling, t=t))
-    elif coefficients.c.shape[0] != n_sites or not np.isclose(coefficients.time, t,
-                                                             rtol=1e-12, atol=0.0):
-        raise ValueError(f"coefficients are for N={coefficients.c.shape[0]} at "
-                         f"t={coefficients.time!r}, not N={n_sites} at t={t!r}")
+    for sector in sectors:
+        if sector not in ("j", "b"):
+            raise ValueError(f"sector must be 'j' or 'b', got {sector!r}")
+    coefficients = compute_coefficients(n_sites, base_coupling, t)
     require_transfer_time(coefficients, base_coupling)
+    t = coefficients.time
     field_sum, coupling_sum = infidelity_sums(coefficients)
-    sector_sum = coupling_sum if sector == "j" else field_sum
 
     eps_sorted = sorted(float(x) for x in eps_values)
-    kwargs = [{"eps_j": eps} if sector == "j" else {"eps_b": eps} for eps in eps_sorted]
-    cells = [(ChainSpec(n_sites=n_sites, base_coupling=base_coupling, **kw), (ei,))
-             for ei, kw in enumerate(kwargs)]
-    rows = []
-    for eps, kw, (mean, err) in zip(eps_sorted, kwargs,
-                                    ensemble_averages(cells, n_real, seed, [t])):
+    cells = [(sector, eps, {"eps_j": eps} if sector == "j" else {"eps_b": eps}, ei)
+             for sector in sectors for ei, eps in enumerate(eps_sorted)]
+    averages = ensemble_averages(
+        [(ChainSpec(n_sites=n_sites, base_coupling=base_coupling, **kw), (ei,))
+         for _, _, kw, ei in cells], n_real, seed, [t])
+    results = {sector: {"rows": [], "sector": sector, "t": t,
+                        "sector_sum": coupling_sum if sector == "j" else field_sum}
+               for sector in sectors}
+    for (sector, eps, kw, _), (mean, err) in zip(cells, averages):
+        sector_sum = results[sector]["sector_sum"]
         f_pert = perturbative_fidelity(coefficients, **kw)
         infid_mc = 1.0 - float(mean[0])
         infid_pert = 1.0 - f_pert
-        rows.append({
+        results[sector]["rows"].append({
             "eps": eps, "fbar_mc": float(mean[0]), "stderr": float(err[0]),
             "f_pert": f_pert, "infid_mc": infid_mc, "infid_pert": infid_pert,
             "ratio": infid_mc / infid_pert if infid_pert else np.nan,
@@ -281,17 +273,11 @@ def perturbation_comparison(n_sites: int, eps_values, sector: str,
             if sector_sum and eps else np.nan,
         })
 
-    eps_arr = np.array([r["eps"] for r in rows])
-    infid = np.array([r["infid_mc"] for r in rows])
-    slope_fit = None
-    ok = infid > 0
-    if int(ok.sum()) >= 2:
-        slope_fit = power_law_fit(eps_arr[ok], infid[ok], model="mc-infidelity",
-                                  mask=tuple(np.flatnonzero(ok)))
-    return {
-        "rows": rows,
-        "sector": sector,
-        "t": t,
-        "sector_sum": sector_sum,
-        "slope_fit": slope_fit,
-    }
+    for result in results.values():
+        eps_arr = np.array([r["eps"] for r in result["rows"]])
+        infid = np.array([r["infid_mc"] for r in result["rows"]])
+        ok = infid > 0
+        result["slope_fit"] = (power_law_fit(eps_arr[ok], infid[ok], model="mc-infidelity",
+                                             mask=tuple(np.flatnonzero(ok)))
+                               if int(ok.sum()) >= 2 else None)
+    return results

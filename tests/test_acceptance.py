@@ -240,7 +240,7 @@ def test_criterion_6b_reference_point():
     n, t_max, dt = 500, 1e4, 0.05
     spec = sc.ChainSpec(n_sites=n, eps_j=0.26)
     real = sc.sample_disorder(spec, sc.substream(SEED + 6, 0))
-    series = sc.fidelity_series(spec, real, t_max, dt)
+    series = sc.fidelity_series(sc.build_hamiltonian(spec, real), t_max, dt)
     fit, curve = sc.dimension_of_series(series)
     d_pkg = fit.params["dimension"]
 
@@ -303,8 +303,8 @@ def test_criterion_7_perturbation_agreement():
     n_real = 10_000
     results, ratio_spread, slopes = {}, {}, {}
     for sector in ("j", "b"):
-        res = sc.perturbation_comparison(20, slope_grid, sector, n_real,
-                                         SEED + 8 if sector == "j" else SEED + 9)
+        res = sc.perturbation_comparison(20, slope_grid, (sector,), n_real,
+                                         SEED + 8 if sector == "j" else SEED + 9)[sector]
         slopes[sector] = res["slope_fit"].params["exponent"]
         ratios = [r["ratio"] for r in res["rows"] if r["eps"] in ratio_grid]
         ratio_spread[sector] = max(ratios) / min(ratios)
@@ -357,8 +357,8 @@ def test_criterion_8_invariants(tmp_path):
 
     # fidelity range on a disordered series
     spec = sc.ChainSpec(n_sites=60, eps_j=0.2)
-    series = sc.fidelity_series(spec, sc.sample_disorder(spec, sc.substream(1, 0)),
-                                200.0, 0.05)
+    series = sc.fidelity_series(
+        sc.build_hamiltonian(spec, sc.sample_disorder(spec, sc.substream(1, 0))), 200.0, 0.05)
     range_ok = bool(np.all(series.fidelity >= 0.5) and np.all(series.fidelity <= 1.0))
 
     # clean closed form |f_N| = |sin 2Jt|^(N-1) for N <= 12

@@ -4,9 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spinchain import (BoxCountCurve, ChainSpec, DegenerateSeriesError,
-                       WindowSelectionError, box_count, default_box_lengths,
-                       dimension_threshold, fit_dimension, fidelity_series,
-                       sample_disorder, substream, transient_trim)
+                       WindowSelectionError, box_count, build_hamiltonian,
+                       default_box_lengths, dimension_threshold, fit_dimension,
+                       fidelity_series, sample_disorder, substream, transient_trim)
 from spinchain.evolve import FidelitySeries
 
 
@@ -66,7 +66,8 @@ def test_trim_flags_series_that_never_relax():
 
 def test_trim_on_engine_series_is_small():
     spec = ChainSpec(n_sites=60, eps_j=0.26)
-    series = fidelity_series(spec, sample_disorder(spec, substream(8, 0)), 200.0, 0.05)
+    series = fidelity_series(build_hamiltonian(spec, sample_disorder(spec, substream(8, 0))),
+                             200.0, 0.05)
     trimmed, reached = transient_trim(series)
     assert reached
     assert len(series) - len(trimmed.times) < 0.1 * len(series)
@@ -209,7 +210,7 @@ def test_default_box_lengths_bounds():
 def test_dimension_approaches_one_at_strong_disorder():
     # localization leaves a slowly growing near-linear signal
     spec = ChainSpec(n_sites=200, eps_j=1.2)
-    series = fidelity_series(spec, sample_disorder(spec, substream(44, 0)),
+    series = fidelity_series(build_hamiltonian(spec, sample_disorder(spec, substream(44, 0))),
                              1e4, 0.05)
     fit = fit_dimension(box_count(series))
     assert fit.params["dimension"] <= 1.25
@@ -241,8 +242,8 @@ def test_dimension_curve_matches_hand_loop_over_keys():
     for i, eps_j in enumerate(grid):
         spec = ChainSpec(n_sites=12, eps_j=eps_j)
         dims = [dimension_of_series(fidelity_series(
-                    spec, sample_disorder(spec, substream(17, 4, i, r)), 200.0, 0.05)
-                )[0].params["dimension"] for r in range(3)]
+                    build_hamiltonian(spec, sample_disorder(spec, substream(17, 4, i, r))),
+                    200.0, 0.05))[0].params["dimension"] for r in range(3)]
         assert d_mean[i] == float(np.mean(dims))
         assert d_err[i] == float(np.std(dims, ddof=1) / np.sqrt(3))
     with pytest.raises(ValueError, match="n_real"):

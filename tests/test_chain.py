@@ -158,20 +158,6 @@ def test_clean_spectrum_equispaced(n):
     assert np.all(np.abs(gaps - 4.0) <= 1e-8 * 4.0)
 
 
-def test_disorder_ensemble_keys_and_eager_size_check():
-    from spinchain import disorder_ensemble
-
-    spec = ChainSpec(n_sites=9, eps_j=0.3, eps_b=0.1, corr_p=0.7)
-    drawn = list(disorder_ensemble(spec, 4, 12, key_prefix=(3, 1)))
-    assert len(drawn) == 4
-    for r, real in enumerate(drawn):
-        ref = sample_disorder(spec, substream(12, 3, 1, r))
-        assert np.array_equal(real.delta, ref.delta)
-        assert np.array_equal(real.field_err, ref.field_err)
-    with pytest.raises(ValueError, match="n_real"):
-        disorder_ensemble(spec, 0, 12)
-
-
 @pytest.mark.parametrize("n", [2, 3, 20, 200])
 @pytest.mark.parametrize("corr_p", [0.0, 0.5, 1.0])
 def test_hamiltonian_block_matches_one_realization_at_a_time(n, corr_p):

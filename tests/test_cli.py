@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 
 import spinchain
-from spinchain import (ChainSpec, fidelity_series, perturbation_comparison,
-                       sample_disorder, substream, transfer_time)
+from spinchain import (ChainSpec, build_hamiltonian, fidelity_series,
+                       perturbation_comparison, sample_disorder, substream,
+                       transfer_time)
 from spinchain.cli import main
 from spinchain.tableio import read_csv, sidecar_path
 
@@ -29,7 +30,8 @@ def test_transfer_matches_library_call(tmp_path):
     metadata, header, rows = read_csv(out)
     assert header == ["time", "amp_real", "amp_imag", "fidelity"]
     spec = ChainSpec(n_sites=12, eps_j=0.05)
-    series = fidelity_series(spec, sample_disorder(spec, substream(7, 0)), 3.0, 0.01)
+    series = fidelity_series(build_hamiltonian(spec, sample_disorder(spec, substream(7, 0))),
+                             3.0, 0.01)
     assert len(rows) == len(series)
     assert rows[5][3] == series.fidelity[5]          # 17 digits round-trip
     assert metadata["seed"] == "7"
@@ -204,15 +206,20 @@ def test_table_commands_refuse_a_table_of_several_corr_p(tmp_path, command):
 
 
 def test_perturbation_both_sectors_match_one_library_call_each(tmp_path):
-    # the command shares one set of clean coefficients between the sectors
+    # one two-sector call and one call per sector give the command's rows
     out = tmp_path / "pert.csv"
     run_cli("perturbation", "--n", 6, "--eps", 0.003, 0.01, "--n-real", 50,
             "--seed", 9, "--out", out)
     _, header, rows = read_csv(out)
-    expected = [(sector, r["eps"], r["fbar_mc"], r["f_pert"])
-                for sector in ("j", "b")
-                for r in perturbation_comparison(6, [0.003, 0.01], sector, 50, 9)["rows"]]
-    assert [(r[0], r[1], r[2], r[4]) for r in rows] == expected
+    fields = ("eps", "fbar_mc", "stderr", "f_pert", "infid_mc", "infid_pert",
+              "ratio", "mc_over_sector_sum")
+    both = perturbation_comparison(6, [0.003, 0.01], ("j", "b"), 50, 9)
+    for results in (both, {sector: perturbation_comparison(6, [0.003, 0.01], (sector,),
+                                                           50, 9)[sector]
+                           for sector in ("j", "b")}):
+        expected = [(sector, *(r[f] for f in fields))
+                    for sector in ("j", "b") for r in results[sector]["rows"]]
+        assert [tuple(r) for r in rows] == expected
 
 
 @pytest.mark.parametrize("argv, config, flag", [
@@ -273,6 +280,14 @@ def test_transfer_bytes_do_not_depend_on_blas_threads(tmp_path):
     ("scan", "scan --n 6 16 --eps-j 0 0.05 0.3 --eps-b 0 0.2 --corr-p 0.3 "
              "--n-real 150 --seed 13"),
     ("perturbation", "perturbation --n 8 --eps 0.003 0.01 0.03 --n-real 150 --seed 9"),
+    ("eta-scan", "eta-scan --n 10 30 --eps-j 0.003 0.1 1.0 --n-real 40 --seed 4"),
+    ("spectrum", "spectrum --n 30 --eps-j 0.2 --eps-b 0.1 --corr-p 0.3 --n-real 40 "
+                 "--seed 3"),
+    ("transfer", "transfer --n 12 --eps-j 0.05 --eps-b 0.1 --corr-p 0.7 --t-max 3 "
+                 "--dt 0.01 --seed 7"),
+    ("fractal", "fractal --n 40 --eps-j 0.4 --t-max 200 --seed 6"),
+    ("corr-scan", "corr-scan --n 8 12 --eps-j 0.05 0.2 --corr-p 0.1 0.5 0.9 "
+                  "--n-real 30 --seed 5"),
 ])
 def test_output_matches_the_committed_golden_table(tmp_path, name, argv):
     out = tmp_path / f"{name}.csv"

@@ -141,7 +141,7 @@ def test_fidelity_range(z):
 def test_series_grid_and_formula_consistency():
     spec = ChainSpec(n_sites=30, eps_j=0.05)
     real = sample_disorder(spec, substream(3, 0))
-    series = fidelity_series(spec, real, 12.0, 0.05)
+    series = fidelity_series(build_hamiltonian(spec, real), 12.0, 0.05)
     assert series.times[0] == 0.0
     assert np.allclose(np.diff(series.times), 0.05)
     assert series.times[-1] <= 12.0 + 1e-12
@@ -153,7 +153,7 @@ def test_series_grid_and_formula_consistency():
 def test_series_fast_path_matches_direct_evaluation():
     spec = ChainSpec(n_sites=80, eps_j=0.1, eps_b=0.05)
     real = sample_disorder(spec, substream(21, 0))
-    series = fidelity_series(spec, real, 300.0, 0.05)
+    series = fidelity_series(build_hamiltonian(spec, real), 300.0, 0.05)
     sd = eigendecompose(build_hamiltonian(spec, real))
     direct = transfer_amplitude(sd, series.times)
     assert np.max(np.abs(series.amplitude - direct)) < 1e-11
@@ -168,7 +168,7 @@ def test_series_matches_dense_oracle_at_long_times():
     # next to this one (1e-11 and 1e-12).
     spec = ChainSpec(n_sites=200, eps_j=0.05)
     real = sample_disorder(spec, substream(11, 0))
-    series = fidelity_series(spec, real, 1e4, 0.05)
+    series = fidelity_series(build_hamiltonian(spec, real), 1e4, 0.05)
     times, oracle = oracle_transfer_series(200, 1e4, 0.05, delta=real.delta,
                                            fields=real.field_err)
     assert np.array_equal(series.times, times)
@@ -183,7 +183,7 @@ def test_series_of_every_grid_length_matches_direct_evaluation(m):
     dt = 2.0 ** -7
     spec = ChainSpec(n_sites=20, eps_j=0.1, eps_b=0.05)
     real = sample_disorder(spec, substream(5, 0))
-    series = fidelity_series(spec, real, (m - 1) * dt, dt)
+    series = fidelity_series(build_hamiltonian(spec, real), (m - 1) * dt, dt)
     assert len(series) == series.amplitude.shape[0] == m
     direct = transfer_amplitude(eigendecompose(build_hamiltonian(spec, real)),
                                 series.times)
@@ -195,7 +195,7 @@ def test_clean_series_peaks_and_period():
     n_per_quarter = 200
     dt = (np.pi / 4) / n_per_quarter
     spec = ChainSpec(n_sites=20)
-    series = fidelity_series(spec, zero_disorder(spec), 8 * (np.pi / 4), dt)
+    series = fidelity_series(build_hamiltonian(spec, zero_disorder(spec)), 8 * (np.pi / 4), dt)
     for peak in range(3):
         idx = (2 * peak + 1) * n_per_quarter
         assert series.fidelity[idx] >= 1.0 - 1e-9
@@ -207,16 +207,16 @@ def test_clean_series_peaks_and_period():
 def test_disordered_series_loses_perfect_peak():
     spec = ChainSpec(n_sites=100, eps_j=1e-2)
     real = sample_disorder(spec, substream(17, 0))
-    series = fidelity_series(spec, real, np.pi / 2, 0.002)
+    series = fidelity_series(build_hamiltonian(spec, real), np.pi / 2, 0.002)
     assert np.max(series.fidelity) < 1.0 - 1e-6
 
 
 def test_series_input_validation():
     spec = ChainSpec(n_sites=5)
     with pytest.raises(ValueError):
-        fidelity_series(spec, zero_disorder(spec), 1.0, 0.0)
+        fidelity_series(build_hamiltonian(spec, zero_disorder(spec)), 1.0, 0.0)
     with pytest.raises(ValueError):
-        fidelity_series(spec, zero_disorder(spec), 0.01, 0.05)
+        fidelity_series(build_hamiltonian(spec, zero_disorder(spec)), 0.01, 0.05)
 
 
 def test_ensemble_single_realization_matches_direct():

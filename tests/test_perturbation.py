@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from spinchain import (ChainSpec, clean_hamiltonian, clean_propagator_table,
-                       compute_coefficients, eigendecompose, ensemble_average,
+from spinchain import (ChainSpec, clean_hamiltonian, compute_coefficients,
+                       eigendecompose, ensemble_average,
                        infidelity_sums, perturbation_comparison,
                        perturbative_fidelity, transfer_time)
 
@@ -62,14 +62,13 @@ def gauss_line_oracle(n, t, order=120):
 
 
 def test_zero_time_coefficients_vanish():
-    table = clean_propagator_table(8)
-    coeffs = compute_coefficients(table, t=0.0)
+    coeffs = compute_coefficients(8, t=0.0)
     assert np.all(coeffs.c == 0) and np.all(coeffs.e == 0)
     assert np.all(coeffs.d_diag == 0) and np.all(coeffs.f_diag == 0)
 
 
 def test_c_and_e_are_real_arrays():
-    coeffs = compute_coefficients(clean_propagator_table(10))
+    coeffs = compute_coefficients(10)
     assert coeffs.c.dtype.kind == "f" and coeffs.e.dtype.kind == "f"
     assert coeffs.d_diag.dtype.kind == "c" and coeffs.f_diag.dtype.kind == "c"
     assert coeffs.c.shape == (10,) and coeffs.e.shape == (9,)
@@ -77,7 +76,7 @@ def test_c_and_e_are_real_arrays():
 
 def test_single_integrals_match_gauss_oracle():
     t = transfer_time()
-    coeffs = compute_coefficients(clean_propagator_table(7, t=t))
+    coeffs = compute_coefficients(7, t=t)
     c_ref, e_ref = gauss_line_oracle(7, t)
     assert np.max(np.abs(coeffs.c - c_ref)) < 1e-8
     # E vanishes identically for the clean chain (bipartite gauge), and
@@ -88,7 +87,7 @@ def test_single_integrals_match_gauss_oracle():
 
 def test_double_integrals_match_gauss_triangle_oracle():
     t = transfer_time()
-    coeffs = compute_coefficients(clean_propagator_table(4, t=t))
+    coeffs = compute_coefficients(4, t=t)
     d_ref, f_ref = gauss_triangle_oracle(4, t)
     scale_d = np.max(np.abs(d_ref))
     scale_f = np.max(np.abs(f_ref))
@@ -100,9 +99,9 @@ def test_double_integrals_match_gauss_triangle_oracle():
 @pytest.mark.parametrize("periods", [1, 3])
 def test_coefficients_exact_against_gauss_oracles(n, periods):
     # the closed form is exact, so it meets both oracles to rounding; the
-    # table's horizon stays t1, so periods = 3 also covers an explicit t
+    # default time is t1, so periods = 3 also covers an explicit t
     t = periods * transfer_time()
-    coeffs = compute_coefficients(clean_propagator_table(n), None if periods == 1 else t)
+    coeffs = compute_coefficients(n, t=None if periods == 1 else t)
     c_ref, e_ref = gauss_line_oracle(n, t)
     d_ref, f_ref = gauss_triangle_oracle(n, t)
     # C vanishes at N = 2 and E always, so single integrals are measured
@@ -119,19 +118,32 @@ def test_comparison_refuses_non_transfer_times(t, refused):
     if refused:
         with pytest.raises(ValueError, match=r"no perfect-transfer time .* "
                                              r"nearest t = 0\.785398"):
-            perturbation_comparison(6, [0.01], "b", 20, 1, t=t)
+            perturbation_comparison(6, [0.01], ("b",), 20, 1, t=t)
     else:
-        [row] = perturbation_comparison(6, [0.01], "b", 20, 1, t=t)["rows"]
+        [row] = perturbation_comparison(6, [0.01], ("b",), 20, 1, t=t)["b"]["rows"]
         assert 0.99 < row["f_pert"] < 1.0
 
 
+def test_comparison_refuses_before_drawing(monkeypatch):
+    import spinchain.chain
+
+    def no_draw(*args):
+        raise AssertionError("a realization was drawn")
+
+    monkeypatch.setattr(spinchain.chain, "substream", no_draw)
+    with pytest.raises(ValueError, match="no perfect-transfer time"):
+        perturbation_comparison(6, [0.01], ("j", "b"), 20, 1, t=1.0)
+    with pytest.raises(ValueError, match="sector"):
+        perturbation_comparison(6, [0.01], ("j", "x"), 20, 1)
+
+
 def test_unperturbed_fidelity_is_one():
-    coeffs = compute_coefficients(clean_propagator_table(12))
+    coeffs = compute_coefficients(12)
     assert perturbative_fidelity(coeffs) == 1.0
 
 
 def test_infidelity_quadratic_in_disorder():
-    coeffs = compute_coefficients(clean_propagator_table(12))
+    coeffs = compute_coefficients(12)
     base_j = 1.0 - perturbative_fidelity(coeffs, eps_j=1e-3)
     base_b = 1.0 - perturbative_fidelity(coeffs, eps_b=1e-3)
     assert 1.0 - perturbative_fidelity(coeffs, eps_j=2e-3) == pytest.approx(4 * base_j, rel=1e-12)
@@ -142,9 +154,8 @@ def test_infidelity_quadratic_in_disorder():
 
 
 def test_table_unitarity_on_grid():
-    table = clean_propagator_table(15)
-    sd = table.decomposition
-    for t in np.linspace(0.0, table.horizon, 8):
+    sd = eigendecompose(clean_hamiltonian(15))
+    for t in np.linspace(0.0, transfer_time(), 8):
         u = propagator_matrix(sd, t)
         assert np.max(np.abs(u @ u.conj().T - np.eye(15))) < 1e-10
 
@@ -154,7 +165,7 @@ def test_field_sector_formula_matches_monte_carlo():
     # field-disorder infidelity with unit prefactor
     n, eps_b = 8, 5e-3
     t = transfer_time()
-    coeffs = compute_coefficients(clean_propagator_table(n, t=t))
+    coeffs = compute_coefficients(n, t=t)
     pert = 1.0 - perturbative_fidelity(coeffs, eps_b=eps_b)
     spec = ChainSpec(n_sites=n, eps_b=eps_b)
     mean, err = ensemble_average(spec, 3000, 21, [t])
@@ -167,7 +178,7 @@ def test_coupling_sector_proportional_to_monte_carlo():
     # infidelity is a constant multiple of the formula across eps
     n = 8
     t = transfer_time()
-    coeffs = compute_coefficients(clean_propagator_table(n, t=t))
+    coeffs = compute_coefficients(n, t=t)
     _, coupling_sum = infidelity_sums(coeffs)
     ratios = []
     for i, eps_j in enumerate((3e-3, 1e-2)):

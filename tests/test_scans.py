@@ -1,9 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from spinchain import (ChainSpec, FidelityPoint, ScanConfig, ensemble_average,
-                       fit_scaling, run_correlated_scan, scan_fidelity,
-                       threshold_extract)
+                       fit_scaling, scan_fidelity, threshold_extract)
 from spinchain.fitting import crossing_loglinear, power_law_fit
 
 
@@ -121,9 +122,9 @@ def test_threshold_extract_skips_out_of_range_chains():
 
 
 def test_correlated_scan_reproduces_uncorrelated_rows_bitwise():
-    cfg = ScanConfig(n_values=(12,), seed=9, eps_j_values=(0.05, 0.2),
-                     corr_p_values=(0.1, 0.5, 0.9), n_real=30)
-    corr_points = run_correlated_scan(cfg)
+    cfg = ScanConfig(n_values=(12,), seed=9, eps_j_values=(0.05, 0.2), n_real=30)
+    corr_points = [p for corr_p in (0.1, 0.5, 0.9)
+                   for p in scan_fidelity(replace(cfg, corr_p=corr_p))]
     plain = scan_fidelity(ScanConfig(n_values=(12,), seed=9,
                                      eps_j_values=(0.05, 0.2), n_real=30))
     half = [p for p in corr_points if p.corr_p == 0.5]
@@ -136,9 +137,9 @@ def test_correlated_scan_reproduces_uncorrelated_rows_bitwise():
 
 def test_correlated_scan_monotone_in_sign_correlation():
     # anticorrelated signs degrade transfer more than correlated ones
-    cfg = ScanConfig(n_values=(100,), seed=14, eps_j_values=(0.1,),
-                     corr_p_values=(0.1, 0.25, 0.5, 0.75, 0.9), n_real=150)
-    points = run_correlated_scan(cfg)
+    cfg = ScanConfig(n_values=(100,), seed=14, eps_j_values=(0.1,), n_real=150)
+    points = [p for corr_p in (0.1, 0.25, 0.5, 0.75, 0.9)
+              for p in scan_fidelity(replace(cfg, corr_p=corr_p))]
     fbar = [p.fbar for p in points]
     err = [p.stderr for p in points]
     for i in range(4):

@@ -8,6 +8,14 @@ in that sector the Hamiltonian is a real symmetric tridiagonal matrix
 with hopping elements 2 J_k (1 + delta_k) and on-site energies -2 b_j
 (the disorder-dependent constant sum of the fields is a global phase on
 the transfer amplitude and is dropped).
+
+Realization r of an ensemble draws from the Philox stream
+substream(master_seed, *key_prefix, r).  A stream is fully defined by
+its 128-bit key and a zero counter, so hamiltonian_block derives the
+keys of a whole block of rows at once and draws every row through one
+reused generator, a few us per row plus about 0.1 ms per call;
+substream, sample_disorder and build_hamiltonian draw one realization
+at a time (about 20 us for the stream alone) and remain the reference.
 """
 
 from __future__ import annotations
@@ -38,6 +46,9 @@ def substream(master_seed: int, *key: int) -> np.random.Generator:
     key, so each (seed, index...) pair gives an independent stream that
     does not depend on evaluation order.  Ensembles can therefore be
     drawn in parallel, resumed, or subsampled without changing samples.
+    Each call builds a SeedSequence and a Philox (about 20 us), so
+    ensembles draw through hamiltonian_block, which builds neither per
+    realization and draws the same numbers.
     """
     ss = np.random.SeedSequence(entropy=int(master_seed),
                                 spawn_key=tuple(int(k) for k in key))
@@ -158,19 +169,111 @@ def hamiltonian_block(spec: ChainSpec, master_seed: int, key_prefix: tuple,
 
     Every ensemble in the package draws here: realization r draws from
     substream(master_seed, *key_prefix, r), so it can be reproduced from
-    its key alone.  Row i draws exactly as sample_disorder does, and the
-    block is then built with build_hamiltonian's arithmetic, so every row
-    equals build_hamiltonian(spec, sample_disorder(spec, substream(...)))
-    bit for bit, with no per-realization objects; those two functions
-    remain the one-at-a-time reference.
+    its key alone.  One call derives every row's Philox key at once,
+    hashing the row indices as SeedSequence does, and draws each row's
+    3N - 2 uniforms through one generator reset to that key, in
+    sample_disorder's order and mapped as Generator.uniform maps them;
+    the block is then built with build_hamiltonian's arithmetic.  So
+    every row equals build_hamiltonian(spec, sample_disorder(spec,
+    substream(...))) bit for bit, with no per-realization objects; those
+    three functions remain the one-at-a-time reference.  The first row's
+    key is checked against numpy's SeedSequence on every call.
+
+    master_seed must be >= 0 and every row in [0, 2**32); an empty range
+    gives empty arrays and draws nothing.
     """
+    if master_seed < 0:
+        raise ValueError(f"master_seed must be >= 0, got {master_seed}")
+    for r in (rows[0], rows[-1]) if rows else ():
+        if not 0 <= r < 2 ** 32:
+            raise ValueError(f"row {r} is outside [0, 2**32)")
     n = spec.n_sites
-    magnitude, coins = np.empty((len(rows), n - 1)), np.empty((len(rows), n - 1))
-    field_err = np.empty((len(rows), n))
-    for i, r in enumerate(rows):
-        magnitude[i], coins[i], field_err[i] = _draws(
-            spec, substream(master_seed, *key_prefix, r))
+    u = np.empty((len(rows), 3 * n - 2))
+    if rows:
+        _draw_rows(int(master_seed), tuple(int(k) for k in key_prefix), rows, u)
+    magnitude = _uniform(0.0, spec.eps_j, u[:, :n - 1])
+    coins = u[:, n - 1:2 * n - 2]
+    field_err = _uniform(-spec.eps_b, spec.eps_b, u[:, 2 * n - 2:])
     return _hamiltonian_arrays(spec, _coupling_errors(spec, magnitude, coins), field_err)
+
+
+def _uniform(low, high, u: np.ndarray) -> np.ndarray:
+    """Generator.uniform(low, high) of the unit doubles u, as numpy computes it."""
+    low, high = float(low), float(high)
+    return low + (high - low) * u
+
+
+def _draw_rows(master_seed: int, key_prefix: tuple, rows: range, out: np.ndarray) -> None:
+    """Fill out[i] with the first uniforms of substream(master_seed, *key_prefix, rows[i])."""
+    keys = _finish_keys(_row_pools(master_seed, key_prefix, rows))
+    bitgen = np.random.Philox(
+        np.random.SeedSequence(master_seed, spawn_key=(*key_prefix, rows[0])))
+    state = bitgen.state
+    if not np.array_equal(keys[0], state["state"]["key"]):
+        raise RuntimeError(
+            f"the Philox key derived for row {rows[0]} differs from numpy's "
+            "SeedSequence; its hash has changed, so the block would draw "
+            "other numbers than substream")
+    # a fresh stream: zero counter, empty buffer (plain lists set fastest)
+    state["state"]["counter"] = state["buffer"] = [0, 0, 0, 0]
+    gen = np.random.Generator(bitgen)
+    for i, key in enumerate(keys.tolist()):
+        state["state"]["key"] = key
+        bitgen.state = state
+        gen.random(out=out[i])
+
+
+# numpy's SeedSequence hash (numpy/random/bit_generator.pyx) on uint32
+# words; _draw_rows checks its result against numpy on every call.
+_MASK32 = 0xFFFFFFFF
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875   # hashmix, while mixing entropy
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED   # generate_state
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+
+
+def _n_words(v: int) -> int:
+    """Number of uint32 words SeedSequence makes of a non-negative int."""
+    return max(1, -(-v.bit_length() // 32))
+
+
+def _hash(words: np.ndarray, init: int, mult: int, done: int) -> np.ndarray:
+    """Hash row d of words with the constant advanced done + d times.
+
+    Both of SeedSequence's hashes XOR a word with the running constant,
+    advance the constant by mult, multiply by it and XOR-shift by 16.
+    """
+    c = [init * pow(mult, done + d, 1 << 32) & _MASK32 for d in range(_POOL_SIZE + 1)]
+    v = (words ^ np.array(c[:-1], np.uint32)[:, None]) * np.array(c[1:], np.uint32)[:, None]
+    return v ^ (v >> np.uint32(16))
+
+
+def _row_pools(master_seed: int, key_prefix: tuple, rows: range) -> np.ndarray:
+    """(4, R) entropy pools of SeedSequence(master_seed, spawn_key=(*key_prefix, r)).
+
+    The run entropy (padded to the pool size) and the spawn key's words
+    are mixed in one after another, and each word past the pool size is
+    mixed into every pool word in turn.  So before the row's word is
+    mixed in, the pool is that of SeedSequence(master_seed,
+    spawn_key=key_prefix) for every row (with no prefix that parent is
+    not padded, but it fills the pool with the same hashes of 0), and
+    the hashmix constant has been advanced 4 times per word mixed in so
+    far.  A row in [0, 2**32) is one word.
+    """
+    parent = np.random.SeedSequence(master_seed, spawn_key=key_prefix)
+    words = max(_POOL_SIZE, _n_words(master_seed)) + sum(map(_n_words, key_prefix))
+    r = np.arange(rows.start, rows.stop, rows.step, dtype=np.uint32)
+    hashed = _hash(r[None, :], _INIT_A, _MULT_A, _POOL_SIZE * words)
+    # mix(pool, hashed): MIX_MULT_L pool - MIX_MULT_R hashed, XOR-shifted
+    pool = (parent.pool.astype(np.uint64) * _MIX_MULT_L & _MASK32).astype(np.uint32)
+    mixed = pool[:, None] - hashed * np.uint32(_MIX_MULT_R)
+    return mixed ^ (mixed >> np.uint32(16))
+
+
+def _finish_keys(pools: np.ndarray) -> np.ndarray:
+    """(R, 2) Philox keys: generate_state(2, np.uint64) of each pool column."""
+    w = _hash(pools, _INIT_B, _MULT_B, 0).astype(np.uint64)
+    return np.stack([w[0] | w[1] << np.uint64(32), w[2] | w[3] << np.uint64(32)], axis=1)
 
 
 def zero_disorder(spec: ChainSpec) -> DisorderRealization:

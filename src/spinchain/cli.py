@@ -158,6 +158,7 @@ OPTIONS = {
 RANGES = {
     "n": (lambda v: v >= 2, "must be >= 2"),
     "n_real": (lambda v: v >= 1, "must be >= 1"),
+    "seed": (lambda v: v >= 0, "must be >= 0"),
     "j": (lambda v: 0 < v < math.inf, "must be finite and > 0"),
     "eps_j": (lambda v: 0 <= v < math.inf, "must be finite and >= 0"),
     "eps_b": (lambda v: 0 <= v < math.inf, "must be finite and >= 0"),

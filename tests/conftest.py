@@ -121,3 +121,15 @@ def oracle_transfer_series(n, t_max, dt, j=1.0, delta=None, fields=None,
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture
+def forbid_draws(monkeypatch):
+    """Make any random stream fail: both the block path and substream
+    build numpy's SeedSequence and Philox."""
+
+    def no_draw(*args, **kwargs):
+        raise AssertionError("a realization was drawn")
+
+    monkeypatch.setattr(np.random, "SeedSequence", no_draw)
+    monkeypatch.setattr(np.random, "Philox", no_draw)

@@ -173,3 +173,71 @@ def test_hamiltonian_block_matches_one_realization_at_a_time(n, corr_p):
                         spec, sample_disorder(spec, substream(17, *key_prefix, r)))
                     assert diag[i].tobytes() == h.diag.tobytes()
                     assert offdiag[i].tobytes() == h.offdiag.tobytes()
+
+
+def _amplitude(high):
+    return st.one_of(st.sampled_from([0.0, high]), st.floats(0.0, high))
+
+
+@given(seed=st.integers(0, 2 ** 130),
+       key_prefix=st.lists(st.integers(0, 2 ** 70), max_size=3).map(tuple),
+       start=st.one_of(st.integers(0, 100), st.integers(2 ** 32 - 8, 2 ** 32 - 1)),
+       count=st.integers(1, 5), step=st.integers(1, 3),
+       n=st.sampled_from([2, 3, 20]), eps_j=_amplitude(1.0), eps_b=_amplitude(1.0),
+       corr_p=_amplitude(1.0))
+@settings(max_examples=60)
+def test_hamiltonian_block_matches_reference_at_any_key(seed, key_prefix, start, count,
+                                                          step, n, eps_j, eps_b, corr_p):
+    spec = ChainSpec(n_sites=n, eps_j=eps_j, eps_b=eps_b, corr_p=corr_p)
+    rows = range(start, min(start + count * step, 2 ** 32), step)
+    diag, offdiag = hamiltonian_block(spec, seed, key_prefix, rows)
+    assert diag.shape == (len(rows), n) and offdiag.shape == (len(rows), n - 1)
+    for i, r in enumerate(rows):
+        h = build_hamiltonian(spec, sample_disorder(spec, substream(seed, *key_prefix, r)))
+        assert diag[i].tobytes() == h.diag.tobytes()
+        assert offdiag[i].tobytes() == h.offdiag.tobytes()
+
+
+def test_hamiltonian_block_of_no_rows_draws_nothing(forbid_draws):
+    spec = ChainSpec(n_sites=7, eps_j=0.2, eps_b=0.1)
+    diag, offdiag = hamiltonian_block(spec, 3, (1,), range(5, 5))
+    assert diag.shape == (0, 7) and offdiag.shape == (0, 6)
+    with pytest.raises(AssertionError, match="drawn"):
+        hamiltonian_block(spec, 3, (1,), range(1))
+
+
+@pytest.mark.parametrize("rows, named", [
+    (range(-1, 3), -1),
+    (range(2 ** 32 - 2, 2 ** 32 + 2), 2 ** 32 + 1),
+    (range(0, 2 ** 40), 2 ** 40 - 1),
+])
+def test_hamiltonian_block_refuses_rows_outside_one_word(forbid_draws, rows, named):
+    with pytest.raises(ValueError, match=f"row {named} is outside"):
+        hamiltonian_block(ChainSpec(n_sites=5, eps_j=0.1), 3, (), rows)
+
+
+def test_hamiltonian_block_refuses_a_negative_seed_before_drawing(forbid_draws):
+    with pytest.raises(ValueError, match="master_seed must be >= 0, got -1"):
+        hamiltonian_block(ChainSpec(n_sites=5, eps_j=0.1), -1, (), range(3))
+
+
+def test_hamiltonian_block_builds_a_constant_number_of_seed_sequences(monkeypatch):
+    made = []
+    real = np.random.SeedSequence
+
+    def counting(*args, **kwargs):
+        made.append(kwargs.get("spawn_key"))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "SeedSequence", counting)
+    hamiltonian_block(ChainSpec(n_sites=20, eps_j=0.1), 9, (2,), range(128))
+    assert len(made) <= 2
+
+
+def test_hamiltonian_block_guards_the_derived_keys(monkeypatch):
+    import spinchain.chain
+
+    finish = spinchain.chain._finish_keys
+    monkeypatch.setattr(spinchain.chain, "_finish_keys", lambda pools: finish(pools) ^ np.uint64(1))
+    with pytest.raises(RuntimeError, match="differs from numpy's SeedSequence"):
+        hamiltonian_block(ChainSpec(n_sites=20, eps_j=0.1), 9, (2,), range(128))

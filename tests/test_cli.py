@@ -247,10 +247,14 @@ def test_perturbation_both_sectors_match_one_library_call_each(tmp_path):
     ("scan --n 8 --t-eval nan", "", "--t-eval"),
     ("corr-scan --n 8 --eps-j 0.1", "t_eval = inf", "--t-eval"),
     ("perturbation --n 6", "t = -inf", "--t"),
+    ("scan --n 10 --eps-j 0.1 --n-real 5 --seed -1", "", "--seed"),
+    ("transfer --n 8", "seed = -1", "--seed"),
 ])
 def test_out_of_range_options_exit_naming_the_flag(tmp_path, argv, config, flag):
     out = tmp_path / "x.csv"
-    extra = ["--seed", "1", "--out", str(out)]
+    extra = ["--out", str(out)]
+    if "seed" not in argv + config:
+        extra += ["--seed", "1"]
     if config:
         (tmp_path / "run.cfg").write_text(config + "\n")
         extra += ["--config", str(tmp_path / "run.cfg")]

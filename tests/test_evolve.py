@@ -301,13 +301,7 @@ def test_ensemble_average_across_realization_blocks():
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-def test_ensemble_refuses_a_non_finite_time_before_drawing(monkeypatch, bad):
-    import spinchain.chain
-
-    def no_draw(*args):
-        raise AssertionError("a realization was drawn")
-
-    monkeypatch.setattr(spinchain.chain, "substream", no_draw)
+def test_ensemble_refuses_a_non_finite_time_before_drawing(forbid_draws, bad):
     spec = ChainSpec(n_sites=10, eps_j=0.1)
     with pytest.raises(ValueError, match=f"evaluation time {float(bad)!r} is not finite"):
         ensemble_average(spec, 5, 1, [1.0, bad])

@@ -137,12 +137,6 @@ def test_collect_spacings_matches_hand_loop_over_keys():
     assert sample.n_realizations == 5
 
 
-def test_collect_spacings_refuses_no_realizations_before_drawing(monkeypatch):
-    import spinchain.chain
-
-    def no_draw(*args):
-        raise AssertionError("a realization was drawn")
-
-    monkeypatch.setattr(spinchain.chain, "substream", no_draw)
+def test_collect_spacings_refuses_no_realizations_before_drawing(forbid_draws):
     with pytest.raises(ValueError, match="n_real"):
         collect_spacings(ChainSpec(n_sites=9, eps_j=0.3), 0, 12)

@@ -124,13 +124,7 @@ def test_comparison_refuses_non_transfer_times(t, refused):
         assert 0.99 < row["f_pert"] < 1.0
 
 
-def test_comparison_refuses_before_drawing(monkeypatch):
-    import spinchain.chain
-
-    def no_draw(*args):
-        raise AssertionError("a realization was drawn")
-
-    monkeypatch.setattr(spinchain.chain, "substream", no_draw)
+def test_comparison_refuses_before_drawing(forbid_draws):
     with pytest.raises(ValueError, match="no perfect-transfer time"):
         perturbation_comparison(6, [0.01], ("j", "b"), 20, 1, t=1.0)
     with pytest.raises(ValueError, match="sector"):

@@ -254,7 +254,8 @@ def dimension_curve(n_sites: int, eps_j_grid, n_real: int, master_seed: int,
     The dimension is fitted per realization and the fits averaged
     (averaging the fidelity first would restore periodicity and destroy
     the fractal signal).  Points where every realization is refused or
-    degenerate come back as NaN, with one note per failure.  Realization
+    degenerate come back as NaN.  Each failure leaves one note
+    (i, r, message) for realization r of grid point i.  Realization
     r of grid point i is row r of hamiltonian_block(spec, master_seed,
     key_prefix + (i,), range(n_real)); n_real is checked first.
     """
@@ -275,7 +276,7 @@ def dimension_curve(n_sites: int, eps_j_grid, n_real: int, master_seed: int,
             try:
                 fit, _ = dimension_of_series(series)
             except (WindowSelectionError, DegenerateSeriesError) as err:
-                notes.append((float(eps_j), r, f"{type(err).__name__}: {err}"))
+                notes.append((i, r, f"{type(err).__name__}: {err}"))
                 continue
             dims.append(fit.params["dimension"])
         if dims:

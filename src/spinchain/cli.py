@@ -10,12 +10,15 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from collections import Counter
+from functools import partial
 from pathlib import Path
 
 from . import __version__
 from .chain import ChainSpec, TridiagonalHamiltonian, hamiltonian_block
-from .boxcount import box_count, fit_dimension, transient_trim
+from .boxcount import box_count, dimension_curve, fit_dimension, transient_trim
 from .evolve import fidelity_series, transfer_time
+from .fitting import curves_by_n, threshold_scaling
 from .levelstats import collect_spacings, eta, eta_curve, spacing_histogram
 from .scans import (FidelityPoint, ScanConfig, fit_scaling, points_from_rows,
                     perturbation_comparison, scan_fidelity, threshold_extract)
@@ -38,20 +41,36 @@ def _config_file_values(path) -> dict:
 def _coerce(raw: str, option: dict):
     kind = option.get("type", str)
     if option.get("nargs"):
-        return tuple(kind(tok) for tok in raw.replace(",", " ").split())
-    return kind(raw)
+        values = tuple(kind(tok) for tok in raw.replace(",", " ").split())
+        if not values:
+            raise ValueError("expected one or more values")
+        return values
+    value = kind(raw)
+    if option.get("choices") and value not in option["choices"]:
+        raise ValueError("must be one of " + ", ".join(option["choices"]))
+    return value
 
 
-def _resolve(args: argparse.Namespace, options: dict) -> dict:
-    """Merge precedence: defaults < config file < explicit flags."""
+def _resolve(command: str, args: argparse.Namespace, options: dict) -> dict:
+    """Merge precedence: defaults < config file < explicit flags.  A config
+    file key that names no option of the command, or a value that does
+    not parse, exits naming the file, the key and the command."""
     file_values = _config_file_values(args.config) if args.config else {}
+    for key in file_values:
+        if key not in options:
+            raise SystemExit(f"{command}: config file {args.config}: "
+                             f"key {key!r} names no option of {command}")
     merged = {}
     for dest, option in options.items():
         flag_value = getattr(args, dest)
         if flag_value is not None:
             merged[dest] = tuple(flag_value) if option.get("nargs") else flag_value
         elif dest in file_values:
-            merged[dest] = _coerce(file_values[dest], option)
+            try:
+                merged[dest] = _coerce(file_values[dest], option)
+            except ValueError as err:
+                raise SystemExit(f"{command}: config file {args.config}: key {dest!r}: "
+                                 f"{file_values[dest]!r}: {err}") from None
         else:
             merged[dest] = option.get("default")
     missing = [d for d, o in options.items()
@@ -110,12 +129,16 @@ OPTIONS = {
         "t_eval": {"type": float, "default": None},
     }),
     "fit-scaling": {
-        "table": {"type": str, "required": True, "help": "scan CSV to fit"},
+        "table": {"type": str, "nargs": "+", "required": True,
+                  "help": "scan CSVs to fit, rows pooled in the order given"},
         "out": {"type": str, "required": True},
     },
     "threshold": {
-        "table": {"type": str, "required": True, "help": "scan CSV to analyze"},
-        "f_target": {"type": float, "nargs": "+", "default": (0.9,)},
+        "table": {"type": str, "nargs": "+", "required": True,
+                  "help": "scan, eta-scan or dimension-scan CSVs, rows pooled "
+                          "in the order given"},
+        "f_target": {"type": float, "nargs": "+", "default": (0.9,),
+                     "help": "target of the table's value column (F, eta or D)"},
         "param": {"type": str, "default": "eps_j", "choices": ("eps_j", "eps_b")},
         "out": {"type": str, "required": True},
     },
@@ -132,6 +155,13 @@ OPTIONS = {
         "eps_j": {"type": float, "nargs": "+", "required": True},
         "n_real": {"type": int, "default": 1000},
         "bin_width": {"type": float, "default": 0.05},
+    }),
+    "dimension-scan": _common({
+        "n": {"type": int, "nargs": "+", "required": True},
+        "eps_j": {"type": float, "nargs": "+", "required": True},
+        "n_real": {"type": int, "default": 6},
+        "t_max": {"type": float, "default": 1e4},
+        "dt": {"type": float, "default": 0.05},
     }),
     "fractal": _common({
         "n": {"type": int, "required": True},
@@ -200,10 +230,13 @@ def _series(cfg):
 
 def _write(cfg, command, header, rows, csv_extra, **sidecar):
     """Write the CSV and its sidecar.  A command run from options records
-    them (plus csv_extra) in both; a command that reads a table records
-    csv_extra alone: the table and the metadata it carried."""
+    them (plus csv_extra) in both; a command that reads tables records
+    csv_extra alone in the CSV (the tables and the metadata they carried)
+    and the table path, or the list of them, in the sidecar."""
     if "table" in cfg:
         metadata = csv_extra
+        tables = cfg["table"]
+        sidecar["table"] = tables[0] if len(tables) == 1 else list(tables)
     else:
         metadata = _meta(cfg, command=command, **csv_extra)
         sidecar["config"] = _meta(cfg)
@@ -211,13 +244,44 @@ def _write(cfg, command, header, rows, csv_extra, **sidecar):
     write_sidecar(cfg["out"], {"command": command, **sidecar})
 
 
-def _read_points(path):
-    """(metadata, FidelityPoint list) of a scan table; other tables exit."""
-    metadata, header, rows = read_csv(path)
-    try:
-        return metadata, points_from_rows(header, rows)
-    except ValueError as err:
-        raise SystemExit(f"{path}: {err}") from None
+# Curve tables threshold reads besides scan tables: per (N, eps_j) rows
+# whose third column is the value that crosses the target.
+ETA_HEADER = ("n_sites", "eps_j", "eta")
+DIMENSION_HEADER = ("n_sites", "eps_j", "dimension", "stderr", "refused")
+CURVE_MODELS = {ETA_HEADER: "eta-threshold", DIMENSION_HEADER: "dimension-threshold"}
+
+
+def _read_tables(command, paths):
+    """(metadata, header, rows) of one or more tables of one kind, the rows
+    pooled in the order given.  A missing, empty or headerless table, a
+    row that is not one number per column, or a header that differs from
+    the first table's exits naming --table and the path.  One table's
+    metadata is carried as it is; with several, key k of the i-th table
+    becomes table<i>.k."""
+    tables = []
+    for path in paths:
+        try:
+            tables.append(read_csv(path))
+        except OSError as err:
+            raise SystemExit(f"{command}: --table {path}: {err.strerror}") from None
+        except ValueError as err:
+            raise SystemExit(f"{command}: --table {path}: {err}") from None
+    header = tables[0][1]
+    for path, (_, other, rows) in zip(paths, tables):
+        if other != header:
+            raise SystemExit(f"{command}: --table {path}: header {','.join(other)} "
+                             f"differs from {paths[0]}'s {','.join(header)}")
+        for k, row in enumerate(rows, 1):
+            if len(row) != len(header) or any(isinstance(v, str) for v in row):
+                raise SystemExit(f"{command}: --table {path}: data row {k} is not "
+                                 f"{len(header)} numbers")
+    if len(paths) == 1:
+        metadata = {"table": paths[0], **tables[0][0]}
+    else:
+        metadata = {"table": " ".join(paths)}
+        for i, (meta, _, _) in enumerate(tables, 1):
+            metadata.update({f"table{i}.{key}": value for key, value in meta.items()})
+    return metadata, header, [row for _, _, rows in tables for row in rows]
 
 
 def _cmd_transfer(cfg):
@@ -247,25 +311,39 @@ def _cmd_corr_scan(cfg):
 
 
 def _cmd_fit_scaling(cfg):
-    metadata, points = _read_points(cfg["table"])
+    metadata, header, rows = _read_tables("fit-scaling", cfg["table"])
     try:
-        fit = fit_scaling(points)
+        fit = fit_scaling(points_from_rows(header, rows))
     except ValueError as err:
-        raise SystemExit(f"fit-scaling: {cfg['table']}: {err}") from None
+        raise SystemExit(f"fit-scaling: --table {' '.join(cfg['table'])}: {err}") from None
     out_rows = [(name, fit.params[name], fit.stderr[name]) for name in sorted(fit.params)]
-    _write(cfg, "fit-scaling", ("parameter", "estimate", "stderr"), out_rows,
-           {"table": cfg["table"], **metadata},
-           table=cfg["table"], fit=_fit_payload(fit))
+    _write(cfg, "fit-scaling", ("parameter", "estimate", "stderr"), out_rows, metadata,
+           fit=_fit_payload(fit))
 
 
 def _cmd_threshold(cfg):
-    metadata, points = _read_points(cfg["table"])
+    metadata, header, rows = _read_tables("threshold", cfg["table"])
+    tables = " ".join(cfg["table"])
+    model = CURVE_MODELS.get(tuple(header))
+    if model is not None:
+        if cfg["param"] != "eps_j":
+            raise SystemExit(f"threshold: --param {cfg['param']}: the "
+                             f"{','.join(header)} table {tables} holds eps_j curves only")
+        curves = curves_by_n((int(r[0]), r[1], r[2]) for r in rows)
+        extract = partial(threshold_scaling, curves, model=model)
+    elif tuple(header) == FidelityPoint.HEADER:
+        extract = partial(threshold_extract, points_from_rows(header, rows),
+                          param=cfg["param"])
+    else:
+        accepted = " or ".join(",".join(h) for h in (FidelityPoint.HEADER, *CURVE_MODELS))
+        raise SystemExit(f"threshold: --table {tables}: expected a table with header "
+                         f"{accepted}, found {','.join(header)}")
     out_rows, fits = [], {}
     for target in cfg["f_target"]:
         try:
-            scaling = threshold_extract(points, target, param=cfg["param"])
+            scaling = extract(target)
         except ValueError as err:
-            raise SystemExit(f"threshold: {cfg['table']}: {err}") from None
+            raise SystemExit(f"threshold: --table {tables}: {err}") from None
         for n in sorted(scaling.thresholds):
             out_rows.append((cfg["param"], target, n, scaling.thresholds[n]))
         fits[format(target, ".17g")] = {
@@ -273,8 +351,8 @@ def _cmd_threshold(cfg):
             "skipped": list(scaling.skipped),
         }
     _write(cfg, "threshold", ("param", "f_target", "n_sites", "eps_c"), out_rows,
-           {"table": cfg["table"], "param": cfg["param"], **metadata},
-           table=cfg["table"], param=cfg["param"], targets=fits)
+           {"param": cfg["param"], **metadata},
+           param=cfg["param"], targets=fits)
 
 
 def _cmd_spectrum(cfg):
@@ -295,7 +373,21 @@ def _cmd_eta_scan(cfg):
                            key_prefix=(ni,))
         rows.extend((n_sites, eps, val)
                     for eps, val in zip(cfg["eps_j"], values))
-    _write(cfg, "eta-scan", ("n_sites", "eps_j", "eta"), rows, {})
+    _write(cfg, "eta-scan", ETA_HEADER, rows, {})
+
+
+def _cmd_dimension_scan(cfg):
+    rows, refusals = [], []
+    for ni, n_sites in enumerate(cfg["n"]):
+        d_mean, d_err, notes = dimension_curve(
+            n_sites, cfg["eps_j"], cfg["n_real"], cfg["seed"], base_coupling=cfg["j"],
+            t_max=cfg["t_max"], dt=cfg["dt"], key_prefix=(ni,))
+        refused = Counter(i for i, _, _ in notes)
+        rows.extend((n_sites, eps, d, se, refused[i])
+                    for i, (eps, d, se) in enumerate(zip(cfg["eps_j"], d_mean, d_err)))
+        refusals.extend({"n_sites": n_sites, "eps_j": cfg["eps_j"][i], "realization": r,
+                         "note": note} for i, r, note in notes)
+    _write(cfg, "dimension-scan", DIMENSION_HEADER, rows, {}, refusals=refusals)
 
 
 def _cmd_fractal(cfg):
@@ -368,25 +460,34 @@ HANDLERS = {
     "threshold": _cmd_threshold,
     "spectrum": _cmd_spectrum,
     "eta-scan": _cmd_eta_scan,
+    "dimension-scan": _cmd_dimension_scan,
     "fractal": _cmd_fractal,
     "perturbation": _cmd_perturbation,
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand.  Given a command, only that
+    subcommand gets its options: adding every command's options costs
+    more than a small table takes to compute."""
     parser = argparse.ArgumentParser(
         prog="spinchain",
         description="Disordered spin-chain state transfer experiments")
     parser.add_argument("--version", action="version", version=f"spinchain {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, options in OPTIONS.items():
-        _add_options(sub.add_parser(name), options)
+        subparser = sub.add_parser(name)
+        if command in (None, name):
+            _add_options(subparser, options)
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    cfg = _resolve(args, OPTIONS[args.command])
+    argv = sys.argv[1:] if argv is None else argv
+    # the top-level options take no value, so the first bare word is the command
+    command = next((arg for arg in argv if not arg.startswith("-")), None)
+    args = build_parser(command).parse_args(argv)
+    cfg = _resolve(args.command, args, OPTIONS[args.command])
     _check_ranges(args.command, cfg)
     HANDLERS[args.command](cfg)
     return 0

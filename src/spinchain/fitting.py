@@ -13,6 +13,7 @@ __all__ = [
     "power_law_fit",
     "fit_through_origin",
     "crossing_loglinear",
+    "curves_by_n",
     "threshold_scaling",
 ]
 
@@ -115,6 +116,19 @@ def crossing_loglinear(x, values, target):
                 * (np.log(x[i]) - np.log(x[i - 1]))
             return float(np.exp(lx))
     return None
+
+
+def curves_by_n(triples) -> dict:
+    """N -> (x grid, values) of (N, x, value) triples, each curve sorted
+    by x: the input threshold_scaling expects."""
+    pairs = {}
+    for n, x, value in triples:
+        pairs.setdefault(n, []).append((x, value))
+    curves = {}
+    for n, curve in pairs.items():
+        curve.sort()
+        curves[n] = (np.array([x for x, _ in curve]), np.array([v for _, v in curve]))
+    return curves
 
 
 def threshold_scaling(curves: dict, target, model: str) -> ThresholdScaling:

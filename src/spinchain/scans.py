@@ -23,7 +23,7 @@ import numpy as np
 
 from .chain import ChainSpec
 from .evolve import ensemble_averages, transfer_time
-from .fitting import (FitResult, ThresholdScaling, fit_through_origin,
+from .fitting import (FitResult, ThresholdScaling, curves_by_n, fit_through_origin,
                       power_law_fit, threshold_scaling)
 from .perturbation import (compute_coefficients, infidelity_sums,
                            perturbative_fidelity, require_transfer_time)
@@ -207,20 +207,11 @@ def threshold_extract(points, f_target: float, param: str = "eps_j") -> Threshol
         raise ValueError(f"param must be eps_j or eps_b, got {param!r}")
     _one_corr_p(points)
     other = "eps_b" if param == "eps_j" else "eps_j"
-    curves = {}
-    for p in points:
-        if getattr(p, other) != 0.0 or getattr(p, param) <= 0.0:
-            continue
-        curves.setdefault(p.n_sites, []).append((getattr(p, param), p.fbar))
+    curves = curves_by_n((p.n_sites, getattr(p, param), p.fbar) for p in points
+                         if getattr(p, other) == 0.0 and getattr(p, param) > 0.0)
     if not curves:
         raise ValueError(f"no pure {param} rows in the table")
-    prepared = {}
-    for n, pairs in curves.items():
-        pairs.sort()
-        grid = np.array([g for g, _ in pairs])
-        vals = np.array([v for _, v in pairs])
-        prepared[n] = (grid, vals)
-    return threshold_scaling(prepared, f_target, model=f"{param}-threshold")
+    return threshold_scaling(curves, f_target, model=f"{param}-threshold")
 
 
 def perturbation_comparison(n_sites: int, eps_values, sectors, n_real: int,

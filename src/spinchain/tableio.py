@@ -65,7 +65,7 @@ def read_csv(path):
                 parsed.append(tok)
         rows.append(tuple(parsed))
     if header is None:
-        raise ValueError(f"{path}: no header row found")
+        raise ValueError("no header row found")
     return metadata, header, rows
 
 

@@ -1,5 +1,6 @@
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -8,10 +9,13 @@ import numpy as np
 import pytest
 
 import spinchain
-from spinchain import (ChainSpec, build_hamiltonian, fidelity_series,
+from spinchain import (ChainSpec, build_hamiltonian, dimension_curve, dimension_threshold,
+                       eta_curve, eta_threshold, fidelity_series, fit_scaling,
                        perturbation_comparison, sample_disorder, substream,
-                       transfer_time)
-from spinchain.cli import main
+                       threshold_extract, transfer_time)
+from spinchain import cli
+from spinchain.cli import OPTIONS, build_parser, main
+from spinchain.scans import points_from_rows
 from spinchain.tableio import read_csv, sidecar_path
 
 
@@ -181,16 +185,27 @@ def test_fractal_manual_window_needs_both_edges(tmp_path, given, missing):
     assert not out.exists()
 
 
+# command -> (a table it does not read, the header it must list as found)
+OTHER_KIND = {
+    "fit-scaling": ("eta-scan --n 10 --eps-j 0.1 0.5 --n-real 3 --seed 4",
+                    "n_sites,eps_j,eta"),
+    "threshold": ("spectrum --n 10 --eps-j 0.1 --n-real 3 --seed 4",
+                  "bin_left,bin_right,bin_center,density"),
+}
+
+
 @pytest.mark.parametrize("command", ["fit-scaling", "threshold"])
 def test_table_commands_reject_a_table_of_another_kind(tmp_path, command):
-    table = tmp_path / "eta.csv"
-    run_cli("eta-scan", "--n", 10, "--eps-j", 0.1, 0.5, "--n-real", 3,
-            "--seed", 4, "--out", table)
+    argv, found = OTHER_KIND[command]
+    table = tmp_path / "other.csv"
+    run_cli(*argv.split(), "--out", table)
     with pytest.raises(SystemExit) as err:
         main([command, "--table", str(table), "--out", str(tmp_path / "x.csv")])
     message = str(err.value)
     assert "n_sites,eps_j,eps_b,corr_p,fbar,stderr,n_real" in message
-    assert "found n_sites,eps_j,eta" in message
+    assert f"found {found}" in message
+    if command == "threshold":
+        assert "n_sites,eps_j,eta or n_sites,eps_j,dimension,stderr,refused" in message
 
 
 @pytest.mark.parametrize("command", ["fit-scaling", "threshold"])
@@ -292,9 +307,224 @@ def test_transfer_bytes_do_not_depend_on_blas_threads(tmp_path):
     ("fractal", "fractal --n 40 --eps-j 0.4 --t-max 200 --seed 6"),
     ("corr-scan", "corr-scan --n 8 12 --eps-j 0.05 0.2 --corr-p 0.1 0.5 0.9 "
                   "--n-real 30 --seed 5"),
+    ("dimension-scan", "dimension-scan --n 12 20 --eps-j 0.3 0.6 1.0 --t-max 35 "
+                       "--n-real 3 --seed 1"),
 ])
 def test_output_matches_the_committed_golden_table(tmp_path, name, argv):
     out = tmp_path / f"{name}.csv"
     run_cli(*argv.split(), "--out", out)
     golden = Path(__file__).parent / "data" / f"{name}.csv"
     assert out.read_bytes() == golden.read_bytes()
+
+
+def test_dimension_scan_rows_match_dimension_curve(tmp_path):
+    # a repeated eps_j is its own cell: its refusals are counted apart
+    grid = (0.6, 0.3, 0.6)
+    out = tmp_path / "dim.csv"
+    run_cli("dimension-scan", "--n", 12, 20, "--eps-j", *grid, "--t-max", 35,
+            "--n-real", 3, "--seed", 1, "--out", out)
+    _, header, rows = read_csv(out)
+    assert header == ["n_sites", "eps_j", "dimension", "stderr", "refused"]
+    expected, notes_seen = [], []
+    for ni, n in enumerate((12, 20)):
+        d_mean, d_err, notes = dimension_curve(n, grid, 3, 1, t_max=35.0, key_prefix=(ni,))
+        expected += [(n, eps, d, e, sum(1 for i, _, _ in notes if i == gi))
+                     for gi, (eps, d, e) in enumerate(zip(grid, d_mean, d_err))]
+        notes_seen += [{"n_sites": n, "eps_j": grid[i], "realization": r, "note": note}
+                       for i, r, note in notes]
+    assert [r[4] for r in rows] == [0, 1, 1, 1, 0, 1]   # refusals in this draw
+    np.testing.assert_array_equal(np.array(rows, dtype=float), np.array(expected, dtype=float))
+    assert read_sidecar(out)["refusals"] == notes_seen
+
+
+def _curve_table(tmp_path, kind, grid):
+    """(table path, N -> (sorted grid, values)) of an eta-scan or a
+    dimension-scan run and of the library calls it makes."""
+    out = tmp_path / f"{kind}.csv"
+    if kind == "eta-scan":
+        n_values = (10, 20, 40)
+        run_cli("eta-scan", "--n", *n_values, "--eps-j", *grid, "--n-real", 30,
+                "--seed", 4, "--out", out)
+        values = [eta_curve(n, grid, 30, 4, key_prefix=(ni,))
+                  for ni, n in enumerate(n_values)]
+    else:
+        n_values = (12, 20, 30)
+        run_cli("dimension-scan", "--n", *n_values, "--eps-j", *grid, "--t-max", 200,
+                "--n-real", 2, "--seed", 4, "--out", out)
+        values = [dimension_curve(n, grid, 2, 4, t_max=200.0, key_prefix=(ni,))[0]
+                  for ni, n in enumerate(n_values)]
+    order = np.argsort(grid)
+    curves = {n: (np.asarray(grid)[order], v[order]) for n, v in zip(n_values, values)}
+    return out, curves
+
+
+@pytest.mark.parametrize("order", ["ascending", "descending"])
+@pytest.mark.parametrize("kind, targets, reference", [
+    ("eta-scan", (0.5, 0.8), eta_threshold),
+    ("dimension-scan", (1.85, 1.8), dimension_threshold),
+])
+def test_threshold_on_curve_tables_matches_the_library(tmp_path, order, kind, targets,
+                                                       reference):
+    grid = [0.001, 0.01, 0.1, 0.3, 0.6, 1.0]
+    if order == "descending":
+        grid.reverse()
+    table, curves = _curve_table(tmp_path, kind, grid)
+    out = tmp_path / "thr.csv"
+    run_cli("threshold", "--table", table, "--f-target", *targets, "--out", out)
+    _, _, rows = read_csv(out)
+    side = read_sidecar(out)
+    expected_rows = []
+    for target in targets:
+        scaling = reference(curves, target)
+        fit = side["targets"][format(target, ".17g")]["fit"]
+        assert fit["model"] == scaling.fit.model
+        assert fit["params"] == scaling.fit.params
+        assert fit["stderr"] == scaling.fit.stderr
+        expected_rows += [("eps_j", target, n, scaling.thresholds[n])
+                          for n in sorted(scaling.thresholds)]
+    assert len(scaling.thresholds) == 3
+    assert rows == expected_rows
+
+
+def test_threshold_refuses_eps_b_on_a_curve_table(tmp_path):
+    table, _ = _curve_table(tmp_path, "eta-scan", [0.01, 0.1])
+    out = tmp_path / "thr.csv"
+    with pytest.raises(SystemExit) as err:
+        main(["threshold", "--table", str(table), "--param", "eps_b", "--out", str(out)])
+    assert str(err.value).startswith("threshold: --param eps_b: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["fit-scaling", "threshold"])
+def test_table_commands_pool_several_tables(tmp_path, command):
+    # one coupling scan plus one field scan per N, as the kappa fit and the
+    # eps_b threshold need; rows pool in the order given
+    tables, points = [], []
+    for name, argv in [("j", "--n 10 20 --eps-j 0.05 0.1 0.2 0.4 --seed 5"),
+                       ("b10", "--n 10 --eps-b 0.5 1 2 4 --seed 6"),
+                       ("b20", "--n 20 --eps-b 0.7 1.4 2.8 5.6 --seed 6")]:
+        tables.append(tmp_path / f"{name}.csv")
+        run_cli("scan", *argv.split(), "--n-real", 40, "--out", tables[-1])
+        points += points_from_rows(*read_csv(tables[-1])[1:])
+    out = tmp_path / "out.csv"
+    if command == "fit-scaling":
+        run_cli("fit-scaling", "--table", *tables, "--out", out)
+        fit = fit_scaling(points)
+        expected = [(k, fit.params[k], fit.stderr[k]) for k in sorted(fit.params)]
+    else:
+        run_cli("threshold", "--table", *tables, "--param", "eps_b", "--f-target", 0.9,
+                "--out", out)
+        scaling = threshold_extract(points, 0.9, param="eps_b")
+        expected = [("eps_b", 0.9, n, scaling.thresholds[n])
+                    for n in sorted(scaling.thresholds)]
+    metadata, _, rows = read_csv(out)
+    assert rows == expected
+    assert metadata["table"] == " ".join(str(t) for t in tables)
+    assert (metadata["table1.seed"], metadata["table2.seed"], metadata["table3.n"]) == \
+        ("5", "6", "20")
+    assert read_sidecar(out)["table"] == [str(t) for t in tables]
+
+
+@pytest.mark.parametrize("command", ["fit-scaling", "threshold"])
+@pytest.mark.parametrize("content, reason", [
+    (None, "No such file or directory"),
+    ("", "no header row found"),
+    ("# seed=1\n# n_real=3\n", "no header row found"),
+    ("n_sites,eps_j,eta\n10,0.1,0.5\n10,0.2\n", "data row 2 is not 3 numbers"),
+    ("n_sites,eps_j,eta\n10,abc,0.5\n", "data row 1 is not 3 numbers"),
+])
+def test_table_commands_exit_naming_an_unreadable_table(tmp_path, command, content,
+                                                        reason):
+    table = tmp_path / "table.csv"
+    if content is not None:
+        table.write_text(content)
+    out = tmp_path / "out.csv"
+    with pytest.raises(SystemExit) as err:
+        main([command, "--table", str(table), "--out", str(out)])
+    assert str(err.value) == f"{command}: --table {table}: {reason}"
+    assert not out.exists()
+
+
+def test_table_commands_refuse_tables_of_two_kinds(tmp_path):
+    scan, eta_table = tmp_path / "scan.csv", tmp_path / "eta.csv"
+    run_cli("scan", "--n", 8, "--eps-j", 0.1, "--n-real", 3, "--seed", 1, "--out", scan)
+    run_cli("eta-scan", "--n", 8, "--eps-j", 0.1, "--n-real", 3, "--seed", 1,
+            "--out", eta_table)
+    with pytest.raises(SystemExit) as err:
+        main(["threshold", "--table", str(scan), str(eta_table), "--out",
+              str(tmp_path / "x.csv")])
+    assert str(err.value) == (f"threshold: --table {eta_table}: header n_sites,eps_j,eta "
+                              f"differs from {scan}'s "
+                              "n_sites,eps_j,eps_b,corr_p,fbar,stderr,n_real")
+
+
+@pytest.mark.parametrize("config, key", [
+    ("n_rael = 5", "'n_rael'"),
+    ("config = other.cfg", "'config'"),
+])
+def test_config_file_key_of_no_option_exits(tmp_path, config, key):
+    cfg = tmp_path / "typo.cfg"
+    cfg.write_text(config + "\n")
+    out = tmp_path / "x.csv"
+    with pytest.raises(SystemExit) as err:
+        main(["scan", "--n", "6", "--eps-j", "0.1", "--seed", "1", "--config", str(cfg),
+              "--out", str(out)])
+    assert str(err.value) == f"scan: config file {cfg}: key {key} names no option of scan"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, config, key", [
+    ("scan", "n_real = abc", "'n_real'"),
+    ("scan", "eps_j = 0.1 x", "'eps_j'"),
+    ("scan", "eps_j =", "'eps_j'"),
+    ("perturbation", "sector = c", "'sector'"),
+])
+def test_config_file_value_that_does_not_parse_exits(tmp_path, command, config, key):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(config + "\n")
+    out = tmp_path / "x.csv"
+    with pytest.raises(SystemExit) as err:
+        main([command, "--n", "6", "--seed", "1", "--config", str(cfg), "--out", str(out)])
+    assert str(err.value).startswith(f"{command}: config file {cfg}: key {key}: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, code, stream, expected", [
+    (["--help"], 0, "out", "{transfer,scan,corr-scan,fit-scaling,threshold,spectrum,"
+                           "eta-scan,dimension-scan,fractal,perturbation}"),
+    (["--version"], 0, "out", f"spinchain {spinchain.__version__}\n"),
+    (["foo"], 2, "err", "argument command: invalid choice: 'foo' (choose from "
+                        "'transfer', 'scan', 'corr-scan', 'fit-scaling'"),
+    ([], 2, "err", "the following arguments are required: command"),
+])
+def test_help_version_and_unknown_command(capsys, argv, code, stream, expected):
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == code
+    assert expected in getattr(capsys.readouterr(), stream)
+
+
+def test_every_subcommand_help_lists_its_options(capsys):
+    for command, options in OPTIONS.items():
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        text = capsys.readouterr().out
+        for dest in ("config", *options):
+            assert "--" + dest.replace("_", "-") in text, (command, dest)
+
+
+def _readme_commands():
+    """The spinchain lines of README's Command line block, continuations joined."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line) for line in block.replace("\\\n", " ").splitlines()
+            if line.startswith("spinchain ")]
+
+
+def test_readme_command_block_parses():
+    commands = _readme_commands()
+    assert sorted({argv[1] for argv in commands}) == sorted(OPTIONS)
+    for argv in commands:
+        args = build_parser(argv[1]).parse_args(argv[1:])
+        cli._check_ranges(args.command, cli._resolve(args.command, args,
+                                                     OPTIONS[args.command]))

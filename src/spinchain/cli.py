@@ -11,7 +11,6 @@ import argparse
 import math
 import sys
 from collections import Counter
-from functools import partial
 from pathlib import Path
 
 from . import __version__
@@ -21,7 +20,7 @@ from .evolve import fidelity_series, transfer_time
 from .fitting import curves_by_n, threshold_scaling
 from .levelstats import collect_spacings, eta, eta_curve, spacing_histogram
 from .scans import (FidelityPoint, ScanConfig, fit_scaling, points_from_rows,
-                    perturbation_comparison, scan_fidelity, threshold_extract)
+                    perturbation_comparison, scan_fidelity, threshold_curves)
 from .tableio import read_csv, write_csv, write_sidecar
 
 
@@ -322,6 +321,10 @@ def _cmd_fit_scaling(cfg):
 
 
 def _cmd_threshold(cfg):
+    """Thresholds per --f-target.  A target that fewer than two chain
+    lengths cross is skipped and its reason recorded under the sidecar's
+    targets; the command exits, naming --f-target, only when every
+    target is skipped."""
     metadata, header, rows = _read_tables("threshold", cfg["table"])
     tables = " ".join(cfg["table"])
     model = CURVE_MODELS.get(tuple(header))
@@ -330,26 +333,35 @@ def _cmd_threshold(cfg):
             raise SystemExit(f"threshold: --param {cfg['param']}: the "
                              f"{','.join(header)} table {tables} holds eps_j curves only")
         curves = curves_by_n((int(r[0]), r[1], r[2]) for r in rows)
-        extract = partial(threshold_scaling, curves, model=model)
     elif tuple(header) == FidelityPoint.HEADER:
-        extract = partial(threshold_extract, points_from_rows(header, rows),
-                          param=cfg["param"])
+        model = f"{cfg['param']}-threshold"
+        try:
+            curves = threshold_curves(points_from_rows(header, rows), cfg["param"])
+        except ValueError as err:
+            raise SystemExit(f"threshold: --table {tables}: {err}") from None
     else:
         accepted = " or ".join(",".join(h) for h in (FidelityPoint.HEADER, *CURVE_MODELS))
         raise SystemExit(f"threshold: --table {tables}: expected a table with header "
                          f"{accepted}, found {','.join(header)}")
     out_rows, fits = [], {}
     for target in cfg["f_target"]:
+        key = format(target, ".17g")
         try:
-            scaling = extract(target)
+            scaling = threshold_scaling(curves, target, model=model)
         except ValueError as err:
-            raise SystemExit(f"threshold: --table {tables}: {err}") from None
+            fits[key] = {"fit": None, "reason": str(err)}
+            continue
         for n in sorted(scaling.thresholds):
             out_rows.append((cfg["param"], target, n, scaling.thresholds[n]))
-        fits[format(target, ".17g")] = {
+        fits[key] = {
             "fit": _fit_payload(scaling.fit),
             "skipped": list(scaling.skipped),
         }
+    if not out_rows:
+        reasons = "; ".join(fit["reason"] for fit in fits.values())
+        targets = " ".join(str(t) for t in cfg["f_target"])
+        raise SystemExit(f"threshold: --f-target {targets}: no target yields "
+                         f"a threshold: {reasons}")
     _write(cfg, "threshold", ("param", "f_target", "n_sites", "eps_c"), out_rows,
            {"param": cfg["param"], **metadata},
            param=cfg["param"], targets=fits)

@@ -9,12 +9,16 @@ Two propagators, each where it is cheaper:
   into arrays and stream through shared blocks, which may span cells;
   each row runs on its own cell's spectral interval, so its bits do not
   depend on the block.  The cost grows with half-width x t.
-* Single Hamiltonians and long time series (eigendecompose,
-  transfer_amplitude, fidelity_series) use one eigendecomposition;
-  amplitudes at any time then follow from phase factors on the
-  spectrum.  A series of m samples builds its phases from two tables of
-  about sqrt(m) exact exponentials per mode, so after the setup it
-  costs O(N m) flops in BLAS plus O(N sqrt(m)) exponentials.
+* Single Hamiltonians and long time series use the spectrum; amplitudes
+  at any time then follow from phase factors on it.  eigendecompose
+  (with eigenvectors) serves amplitudes and transfer_amplitude.
+  fidelity_series reads only the eigenvalues E_k and the end-to-end
+  weights w_k = v_1k v_Nk, so it computes no eigenvectors: sterf
+  eigenvalues, refined by one Newton step on the Sturm pivots, and the
+  weights from the Jacobi-matrix identity.  A series of m samples
+  builds its phases from two tables of about sqrt(m) exact exponentials
+  per mode, so after the setup it costs O(N m) flops in BLAS plus
+  O(N sqrt(m)) exponentials.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 from scipy.linalg import eigh_tridiagonal
 
 from .chain import (ChainSpec, TridiagonalHamiltonian, gershgorin_radii,
@@ -55,6 +60,13 @@ _REALIZATION_BLOCK = 128
 # The Chebyshev series stops where the Kapteyn bound on the sum of every
 # remaining term 2 |J_k(x)| falls below this.
 _CHEBYSHEV_TAIL = 1e-16
+
+# Ratios multiplied per step in _end_to_end_weights before the binary
+# exponent is split off; each ratio is at most 1 / eps, so 16 of them
+# stay below 1e251.
+_WEIGHT_CHUNK = 16
+
+_TINY = np.finfo(float).tiny
 
 _log = logging.getLogger(__name__)
 
@@ -122,6 +134,9 @@ def eigendecompose(h: TridiagonalHamiltonian) -> SpectralDecomposition:
     near-severed chains: stemr refuses 28 of 200 eps_j = 1, N = 200
     chains whose smallest hopping is 0.08 to 3.3.  The fallback is a
     function of the input alone, so outputs stay deterministic.
+
+    fidelity_series does not come here: it needs no eigenvectors and
+    takes its spectrum from _transfer_spectrum, which never falls back.
     """
     try:
         w, v = eigh_tridiagonal(h.diag, h.offdiag, lapack_driver="stemr")
@@ -133,6 +148,116 @@ def eigendecompose(h: TridiagonalHamiltonian) -> SpectralDecomposition:
     flip = v[first_nonzero, np.arange(v.shape[1])] < 0.0
     v[:, flip] *= -1.0
     return SpectralDecomposition(eigenvalues=w, eigenvectors=v)
+
+
+def _newton_step(diag: np.ndarray, offdiag: np.ndarray,
+                 eigenvalues: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalue estimates after one Newton step on det(H - x).
+
+    det(H - x) is the product of the LDL^T pivots (the Sturm sequence)
+    d_0 = a_0 - x, d_i = a_i - x - b_(i-1)^2 / d_(i-1), so the step is
+    -1 / sum_i r_i with r_i = d_i' / d_i.  The ratios follow
+    r_0 = -1 / d_0 and r_i = g_i r_(i-1) - 1 / d_i with
+    g_i = b_(i-1)^2 / (d_(i-1) d_i), which stays finite where d_i'
+    itself would overflow.  One Python loop over the sites updates every
+    eigenvalue at once: O(N^2) flops.
+
+    A pivot below pivmin = tiny * max(1, max b^2) in magnitude is set to
+    -pivmin, as in LAPACK's bisection (dstebz), so an exactly zero pivot
+    (a clean odd-N chain at x = 0, where a_0 = 0) stays finite; the step
+    it gives is then tiny or rejected.
+
+    A step is kept only if it is finite and smaller than half the gap to
+    the nearest other estimate, which also keeps the order that
+    _end_to_end_weights relies on.  Any other step leaves that estimate
+    as it was, and a WARNING names N and the count.  Inside a cluster
+    closer than the estimates' error (the near-zero pair of a chain with
+    no fields at strong disorder, a nearly severed mirror-symmetric
+    chain) the step cannot help, and this is where rejections happen.
+    """
+    n = diag.shape[0]
+    b2 = offdiag * offdiag
+    pivmin = _TINY * max(1.0, float(b2.max(initial=0.0)))
+    pivot = diag[0] - eigenvalues
+    np.putmask(pivot, np.abs(pivot) < pivmin, -pivmin)
+    ratio = -1.0 / pivot
+    total = ratio.copy()
+    coupling = np.empty(n)
+    inverse = np.empty(n)
+    for i in range(1, n):
+        np.divide(b2[i - 1], pivot, out=coupling)      # b^2 / d_(i-1)
+        np.subtract(diag[i], eigenvalues, out=pivot)
+        pivot -= coupling
+        np.putmask(pivot, np.abs(pivot) < pivmin, -pivmin)
+        coupling /= pivot                               # g_i
+        ratio *= coupling
+        np.divide(1.0, pivot, out=inverse)
+        ratio -= inverse
+        total += ratio
+    step = -1.0 / total
+    gaps = np.diff(eigenvalues)
+    half_gap = 0.5 * np.minimum(np.append(gaps, np.inf), np.insert(gaps, 0, np.inf))
+    ok = np.abs(step) < half_gap
+    if not ok.all():
+        _log.warning("Newton step rejected for %d of %d eigenvalues of an N = %d "
+                     "Hamiltonian; keeping sterf's values", n - np.count_nonzero(ok), n, n)
+    return np.where(ok, eigenvalues + step, eigenvalues)
+
+
+def _end_to_end_weights(offdiag: np.ndarray, eigenvalues: np.ndarray) -> np.ndarray:
+    """w_k = v_1k v_Nk from ascending eigenvalues, without eigenvectors.
+
+    For a Jacobi matrix with hoppings b_j the (1, N) entry of the
+    resolvent is prod_j b_j / det(z - H), and its residues give
+    w_k = prod_j b_j / prod_(i != k) (E_k - E_i) (de Boor & Golub,
+    Linear Algebra Appl. 21, 1978).  Row k is multiplied out as the
+    ratios b_j / (E_k - E_j), _WEIGHT_CHUNK at a time, with the binary
+    exponent carried apart (np.frexp), so the running product stays in
+    range and rounds to about sqrt(N) eps relative.  (A sum of
+    logarithms cancels two sums of order N log N: it read up to 2.6e-14
+    off at N = 500.)  Signs come with the factors: an exactly zero
+    hopping gives w = 0 exactly, and negative hoppings need no special
+    case.  A weight below the smallest normal number is returned as 0.
+
+    A gap below eps max|E| is read as eps max|E| with the sign of the
+    order: eigenvalues that close are not resolved, and their weights
+    then shrink instead of growing without bound.
+    """
+    n = eigenvalues.shape[0]
+    floor = max(np.finfo(float).eps * max(-eigenvalues[0], eigenvalues[-1]), _TINY)
+    gaps = eigenvalues - eigenvalues[:, None]        # gaps[j, k] = E_k - E_j
+    np.fill_diagonal(gaps, 1.0)
+    if np.min(np.diff(eigenvalues), initial=np.inf) < floor:
+        below = np.abs(gaps) < floor
+        gaps[below] = np.where(np.tri(n, k=-1, dtype=bool), -floor, floor)[below]
+    # column k pairs b_j with E_k - E_j, and b_k with the 1 on the diagonal
+    ratios = np.divide(np.append(offdiag, 1.0)[:, None], gaps, out=gaps)
+    mantissa = np.ones(n)
+    exponent = np.zeros(n, dtype=int)
+    for start in range(0, n, _WEIGHT_CHUNK):
+        mantissa *= np.prod(ratios[start:start + _WEIGHT_CHUNK], axis=0)
+        mantissa, e = np.frexp(mantissa)
+        exponent += e
+    weights = np.zeros(n)
+    np.ldexp(mantissa, exponent, out=weights, where=exponent > np.finfo(float).minexp)
+    return weights
+
+
+def _transfer_spectrum(h: TridiagonalHamiltonian) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues (ascending) and end-to-end weights w_k = v_1k v_Nk of h.
+
+    sterf eigenvalues (root-free QL; it never refuses a matrix), one
+    guarded Newton step (_newton_step) and the Jacobi-matrix identity
+    (_end_to_end_weights): O(N^2), with no eigenvectors.  Against
+    long-double Rayleigh quotients at N = 200 and 500 the step brings
+    the eigenvalues from 18-45 eps a (sterf) to below eps a for
+    half-width a; stemr with vectors reads 5-22 eps a.
+    """
+    # called through the module, not a name bound here: benchmark/tracer.py
+    # wraps module-level names, and this call belongs to fidelity_series
+    eigenvalues = scipy.linalg.eigvalsh_tridiagonal(h.diag, h.offdiag, lapack_driver="sterf")
+    eigenvalues = _newton_step(h.diag, h.offdiag, eigenvalues)
+    return eigenvalues, _end_to_end_weights(h.offdiag, eigenvalues)
 
 
 def amplitudes(sd: SpectralDecomposition, t: float) -> np.ndarray:
@@ -157,9 +282,10 @@ def transfer_amplitude(sd: SpectralDecomposition, times) -> np.ndarray:
     return out
 
 
-def _transfer_amplitude_uniform(sd: SpectralDecomposition,
+def _transfer_amplitude_uniform(eigenvalues: np.ndarray, weights: np.ndarray,
                                 times: np.ndarray) -> np.ndarray:
-    """f_N on a uniform grid t_k = k dt from two tables of exact phases.
+    """f_N = sum_k w_k exp(-i E_k t) on a uniform grid t_k = k dt from two
+    tables of exact phases.
 
     With B = ceil(sqrt(m)) for m samples and k = aB + b,
     exp(-iE t_k) = exp(-iE t_aB) exp(-iE t_b): row a of `outer` holds the
@@ -171,9 +297,8 @@ def _transfer_amplitude_uniform(sd: SpectralDecomposition,
     """
     m = times.shape[0]
     block = math.isqrt(m - 1) + 1  # ceil(sqrt(m))
-    v = sd.eigenvectors
-    outer = np.exp(np.outer(times[::block], -1j * sd.eigenvalues)) * (v[0] * v[-1])
-    inner = np.exp(np.outer(times[:block], -1j * sd.eigenvalues))
+    outer = np.exp(np.outer(times[::block], -1j * eigenvalues)) * weights
+    inner = np.exp(np.outer(times[:block], -1j * eigenvalues))
     return np.concatenate([inner @ row for row in outer])[:m]
 
 
@@ -202,7 +327,7 @@ def fidelity_series(h: TridiagonalHamiltonian, t_max: float, dt: float) -> Fidel
         raise ValueError("t_max must be >= dt")
     n_steps = int(np.floor(t_max / dt + 1e-9))
     times = np.arange(n_steps + 1) * dt
-    amp = _transfer_amplitude_uniform(eigendecompose(h), times)
+    amp = _transfer_amplitude_uniform(*_transfer_spectrum(h), times)
     return FidelitySeries(times=times, amplitude=amp,
                           fidelity=fidelity_of_amplitude(amp))
 

@@ -34,6 +34,7 @@ __all__ = [
     "points_from_rows",
     "scan_fidelity",
     "fit_scaling",
+    "threshold_curves",
     "threshold_extract",
     "perturbation_comparison",
     "SCALING_MASK_FLOOR",
@@ -194,14 +195,12 @@ def fit_scaling(points, mask_floor: float = SCALING_MASK_FLOOR) -> FitResult:
                      residual_norm=float(np.sqrt(rss_total)), mask=tuple(used))
 
 
-def threshold_extract(points, f_target: float, param: str = "eps_j") -> ThresholdScaling:
-    """Disorder strength where F(t1) crosses f_target, per N, plus exponent.
+def threshold_curves(points, param: str = "eps_j") -> dict:
+    """Per-N curves of F(t1) against param, from the pure rows of param.
 
-    Uses the pure rows of the requested parameter (the other disorder
-    amplitude must be zero).  Crossings interpolate linearly in log eps;
-    chains whose curve never reaches the target are reported in
-    `skipped` and excluded from the power-law fit of eps_c vs N.  Points
-    of more than one corr_p are refused.
+    The other disorder amplitude must be zero, and param positive: the
+    input of threshold_scaling.  An unknown param, points of more than
+    one corr_p and a table with no pure rows raise ValueError.
     """
     if param not in ("eps_j", "eps_b"):
         raise ValueError(f"param must be eps_j or eps_b, got {param!r}")
@@ -211,7 +210,20 @@ def threshold_extract(points, f_target: float, param: str = "eps_j") -> Threshol
                          if getattr(p, other) == 0.0 and getattr(p, param) > 0.0)
     if not curves:
         raise ValueError(f"no pure {param} rows in the table")
-    return threshold_scaling(curves, f_target, model=f"{param}-threshold")
+    return curves
+
+
+def threshold_extract(points, f_target: float, param: str = "eps_j") -> ThresholdScaling:
+    """Disorder strength where F(t1) crosses f_target, per N, plus exponent.
+
+    Uses the pure rows of the requested parameter (threshold_curves).
+    Crossings interpolate linearly in log eps; chains whose curve never
+    reaches the target are reported in `skipped` and excluded from the
+    power-law fit of eps_c vs N.  Points of more than one corr_p are
+    refused.
+    """
+    return threshold_scaling(threshold_curves(points, param), f_target,
+                             model=f"{param}-threshold")
 
 
 def perturbation_comparison(n_sites: int, eps_values, sectors, n_real: int,

@@ -395,6 +395,28 @@ def test_threshold_refuses_eps_b_on_a_curve_table(tmp_path):
     assert not out.exists()
 
 
+def test_threshold_keeps_the_targets_it_can_compute(tmp_path):
+    # D = 1.6 is crossed at both chain lengths of the golden table, 1.4 at
+    # N = 12 only, 1.3 at neither
+    table = Path(__file__).parent / "data" / "dimension-scan.csv"
+    out = tmp_path / "thr.csv"
+    run_cli("threshold", "--table", table, "--f-target", 1.6, 1.4, "--out", out)
+    _, _, rows = read_csv(out)
+    assert [(r[0], r[1], r[2]) for r in rows] == [("eps_j", 1.6, 12), ("eps_j", 1.6, 20)]
+    targets = read_sidecar(out)["targets"]
+    assert targets["1.6000000000000001"]["fit"]["model"] == "dimension-threshold"
+    assert targets["1.3999999999999999"] == {
+        "fit": None,
+        "reason": "target 1.4 crossed for 1 chain lengths only; "
+                  "skipped: [(20, 'target not crossed within the grid')]"}
+    with pytest.raises(SystemExit) as err:
+        main(["threshold", "--table", str(table), "--f-target", "1.4", "1.3",
+              "--out", str(tmp_path / "none.csv")])
+    assert str(err.value).startswith("threshold: --f-target 1.4 1.3: no target yields "
+                                     "a threshold: target 1.4 crossed for 1 chain")
+    assert not (tmp_path / "none.csv").exists()
+
+
 @pytest.mark.parametrize("command", ["fit-scaling", "threshold"])
 def test_table_commands_pool_several_tables(tmp_path, command):
     # one coupling scan plus one field scan per N, as the kappa fit and the

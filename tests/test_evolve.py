@@ -1,9 +1,11 @@
 import logging
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import eigvalsh_tridiagonal
 from scipy.sparse import diags
 from scipy.sparse.linalg import expm_multiply
 
@@ -13,7 +15,8 @@ from spinchain import (ChainSpec, DisorderRealization, amplitudes,
                        fidelity_series, sample_disorder, substream,
                        transfer_amplitude, transfer_time, zero_disorder)
 from spinchain.chain import spectral_half_width
-from spinchain.evolve import _chebyshev_transfer_amplitude
+from spinchain.evolve import (_chebyshev_transfer_amplitude, _newton_step,
+                              _transfer_spectrum)
 
 from conftest import oracle_amplitudes, oracle_transfer_series
 
@@ -179,14 +182,16 @@ def test_series_matches_dense_oracle_at_long_times():
 @pytest.mark.parametrize("m", [2, 3, 4, 5, 17, 400, 401, 20001])
 def test_series_of_every_grid_length_matches_direct_evaluation(m):
     # perfect squares, squares + 1 and primes: every split into anchor
-    # rows of ceil(sqrt(m)) samples, with and without a partial last row
+    # rows of ceil(sqrt(m)) samples, with and without a partial last row;
+    # the direct sum runs on the series' own spectrum, so only the phase
+    # tables are under test
     dt = 2.0 ** -7
     spec = ChainSpec(n_sites=20, eps_j=0.1, eps_b=0.05)
-    real = sample_disorder(spec, substream(5, 0))
-    series = fidelity_series(build_hamiltonian(spec, real), (m - 1) * dt, dt)
+    h = build_hamiltonian(spec, sample_disorder(spec, substream(5, 0)))
+    series = fidelity_series(h, (m - 1) * dt, dt)
     assert len(series) == series.amplitude.shape[0] == m
-    direct = transfer_amplitude(eigendecompose(build_hamiltonian(spec, real)),
-                                series.times)
+    eigenvalues, weights = _transfer_spectrum(h)
+    direct = np.exp(np.outer(series.times, -1j * eigenvalues)) @ weights
     assert np.max(np.abs(series.amplitude - direct)) <= 1e-12
 
 
@@ -401,4 +406,121 @@ def test_eigensolver_fallback_logs_a_warning(caplog):
     with caplog.at_level(logging.WARNING, logger="spinchain.evolve"):
         eigendecompose(h)
     assert any(rec.levelno == logging.WARNING and "N = 200" in rec.getMessage()
+               for rec in caplog.records)
+
+
+def _rayleigh_quotients(h, v):
+    """v_k^T H v_k / v_k^T v_k of every column in long double."""
+    d, e, v = (np.asarray(x, dtype=np.longdouble) for x in (h.diag, h.offdiag, v))
+    hv = d[:, None] * v
+    hv[:-1] += e[:, None] * v[1:]
+    hv[1:] += e[:, None] * v[:-1]
+    return np.sum(v * hv, axis=0) / np.sum(v * v, axis=0)
+
+
+@pytest.mark.parametrize("n", [200, 500])
+@pytest.mark.parametrize("eps_j", [0.05, 0.26, 1.2])
+def test_transfer_spectrum_eigenvalues_match_long_double_rayleigh_quotients(n, eps_j):
+    # Rayleigh quotients of dense eigh vectors err by |residual|^2 / gap.
+    # Over 30 such chains the refined eigenvalues read at most 0.87 eps a
+    # for half-width a, sterf's own 18-45 eps a and stemr's 5-22 eps a.
+    spec = ChainSpec(n_sites=n, eps_j=eps_j)
+    h = build_hamiltonian(spec, sample_disorder(spec, substream(7, n, int(100 * eps_j))))
+    with np.errstate(all="raise"):
+        eigenvalues, _ = _transfer_spectrum(h)
+    reference = _rayleigh_quotients(h, np.linalg.eigh(h.dense())[1])
+    error = np.max(np.abs(eigenvalues - reference))
+    assert error <= 2 * np.finfo(float).eps * spectral_half_width(spec)
+
+
+@pytest.mark.parametrize("n", [200, 500])
+@pytest.mark.parametrize("ji, eps_j", enumerate([0.05, 0.26, 1.0, 1.2, 2.0]))
+def test_transfer_spectrum_weights_match_eigenvectors(n, ji, eps_j):
+    # eps_j = 2 draws negative hoppings.  Where eigenvalues lie closer than
+    # 1e-6 (the near-zero pair of a chain with no fields at strong
+    # disorder) a single weight depends on the basis chosen inside the
+    # pair, and stemr and dense eigh disagree there by up to 4e-9; such
+    # clusters are compared by their sums, the part that reaches f_N.
+    spec = ChainSpec(n_sites=n, eps_j=eps_j)
+    h = build_hamiltonian(spec, sample_disorder(spec, substream(7, n, ji)))
+    with np.errstate(all="raise"):
+        eigenvalues, weights = _transfer_spectrum(h)
+    cluster = np.concatenate([[0], np.cumsum(np.diff(eigenvalues) > 1e-6)])
+    for v in (eigendecompose(h).eigenvectors, np.linalg.eigh(h.dense())[1]):
+        with np.errstate(under="ignore"):
+            reference = v[0] * v[-1]
+        assert np.max(np.abs(np.bincount(cluster, weights)
+                             - np.bincount(cluster, reference))) <= 1e-14
+
+
+@pytest.mark.parametrize("eps_j, eps_b, bond", [(0.3, 0.2, 13), (0.0, 0.0, 19)])
+def test_a_zero_hopping_gives_zero_weights_and_amplitude(eps_j, eps_b, bond):
+    # the clean chain cut at its middle bond has two identical halves:
+    # sterf returns an exactly tied pair, and 0 / 0 must not appear
+    spec = ChainSpec(n_sites=40, eps_j=eps_j, eps_b=eps_b)
+    real = sample_disorder(spec, substream(3, 0))
+    delta = real.delta.copy()
+    delta[bond] = -1.0
+    h = build_hamiltonian(spec, DisorderRealization(delta=delta, field_err=real.field_err))
+    assert h.offdiag[bond] == 0.0
+    with np.errstate(all="raise"):
+        _, weights = _transfer_spectrum(h)
+        series = fidelity_series(h, 50.0, 0.05)
+    assert np.all(weights == 0.0)
+    assert np.all(series.amplitude == 0.0) and np.all(series.fidelity == 0.5)
+
+
+@pytest.mark.parametrize("n", [3, 21, 501])
+def test_clean_odd_chain_zero_pivot_stays_finite(n):
+    # E = 2J(2m - N + 1) is exact in floating point; at E = 0 the first
+    # pivot a_0 - E is exactly zero.  The weights are
+    # (-1)^(N-1-m) C(N-1, m) / 2^(N-1).
+    h = clean_hamiltonian(n)
+    exact = 2.0 * (2 * np.arange(n) - n + 1)
+    weights = np.array([(-1) ** (n - 1 - m) * math.comb(n - 1, m) for m in range(n)],
+                       dtype=float) / 2.0 ** (n - 1)
+    with np.errstate(all="raise"):
+        from_exact = _newton_step(h.diag, h.offdiag, exact)
+        eigenvalues, w = _transfer_spectrum(h)
+        series = fidelity_series(h, 2 * transfer_time(), transfer_time() / 50)
+    assert np.max(np.abs(from_exact - exact)) <= 2 * np.finfo(float).eps * 2 * n
+    assert np.max(np.abs(eigenvalues - exact)) <= 2 * np.finfo(float).eps * 2 * n
+    assert np.max(np.abs(w - weights)) <= 1e-15
+    assert np.all(np.isfinite(series.amplitude))
+    assert series.fidelity[50] >= 1.0 - 1e-9
+
+
+def test_newton_guard_keeps_sterf_values_on_a_near_degenerate_pair(caplog):
+    # the 6e-14 middle bond of a mirror-symmetric chain splits every
+    # eigenvalue of the halves into a pair a few ulp apart
+    spec = ChainSpec(n_sites=60, eps_j=1.0)
+    delta = np.zeros(59)
+    delta[29] = -1.0 + 1e-15
+    h = build_hamiltonian(spec, DisorderRealization(delta=delta, field_err=np.zeros(60)))
+    sterf = eigvalsh_tridiagonal(h.diag, h.offdiag, lapack_driver="sterf")
+    with caplog.at_level(logging.WARNING, logger="spinchain.evolve"), \
+            np.errstate(all="raise"):
+        eigenvalues, _ = _transfer_spectrum(h)
+        series = fidelity_series(h, 1e3, 0.05)
+    rejected = [rec.getMessage() for rec in caplog.records
+                if rec.levelno == logging.WARNING and "N = 60" in rec.getMessage()]
+    assert len(rejected) == 2
+    kept = eigenvalues == sterf
+    assert np.any(kept[0::2] & kept[1::2])          # a whole pair kept
+    gaps = np.diff(sterf)
+    half_gap = 0.5 * np.minimum(np.append(gaps, np.inf), np.insert(gaps, 0, np.inf))
+    assert np.all(kept | (np.abs(eigenvalues - sterf) < half_gap))
+    assert np.all(np.diff(eigenvalues) >= 0.0)
+    # nothing crosses the 6e-14 bond faster than 6e-14 per unit time
+    assert np.max(np.abs(series.amplitude)) <= 6e-14 * 1e3
+
+
+def test_newton_guard_rejects_a_step_beyond_half_the_gap(caplog):
+    h = clean_hamiltonian(5)
+    estimates = np.array([-8.0, -4.0, 1.9, 4.0, 8.0])    # E = 0 misplaced
+    with caplog.at_level(logging.WARNING, logger="spinchain.evolve"):
+        refined = _newton_step(h.diag, h.offdiag, estimates)
+    assert refined[2] == 1.9
+    assert np.max(np.abs(np.delete(refined, 2) - [-8.0, -4.0, 4.0, 8.0])) <= 1e-14
+    assert any("1 of 5 eigenvalues of an N = 5 Hamiltonian" in rec.getMessage()
                for rec in caplog.records)

@@ -16,13 +16,13 @@ from .evolve import (FidelitySeries, SpectralDecomposition, amplitudes,
                      transfer_time)
 from .fitting import FitResult, ThresholdScaling, crossing_loglinear, power_law_fit
 from .levelstats import (SpacingHistogram, SpacingSample, collect_spacings,
-                         eta, eta_curve, eta_threshold, spacing_histogram)
+                         eta, eta_curve, spacing_histogram)
 from .boxcount import (BoxCountCurve, DegenerateSeriesError, TrimResult,
                        WindowSelectionError, box_count, default_box_lengths,
-                       dimension_curve, dimension_of_series, dimension_threshold,
-                       fit_dimension, transient_trim)
+                       dimension_curve, dimension_of_series, fit_dimension,
+                       transient_trim)
 from .perturbation import (PerturbationCoefficients, compute_coefficients,
                            infidelity_sums, perturbative_fidelity,
                            require_transfer_time)
 from .scans import (FidelityPoint, ScanConfig, fit_scaling,
-                    perturbation_comparison, scan_fidelity, threshold_extract)
+                    perturbation_comparison, scan_fidelity)

@@ -16,7 +16,7 @@ import numpy as np
 
 from .chain import ChainSpec, TridiagonalHamiltonian, hamiltonian_block
 from .evolve import FidelitySeries, fidelity_series
-from .fitting import FitResult, ThresholdScaling, line_fit, threshold_scaling
+from .fitting import FitResult, line_fit
 
 __all__ = [
     "DegenerateSeriesError",
@@ -29,10 +29,16 @@ __all__ = [
     "fit_dimension",
     "dimension_of_series",
     "dimension_curve",
-    "dimension_threshold",
 ]
 
 TRIM_THRESHOLD = 0.55
+
+# The admissible automatic fit window: at least MIN_POINTS grid points
+# spanning at least a factor MIN_RATIO in L, fitting a line with
+# R^2 >= R2_MIN.
+R2_MIN = 0.995
+MIN_POINTS = 6
+MIN_RATIO = 10.0
 
 
 class DegenerateSeriesError(ValueError):
@@ -125,34 +131,9 @@ def box_count(series: FidelitySeries, lengths=None) -> BoxCountCurve:
     return BoxCountCurve(lengths=lengths[order], m_values=m_values[order], dt=dt)
 
 
-def _window_stats(logl, logm):
-    """Prefix sums so any contiguous sub-grid fit costs O(1)."""
-    z = np.zeros(1)
-    return (np.concatenate([z, np.cumsum(logl)]),
-            np.concatenate([z, np.cumsum(logm)]),
-            np.concatenate([z, np.cumsum(logl * logl)]),
-            np.concatenate([z, np.cumsum(logl * logm)]),
-            np.concatenate([z, np.cumsum(logm * logm)]))
-
-
-def _r_squared(sums, i, j):
-    sx, sy, sxx, sxy, syy = sums
-    n = j - i + 1
-    px = sx[j + 1] - sx[i]
-    py = sy[j + 1] - sy[i]
-    cxx = (sxx[j + 1] - sxx[i]) - px * px / n
-    cxy = (sxy[j + 1] - sxy[i]) - px * py / n
-    cyy = (syy[j + 1] - syy[i]) - py * py / n
-    if cxx <= 0:
-        return -np.inf
-    rss = cyy - cxy * cxy / cxx
-    if cyy <= 0:
-        return 1.0 if abs(rss) < 1e-30 else -np.inf
-    return 1.0 - rss / cyy
-
-
-def _auto_window(lengths, logl, logm, r2_min, min_points, min_ratio):
-    """Most linear interior sub-grid spanning >= min_ratio in L, R^2 >= r2_min.
+def _auto_window(lengths, logl, logm):
+    """Most linear interior sub-grid: >= MIN_POINTS points spanning
+    >= MIN_RATIO in L, with R^2 >= R2_MIN.
 
     The first and last grid points never qualify (coarse-grain and
     finite-length regimes).  Among qualifying windows the one with the
@@ -161,41 +142,59 @@ def _auto_window(lengths, logl, logm, r2_min, min_points, min_ratio):
     the longest window instead would absorb regime crossovers and bias
     the slope (a strictly periodic signal then reads D ~ 1.9 rather
     than 2).  Near-exact ties go to the longer window, then to the one
-    farthest from the grid ends.
+    farthest from the grid ends.  Every candidate's R^2 comes from one
+    pass over prefix sums; candidates run in (i, j) order, and the first
+    of equal keys wins.
 
     Returns (best, closest): best is (i, j, R^2) of the chosen window, or
     None when no window qualifies; closest is ((L_i, L_j), R^2) of the
     highest-R^2 window of any R^2 (the first one on exact ties), or
-    (None, -inf) when no window spans min_ratio.
+    (None, -inf) when no window spans MIN_RATIO.
     """
     n = lengths.shape[0]
-    sums = _window_stats(logl, logm)
-    best, best_key, closest = None, None, (None, -np.inf)
-    for i in range(1, n - 1):
-        for j in range(i + min_points - 1, n - 1):
-            if lengths[j] / lengths[i] < min_ratio:
-                continue
-            r2 = _r_squared(sums, i, j)
-            if r2 > closest[1]:
-                closest = ((float(lengths[i]), float(lengths[j])), r2)
-            if r2 < r2_min:
-                continue
-            edge = min(i, (n - 1) - j)
-            key = (round(r2, 9), j - i, edge, -abs(i - ((n - 1) - j)))
-            if best_key is None or key > best_key:
-                best, best_key = (i, j, r2), key
-    return best, closest
+    z = np.zeros(1)
+    sx, sy, sxx, sxy, syy = (np.concatenate([z, np.cumsum(v)])
+                             for v in (logl, logm, logl * logl, logl * logm, logm * logm))
+    i, j = np.triu_indices(n - 1, MIN_POINTS - 1)
+    keep = (i >= 1) & (lengths[j] / lengths[i] >= MIN_RATIO)
+    i, j = i[keep], j[keep]
+    if i.size == 0:
+        return None, (None, -np.inf)
+    count = j - i + 1
+    px = sx[j + 1] - sx[i]
+    py = sy[j + 1] - sy[i]
+    cxx = (sxx[j + 1] - sxx[i]) - px * px / count
+    cxy = (sxy[j + 1] - sxy[i]) - px * py / count
+    cyy = (syy[j + 1] - syy[i]) - py * py / count
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rss = cyy - cxy * cxy / cxx
+        r2 = np.where(cxx <= 0, -np.inf,
+                      np.where(cyy <= 0, np.where(np.abs(rss) < 1e-30, 1.0, -np.inf),
+                               1.0 - rss / cyy))
+    k = int(np.argmax(r2))
+    closest = ((None, -np.inf) if r2[k] == -np.inf
+               else ((float(lengths[i[k]]), float(lengths[j[k]])), r2[k]))
+    best = np.flatnonzero(r2 >= R2_MIN)
+    if best.size == 0:
+        return None, closest
+    # the key, compared in turn: R^2 to 9 decimals (np.round, which is
+    # what round() does on numpy scalars), length, distance from the grid
+    # ends, centring; the first remaining candidate wins
+    for key in (np.round(r2, 9), j - i, np.minimum(i, (n - 1) - j),
+                -np.abs(i - ((n - 1) - j))):
+        best = best[key[best] == key[best].max()]
+    c = best[0]
+    return (int(i[c]), int(j[c]), r2[c]), closest
 
 
-def fit_dimension(curve: BoxCountCurve, window=None, r2_min: float = 0.995,
-                  min_points: int = 6, min_ratio: float = 10.0) -> FitResult:
+def fit_dimension(curve: BoxCountCurve, window=None) -> FitResult:
     """Fractal dimension D = -slope of log M vs log L.
 
     With an explicit window (L_min, L_max) the fit uses every grid point
-    inside it (at least min_points required).  Otherwise the window is
+    inside it (at least MIN_POINTS required).  Otherwise the window is
     selected automatically among the interior sub-grids (both grid ends
-    excluded) that hold at least min_points, span at least a factor
-    min_ratio in L and fit a line with R^2 >= r2_min: the one with the
+    excluded) that hold at least MIN_POINTS, span at least a factor
+    MIN_RATIO in L and fit a line with R^2 >= R2_MIN: the one with the
     highest R^2 wins, near-exact ties going to the longer window.  When
     no sub-grid qualifies the fit is refused, which is the expected
     outcome for weakly disordered chains whose scaling region collapses.
@@ -212,18 +211,17 @@ def fit_dimension(curve: BoxCountCurve, window=None, r2_min: float = 0.995,
     if window is not None:
         lo, hi = float(window[0]), float(window[1])
         sel = (lengths >= lo * (1 - 1e-12)) & (lengths <= hi * (1 + 1e-12))
-        if int(sel.sum()) < min_points:
+        if int(sel.sum()) < MIN_POINTS:
             raise ValueError(
                 f"window [{lo}, {hi}] holds {int(sel.sum())} grid points, "
-                f"need >= {min_points}")
+                f"need >= {MIN_POINTS}")
         i, j = int(np.argmax(sel)), int(len(sel) - 1 - np.argmax(sel[::-1]))
     else:
-        found, (closest, closest_r2) = _auto_window(lengths, logl, logm, r2_min,
-                                                    min_points, min_ratio)
+        found, (closest, closest_r2) = _auto_window(lengths, logl, logm)
         if found is None:
             raise WindowSelectionError(
                 "no contiguous box-length window spanning "
-                f">= {min_ratio}x reached R^2 >= {r2_min}; best candidate "
+                f">= {MIN_RATIO}x reached R^2 >= {R2_MIN}; best candidate "
                 f"window={closest} with R^2={closest_r2:.6f}")
         i, j, _ = found
 
@@ -239,11 +237,11 @@ def fit_dimension(curve: BoxCountCurve, window=None, r2_min: float = 0.995,
     )
 
 
-def dimension_of_series(series: FidelitySeries, lengths=None, window=None):
+def dimension_of_series(series: FidelitySeries):
     """Trim the transient, box count, fit: returns (FitResult, BoxCountCurve)."""
     trimmed, _ = transient_trim(series)
-    curve = box_count(trimmed, lengths)
-    return fit_dimension(curve, window=window), curve
+    curve = box_count(trimmed)
+    return fit_dimension(curve), curve
 
 
 def dimension_curve(n_sites: int, eps_j_grid, n_real: int, master_seed: int,
@@ -283,12 +281,3 @@ def dimension_curve(n_sites: int, eps_j_grid, n_real: int, master_seed: int,
             d_mean[i] = float(np.mean(dims))
             d_err[i] = float(np.std(dims, ddof=1) / np.sqrt(len(dims))) if len(dims) > 1 else 0.0
     return d_mean, d_err, notes
-
-
-def dimension_threshold(curves: dict, d_target: float) -> ThresholdScaling:
-    """Disorder strength where D crosses d_target, power-law fitted vs N.
-
-    curves maps N -> (eps_grid, D_values); non-finite D entries (refused
-    fits) are dropped before locating the crossing.
-    """
-    return threshold_scaling(curves, d_target, model="dimension-threshold")

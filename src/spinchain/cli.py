@@ -92,15 +92,11 @@ def _add_options(parser: argparse.ArgumentParser, options: dict):
         parser.add_argument("--" + dest.replace("_", "-"), **kwargs)
 
 
-def _common(extra: dict, seed=True, out=True) -> dict:
-    options = {}
-    if seed:
-        options["seed"] = {"type": int, "required": True, "help": "master seed (required)"}
-    options["j"] = {"type": float, "default": 1.0, "help": "base coupling J"}
-    options.update(extra)
-    if out:
-        options["out"] = {"type": str, "required": True, "help": "output CSV path"}
-    return options
+def _common(extra: dict) -> dict:
+    return {"seed": {"type": int, "required": True, "help": "master seed (required)"},
+            "j": {"type": float, "default": 1.0, "help": "base coupling J"},
+            **extra,
+            "out": {"type": str, "required": True, "help": "output CSV path"}}
 
 
 OPTIONS = {

@@ -19,7 +19,6 @@ import numpy as np
 from scipy.linalg import eigvalsh_tridiagonal
 
 from .chain import ChainSpec, hamiltonian_block
-from .fitting import ThresholdScaling, threshold_scaling
 
 __all__ = [
     "SpacingSample",
@@ -28,8 +27,10 @@ __all__ = [
     "spacing_histogram",
     "eta",
     "eta_curve",
-    "eta_threshold",
 ]
+
+# The spacing histogram's edge grid covers at least [0, S_MAX].
+S_MAX = 5.0
 
 
 @dataclass(frozen=True)
@@ -93,26 +94,26 @@ def collect_spacings(spec: ChainSpec, n_real: int, master_seed: int,
     diag, offdiag = hamiltonian_block(spec, master_seed, key_prefix, range(n_real))
     pooled = np.empty((n_real, spec.n_sites - 1))
     for r in range(n_real):
-        # root-free QL: robust for near-severed chains, eigenvalues only
+        # root-free QL: robust for near-severed chains, eigenvalues only;
+        # LAPACK dsterf returns them in ascending order
         levels = eigvalsh_tridiagonal(diag[r], offdiag[r], lapack_driver="sterf")
-        gaps = np.diff(np.sort(levels))
+        gaps = np.diff(levels)
         pooled[r] = gaps / gaps.mean()
     return SpacingSample(spacings=pooled.ravel(), n_realizations=n_real)
 
 
-def spacing_histogram(values, bin_width: float = 0.05,
-                      s_max: float = 5.0) -> SpacingHistogram:
+def spacing_histogram(values, bin_width: float = 0.05) -> SpacingHistogram:
     """Histogram density with bins of width w centered at s = 0, w, 2w, ...
 
-    The edge grid is extended past s_max when samples demand it, so the
-    histogram always carries total mass 1.
+    The edge grid covers [0, S_MAX] and is extended past S_MAX when
+    samples demand it, so the histogram always carries total mass 1.
     """
     if bin_width <= 0:
         raise ValueError("bin_width must be > 0")
     values = np.asarray(values, dtype=float)
     if values.size == 0:
         raise ValueError("empty spacing sample")
-    top = max(float(s_max), float(values.max()) + bin_width)
+    top = max(S_MAX, float(values.max()) + bin_width)
     n_centers = int(np.ceil(top / bin_width)) + 1
     edges = np.concatenate(([0.0], (np.arange(n_centers) + 0.5) * bin_width))
     counts, _ = np.histogram(values, bins=edges)
@@ -163,13 +164,3 @@ def eta_curve(n_sites: int, eps_j_grid, n_real: int, master_seed: int,
                                   key_prefix=key_prefix + (i,))
         out[i] = eta(sample, bin_width)
     return out
-
-
-def eta_threshold(curves: dict, eta_target: float) -> ThresholdScaling:
-    """Disorder strength at which eta crosses the target, fitted vs N.
-
-    curves maps N -> (eps_grid, eta_values).  The crossing is found by
-    log-linear interpolation and the exponent by least squares on
-    log eps_c vs log N.
-    """
-    return threshold_scaling(curves, eta_target, model="eta-threshold")

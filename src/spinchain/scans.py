@@ -23,8 +23,7 @@ import numpy as np
 
 from .chain import ChainSpec
 from .evolve import ensemble_averages, transfer_time
-from .fitting import (FitResult, ThresholdScaling, curves_by_n, fit_through_origin,
-                      power_law_fit, threshold_scaling)
+from .fitting import FitResult, curves_by_n, fit_through_origin, power_law_fit
 from .perturbation import (compute_coefficients, infidelity_sums,
                            perturbative_fidelity, require_transfer_time)
 
@@ -35,7 +34,6 @@ __all__ = [
     "scan_fidelity",
     "fit_scaling",
     "threshold_curves",
-    "threshold_extract",
     "perturbation_comparison",
     "SCALING_MASK_FLOOR",
 ]
@@ -79,18 +77,6 @@ class ScanConfig:
         if self.t_eval is not None:
             return float(self.t_eval)
         return transfer_time(self.base_coupling)
-
-    def metadata(self) -> dict:
-        return {
-            "n_values": " ".join(str(n) for n in self.n_values),
-            "eps_j_values": " ".join(format(x, ".17g") for x in self.eps_j_values),
-            "eps_b_values": " ".join(format(x, ".17g") for x in self.eps_b_values),
-            "corr_p": self.corr_p,
-            "n_real": self.n_real,
-            "seed": self.seed,
-            "base_coupling": self.base_coupling,
-            "t_eval": self.evaluation_time(),
-        }
 
 
 @dataclass(frozen=True)
@@ -160,13 +146,13 @@ def _one_corr_p(points):
                          + "; select the rows of one corr_p")
 
 
-def fit_scaling(points, mask_floor: float = SCALING_MASK_FLOOR) -> FitResult:
+def fit_scaling(points) -> FitResult:
     """Scaling constants of F = (1 + exp(-k_j N e_j^2 - k_b e_b^2 / N)) / 2.
 
     The transform y = ln(2F - 1) makes both constants linear-regression
     slopes through the origin: y = -kappa_j (N eps_j^2) on pure coupling
     rows and y = -kappa_b (eps_b^2 / N) on pure field rows.  Rows with
-    2F - 1 <= mask_floor are masked out.  Each constant needs at least
+    2F - 1 <= SCALING_MASK_FLOOR are masked out.  Each constant needs at least
     four usable rows; a constant whose rows are absent entirely is
     simply not reported.  Points of more than one corr_p are refused.
     """
@@ -181,7 +167,7 @@ def fit_scaling(points, mask_floor: float = SCALING_MASK_FLOOR) -> FitResult:
                 if getattr(p, param) > 0 and getattr(p, other) == 0]
         if not pure:
             continue
-        rows = [i for i in pure if 2 * points[i].fbar - 1 > mask_floor]
+        rows = [i for i in pure if 2 * points[i].fbar - 1 > SCALING_MASK_FLOOR]
         if len(rows) < 4:
             raise ValueError(f"only {len(rows)} usable pure-{label} rows, need >= 4")
         x = np.array([x_of_point(points[i]) for i in rows])
@@ -195,7 +181,7 @@ def fit_scaling(points, mask_floor: float = SCALING_MASK_FLOOR) -> FitResult:
                      residual_norm=float(np.sqrt(rss_total)), mask=tuple(used))
 
 
-def threshold_curves(points, param: str = "eps_j") -> dict:
+def threshold_curves(points, param: str) -> dict:
     """Per-N curves of F(t1) against param, from the pure rows of param.
 
     The other disorder amplitude must be zero, and param positive: the
@@ -211,19 +197,6 @@ def threshold_curves(points, param: str = "eps_j") -> dict:
     if not curves:
         raise ValueError(f"no pure {param} rows in the table")
     return curves
-
-
-def threshold_extract(points, f_target: float, param: str = "eps_j") -> ThresholdScaling:
-    """Disorder strength where F(t1) crosses f_target, per N, plus exponent.
-
-    Uses the pure rows of the requested parameter (threshold_curves).
-    Crossings interpolate linearly in log eps; chains whose curve never
-    reaches the target are reported in `skipped` and excluded from the
-    power-law fit of eps_c vs N.  Points of more than one corr_p are
-    refused.
-    """
-    return threshold_scaling(threshold_curves(points, param), f_target,
-                             model=f"{param}-threshold")
 
 
 def perturbation_comparison(n_sites: int, eps_values, sectors, n_real: int,

@@ -13,7 +13,8 @@ import numpy as np
 import pytest
 
 import spinchain as sc
-from spinchain.fitting import power_law_fit
+from spinchain.fitting import threshold_scaling
+from spinchain.scans import threshold_curves
 
 from conftest import (expm_taylor, oracle_amplitudes, oracle_transfer_series,
                       sector_matrix)
@@ -112,11 +113,13 @@ def test_criterion_3_scaling_constants(coupling_scan, field_scan):
 def test_criterion_4_threshold_exponents(coupling_scan, field_scan):
     results = {}
     for target in (0.9, 0.7):
-        results[f"eps_j@{target}"] = sc.threshold_extract(
-            coupling_scan, target, param="eps_j").fit.params["exponent"]
+        results[f"eps_j@{target}"] = threshold_scaling(
+            threshold_curves(coupling_scan, "eps_j"), target,
+            model="eps_j-threshold").fit.params["exponent"]
     for target in (0.9, 0.95):
-        results[f"eps_b@{target}"] = sc.threshold_extract(
-            field_scan, target, param="eps_b").fit.params["exponent"]
+        results[f"eps_b@{target}"] = threshold_scaling(
+            threshold_curves(field_scan, "eps_b"), target,
+            model="eps_b-threshold").fit.params["exponent"]
     ok_j = all(abs(results[k] + 0.5) <= 0.1 for k in ("eps_j@0.9", "eps_j@0.7"))
     ok_b = all(0.35 <= results[k] <= 0.55 for k in ("eps_b@0.9", "eps_b@0.95"))
     detail = ", ".join(f"{k}: {v:+.3f}" for k, v in results.items())
@@ -138,7 +141,7 @@ def test_criterion_5_spectral_crossover():
     for ni, n in enumerate((50, 100, 200, 500)):
         grid = np.geomspace(3e-3, 1.0, 10)
         curves[n] = (grid, sc.eta_curve(n, grid, 500, SEED + 5, key_prefix=(ni,)))
-    exps = {t: sc.eta_threshold(curves, t).fit.params["exponent"]
+    exps = {t: threshold_scaling(curves, t, model="eta-threshold").fit.params["exponent"]
             for t in (0.5, 0.8)}
     ok = (lo >= 0.9 and hi <= 0.1
           and all(abs(e + 0.5) <= 0.15 for e in exps.values()))
@@ -286,7 +289,8 @@ def test_criterion_6c_dimension_threshold_exponents():
         curves[n] = (grid, dmean)
     exps = {}
     for target in (1.76, 1.6, 1.4):
-        exps[target] = sc.dimension_threshold(curves, target).fit.params["exponent"]
+        exps[target] = threshold_scaling(
+            curves, target, model="dimension-threshold").fit.params["exponent"]
     ok = all(abs(e + 0.5) <= 0.15 for e in exps.values())
     detail = ", ".join(f"D={t}: {e:+.3f}" for t, e in exps.items())
     assert ok, report("6c", ok, f"exponents {detail} (target -0.5+-0.15)")

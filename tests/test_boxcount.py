@@ -5,9 +5,12 @@ from hypothesis import strategies as st
 
 from spinchain import (BoxCountCurve, ChainSpec, DegenerateSeriesError,
                        WindowSelectionError, box_count, build_hamiltonian,
-                       default_box_lengths, dimension_threshold, fit_dimension,
-                       fidelity_series, sample_disorder, substream, transient_trim)
+                       dimension_of_series,
+                       default_box_lengths, fit_dimension, fidelity_series,
+                       sample_disorder, substream, transient_trim)
+from spinchain.boxcount import MIN_POINTS, MIN_RATIO, R2_MIN, _auto_window
 from spinchain.evolve import FidelitySeries
+from spinchain.fitting import threshold_scaling
 
 
 def synthetic_series(times, values):
@@ -224,11 +227,11 @@ def test_dimension_threshold_synthetic_exponent():
         eps_c = 0.4 / np.sqrt(n)
         grid = eps_c * np.geomspace(0.5, 2.0, 7)
         curves[n] = (grid, 2.0 - grid * np.sqrt(n))
-    scaling = dimension_threshold(curves, 1.6)
+    scaling = threshold_scaling(curves, 1.6, model="dimension-threshold")
     assert abs(scaling.fit.params["exponent"] + 0.5) < 1e-9
     # refused (NaN) points are dropped before locating the crossing
     curves[4] = (curves[4][0], np.where(curves[4][0] > 0.3, np.nan, curves[4][1]))
-    scaling2 = dimension_threshold(curves, 1.6)
+    scaling2 = threshold_scaling(curves, 1.6, model="dimension-threshold")
     assert set(scaling2.thresholds) == {4, 16, 64}
 
 
@@ -268,3 +271,108 @@ def test_refusal_names_the_brute_force_best_window():
         fit_dimension(curve)
     assert str(err.value).endswith(
         f"best candidate window={best_window} with R^2={best_r2:.6f}")
+
+
+def loop_auto_window(lengths, logl, logm, r2_min, min_points, min_ratio):
+    """The window rule as a plain double loop over (i, j), R^2 from prefix
+    sums: the reference the vectorized search must match bit for bit."""
+    z = np.zeros(1)
+    sx, sy, sxx, sxy, syy = (np.concatenate([z, np.cumsum(logl)]),
+                             np.concatenate([z, np.cumsum(logm)]),
+                             np.concatenate([z, np.cumsum(logl * logl)]),
+                             np.concatenate([z, np.cumsum(logl * logm)]),
+                             np.concatenate([z, np.cumsum(logm * logm)]))
+
+    def r_squared(i, j):
+        n = j - i + 1
+        px = sx[j + 1] - sx[i]
+        py = sy[j + 1] - sy[i]
+        cxx = (sxx[j + 1] - sxx[i]) - px * px / n
+        cxy = (sxy[j + 1] - sxy[i]) - px * py / n
+        cyy = (syy[j + 1] - syy[i]) - py * py / n
+        if cxx <= 0:
+            return -np.inf
+        rss = cyy - cxy * cxy / cxx
+        if cyy <= 0:
+            return 1.0 if abs(rss) < 1e-30 else -np.inf
+        return 1.0 - rss / cyy
+
+    n = lengths.shape[0]
+    best, best_key, closest = None, None, (None, -np.inf)
+    for i in range(1, n - 1):
+        for j in range(i + min_points - 1, n - 1):
+            if lengths[j] / lengths[i] < min_ratio:
+                continue
+            r2 = r_squared(i, j)
+            if r2 > closest[1]:
+                closest = ((float(lengths[i]), float(lengths[j])), r2)
+            if r2 < r2_min:
+                continue
+            edge = min(i, (n - 1) - j)
+            key = (round(r2, 9), j - i, edge, -abs(i - ((n - 1) - j)))
+            if best_key is None or key > best_key:
+                best, best_key = (i, j, r2), key
+    return best, closest
+
+
+def _two_segments(first, second):
+    """30-point grid, log-noise except on two exact power-law segments
+    (grid index ranges, both inclusive) of different slopes."""
+    lengths = np.geomspace(0.1, 100.0, 30)
+    logm = np.random.default_rng(5).normal(size=30)
+    for (lo, hi), slope in ((first, -1.3), (second, -1.8)):
+        logm[lo:hi + 1] = slope * np.log(lengths[lo:hi + 1])
+    return BoxCountCurve(lengths=lengths, m_values=np.exp(logm), dt=0.01)
+
+
+def _synthetic_window_curve(case):
+    lengths = np.geomspace(0.1, 100.0, 30)
+    if case == "power-law":
+        # every window ties at R^2 ~ 1: the longest one wins
+        return BoxCountCurve(lengths=lengths, m_values=3.7 * lengths ** -1.5, dt=0.01)
+    if case == "mirror-segments":
+        # equal length, edge and centring: the first in (i, j) order wins
+        return _two_segments((2, 12), (17, 27))
+    if case == "edge-decides":
+        # equal length: the segment farther from the grid ends wins
+        return _two_segments((2, 12), (15, 25))
+    if case == "constant-stretch":
+        # M = 1 on L in [0.5, 20]: log M = 0 there, cyy = 0 exactly
+        flat = (lengths >= 0.5) & (lengths <= 20.0)
+        m = np.where(lengths < 0.5, (lengths / 0.5) ** -1.2,
+                     np.where(flat, 1.0, (lengths / 20.0) ** -1.7))
+        return BoxCountCurve(lengths=lengths, m_values=m, dt=0.01)
+    if case == "no-admissible-window":
+        return BoxCountCurve(lengths=lengths, m_values=np.exp(-np.log(lengths) ** 2),
+                             dt=0.01)
+    n_sites, eps_j, seed = case
+    spec = ChainSpec(n_sites=n_sites, eps_j=eps_j)
+    series = fidelity_series(build_hamiltonian(spec, sample_disorder(spec, substream(seed, 0))),
+                             200.0, 0.05)
+    return dimension_of_series(series)[1]
+
+
+@pytest.mark.parametrize("case", [
+    "power-law", "mirror-segments", "edge-decides", "constant-stretch",
+    "no-admissible-window", (12, 0.1, 3), (30, 0.26, 4), (60, 0.6, 5), (60, 1.2, 6)])
+def test_auto_window_matches_the_plain_loop(case):
+    curve = _synthetic_window_curve(case)
+    assert np.all(curve.m_values > 0)
+    lengths, logl, logm = curve.lengths, np.log(curve.lengths), np.log(curve.m_values)
+    best, closest = loop_auto_window(lengths, logl, logm, R2_MIN, MIN_POINTS, MIN_RATIO)
+    got_best, got_closest = _auto_window(lengths, logl, logm)
+    assert got_closest[0] == closest[0]
+    assert float(got_closest[1]).hex() == float(closest[1]).hex()
+    if best is None:
+        assert got_best is None
+        with pytest.raises(WindowSelectionError) as err:
+            fit_dimension(curve)
+        assert str(err.value).endswith(
+            f"best candidate window={closest[0]} with R^2={closest[1]:.6f}")
+        return
+    i, j, r2 = best
+    assert got_best[:2] == (i, j)
+    assert float(got_best[2]).hex() == float(r2).hex()
+    fit = fit_dimension(curve)
+    assert fit.window == (float(lengths[i]), float(lengths[j]))
+    assert fit.mask == tuple(range(i, j + 1))

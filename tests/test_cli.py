@@ -9,13 +9,13 @@ import numpy as np
 import pytest
 
 import spinchain
-from spinchain import (ChainSpec, build_hamiltonian, dimension_curve, dimension_threshold,
-                       eta_curve, eta_threshold, fidelity_series, fit_scaling,
-                       perturbation_comparison, sample_disorder, substream,
-                       threshold_extract, transfer_time)
+from spinchain import (ChainSpec, build_hamiltonian, dimension_curve, eta_curve,
+                       fidelity_series, fit_scaling, perturbation_comparison,
+                       sample_disorder, substream, transfer_time)
 from spinchain import cli
 from spinchain.cli import OPTIONS, build_parser, main
-from spinchain.scans import points_from_rows
+from spinchain.fitting import threshold_scaling
+from spinchain.scans import points_from_rows, threshold_curves
 from spinchain.tableio import read_csv, sidecar_path
 
 
@@ -359,12 +359,14 @@ def _curve_table(tmp_path, kind, grid):
 
 
 @pytest.mark.parametrize("order", ["ascending", "descending"])
-@pytest.mark.parametrize("kind, targets, reference", [
-    ("eta-scan", (0.5, 0.8), eta_threshold),
-    ("dimension-scan", (1.85, 1.8), dimension_threshold),
+@pytest.mark.parametrize("kind, targets, model", [
+    pytest.param("eta-scan", (0.5, 0.8), "eta-threshold",
+                 id="eta-scan-targets0-eta_threshold"),
+    pytest.param("dimension-scan", (1.85, 1.8), "dimension-threshold",
+                 id="dimension-scan-targets1-dimension_threshold"),
 ])
 def test_threshold_on_curve_tables_matches_the_library(tmp_path, order, kind, targets,
-                                                       reference):
+                                                       model):
     grid = [0.001, 0.01, 0.1, 0.3, 0.6, 1.0]
     if order == "descending":
         grid.reverse()
@@ -375,7 +377,7 @@ def test_threshold_on_curve_tables_matches_the_library(tmp_path, order, kind, ta
     side = read_sidecar(out)
     expected_rows = []
     for target in targets:
-        scaling = reference(curves, target)
+        scaling = threshold_scaling(curves, target, model=model)
         fit = side["targets"][format(target, ".17g")]["fit"]
         assert fit["model"] == scaling.fit.model
         assert fit["params"] == scaling.fit.params
@@ -436,7 +438,8 @@ def test_table_commands_pool_several_tables(tmp_path, command):
     else:
         run_cli("threshold", "--table", *tables, "--param", "eps_b", "--f-target", 0.9,
                 "--out", out)
-        scaling = threshold_extract(points, 0.9, param="eps_b")
+        scaling = threshold_scaling(threshold_curves(points, "eps_b"), 0.9,
+                                    model="eps_b-threshold")
         expected = [("eps_b", 0.9, n, scaling.thresholds[n])
                     for n in sorted(scaling.thresholds)]
     metadata, _, rows = read_csv(out)
@@ -535,10 +538,16 @@ def test_every_subcommand_help_lists_its_options(capsys):
             assert "--" + dest.replace("_", "-") in text, (command, dest)
 
 
+def _readme_block(section, language):
+    """The first fenced block of the given language in a README section."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    return readme.split(f"## {section}", 1)[1].split(f"```{language}\n", 1)[1] \
+        .split("```", 1)[0]
+
+
 def _readme_commands():
     """The spinchain lines of README's Command line block, continuations joined."""
-    readme = (Path(__file__).parents[1] / "README.md").read_text()
-    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    block = _readme_block("Command line", "sh")
     return [shlex.split(line) for line in block.replace("\\\n", " ").splitlines()
             if line.startswith("spinchain ")]
 
@@ -550,3 +559,11 @@ def test_readme_command_block_parses():
         args = build_parser(argv[1]).parse_args(argv[1:])
         cli._check_ranges(args.command, cli._resolve(args.command, args,
                                                      OPTIONS[args.command]))
+
+
+def test_readme_quick_tour_runs():
+    namespace = {}
+    exec(_readme_block("Library quick tour", "python"), namespace)
+    fit, curve = namespace["fit"], namespace["curve"]
+    assert fit.model == "box-dimension" and np.isfinite(fit.params["dimension"])
+    assert curve.lengths[0] <= fit.window[0] < fit.window[1] <= curve.lengths[-1]

@@ -4,7 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spinchain import (ChainSpec, SpacingSample, collect_spacings, eta,
-                       eta_threshold, spacing_histogram)
+                       spacing_histogram)
+from spinchain.fitting import threshold_scaling
 
 
 def test_clean_chain_spacings_are_one():
@@ -100,7 +101,7 @@ def test_eta_threshold_recovers_synthetic_exponent():
         eps_c = np.sqrt(-np.log(target) / (a * n))
         grid = eps_c * np.geomspace(0.25, 4.0, 9)
         curves[n] = (grid, np.exp(-a * n * grid ** 2))
-    scaling = eta_threshold(curves, target)
+    scaling = threshold_scaling(curves, target, model="eta-threshold")
     assert abs(scaling.fit.params["exponent"] + 0.5) < 1e-9
     # crossing points scale exactly by 2 when N grows by 4
     ratios = [scaling.thresholds[4] / scaling.thresholds[16],
@@ -115,7 +116,7 @@ def test_eta_threshold_reports_out_of_range():
         20: (np.array([0.1, 0.2, 0.4]), np.array([0.95, 0.9, 0.85])),  # never crosses
         40: (np.array([0.1, 0.2, 0.4]), np.array([0.8, 0.55, 0.2])),
     }
-    scaling = eta_threshold(curves, 0.5)
+    scaling = threshold_scaling(curves, 0.5, model="eta-threshold")
     assert 20 not in scaling.thresholds
     assert any(n == 20 for n, _ in scaling.skipped)
 

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from spinchain import (ChainSpec, FidelityPoint, ScanConfig, ensemble_average,
-                       fit_scaling, scan_fidelity, threshold_extract)
-from spinchain.fitting import crossing_loglinear, power_law_fit
+                       fit_scaling, scan_fidelity)
+from spinchain.fitting import crossing_loglinear, power_law_fit, threshold_scaling
+from spinchain.scans import threshold_curves
 
 
 def synthetic_scaling_points(kappa_j=0.2, kappa_b=0.7, n_values=(10, 50, 200),
@@ -102,8 +103,8 @@ def test_threshold_extract_synthetic_exponents():
         points += synthetic_scaling_points(
             n_values=(n,), eps_j=ej_c * np.geomspace(0.3, 3.0, 9),
             eps_b=eb_c * np.geomspace(0.3, 3.0, 9))
-    th_j = threshold_extract(points, 0.9, param="eps_j")
-    th_b = threshold_extract(points, 0.9, param="eps_b")
+    th_j = threshold_scaling(threshold_curves(points, "eps_j"), 0.9, model="eps_j-threshold")
+    th_b = threshold_scaling(threshold_curves(points, "eps_b"), 0.9, model="eps_b-threshold")
     assert abs(th_j.fit.params["exponent"] + 0.5) < 1e-9
     assert abs(th_b.fit.params["exponent"] - 0.5) < 1e-9
 
@@ -113,10 +114,10 @@ def test_threshold_extract_skips_out_of_range_chains():
                                       eps_j=np.geomspace(0.2, 0.8, 6))
     # N=1000 already saturated on the whole grid: never crosses 0.9
     with pytest.raises(ValueError):
-        threshold_extract(points, 0.9, param="eps_j")
+        threshold_scaling(threshold_curves(points, "eps_j"), 0.9, model="eps_j-threshold")
     points += synthetic_scaling_points(n_values=(40, 160),
                                        eps_j=np.geomspace(0.01, 0.8, 10))
-    th = threshold_extract(points, 0.9, param="eps_j")
+    th = threshold_scaling(threshold_curves(points, "eps_j"), 0.9, model="eps_j-threshold")
     assert any(n == 1000 for n, _ in th.skipped)
     assert 1000 not in th.thresholds
 

@@ -13,6 +13,8 @@ import json
 from datetime import datetime, timezone
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 
 __all__ = ["format_value", "write_csv", "read_csv", "write_sidecar", "sidecar_path"]
@@ -83,12 +85,8 @@ def write_sidecar(csv_path, payload: dict) -> Path:
 
 
 def _coerce(obj):
-    try:
-        import numpy as np
-        if isinstance(obj, np.ndarray):
-            return obj.tolist()
-        if isinstance(obj, (np.floating, np.integer)):
-            return obj.item()
-    except ImportError:  # pragma: no cover
-        pass
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    if isinstance(obj, (np.floating, np.integer)):
+        return obj.item()
     return str(obj)

@@ -293,6 +293,46 @@ def test_transfer_bytes_do_not_depend_on_blas_threads(tmp_path):
     assert outputs[0] == outputs[1]
 
 
+_SCIPY_PROBE = """
+import json, sys
+from spinchain.cli import main
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.partition(".")[0] == "scipy")
+loaded = {"import": scipy_modules()}
+for argv in json.loads(sys.argv[1]):
+    assert main(argv) == 0
+    loaded[argv[0]] = scipy_modules()
+print(json.dumps(loaded))
+"""
+
+
+def test_scan_and_table_commands_run_without_scipy(tmp_path):
+    # scan and corr-scan propagate by Chebyshev and the fits are numpy, so
+    # these commands never load scipy; the first eigensolve (eta-scan) does
+    scan = str(tmp_path / "scan.csv")
+    eta_args = ["eta-scan", "--n", "10", "--eps-j", "0.1", "1.0", "--n-real", "5",
+                "--seed", "4", "--out"]
+    commands = [
+        ["scan", "--n", "8", "16", "--eps-j", "0.05", "0.1", "0.2", "0.4",
+         "--n-real", "20", "--seed", "3", "--out", scan],
+        ["corr-scan", "--n", "8", "--eps-j", "0.1", "--corr-p", "0.2", "0.5",
+         "--n-real", "5", "--seed", "3", "--out", str(tmp_path / "corr.csv")],
+        ["fit-scaling", "--table", scan, "--out", str(tmp_path / "fit.csv")],
+        ["threshold", "--table", scan, "--f-target", "0.9", "--param", "eps_j",
+         "--out", str(tmp_path / "thr.csv")],
+        [*eta_args, str(tmp_path / "eta_fresh.csv")],
+    ]
+    env = {**os.environ, "PYTHONPATH": str(Path(spinchain.__file__).parents[1])}
+    probe = subprocess.run([sys.executable, "-c", _SCIPY_PROBE, json.dumps(commands)],
+                           env=env, check=True, capture_output=True, text=True)
+    loaded = json.loads(probe.stdout)
+    for stage in ("import", "scan", "corr-scan", "fit-scaling", "threshold"):
+        assert loaded[stage] == [], stage
+    assert "scipy.linalg" in loaded["eta-scan"]
+    run_cli(*eta_args, tmp_path / "eta.csv")
+    assert (tmp_path / "eta_fresh.csv").read_bytes() == (tmp_path / "eta.csv").read_bytes()
+
+
 # Tables written at fixed seeds by the commit that recorded tests/data; the
 # CSV bytes of a fixed seed are part of the package's contract.
 @pytest.mark.parametrize("name, argv", [

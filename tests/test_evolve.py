@@ -409,6 +409,31 @@ def test_eigensolver_fallback_logs_a_warning(caplog):
                for rec in caplog.records)
 
 
+def _solve(fn, h, driver):
+    """fn's arrays on h as bytes, or the type of the error it raised."""
+    try:
+        out = fn(h.diag, h.offdiag, lapack_driver=driver)
+    except np.linalg.LinAlgError as err:
+        return type(err)
+    return [a.tobytes() for a in (out if isinstance(out, tuple) else (out,))]
+
+
+@pytest.mark.parametrize("key", [(7, 0), (7, 0, 7)])  # stemr accepts / refuses
+def test_traced_eigensolver_names_forward_to_scipy_bit_for_bit(key):
+    # benchmark/tracer.py wraps these two module-level names; each imports
+    # scipy.linalg on first use and must hand back scipy's arrays unchanged
+    import scipy.linalg
+    from spinchain import evolve, levelstats
+
+    spec = ChainSpec(n_sites=200, eps_j=1.0)
+    h = build_hamiltonian(spec, sample_disorder(spec, substream(*key)))
+    for ours, theirs, driver in [
+            (evolve.eigh_tridiagonal, scipy.linalg.eigh_tridiagonal, "stemr"),
+            (evolve.eigh_tridiagonal, scipy.linalg.eigh_tridiagonal, "stev"),
+            (levelstats.eigvalsh_tridiagonal, scipy.linalg.eigvalsh_tridiagonal, "sterf")]:
+        assert _solve(ours, h, driver) == _solve(theirs, h, driver), driver
+
+
 def _rayleigh_quotients(h, v):
     """v_k^T H v_k / v_k^T v_k of every column in long double."""
     d, e, v = (np.asarray(x, dtype=np.longdouble) for x in (h.diag, h.offdiag, v))

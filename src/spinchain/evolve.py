@@ -6,9 +6,10 @@ Two propagators, each where it is cheaper:
   ensemble_average for one cell) expand exp(-iHt) e_1 in Chebyshev
   polynomials (Tal-Ezer & Kosloff 1984) with no eigensolve.  The
   realizations of every cell of one chain length are drawn straight
-  into arrays and stream through shared blocks, which may span cells;
-  each row runs on its own cell's spectral interval, so its bits do not
-  depend on the block.  The cost grows with half-width x t.
+  into arrays and stream through shared blocks of
+  _BLOCK_ELEMENTS // N rows, which may span cells; each row runs on its
+  own cell's spectral interval for its own number of terms, so its bits
+  do not depend on the block.  The cost grows with half-width x t.
 * Single Hamiltonians and long time series use the spectrum; amplitudes
   at any time then follow from phase factors on it.  eigendecompose
   (with eigenvectors) serves amplitudes and transfer_amplitude.
@@ -67,9 +68,11 @@ UNITARITY_SLACK = 1e-9
 # Times per phase table in transfer_amplitude; caps it at 4096 x N.
 _PHASE_CHUNK = 4096
 
-# Realizations propagated together by ensemble_averages, across cells;
-# caps the Chebyshev work arrays at a few (N, _REALIZATION_BLOCK) arrays.
-_REALIZATION_BLOCK = 128
+# Sites x rows of one float64 Chebyshev work array (256 KiB):
+# ensemble_averages propagates max(1, _BLOCK_ELEMENTS // N) realizations
+# together, across cells.  Measured best at every N from 20 to 500
+# (README, Propagators).
+_BLOCK_ELEMENTS = 1 << 15
 
 # The Chebyshev series stops where the Kapteyn bound on the sum of every
 # remaining term 2 |J_k(x)| falls below this.
@@ -385,14 +388,16 @@ def _chebyshev_transfer_amplitude(diag: np.ndarray, offdiag: np.ndarray, half_wi
     f_N(t) = sum_k (2 - delta_k0) (-i)^k J_k(x) phi_k[N-1], where
     phi_0 = e_1, phi_1 = H~ e_1 and phi_(k+1) = 2 H~ phi_k - phi_(k-1).
     Each distinct half-width gets one coefficient table, computed as for
-    a stack of that half-width alone and padded with zeros past its own
-    term count.  The recurrence runs on the whole stack elementwise to
-    the largest term count K, so each row's bits depend on its own
-    Hamiltonian, half-width and times alone, not on the stack it runs in:
-    the extra terms of a row add exact zeros, and the sites it reads only
-    grow.  phi_k vanishes beyond site k (the light cone), so
-    terms k < N-1 are zero, and each step updates only the sites that a
-    later term still reads.
+    a stack of that half-width alone, with its own term count K_a.  The
+    rows are sorted by term count, largest first, and the recurrence runs
+    on the stack elementwise; when the rows of the smallest count left
+    are done, the rows still running are copied into narrower contiguous
+    work arrays, and the sums are put back in input order at the end.
+    Each row thus takes exactly its own terms, and its bits depend on its
+    own Hamiltonian, half-width and times alone, not on the stack it runs
+    in: the sites it reads only grow.  phi_k vanishes beyond site k (the
+    light cone), so terms k < N-1 are zero, and each step updates only
+    the sites that a later term still reads.
 
     Every spectrum must lie in its row's [-a, a]; a Hamiltonian whose
     Gershgorin radius exceeds it raises ValueError, since the recurrence
@@ -400,15 +405,16 @@ def _chebyshev_transfer_amplitude(diag: np.ndarray, offdiag: np.ndarray, half_wi
     the term count K and stays below 4e-13 up to N = 500 at 5 t1 (K about
     8000) against a matrix-exponential oracle.
 
-    Cost: K ~ a max(t) + O((a max(t))^(1/3)) steps for the largest a,
-    each updating at most N R elements, while the eigen path pays one
+    Cost: K_a ~ a max(t) + O((a max(t))^(1/3)) steps for each row, each
+    updating at most N elements of it, while the eigen path pays one
     eigensolve with vectors per realization whatever t.  Propagation
-    alone at eps_j = 0.1, one core: N = 100, R = 1000 takes 78 / 424 /
-    1063 ms at 1 / 5 / 10 t1 against 990 ms on the eigen path; N = 20
-    takes 15 / 42 / 68 ms against 120 ms; N = 500, R = 100 takes 103 /
-    1017 / 1956 ms against 2400 ms.  The expansion is the cheaper one up
-    to about 10 t1; long times belong on the eigen path (fidelity_series),
-    since the coefficient table alone holds 2K complex values per time.
+    alone at eps_j = 0.1 in blocks of _BLOCK_ELEMENTS // N rows, one
+    core: N = 100, R = 1000 takes 54 / 286 / 573 ms at 1 / 5 / 10 t1
+    against 990 ms on the eigen path; N = 20 takes 4 / 12 / 21 ms
+    against 120 ms; N = 500, R = 100 takes 92 / 815 / 1609 ms against
+    2400 ms.  The expansion is the cheaper one up to about 10 t1; long
+    times belong on the eigen path (fidelity_series), since the
+    coefficient table alone holds 2K complex values per time.
     """
     n_real, n = diag.shape
     half_width = np.broadcast_to(np.asarray(half_width, dtype=float), (n_real,))
@@ -422,23 +428,39 @@ def _chebyshev_transfer_amplitude(diag: np.ndarray, offdiag: np.ndarray, half_wi
     # each row's table, so that a step reads every row's coefficient at once
     widths, table_of_row = np.unique(half_width, return_inverse=True)
     tables = [_chebyshev_coefficients(float(a) * times) for a in widths]
-    n_terms = max(table.shape[1] for table in tables)
+    table_terms = np.array([table.shape[1] for table in tables])
+    n_terms = int(table_terms.max())
     coef = np.zeros((n_terms, len(tables), times.shape[0]), dtype=complex)
     for i, table in enumerate(tables):
         coef[:table.shape[1], i] = table.T
     out = np.zeros((n_real, times.shape[0]), dtype=complex)
     if n_terms < n:  # every term that reaches site N lies in the tail
         return out
+    # rows in descending order of their term count, so the rows still
+    # running are always the leading ones; at step k == K a row of K terms
+    # is done, and the rows that go on are copied into narrower arrays
+    order = np.argsort(-table_terms[table_of_row], kind="stable")
+    table_of_row = table_of_row[order]
+    row_terms = table_terms[table_of_row]
+    running_after = {int(c): int(np.count_nonzero(row_terms > c)) for c in table_terms}
     # sites outer, realizations inner: a site range is one contiguous slice
-    d2 = np.ascontiguousarray(diag.T) * (2.0 / half_width)
-    o2 = np.ascontiguousarray(offdiag.T) * (2.0 / half_width)
+    scale = 2.0 / half_width[order]
+    d2 = np.ascontiguousarray(diag[order].T) * scale
+    o2 = np.ascontiguousarray(offdiag[order].T) * scale
     prev, cur, nxt = (np.zeros((n, n_real)) for _ in range(3))
     tmp = np.empty((n - 1, n_real))
+    sums = out
     prev[0] = 1.0
     cur[0], cur[1] = 0.5 * d2[0], 0.5 * o2[0]
     for k in range(1, n_terms):
+        if k in running_after:
+            r = running_after[k]
+            prev, cur, nxt, d2, o2 = (np.ascontiguousarray(a[:, :r])
+                                      for a in (prev, cur, nxt, d2, o2))
+            tmp = np.empty((n - 1, r))
+            table_of_row, sums = table_of_row[:r], out[:r]
         if k >= n - 1:
-            out += cur[n - 1][:, None] * coef[k].take(table_of_row, axis=0)
+            sums += cur[n - 1][:, None] * coef[k].take(table_of_row, axis=0)
         if k + 1 == n_terms:
             break
         # phi_(k+1) on sites lo..hi-1: beyond k+1 it is zero, and below lo
@@ -454,7 +476,7 @@ def _chebyshev_transfer_amplitude(diag: np.ndarray, offdiag: np.ndarray, half_wi
         nxt[bottom:hi] += tmp[bottom - 1:hi - 1]
         nxt[lo:hi] -= prev[lo:hi]
         prev, cur, nxt = cur, nxt, prev
-    return out
+    return out[np.argsort(order)]
 
 
 def ensemble_averages(cells, n_real: int, master_seed: int, t_list) -> list:
@@ -463,13 +485,14 @@ def ensemble_averages(cells, n_real: int, master_seed: int, t_list) -> list:
     cells is a sequence of (spec, key_prefix); realization r of a cell
     draws from substream(master_seed, *key_prefix, r).  The cells'
     realizations stream, cell after cell, through blocks of
-    _REALIZATION_BLOCK rows, and a block may span cells; each row is
-    propagated by the Chebyshev expansion on its own cell's
-    spectral_half_width, so its fidelity does not depend on the block it
-    lands in.  Each cell's mean runs over its own contiguous rows in
-    ascending r, for bit reproducibility.  Returns one (mean, standard
-    error) per cell; the standard error is sample std / sqrt(n) with zero
-    reported for a single realization.
+    max(1, _BLOCK_ELEMENTS // N) rows (1,638 at N = 20, 65 at N = 500),
+    and a block may span cells; each row is propagated by the Chebyshev
+    expansion on its own cell's spectral_half_width, so its fidelity
+    does not depend on the block it lands in.  Each cell's mean runs
+    over its own contiguous rows in ascending r, for bit
+    reproducibility.  Returns one (mean, standard error) per cell; the
+    standard error is sample std / sqrt(n) with zero reported for a
+    single realization.
 
     n_real, the cells' chain lengths and the times are checked before
     anything is drawn; a NaN or infinite time raises ValueError naming it.
@@ -481,13 +504,15 @@ def ensemble_averages(cells, n_real: int, master_seed: int, t_list) -> list:
             raise ValueError(f"evaluation time {float(t)!r} is not finite")
     if n_real < 1:
         raise ValueError("n_real must be >= 1")
-    if len({spec.n_sites for spec, _ in cells}) > 1:
+    lengths = {spec.n_sites for spec, _ in cells}
+    if len(lengths) > 1:
         raise ValueError("the cells of one call must share the chain length N")
+    block = max(1, _BLOCK_ELEMENTS // max(lengths, default=1))
     half_widths = [spectral_half_width(spec) for spec, _ in cells]
     total = len(cells) * n_real
     fid = np.empty((total, t_list.shape[0]))
-    for start in range(0, total, _REALIZATION_BLOCK):
-        stop = min(start + _REALIZATION_BLOCK, total)
+    for start in range(0, total, block):
+        stop = min(start + block, total)
         diag, offdiag, widths = [], [], []
         for c in range(start // n_real, (stop - 1) // n_real + 1):
             spec, key_prefix = cells[c]

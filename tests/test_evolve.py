@@ -14,6 +14,7 @@ from spinchain import (ChainSpec, DisorderRealization, amplitudes,
                        ensemble_average, ensemble_averages, fidelity_of_amplitude,
                        fidelity_series, sample_disorder, substream,
                        transfer_amplitude, transfer_time, zero_disorder)
+from spinchain import evolve
 from spinchain.chain import spectral_half_width
 from spinchain.evolve import (_chebyshev_transfer_amplitude, _newton_step,
                               _transfer_spectrum)
@@ -290,8 +291,9 @@ def test_ensemble_average_matches_hand_loop_over_keys():
     assert np.max(np.abs(fid - eigen)) <= 1e-12
 
 
-def test_ensemble_average_across_realization_blocks():
-    # more realizations than one propagation block holds
+def test_ensemble_average_across_realization_blocks(monkeypatch):
+    # more realizations than one propagation block holds: 128 rows at N = 8
+    monkeypatch.setattr(evolve, "_BLOCK_ELEMENTS", 8 * 128)
     spec = ChainSpec(n_sites=8, eps_j=0.3, eps_b=0.2)
     n_real = 2 * 128 + 3
     t_list = [transfer_time(), 2.0]
@@ -303,6 +305,22 @@ def test_ensemble_average_across_realization_blocks():
         for r in range(n_real)])
     assert np.array_equal(mean, fid.mean(axis=0))
     assert np.array_equal(err, fid.std(axis=0, ddof=1) / np.sqrt(n_real))
+
+
+@pytest.mark.parametrize("n", [2, 20])
+def test_ensemble_averages_do_not_depend_on_the_block_size(monkeypatch, n):
+    # unsorted half-widths, so every block sorts its rows and drops some
+    cells = [(ChainSpec(n_sites=n, eps_j=eps_j, eps_b=eps_b), (i,))
+             for i, (eps_j, eps_b) in enumerate([(1.0, 0.0), (0.02, 0.0), (0.3, 0.0),
+                                                 (0.1, 2.0)])]
+    n_real, t_list = 7, [0.0, transfer_time(), 5 * transfer_time()]
+    results = []
+    # one row per block, blocks of 5 rows that split cells, every row in one block
+    for rows in (1, 5, len(cells) * n_real):
+        monkeypatch.setattr(evolve, "_BLOCK_ELEMENTS", rows * n)
+        results.append([(mean.tobytes(), err.tobytes())
+                        for mean, err in ensemble_averages(cells, n_real, 3, t_list)])
+    assert results[0] == results[1] == results[2]
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -385,6 +403,18 @@ def test_chebyshev_rows_do_not_depend_on_the_stack():
     assert not np.any(solo[0]) and np.all(solo[1] != 0.0)
     for row, ref in zip(stacked, solo):
         assert row.tobytes() == ref.tobytes()
+    # interleaved rows that reach their term counts at four different
+    # steps (14, 17, 35 and 55 terms), two of them before site N
+    specs = [ChainSpec(n_sites=30, eps_b=400.0), ChainSpec(n_sites=30),
+             ChainSpec(n_sites=30, eps_b=1000.0), ChainSpec(n_sites=30, eps_j=1.0)]
+    picks = [1, 2, 0, 3, 1, 0, 2, 3]
+    hams = [build_hamiltonian(specs[s], sample_disorder(specs[s], substream(9, r)))
+            for r, s in enumerate(picks)]
+    widths = [spectral_half_width(specs[s]) for s in picks]
+    times = np.array([0.01, 0.005])
+    stacked = _chebyshev(hams, np.array(widths), times)
+    for row, h, w in zip(stacked, hams, widths):
+        assert row.tobytes() == _chebyshev([h], w, times)[0].tobytes()
 
 
 def test_chebyshev_refuses_a_hamiltonian_outside_the_interval():

@@ -16,10 +16,10 @@ from .evolve import (FidelitySeries, SpectralDecomposition, amplitudes,
                      transfer_time)
 from .fitting import FitResult, ThresholdScaling, crossing_loglinear, power_law_fit
 from .levelstats import (SpacingHistogram, SpacingSample, collect_spacings,
-                         eta, eta_curve, spacing_histogram)
+                         eta, eta_scan, spacing_histogram)
 from .boxcount import (BoxCountCurve, DegenerateSeriesError, TrimResult,
                        WindowSelectionError, box_count, default_box_lengths,
-                       dimension_curve, dimension_of_series, fit_dimension,
+                       dimension_of_series, dimension_scan, fit_dimension,
                        transient_trim)
 from .perturbation import (PerturbationCoefficients, compute_coefficients,
                            infidelity_sums, perturbative_fidelity,

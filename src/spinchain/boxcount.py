@@ -14,9 +14,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .chain import ChainSpec, TridiagonalHamiltonian, hamiltonian_block
+from .chain import TridiagonalHamiltonian, grid_cells, hamiltonian_block
 from .evolve import FidelitySeries, fidelity_series
-from .fitting import FitResult, line_fit
+from .fitting import FitResult, line_fit, standard_error
 
 __all__ = [
     "DegenerateSeriesError",
@@ -28,7 +28,7 @@ __all__ = [
     "box_count",
     "fit_dimension",
     "dimension_of_series",
-    "dimension_curve",
+    "dimension_scan",
 ]
 
 TRIM_THRESHOLD = 0.55
@@ -244,40 +244,32 @@ def dimension_of_series(series: FidelitySeries):
     return fit_dimension(curve), curve
 
 
-def dimension_curve(n_sites: int, eps_j_grid, n_real: int, master_seed: int,
-                    base_coupling: float = 1.0, t_max: float = 1e4, dt: float = 0.05,
-                    key_prefix: tuple = ()):
-    """Mean fractal dimension vs coupling disorder for one chain length.
+def dimension_scan(n_values, eps_j_grid, n_real: int, master_seed: int,
+                   base_coupling: float = 1.0, t_max: float = 1e4, dt: float = 0.05):
+    """Mean fractal dimension over the (N, eps_j) grid: (rows, refusals).
 
     The dimension is fitted per realization and the fits averaged
     (averaging the fidelity first would restore periodicity and destroy
-    the fractal signal).  Points where every realization is refused or
-    degenerate come back as NaN.  Each failure leaves one note
-    (i, r, message) for realization r of grid point i.  Realization
-    r of grid point i is row r of hamiltonian_block(spec, master_seed,
-    key_prefix + (i,), range(n_real)); n_real is checked first.
+    the fractal signal).  Rows are (N, eps_j, mean D, its standard error,
+    refused realizations), NaN D where all are refused or degenerate; each
+    refusal is {n_sites, eps_j, realization, note}.  Cells are ordered and
+    keyed by chain.grid_cells.  n_real is checked first.
     """
     if n_real < 1:
         raise ValueError("n_real must be >= 1")
-    d_mean = np.full(len(eps_j_grid), np.nan)
-    d_err = np.full(len(eps_j_grid), np.nan)
-    notes = []
-    for i, eps_j in enumerate(eps_j_grid):
-        spec = ChainSpec(n_sites=n_sites, base_coupling=base_coupling,
-                         eps_j=float(eps_j))
-        diag, offdiag = hamiltonian_block(spec, master_seed, key_prefix + (i,),
-                                          range(n_real))
+    rows, refusals = [], []
+    for spec, key in grid_cells(n_values, eps_j_grid, base_coupling=base_coupling):
+        diag, offdiag = hamiltonian_block(spec, master_seed, key, range(n_real))
         dims = []
         for r in range(n_real):
             h = TridiagonalHamiltonian(diag=diag[r], offdiag=offdiag[r])
-            series = fidelity_series(h, t_max, dt)
             try:
-                fit, _ = dimension_of_series(series)
+                fit, _ = dimension_of_series(fidelity_series(h, t_max, dt))
             except (WindowSelectionError, DegenerateSeriesError) as err:
-                notes.append((i, r, f"{type(err).__name__}: {err}"))
+                refusals.append({"n_sites": spec.n_sites, "eps_j": spec.eps_j,
+                                 "realization": r, "note": f"{type(err).__name__}: {err}"})
                 continue
             dims.append(fit.params["dimension"])
-        if dims:
-            d_mean[i] = float(np.mean(dims))
-            d_err[i] = float(np.std(dims, ddof=1) / np.sqrt(len(dims))) if len(dims) > 1 else 0.0
-    return d_mean, d_err, notes
+        stats = (float(np.mean(dims)), float(standard_error(dims))) if dims else (np.nan,) * 2
+        rows.append((spec.n_sites, spec.eps_j, *stats, n_real - len(dims)))
+    return rows, refusals

@@ -10,12 +10,13 @@ with hopping elements 2 J_k (1 + delta_k) and on-site energies -2 b_j
 the transfer amplitude and is dropped).
 
 Realization r of an ensemble draws from the Philox stream
-substream(master_seed, *key_prefix, r).  A stream is fully defined by
-its 128-bit key and a zero counter, so hamiltonian_block derives the
-keys of a whole block of rows at once and draws every row through one
-reused generator, a few us per row plus about 0.1 ms per call;
-substream, sample_disorder and build_hamiltonian draw one realization
-at a time (about 20 us for the stream alone) and remain the reference.
+substream(master_seed, *key_prefix, r), grid_cells keying the cells of a
+grid.  A stream is fully defined by its 128-bit key and a zero counter,
+so hamiltonian_block derives the keys of a whole block of rows at once
+and draws every row through one reused generator, a few us per row plus
+about 0.1 ms per call; substream, sample_disorder and build_hamiltonian
+draw one realization at a time (about 20 us for the stream alone) and
+remain the reference.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ __all__ = [
     "substream",
     "sample_disorder",
     "hamiltonian_block",
+    "grid_cells",
     "zero_disorder",
     "build_hamiltonian",
     "clean_hamiltonian",
@@ -143,16 +145,12 @@ def sample_disorder(spec: ChainSpec, stream: np.random.Generator) -> DisorderRea
     The draw order (magnitudes, sign coins, field errors) is fixed, so
     runs that differ only in corr_p share magnitudes and field errors.
     """
-    magnitude, coins, field_err = _draws(spec, stream)
+    n = spec.n_sites
+    magnitude = stream.uniform(0.0, spec.eps_j, n - 1)
+    coins = stream.random(n - 1)
+    field_err = stream.uniform(-spec.eps_b, spec.eps_b, n)
     return DisorderRealization(delta=_coupling_errors(spec, magnitude, coins),
                                field_err=field_err)
-
-
-def _draws(spec: ChainSpec, stream: np.random.Generator) -> tuple:
-    """The three draws of one realization, in their fixed order."""
-    n = spec.n_sites
-    return (stream.uniform(0.0, spec.eps_j, n - 1), stream.random(n - 1),
-            stream.uniform(-spec.eps_b, spec.eps_b, n))
 
 
 def _coupling_errors(spec: ChainSpec, magnitude: np.ndarray, coins: np.ndarray) -> np.ndarray:
@@ -195,6 +193,21 @@ def hamiltonian_block(spec: ChainSpec, master_seed: int, key_prefix: tuple,
     coins = u[:, n - 1:2 * n - 2]
     field_err = _uniform(-spec.eps_b, spec.eps_b, u[:, 2 * n - 2:])
     return _hamiltonian_arrays(spec, _coupling_errors(spec, magnitude, coins), field_err)
+
+
+def grid_cells(n_values, eps_j_values, eps_b_values=(0.0,), corr_p: float = 0.5,
+               base_coupling: float = 1.0) -> list:
+    """[(spec, key prefix)] of an (N, eps_j, eps_b) grid, N outer, eps_b inner.
+
+    The cell of the k-th N, i-th eps_j and l-th eps_b has the key prefix
+    (k, i * len(eps_b_values) + l) whatever corr_p, and a repeated value is
+    a cell of its own.  Every grid command (scan, corr-scan, eta-scan,
+    dimension-scan) keys its cells here."""
+    return [(ChainSpec(n_sites=int(n), base_coupling=base_coupling, eps_j=float(eps_j),
+                       eps_b=float(eps_b), corr_p=corr_p), (k, i * len(eps_b_values) + l))
+            for k, n in enumerate(n_values)
+            for i, eps_j in enumerate(eps_j_values)
+            for l, eps_b in enumerate(eps_b_values)]
 
 
 def _uniform(low, high, u: np.ndarray) -> np.ndarray:

@@ -10,15 +10,15 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from collections import Counter
 from pathlib import Path
 
 from . import __version__
 from .chain import ChainSpec, TridiagonalHamiltonian, hamiltonian_block
-from .boxcount import box_count, dimension_curve, fit_dimension, transient_trim
-from .evolve import fidelity_series, transfer_time
+from .boxcount import (DegenerateSeriesError, box_count, default_box_lengths,
+                       dimension_scan, fit_dimension, transient_trim)
+from .evolve import fidelity_series, series_length, transfer_time
 from .fitting import curves_by_n, threshold_scaling
-from .levelstats import collect_spacings, eta, eta_curve, spacing_histogram
+from .levelstats import collect_spacings, eta, eta_scan, spacing_histogram
 from .scans import (FidelityPoint, ScanConfig, fit_scaling, points_from_rows,
                     perturbation_comparison, scan_fidelity, threshold_curves)
 from .tableio import read_csv, write_csv, write_sidecar
@@ -178,8 +178,8 @@ OPTIONS = {
 }
 
 
-# Admissible values of the ranged options; --t-max is checked against --dt.
-# NaN fails every rule.
+# Admissible values of the ranged options; --t-max is checked against --dt and,
+# for the box-counting commands, box counting's shortest series.  NaN fails all.
 RANGES = {
     "n": (lambda v: v >= 2, "must be >= 2"),
     "n_real": (lambda v: v >= 1, "must be >= 1"),
@@ -209,6 +209,12 @@ def _check_ranges(command, cfg):
     if "t_max" in cfg and not cfg["t_max"] >= cfg["dt"]:
         raise SystemExit(f"{command}: --t-max {cfg['t_max']!r}: must be >= "
                          f"--dt {cfg['dt']!r}")
+    if command in ("fractal", "dimension-scan"):
+        try:
+            default_box_lengths(series_length(cfg["t_max"], cfg["dt"]), cfg["dt"])
+        except ValueError as err:
+            raise SystemExit(f"{command}: --t-max {cfg['t_max']!r} --dt {cfg['dt']!r}: "
+                             f"{err}") from None
 
 
 def _spec(cfg) -> ChainSpec:
@@ -374,27 +380,15 @@ def _cmd_spectrum(cfg):
 
 
 def _cmd_eta_scan(cfg):
-    rows = []
-    for ni, n_sites in enumerate(cfg["n"]):
-        values = eta_curve(n_sites, cfg["eps_j"], cfg["n_real"], cfg["seed"],
-                           base_coupling=cfg["j"], bin_width=cfg["bin_width"],
-                           key_prefix=(ni,))
-        rows.extend((n_sites, eps, val)
-                    for eps, val in zip(cfg["eps_j"], values))
+    rows = eta_scan(cfg["n"], cfg["eps_j"], cfg["n_real"], cfg["seed"],
+                    base_coupling=cfg["j"], bin_width=cfg["bin_width"])
     _write(cfg, "eta-scan", ETA_HEADER, rows, {})
 
 
 def _cmd_dimension_scan(cfg):
-    rows, refusals = [], []
-    for ni, n_sites in enumerate(cfg["n"]):
-        d_mean, d_err, notes = dimension_curve(
-            n_sites, cfg["eps_j"], cfg["n_real"], cfg["seed"], base_coupling=cfg["j"],
-            t_max=cfg["t_max"], dt=cfg["dt"], key_prefix=(ni,))
-        refused = Counter(i for i, _, _ in notes)
-        rows.extend((n_sites, eps, d, se, refused[i])
-                    for i, (eps, d, se) in enumerate(zip(cfg["eps_j"], d_mean, d_err)))
-        refusals.extend({"n_sites": n_sites, "eps_j": cfg["eps_j"][i], "realization": r,
-                         "note": note} for i, r, note in notes)
+    rows, refusals = dimension_scan(cfg["n"], cfg["eps_j"], cfg["n_real"], cfg["seed"],
+                                    base_coupling=cfg["j"], t_max=cfg["t_max"],
+                                    dt=cfg["dt"])
     _write(cfg, "dimension-scan", DIMENSION_HEADER, rows, {}, refusals=refusals)
 
 
@@ -405,10 +399,18 @@ def _cmd_fractal(cfg):
         raise SystemExit("fractal: a manual fit window needs both --l-min and "
                          f"--l-max; {missing[0]} is missing")
     window = None if missing else (cfg["l_min"], cfg["l_max"])
+    flags = f"--l-min {cfg['l_min']!r} --l-max {cfg['l_max']!r}"
+    if window and not window[0] <= window[1]:
+        raise SystemExit(f"fractal: {flags}: --l-min must be <= --l-max")
     series = _series(cfg)
     trimmed, reached = transient_trim(series)
     curve = box_count(trimmed)
-    fit = fit_dimension(curve, window=window)
+    try:
+        fit = fit_dimension(curve, window=window)
+    except DegenerateSeriesError:
+        raise
+    except ValueError as err:  # a manual window that holds too few box lengths
+        raise SystemExit(f"fractal: {flags}: {err}") from None
     _write(cfg, "fractal", ("box_length", "m"), zip(curve.lengths, curve.m_values),
            {"dimension": fit.params["dimension"]},
            fit=_fit_payload(fit), transient_reached=bool(reached),
@@ -475,18 +477,16 @@ HANDLERS = {
 
 
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The parser of every subcommand.  Given a command, only that
-    subcommand gets its options: adding every command's options costs
-    more than a small table takes to compute."""
+    """The parser of the named subcommand alone (building all of them costs
+    about a tenth of a small table), or of every subcommand when command
+    names none, so that --help and the unknown-command error list them."""
     parser = argparse.ArgumentParser(
         prog="spinchain",
         description="Disordered spin-chain state transfer experiments")
     parser.add_argument("--version", action="version", version=f"spinchain {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, options in OPTIONS.items():
-        subparser = sub.add_parser(name)
-        if command in (None, name):
-            _add_options(subparser, options)
+    for name in [command] if command in OPTIONS else OPTIONS:
+        _add_options(sub.add_parser(name), OPTIONS[name])
     return parser
 
 

@@ -37,6 +37,7 @@ import numpy as np
 
 from .chain import (ChainSpec, TridiagonalHamiltonian, gershgorin_radii,
                     hamiltonian_block, spectral_half_width)
+from .fitting import standard_error
 
 __all__ = [
     "SpectralDecomposition",
@@ -47,6 +48,7 @@ __all__ = [
     "transfer_amplitude",
     "fidelity_of_amplitude",
     "fidelity_series",
+    "series_length",
     "ensemble_average",
     "ensemble_averages",
 ]
@@ -337,14 +339,18 @@ def fidelity_of_amplitude(f):
     return float(out) if out.ndim == 0 else out
 
 
-def fidelity_series(h: TridiagonalHamiltonian, t_max: float, dt: float) -> FidelitySeries:
-    """Fidelity of the last spin under h on the grid t_i = i dt, 0 <= t_i <= t_max."""
+def series_length(t_max: float, dt: float) -> int:
+    """Number of samples t_i = i dt, 0 <= t_i <= t_max, of fidelity_series."""
     if dt <= 0:
         raise ValueError("dt must be > 0")
     if t_max < dt:
         raise ValueError("t_max must be >= dt")
-    n_steps = int(np.floor(t_max / dt + 1e-9))
-    times = np.arange(n_steps + 1) * dt
+    return int(np.floor(t_max / dt + 1e-9)) + 1
+
+
+def fidelity_series(h: TridiagonalHamiltonian, t_max: float, dt: float) -> FidelitySeries:
+    """Fidelity of the last spin under h on the grid t_i = i dt, 0 <= t_i <= t_max."""
+    times = np.arange(series_length(t_max, dt)) * dt
     amp = _transfer_amplitude_uniform(*_transfer_spectrum(h), times)
     return FidelitySeries(times=times, amplitude=amp,
                           fidelity=fidelity_of_amplitude(amp))
@@ -488,11 +494,9 @@ def ensemble_averages(cells, n_real: int, master_seed: int, t_list) -> list:
     max(1, _BLOCK_ELEMENTS // N) rows (1,638 at N = 20, 65 at N = 500),
     and a block may span cells; each row is propagated by the Chebyshev
     expansion on its own cell's spectral_half_width, so its fidelity
-    does not depend on the block it lands in.  Each cell's mean runs
-    over its own contiguous rows in ascending r, for bit
-    reproducibility.  Returns one (mean, standard error) per cell; the
-    standard error is sample std / sqrt(n) with zero reported for a
-    single realization.
+    does not depend on the block it lands in.  Each cell's mean runs over
+    its own contiguous rows in ascending r, for bit reproducibility.
+    Returns one (mean, fitting.standard_error) per cell.
 
     n_real, the cells' chain lengths and the times are checked before
     anything is drawn; a NaN or infinite time raises ValueError naming it.
@@ -524,14 +528,8 @@ def ensemble_averages(cells, n_real: int, master_seed: int, t_list) -> list:
         fid[start:stop] = fidelity_of_amplitude(_chebyshev_transfer_amplitude(
             np.concatenate(diag), np.concatenate(offdiag), np.concatenate(widths),
             t_list))
-    results = []
-    for c in range(len(cells)):
-        cell = fid[c * n_real:(c + 1) * n_real]
-        mean = cell.mean(axis=0)
-        err = (np.zeros_like(mean) if n_real == 1
-               else cell.std(axis=0, ddof=1) / np.sqrt(n_real))
-        results.append((mean, err))
-    return results
+    return [(cell.mean(axis=0), standard_error(cell))
+            for cell in fid.reshape(len(cells), n_real, t_list.shape[0])]
 
 
 def ensemble_average(spec: ChainSpec, n_real: int, master_seed: int, t_list,

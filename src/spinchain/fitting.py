@@ -1,4 +1,4 @@
-"""Shared fitting helpers: log-log power laws, threshold crossings."""
+"""Shared fitting helpers: power laws, threshold crossings, standard errors."""
 
 from __future__ import annotations
 
@@ -15,6 +15,7 @@ __all__ = [
     "crossing_loglinear",
     "curves_by_n",
     "threshold_scaling",
+    "standard_error",
 ]
 
 
@@ -41,6 +42,15 @@ class ThresholdScaling:
     thresholds: dict          # N -> crossing value of the scanned parameter
     fit: FitResult
     skipped: tuple = field(default_factory=tuple)  # (N, reason) pairs
+
+
+def standard_error(samples) -> np.ndarray:
+    """Sample std (ddof 1) / sqrt(n) over the first axis; zero for one sample."""
+    samples = np.asarray(samples, dtype=float)
+    n = samples.shape[0]
+    if n == 1:
+        return np.zeros(samples.shape[1:])
+    return samples.std(axis=0, ddof=1) / np.sqrt(n)
 
 
 def line_fit(x, y):

@@ -8,9 +8,9 @@ over s in [0, 1], normalized by the same distance for the delta peak.
 
 Each ensemble is one chain.hamiltonian_block, whose rows are
 diagonalized for eigenvalues only (LAPACK sterf); realization r of a
-sample draws from substream(master_seed, *key_prefix, r).  scipy.linalg
-is imported on the first eigvalsh_tridiagonal call, not with this
-module.
+sample draws from substream(master_seed, *key_prefix, r), and eta_scan
+takes each cell's key prefix from chain.grid_cells.  scipy.linalg is
+imported on the first eigvalsh_tridiagonal call, not with this module.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import ChainSpec, hamiltonian_block
+from .chain import ChainSpec, grid_cells, hamiltonian_block
 
 __all__ = [
     "SpacingSample",
@@ -27,7 +27,7 @@ __all__ = [
     "collect_spacings",
     "spacing_histogram",
     "eta",
-    "eta_curve",
+    "eta_scan",
 ]
 
 
@@ -160,19 +160,10 @@ def eta(sample: SpacingSample, bin_width: float = 0.05) -> float:
     return _eta_from_histogram(spacing_histogram(sample.spacings, bin_width))
 
 
-def eta_curve(n_sites: int, eps_j_grid, n_real: int, master_seed: int,
-              base_coupling: float = 1.0, bin_width: float = 0.05,
-              key_prefix: tuple = ()) -> np.ndarray:
-    """eta as a function of coupling-disorder strength for one chain length.
-
-    Realization r of grid point i draws from
-    substream(master_seed, *key_prefix, i, r).
-    """
-    out = np.empty(len(eps_j_grid))
-    for i, eps_j in enumerate(eps_j_grid):
-        spec = ChainSpec(n_sites=n_sites, base_coupling=base_coupling,
-                         eps_j=float(eps_j))
-        sample = collect_spacings(spec, n_real, master_seed,
-                                  key_prefix=key_prefix + (i,))
-        out[i] = eta(sample, bin_width)
-    return out
+def eta_scan(n_values, eps_j_grid, n_real: int, master_seed: int,
+             base_coupling: float = 1.0, bin_width: float = 0.05) -> list:
+    """(N, eps_j, eta) rows over the (N, eps_j) grid, in the order and with
+    the stream keys of chain.grid_cells."""
+    return [(spec.n_sites, spec.eps_j,
+             eta(collect_spacings(spec, n_real, master_seed, key), bin_width))
+            for spec, key in grid_cells(n_values, eps_j_grid, base_coupling=base_coupling)]

@@ -5,9 +5,9 @@ transfer time t1 = pi/(4J) as a function of disorder strength and chain
 length, the exponential scaling collapse with constants kappa_j and
 kappa_b, threshold disorder strengths versus N, and the perturbative
 cross-check.  The correlated-sign variant is one scan per corr_p.
-Every cell of a scan draws from a random stream keyed by (seed, N
-index, grid index, realization index), so tables are bit-reproducible
-and cells could be evaluated in any order.  A scan makes one
+Every cell of a scan draws from its own random stream, keyed as
+chain.grid_cells lays the grid out, so tables are bit-reproducible and
+cells could be evaluated in any order.  A scan makes one
 ensemble_averages call per N, and a perturbation comparison one call
 for all of its sectors.
 
@@ -18,10 +18,11 @@ reads them back and refuses any other header.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
 
 import numpy as np
 
-from .chain import ChainSpec
+from .chain import ChainSpec, grid_cells
 from .evolve import ensemble_averages, transfer_time
 from .fitting import FitResult, curves_by_n, fit_through_origin, power_law_fit
 from .perturbation import (compute_coefficients, infidelity_sums,
@@ -109,27 +110,21 @@ def points_from_rows(header, rows) -> list:
 def scan_fidelity(config: ScanConfig) -> list:
     """Averaged fidelity at the evaluation time over the (N, eps) grid.
 
-    Rows come out in grid order (N outer, eps_j, then eps_b).  The
-    stream key of a cell is (N index, flattened eps index, realization),
-    independent of corr_p: the sampler consumes the same draws for any
-    corr_p, so field-free scans of one grid at several corr_p share
-    magnitudes and differ in signs only.  All cells of one N go through
-    one ensemble_averages call.
+    Rows come out in the order and with the stream keys of
+    chain.grid_cells (N outer, eps_j, then eps_b); the keys do not depend
+    on corr_p.  All cells of one N go through one ensemble_averages call.
     """
-    points = []
-    n_b = len(config.eps_b_values)
+    cells = grid_cells(config.n_values, config.eps_j_values, config.eps_b_values,
+                       config.corr_p, config.base_coupling)
     t_list = [config.evaluation_time()]
-    for ni, n_sites in enumerate(config.n_values):
-        cells = [(ChainSpec(n_sites=n_sites, base_coupling=config.base_coupling,
-                            eps_j=eps_j, eps_b=eps_b, corr_p=config.corr_p),
-                  (ni, ji * n_b + bi))
-                 for ji, eps_j in enumerate(config.eps_j_values)
-                 for bi, eps_b in enumerate(config.eps_b_values)]
-        results = ensemble_averages(cells, config.n_real, config.seed, t_list)
-        for (spec, _), (mean, err) in zip(cells, results):
-            points.append(FidelityPoint(
-                n_sites=n_sites, eps_j=spec.eps_j, eps_b=spec.eps_b, corr_p=config.corr_p,
-                fbar=float(mean[0]), stderr=float(err[0]), n_real=config.n_real))
+    points = []
+    for _, group in groupby(cells, key=lambda cell: cell[1][0]):
+        group = list(group)
+        results = ensemble_averages(group, config.n_real, config.seed, t_list)
+        points += [FidelityPoint(n_sites=spec.n_sites, eps_j=spec.eps_j, eps_b=spec.eps_b,
+                                 corr_p=spec.corr_p, fbar=float(mean[0]),
+                                 stderr=float(err[0]), n_real=config.n_real)
+                   for (spec, _), (mean, err) in zip(group, results)]
     return points
 
 

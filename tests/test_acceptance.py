@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import spinchain as sc
-from spinchain.fitting import threshold_scaling
+from spinchain.fitting import curves_by_n, threshold_scaling
 from spinchain.scans import threshold_curves
 
 from conftest import (expm_taylor, oracle_amplitudes, oracle_transfer_series,
@@ -137,10 +137,8 @@ def test_criterion_5_spectral_crossover():
                                     1000, SEED + 3))
     hi = sc.eta(sc.collect_spacings(sc.ChainSpec(n_sites=100, eps_j=1.0),
                                     1000, SEED + 4))
-    curves = {}
-    for ni, n in enumerate((50, 100, 200, 500)):
-        grid = np.geomspace(3e-3, 1.0, 10)
-        curves[n] = (grid, sc.eta_curve(n, grid, 500, SEED + 5, key_prefix=(ni,)))
+    grid = np.geomspace(3e-3, 1.0, 10)
+    curves = curves_by_n(sc.eta_scan((50, 100, 200, 500), grid, 500, SEED + 5))
     exps = {t: threshold_scaling(curves, t, model="eta-threshold").fit.params["exponent"]
             for t in (0.5, 0.8)}
     ok = (lo >= 0.9 and hi <= 0.1
@@ -282,11 +280,8 @@ def test_criterion_6b_reference_point():
 
 def test_criterion_6c_dimension_threshold_exponents():
     grid = np.geomspace(0.05, 1.2, 14)
-    curves = {}
-    for ni, n in enumerate((100, 200, 500)):
-        dmean, _, _ = sc.dimension_curve(n, grid, n_real=6, master_seed=SEED + 7,
-                                         key_prefix=(ni,))
-        curves[n] = (grid, dmean)
+    rows, _ = sc.dimension_scan((100, 200, 500), grid, n_real=6, master_seed=SEED + 7)
+    curves = curves_by_n(row[:3] for row in rows)
     exps = {}
     for target in (1.76, 1.6, 1.4):
         exps[target] = threshold_scaling(

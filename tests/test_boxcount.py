@@ -235,22 +235,11 @@ def test_dimension_threshold_synthetic_exponent():
     assert set(scaling2.thresholds) == {4, 16, 64}
 
 
-def test_dimension_curve_matches_hand_loop_over_keys():
-    from spinchain import dimension_curve, dimension_of_series
+def test_dimension_scan_checks_n_real_first():
+    from spinchain import dimension_scan
 
-    grid = (0.1, 0.6)
-    d_mean, d_err, notes = dimension_curve(12, grid, 3, 17, t_max=200.0, dt=0.05,
-                                           key_prefix=(4,))
-    assert notes == []
-    for i, eps_j in enumerate(grid):
-        spec = ChainSpec(n_sites=12, eps_j=eps_j)
-        dims = [dimension_of_series(fidelity_series(
-                    build_hamiltonian(spec, sample_disorder(spec, substream(17, 4, i, r))),
-                    200.0, 0.05))[0].params["dimension"] for r in range(3)]
-        assert d_mean[i] == float(np.mean(dims))
-        assert d_err[i] == float(np.std(dims, ddof=1) / np.sqrt(3))
     with pytest.raises(ValueError, match="n_real"):
-        dimension_curve(12, grid, 0, 17, t_max=200.0, dt=0.05)
+        dimension_scan((12,), (0.1, 0.6), 0, 17, t_max=200.0, dt=0.05)
 
 
 def test_refusal_names_the_brute_force_best_window():

@@ -9,9 +9,12 @@ import numpy as np
 import pytest
 
 import spinchain
-from spinchain import (ChainSpec, build_hamiltonian, dimension_curve, eta_curve,
-                       fidelity_series, fit_scaling, perturbation_comparison,
-                       sample_disorder, substream, transfer_time)
+from spinchain import (ChainSpec, WindowSelectionError, build_hamiltonian,
+                       collect_spacings, dimension_of_series, dimension_scan,
+                       ensemble_average, eta, eta_scan, fidelity_series, fit_scaling,
+                       perturbation_comparison, sample_disorder, substream,
+                       transfer_time)
+from spinchain.chain import grid_cells
 from spinchain import cli
 from spinchain.cli import OPTIONS, build_parser, main
 from spinchain.fitting import threshold_scaling
@@ -182,6 +185,34 @@ def test_fractal_manual_window_needs_both_edges(tmp_path, given, missing):
         main(["fractal", "--n", "20", "--eps-j", "0.4", "--seed", "6",
               "--t-max", "200", given, "1", "--out", str(out)])
     assert f"{missing} is missing" in str(err.value)
+    assert not out.exists()
+
+
+def _no_work(*args, **kwargs):
+    raise AssertionError("the command computed before checking its options")
+
+
+@pytest.mark.parametrize("argv, flags, checked_first", [
+    # 21 samples, where box counting needs 33
+    ("fractal --n 20 --t-max 1 --dt 0.05", "--t-max 1.0 --dt 0.05", True),
+    ("dimension-scan --n 20 --eps-j 0.3 --t-max 1 --dt 0.05", "--t-max 1.0 --dt 0.05",
+     True),
+    ("fractal --n 20 --eps-j 0.4 --t-max 200 --l-min 2 --l-max 1",
+     "--l-min 2.0 --l-max 1.0", True),
+    # which box lengths a window holds is known once the series is counted
+    ("fractal --n 20 --eps-j 0.4 --t-max 200 --l-min 1 --l-max 2",
+     "--l-min 1.0 --l-max 2.0", False),
+], ids=["fractal-too-short", "dimension-scan-too-short", "fractal-reversed-window",
+        "fractal-window-too-narrow"])
+def test_box_count_options_exit_naming_their_flags(tmp_path, monkeypatch, argv, flags,
+                                                   checked_first):
+    if checked_first:
+        monkeypatch.setattr(cli, "fidelity_series", _no_work)
+        monkeypatch.setattr(cli, "dimension_scan", _no_work)
+    out = tmp_path / "x.csv"
+    with pytest.raises(SystemExit) as err:
+        main(argv.split() + ["--seed", "1", "--out", str(out)])
+    assert str(err.value).startswith(f"{argv.split()[0]}: {flags}: ")
     assert not out.exists()
 
 
@@ -357,7 +388,7 @@ def test_output_matches_the_committed_golden_table(tmp_path, name, argv):
     assert out.read_bytes() == golden.read_bytes()
 
 
-def test_dimension_scan_rows_match_dimension_curve(tmp_path):
+def test_dimension_scan_command_matches_the_library(tmp_path):
     # a repeated eps_j is its own cell: its refusals are counted apart
     grid = (0.6, 0.3, 0.6)
     out = tmp_path / "dim.csv"
@@ -365,34 +396,84 @@ def test_dimension_scan_rows_match_dimension_curve(tmp_path):
             "--n-real", 3, "--seed", 1, "--out", out)
     _, header, rows = read_csv(out)
     assert header == ["n_sites", "eps_j", "dimension", "stderr", "refused"]
-    expected, notes_seen = [], []
-    for ni, n in enumerate((12, 20)):
-        d_mean, d_err, notes = dimension_curve(n, grid, 3, 1, t_max=35.0, key_prefix=(ni,))
-        expected += [(n, eps, d, e, sum(1 for i, _, _ in notes if i == gi))
-                     for gi, (eps, d, e) in enumerate(zip(grid, d_mean, d_err))]
-        notes_seen += [{"n_sites": n, "eps_j": grid[i], "realization": r, "note": note}
-                       for i, r, note in notes]
+    expected, refusals = dimension_scan((12, 20), grid, 3, 1, t_max=35.0)
     assert [r[4] for r in rows] == [0, 1, 1, 1, 0, 1]   # refusals in this draw
     np.testing.assert_array_equal(np.array(rows, dtype=float), np.array(expected, dtype=float))
-    assert read_sidecar(out)["refusals"] == notes_seen
+    assert read_sidecar(out)["refusals"] == refusals
+
+
+def _dimension_of_cell(spec, seed, key, n_real, t_max):
+    """(mean D, stderr, refused) of realizations substream(seed, *key, r)."""
+    dims = []
+    for r in range(n_real):
+        h = build_hamiltonian(spec, sample_disorder(spec, substream(seed, *key, r)))
+        try:
+            dims.append(dimension_of_series(fidelity_series(h, t_max, 0.05))[0]
+                        .params["dimension"])
+        except WindowSelectionError:
+            pass
+    if not dims:
+        return np.nan, np.nan, n_real
+    err = np.std(dims, ddof=1) / np.sqrt(len(dims)) if len(dims) > 1 else 0.0
+    return np.mean(dims), err, n_real - len(dims)
+
+
+def test_grid_commands_share_the_grid_cells_key_layout(tmp_path):
+    # the cell of the k-th N, i-th eps_j and l-th eps_b draws realization r
+    # from substream(seed, k, i * len(eps_b) + l, r); a repeated eps_j is a
+    # cell of its own
+    n_values, eps_j, eps_b = (12, 20), (0.6, 0.3, 0.6), (0.0, 0.2)
+    grid = [(n, ej, eb, (k, 2 * i + l)) for k, n in enumerate(n_values)
+            for i, ej in enumerate(eps_j) for l, eb in enumerate(eps_b)]
+    cells = grid_cells(n_values, eps_j, eps_b, corr_p=0.3, base_coupling=1.5)
+    assert [key for _, key in cells] == [key for *_, key in grid]
+    assert [spec for spec, _ in cells] == [
+        ChainSpec(n_sites=n, base_coupling=1.5, eps_j=ej, eps_b=eb, corr_p=0.3)
+        for n, ej, eb, _ in grid]
+    field_free = [(n, ej, (k, i)) for k, n in enumerate(n_values)
+                  for i, ej in enumerate(eps_j)]
+    assert [key for _, key in grid_cells(n_values, eps_j)] == [
+        key for *_, key in field_free]
+
+    # each command's row of a cell is the per-cell library result at its key
+    out = {name: tmp_path / f"{name}.csv" for name in ("scan", "eta", "dim")}
+    run_cli("scan", "--n", *n_values, "--eps-j", *eps_j, "--eps-b", *eps_b,
+            "--corr-p", 0.3, "--n-real", 7, "--seed", 5, "--out", out["scan"])
+    run_cli("eta-scan", "--n", *n_values, "--eps-j", *eps_j, "--n-real", 6,
+            "--seed", 5, "--out", out["eta"])
+    run_cli("dimension-scan", "--n", *n_values, "--eps-j", *eps_j, "--t-max", 35,
+            "--n-real", 3, "--seed", 5, "--out", out["dim"])
+    rows = {name: read_csv(path)[2] for name, path in out.items()}
+    assert len(rows["scan"]) == len(grid)
+    for row, (n, ej, eb, key) in zip(rows["scan"], grid):
+        spec = ChainSpec(n_sites=n, eps_j=ej, eps_b=eb, corr_p=0.3)
+        mean, err = ensemble_average(spec, 7, 5, [transfer_time()], key_prefix=key)
+        assert list(row) == [n, ej, eb, 0.3, mean[0], err[0], 7]
+    assert len(rows["eta"]) == len(rows["dim"]) == len(field_free)
+    for eta_row, dim_row, (n, ej, key) in zip(rows["eta"], rows["dim"], field_free):
+        spec = ChainSpec(n_sites=n, eps_j=ej)
+        assert list(eta_row) == [n, ej, eta(collect_spacings(spec, 6, 5, key))]
+        np.testing.assert_array_equal(
+            dim_row, [n, ej, *_dimension_of_cell(spec, 5, key, 3, 35.0)])
+    # in this draw the first cell has a refusal and its repeat has none
+    assert [r[4] for r in rows["dim"]] == [1, 0, 0, 0, 0, 0]
 
 
 def _curve_table(tmp_path, kind, grid):
     """(table path, N -> (sorted grid, values)) of an eta-scan or a
-    dimension-scan run and of the library calls it makes."""
+    dimension-scan run and of the library call it makes."""
     out = tmp_path / f"{kind}.csv"
     if kind == "eta-scan":
         n_values = (10, 20, 40)
         run_cli("eta-scan", "--n", *n_values, "--eps-j", *grid, "--n-real", 30,
                 "--seed", 4, "--out", out)
-        values = [eta_curve(n, grid, 30, 4, key_prefix=(ni,))
-                  for ni, n in enumerate(n_values)]
+        rows = eta_scan(n_values, grid, 30, 4)
     else:
         n_values = (12, 20, 30)
         run_cli("dimension-scan", "--n", *n_values, "--eps-j", *grid, "--t-max", 200,
                 "--n-real", 2, "--seed", 4, "--out", out)
-        values = [dimension_curve(n, grid, 2, 4, t_max=200.0, key_prefix=(ni,))[0]
-                  for ni, n in enumerate(n_values)]
+        rows, _ = dimension_scan(n_values, grid, 2, 4, t_max=200.0)
+    values = np.array([row[2] for row in rows]).reshape(len(n_values), len(grid))
     order = np.argsort(grid)
     curves = {n: (np.asarray(grid)[order], v[order]) for n, v in zip(n_values, values)}
     return out, curves

@@ -24,5 +24,5 @@ from .boxcount import (BoxCountCurve, DegenerateSeriesError, TrimResult,
 from .perturbation import (PerturbationCoefficients, compute_coefficients,
                            infidelity_sums, perturbative_fidelity,
                            require_transfer_time)
-from .scans import (FidelityPoint, ScanConfig, fit_scaling,
-                    perturbation_comparison, scan_fidelity)
+from .scans import (FidelityPoint, fit_scaling, perturbation_comparison,
+                    scan_fidelity)

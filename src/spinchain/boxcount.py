@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .chain import TridiagonalHamiltonian, grid_cells, hamiltonian_block
+from .chain import TridiagonalHamiltonian, _readonly, grid_cells, hamiltonian_block
 from .evolve import FidelitySeries, fidelity_series
 from .fitting import FitResult, line_fit, standard_error
 
@@ -29,6 +29,7 @@ __all__ = [
     "fit_dimension",
     "dimension_of_series",
     "dimension_scan",
+    "DIMENSION_HEADER",
 ]
 
 TRIM_THRESHOLD = 0.55
@@ -39,6 +40,9 @@ TRIM_THRESHOLD = 0.55
 R2_MIN = 0.995
 MIN_POINTS = 6
 MIN_RATIO = 10.0
+
+# The columns of dimension_scan's rows.
+DIMENSION_HEADER = ("n_sites", "eps_j", "dimension", "stderr", "refused")
 
 
 class DegenerateSeriesError(ValueError):
@@ -64,9 +68,7 @@ class BoxCountCurve:
 
     def __post_init__(self):
         for name in ("lengths", "m_values"):
-            a = np.asarray(getattr(self, name), dtype=float)
-            a.flags.writeable = False
-            object.__setattr__(self, name, a)
+            object.__setattr__(self, name, _readonly(getattr(self, name)))
 
 
 def transient_trim(series: FidelitySeries) -> TrimResult:
@@ -250,10 +252,11 @@ def dimension_scan(n_values, eps_j_grid, n_real: int, master_seed: int,
 
     The dimension is fitted per realization and the fits averaged
     (averaging the fidelity first would restore periodicity and destroy
-    the fractal signal).  Rows are (N, eps_j, mean D, its standard error,
-    refused realizations), NaN D where all are refused or degenerate; each
-    refusal is {n_sites, eps_j, realization, note}.  Cells are ordered and
-    keyed by chain.grid_cells.  n_real is checked first.
+    the fractal signal).  Rows are in DIMENSION_HEADER order (N, eps_j,
+    mean D, its standard error, refused realizations), NaN D where all
+    are refused or degenerate; each refusal is {n_sites, eps_j,
+    realization, note}.  Cells are ordered and keyed by chain.grid_cells.
+    n_real is checked first.
     """
     if n_real < 1:
         raise ValueError("n_real must be >= 1")

@@ -57,10 +57,11 @@ def substream(master_seed: int, *key: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
-def _readonly(a: np.ndarray) -> np.ndarray:
-    a = np.asarray(a, dtype=float)
-    a.flags.writeable = False
-    return a
+def _readonly(a, dtype=float) -> np.ndarray:
+    """A read-only view of a as dtype; the caller's array stays writeable."""
+    view = np.asarray(a, dtype=dtype).view()
+    view.flags.writeable = False
+    return view
 
 
 @dataclass(frozen=True)

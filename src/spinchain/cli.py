@@ -14,12 +14,13 @@ from pathlib import Path
 
 from . import __version__
 from .chain import ChainSpec, TridiagonalHamiltonian, hamiltonian_block
-from .boxcount import (DegenerateSeriesError, box_count, default_box_lengths,
-                       dimension_scan, fit_dimension, transient_trim)
+from .boxcount import (DIMENSION_HEADER, DegenerateSeriesError, box_count,
+                       default_box_lengths, dimension_scan, fit_dimension,
+                       transient_trim)
 from .evolve import fidelity_series, series_length, transfer_time
 from .fitting import curves_by_n, threshold_scaling
-from .levelstats import collect_spacings, eta, eta_scan, spacing_histogram
-from .scans import (FidelityPoint, ScanConfig, fit_scaling, points_from_rows,
+from .levelstats import ETA_HEADER, collect_spacings, eta_scan, spacing_histogram
+from .scans import (FidelityPoint, fit_scaling, points_from_rows,
                     perturbation_comparison, scan_fidelity, threshold_curves)
 from .tableio import read_csv, write_csv, write_sidecar
 
@@ -247,8 +248,6 @@ def _write(cfg, command, header, rows, csv_extra, **sidecar):
 
 # Curve tables threshold reads besides scan tables: per (N, eps_j) rows
 # whose third column is the value that crosses the target.
-ETA_HEADER = ("n_sites", "eps_j", "eta")
-DIMENSION_HEADER = ("n_sites", "eps_j", "dimension", "stderr", "refused")
 CURVE_MODELS = {ETA_HEADER: "eta-threshold", DIMENSION_HEADER: "dimension-threshold"}
 
 
@@ -292,23 +291,20 @@ def _cmd_transfer(cfg):
     _write(cfg, "transfer", ("time", "amp_real", "amp_imag", "fidelity"), rows, {})
 
 
-def _scan_config(cfg) -> ScanConfig:
-    return ScanConfig(
-        n_values=cfg["n"], seed=cfg["seed"], eps_j_values=cfg["eps_j"],
-        eps_b_values=cfg.get("eps_b", (0.0,)), corr_p=cfg["corr_p"],
-        n_real=cfg["n_real"], base_coupling=cfg["j"], t_eval=cfg["t_eval"])
-
-
 def _cmd_scan(cfg):
-    points = scan_fidelity(_scan_config(cfg))
-    _write(cfg, "scan", FidelityPoint.HEADER, (p.row() for p in points), {})
+    points = scan_fidelity(cfg["n"], cfg["eps_j"], cfg["n_real"], cfg["seed"],
+                           eps_b_grid=cfg["eps_b"], corr_p=cfg["corr_p"],
+                           base_coupling=cfg["j"], t_eval=cfg["t_eval"])
+    _write(cfg, "scan", FidelityPoint._fields, points, {})
 
 
 def _cmd_corr_scan(cfg):
     # one field-free scan per corr_p, rows ordered by (corr_p, N, eps_j)
     points = [p for corr_p in cfg["corr_p"]
-              for p in scan_fidelity(_scan_config({**cfg, "corr_p": corr_p}))]
-    _write(cfg, "corr-scan", FidelityPoint.HEADER, (p.row() for p in points), {})
+              for p in scan_fidelity(cfg["n"], cfg["eps_j"], cfg["n_real"], cfg["seed"],
+                                     corr_p=corr_p, base_coupling=cfg["j"],
+                                     t_eval=cfg["t_eval"])]
+    _write(cfg, "corr-scan", FidelityPoint._fields, points, {})
 
 
 def _cmd_fit_scaling(cfg):
@@ -335,14 +331,14 @@ def _cmd_threshold(cfg):
             raise SystemExit(f"threshold: --param {cfg['param']}: the "
                              f"{','.join(header)} table {tables} holds eps_j curves only")
         curves = curves_by_n((int(r[0]), r[1], r[2]) for r in rows)
-    elif tuple(header) == FidelityPoint.HEADER:
+    elif tuple(header) == FidelityPoint._fields:
         model = f"{cfg['param']}-threshold"
         try:
             curves = threshold_curves(points_from_rows(header, rows), cfg["param"])
         except ValueError as err:
             raise SystemExit(f"threshold: --table {tables}: {err}") from None
     else:
-        accepted = " or ".join(",".join(h) for h in (FidelityPoint.HEADER, *CURVE_MODELS))
+        accepted = " or ".join(",".join(h) for h in (FidelityPoint._fields, *CURVE_MODELS))
         raise SystemExit(f"threshold: --table {tables}: expected a table with header "
                          f"{accepted}, found {','.join(header)}")
     out_rows, fits = [], {}
@@ -372,7 +368,7 @@ def _cmd_threshold(cfg):
 def _cmd_spectrum(cfg):
     sample = collect_spacings(_spec(cfg), cfg["n_real"], cfg["seed"])
     hist = spacing_histogram(sample.spacings, cfg["bin_width"])
-    value = eta(sample, cfg["bin_width"])
+    value = hist.eta
     rows = zip(hist.edges[:-1], hist.edges[1:], hist.centers, hist.density)
     _write(cfg, "spectrum", ("bin_left", "bin_right", "bin_center", "density"), rows,
            {"eta": value, "n_spacings": sample.spacings.size},

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import (ChainSpec, TridiagonalHamiltonian, gershgorin_radii,
+from .chain import (ChainSpec, TridiagonalHamiltonian, _readonly, gershgorin_radii,
                     hamiltonian_block, spectral_half_width)
 from .fitting import standard_error
 
@@ -104,9 +104,7 @@ class SpectralDecomposition:
 
     def __post_init__(self):
         for name in ("eigenvalues", "eigenvectors"):
-            a = np.asarray(getattr(self, name), dtype=float)
-            a.flags.writeable = False
-            object.__setattr__(self, name, a)
+            object.__setattr__(self, name, _readonly(getattr(self, name)))
 
     @property
     def n_sites(self) -> int:
@@ -122,14 +120,10 @@ class FidelitySeries:
     fidelity: np.ndarray
 
     def __post_init__(self):
-        t = np.asarray(self.times, dtype=float)
-        a = np.asarray(self.amplitude, dtype=complex)
-        f = np.asarray(self.fidelity, dtype=float)
-        if not (t.shape == a.shape == f.shape):
+        for name, dtype in (("times", float), ("amplitude", complex), ("fidelity", float)):
+            object.__setattr__(self, name, _readonly(getattr(self, name), dtype))
+        if not (self.times.shape == self.amplitude.shape == self.fidelity.shape):
             raise ValueError("times, amplitude and fidelity must share a shape")
-        for name, arr in (("times", t), ("amplitude", a), ("fidelity", f)):
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
 
     @property
     def dt(self) -> float:

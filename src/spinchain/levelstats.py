@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import ChainSpec, grid_cells, hamiltonian_block
+from .chain import ChainSpec, _readonly, grid_cells, hamiltonian_block
 
 __all__ = [
     "SpacingSample",
@@ -28,6 +28,7 @@ __all__ = [
     "spacing_histogram",
     "eta",
     "eta_scan",
+    "ETA_HEADER",
 ]
 
 
@@ -44,6 +45,9 @@ def eigvalsh_tridiagonal(d, e, *, lapack_driver):
 # The spacing histogram's edge grid covers at least [0, S_MAX].
 S_MAX = 5.0
 
+# The columns of eta_scan's rows.
+ETA_HEADER = ("n_sites", "eps_j", "eta")
+
 
 @dataclass(frozen=True)
 class SpacingSample:
@@ -53,9 +57,7 @@ class SpacingSample:
     n_realizations: int
 
     def __post_init__(self):
-        s = np.asarray(self.spacings, dtype=float)
-        s.flags.writeable = False
-        object.__setattr__(self, "spacings", s)
+        object.__setattr__(self, "spacings", _readonly(self.spacings))
 
 
 @dataclass(frozen=True)
@@ -74,9 +76,7 @@ class SpacingHistogram:
 
     def __post_init__(self):
         for name in ("edges", "density"):
-            a = np.asarray(getattr(self, name), dtype=float)
-            a.flags.writeable = False
-            object.__setattr__(self, name, a)
+            object.__setattr__(self, name, _readonly(getattr(self, name)))
 
     @property
     def widths(self) -> np.ndarray:
@@ -89,6 +89,28 @@ class SpacingHistogram:
     @property
     def mass(self) -> float:
         return float(np.sum(self.density * self.widths))
+
+    @property
+    def eta(self) -> float:
+        """Riemann-sum eta on the histogram's own bins.
+
+        Both integrals run over the bins whose center lies in [0, 1], share
+        the binning and share the Poisson reference evaluated at the bin
+        centers, so a sample that concentrates in the bin containing s = 1
+        (the clean chain) gives eta = 1 identically.
+        """
+        centers = self.centers
+        widths = self.widths
+        inside = centers <= 1.0 + 1e-12
+        poisson = np.exp(-centers[inside])
+
+        delta_density = np.zeros_like(self.density)
+        delta_bin = np.searchsorted(self.edges, 1.0, side="right") - 1
+        delta_density[delta_bin] = 1.0 / widths[delta_bin]
+
+        num = np.sum(widths[inside] * np.abs(self.density[inside] - poisson))
+        den = np.sum(widths[inside] * np.abs(delta_density[inside] - poisson))
+        return float(num / den)
 
 
 def collect_spacings(spec: ChainSpec, n_real: int, master_seed: int,
@@ -133,37 +155,15 @@ def spacing_histogram(values, bin_width: float = 0.05) -> SpacingHistogram:
     return SpacingHistogram(edges=edges, density=density, bin_width=bin_width)
 
 
-def _eta_from_histogram(hist: SpacingHistogram) -> float:
-    """Riemann-sum eta on the histogram's own bins.
-
-    Both integrals run over the bins whose center lies in [0, 1], share
-    the binning and share the Poisson reference evaluated at the bin
-    centers, so a sample that concentrates in the bin containing s = 1
-    (the clean chain) gives eta = 1 identically.
-    """
-    centers = hist.centers
-    widths = hist.widths
-    inside = centers <= 1.0 + 1e-12
-    poisson = np.exp(-centers[inside])
-
-    delta_density = np.zeros_like(hist.density)
-    delta_bin = np.searchsorted(hist.edges, 1.0, side="right") - 1
-    delta_density[delta_bin] = 1.0 / widths[delta_bin]
-
-    num = np.sum(widths[inside] * np.abs(hist.density[inside] - poisson))
-    den = np.sum(widths[inside] * np.abs(delta_density[inside] - poisson))
-    return float(num / den)
-
-
 def eta(sample: SpacingSample, bin_width: float = 0.05) -> float:
     """Crossover parameter: 1 for the clean delta peak, ~0 for Poisson."""
-    return _eta_from_histogram(spacing_histogram(sample.spacings, bin_width))
+    return spacing_histogram(sample.spacings, bin_width).eta
 
 
 def eta_scan(n_values, eps_j_grid, n_real: int, master_seed: int,
              base_coupling: float = 1.0, bin_width: float = 0.05) -> list:
-    """(N, eps_j, eta) rows over the (N, eps_j) grid, in the order and with
-    the stream keys of chain.grid_cells."""
+    """Rows in ETA_HEADER order over the (N, eps_j) grid, in the order and
+    with the stream keys of chain.grid_cells."""
     return [(spec.n_sites, spec.eps_j,
              eta(collect_spacings(spec, n_real, master_seed, key), bin_width))
             for spec, key in grid_cells(n_values, eps_j_grid, base_coupling=base_coupling)]

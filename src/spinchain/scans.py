@@ -11,14 +11,14 @@ cells could be evaluated in any order.  A scan makes one
 ensemble_averages call per N, and a perturbation comparison one call
 for all of its sectors.
 
-The scan table's columns are FidelityPoint.HEADER; points_from_rows
+The scan table's columns are the fields of FidelityPoint; points_from_rows
 reads them back and refuses any other header.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import groupby
+from typing import NamedTuple
 
 import numpy as np
 
@@ -29,7 +29,6 @@ from .perturbation import (compute_coefficients, infidelity_sums,
                            perturbative_fidelity, require_transfer_time)
 
 __all__ = [
-    "ScanConfig",
     "FidelityPoint",
     "points_from_rows",
     "scan_fidelity",
@@ -45,43 +44,9 @@ __all__ = [
 SCALING_MASK_FLOOR = 0.05
 
 
-@dataclass(frozen=True)
-class ScanConfig:
-    """Parameter grid for one fidelity scan.
+class FidelityPoint(NamedTuple):
+    """One row of a scan table; the fields are its columns, in order."""
 
-    The evaluation time defaults to the first transfer time t1 of the
-    clean chain.  The seed must be given explicitly; there is no
-    entropy default anywhere in the pipeline.
-    """
-
-    n_values: tuple
-    seed: int
-    eps_j_values: tuple = (0.0,)
-    eps_b_values: tuple = (0.0,)
-    corr_p: float = 0.5
-    n_real: int = 1000
-    base_coupling: float = 1.0
-    t_eval: float | None = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "n_values", tuple(int(n) for n in self.n_values))
-        object.__setattr__(self, "eps_j_values", tuple(float(x) for x in self.eps_j_values))
-        object.__setattr__(self, "eps_b_values", tuple(float(x) for x in self.eps_b_values))
-        if not self.n_values or not self.eps_j_values or not self.eps_b_values:
-            raise ValueError("parameter grids must be nonempty")
-        if self.n_real < 1:
-            raise ValueError("n_real must be >= 1")
-        if self.seed is None:
-            raise ValueError("an explicit seed is required")
-
-    def evaluation_time(self) -> float:
-        if self.t_eval is not None:
-            return float(self.t_eval)
-        return transfer_time(self.base_coupling)
-
-
-@dataclass(frozen=True)
-class FidelityPoint:
     n_sites: int
     eps_j: float
     eps_b: float
@@ -90,40 +55,35 @@ class FidelityPoint:
     stderr: float
     n_real: int
 
-    HEADER = ("n_sites", "eps_j", "eps_b", "corr_p", "fbar", "stderr", "n_real")
-
-    def row(self) -> tuple:
-        return (self.n_sites, self.eps_j, self.eps_b, self.corr_p,
-                self.fbar, self.stderr, self.n_real)
-
 
 def points_from_rows(header, rows) -> list:
     """FidelityPoints of a scan table's rows; any other header raises
     ValueError naming the expected and the found header."""
-    if tuple(header) != FidelityPoint.HEADER:
+    if tuple(header) != FidelityPoint._fields:
         raise ValueError(f"expected a scan table with header "
-                         f"{','.join(FidelityPoint.HEADER)}, found {','.join(header)}")
-    return [FidelityPoint(n_sites=int(r[0]), eps_j=r[1], eps_b=r[2], corr_p=r[3],
-                          fbar=r[4], stderr=r[5], n_real=int(r[6])) for r in rows]
+                         f"{','.join(FidelityPoint._fields)}, found {','.join(header)}")
+    return [FidelityPoint(int(r[0]), *r[1:6], int(r[6])) for r in rows]
 
 
-def scan_fidelity(config: ScanConfig) -> list:
-    """Averaged fidelity at the evaluation time over the (N, eps) grid.
+def scan_fidelity(n_values, eps_j_grid, n_real: int, master_seed: int,
+                  eps_b_grid=(0.0,), corr_p: float = 0.5, base_coupling: float = 1.0,
+                  t_eval: float | None = None) -> list:
+    """Averaged fidelity at t_eval (default t1 = pi / (4J)) over the
+    (N, eps_j, eps_b) grid.
 
     Rows come out in the order and with the stream keys of
     chain.grid_cells (N outer, eps_j, then eps_b); the keys do not depend
-    on corr_p.  All cells of one N go through one ensemble_averages call.
+    on corr_p.  All cells of one N go through one ensemble_averages call,
+    which refuses n_real < 1 before drawing; an empty grid gives no rows.
     """
-    cells = grid_cells(config.n_values, config.eps_j_values, config.eps_b_values,
-                       config.corr_p, config.base_coupling)
-    t_list = [config.evaluation_time()]
+    cells = grid_cells(n_values, eps_j_grid, eps_b_grid, corr_p, base_coupling)
+    t_list = [transfer_time(base_coupling) if t_eval is None else t_eval]
     points = []
     for _, group in groupby(cells, key=lambda cell: cell[1][0]):
         group = list(group)
-        results = ensemble_averages(group, config.n_real, config.seed, t_list)
-        points += [FidelityPoint(n_sites=spec.n_sites, eps_j=spec.eps_j, eps_b=spec.eps_b,
-                                 corr_p=spec.corr_p, fbar=float(mean[0]),
-                                 stderr=float(err[0]), n_real=config.n_real)
+        results = ensemble_averages(group, n_real, master_seed, t_list)
+        points += [FidelityPoint(spec.n_sites, spec.eps_j, spec.eps_b, spec.corr_p,
+                                 float(mean[0]), float(err[0]), n_real)
                    for (spec, _), (mean, err) in zip(group, results)]
     return points
 
@@ -195,7 +155,7 @@ def threshold_curves(points, param: str) -> dict:
 
 
 def perturbation_comparison(n_sites: int, eps_values, sectors, n_real: int,
-                            seed: int, base_coupling: float = 1.0,
+                            master_seed: int, base_coupling: float = 1.0,
                             t: float | None = None) -> dict:
     """Monte-Carlo infidelity against the perturbative formula per eps.
 
@@ -227,7 +187,7 @@ def perturbation_comparison(n_sites: int, eps_values, sectors, n_real: int,
              for sector in sectors for ei, eps in enumerate(eps_sorted)]
     averages = ensemble_averages(
         [(ChainSpec(n_sites=n_sites, base_coupling=base_coupling, **kw), (ei,))
-         for _, _, kw, ei in cells], n_real, seed, [t])
+         for _, _, kw, ei in cells], n_real, master_seed, [t])
     results = {sector: {"rows": [], "sector": sector, "t": t,
                         "sector_sum": coupling_sum if sector == "j" else field_sum}
                for sector in sectors}

@@ -79,10 +79,8 @@ N_REAL_SCANS = 1000
 
 @pytest.fixture(scope="module")
 def coupling_scan():
-    cfg = sc.ScanConfig(n_values=N_VALUES, seed=SEED + 1,
-                        eps_j_values=tuple(np.geomspace(0.02, 1.0, 12)),
-                        n_real=N_REAL_SCANS)
-    return sc.scan_fidelity(cfg)
+    return sc.scan_fidelity(N_VALUES, tuple(np.geomspace(0.02, 1.0, 12)),
+                            N_REAL_SCANS, SEED + 1)
 
 
 @pytest.fixture(scope="module")
@@ -91,11 +89,9 @@ def field_scan():
     # of the collapse variable eps_b^2/N
     points = []
     for n in N_VALUES:
-        cfg = sc.ScanConfig(n_values=(n,), seed=SEED + 2,
-                            eps_b_values=tuple(np.geomspace(0.26, 1.26, 12)
-                                               * np.sqrt(n)),
-                            n_real=N_REAL_SCANS)
-        points += sc.scan_fidelity(cfg)
+        points += sc.scan_fidelity((n,), (0.0,), N_REAL_SCANS, SEED + 2,
+                                   eps_b_grid=tuple(np.geomspace(0.26, 1.26, 12)
+                                                    * np.sqrt(n)))
     return points
 
 

@@ -3,9 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spinchain import (ChainSpec, DisorderRealization, build_hamiltonian,
-                       clean_hamiltonian, hamiltonian_block, sample_disorder,
-                       substream, zero_disorder)
+from spinchain import (BoxCountCurve, ChainSpec, DisorderRealization, FidelitySeries,
+                       SpacingHistogram, SpacingSample, SpectralDecomposition,
+                       TridiagonalHamiltonian, build_hamiltonian, clean_hamiltonian,
+                       hamiltonian_block, sample_disorder, substream, zero_disorder)
 
 from conftest import sector_matrix, single_excitation_block
 
@@ -19,6 +20,33 @@ def test_spec_validation():
         ChainSpec(n_sites=4, eps_j=-0.1)
     with pytest.raises(ValueError):
         ChainSpec(n_sites=4, corr_p=1.5)
+
+
+# The array fields of each value type, and its other fields.
+VALUE_TYPES = {
+    DisorderRealization: ({"delta": np.zeros(4), "field_err": np.zeros(5)}, {}),
+    TridiagonalHamiltonian: ({"diag": np.zeros(5), "offdiag": np.zeros(4)}, {}),
+    SpectralDecomposition: ({"eigenvalues": np.zeros(3), "eigenvectors": np.eye(3)}, {}),
+    FidelitySeries: ({"times": np.zeros(3), "amplitude": np.zeros(3, complex),
+                      "fidelity": np.zeros(3)}, {}),
+    BoxCountCurve: ({"lengths": np.ones(3), "m_values": np.ones(3)}, {"dt": 0.1}),
+    SpacingSample: ({"spacings": np.ones(3)}, {"n_realizations": 1}),
+    SpacingHistogram: ({"edges": np.arange(3.0), "density": np.ones(2)},
+                       {"bin_width": 1.0}),
+}
+
+
+@pytest.mark.parametrize("cls", VALUE_TYPES, ids=lambda cls: cls.__name__)
+def test_value_types_freeze_a_view_not_the_callers_arrays(cls):
+    arrays, extra = VALUE_TYPES[cls]
+    obj = cls(**arrays, **extra)
+    for name, given in arrays.items():
+        held = getattr(obj, name)
+        assert given.flags.writeable, name
+        assert not held.flags.writeable, name
+        assert np.shares_memory(held, given), name   # a view, not a copy
+        with pytest.raises(ValueError):
+            held[...] = 0
 
 
 def test_zero_amplitude_disorder_gives_zero_vectors():

@@ -12,8 +12,8 @@ import spinchain
 from spinchain import (ChainSpec, WindowSelectionError, build_hamiltonian,
                        collect_spacings, dimension_of_series, dimension_scan,
                        ensemble_average, eta, eta_scan, fidelity_series, fit_scaling,
-                       perturbation_comparison, sample_disorder, substream,
-                       transfer_time)
+                       perturbation_comparison, sample_disorder, scan_fidelity,
+                       substream, transfer_time)
 from spinchain.chain import grid_cells
 from spinchain import cli
 from spinchain.cli import OPTIONS, build_parser, main
@@ -67,8 +67,8 @@ def test_scan_then_fit_and_threshold_round_trip(tmp_path):
     for n in (10, 40, 160):
         for eps in np.sqrt(-np.log(0.8) / (0.2 * n)) * np.geomspace(0.3, 3, 9):
             fbar = 0.5 * (1 + np.exp(-0.2 * n * eps * eps))
-            rows.append(FidelityPoint(n, eps, 0.0, 0.5, fbar, 0.0, 1).row())
-    write_csv(table, FidelityPoint.HEADER, rows, metadata={"seed": 1})
+            rows.append(FidelityPoint(n, eps, 0.0, 0.5, fbar, 0.0, 1))
+    write_csv(table, FidelityPoint._fields, rows, metadata={"seed": 1})
 
     fit_out = tmp_path / "fit.csv"
     run_cli("fit-scaling", "--table", table, "--out", fit_out)
@@ -158,6 +158,20 @@ def test_config_file_with_flag_override(tmp_path):
 def test_missing_seed_is_an_error(tmp_path):
     with pytest.raises(SystemExit):
         main(["scan", "--n", "8", "--out", str(tmp_path / "x.csv")])
+
+
+def test_scan_table_reads_back_as_the_points_that_wrote_it(tmp_path):
+    out = tmp_path / "scan.csv"
+    run_cli("scan", "--n", 6, 11, 17, "--eps-j", 0.0, 0.07, 0.4, "--eps-b", 0.0, 0.3,
+            "--corr-p", 0.3, "--n-real", 12, "--seed", 21, "--out", out)
+    _, header, rows = read_csv(out)
+    read_back = points_from_rows(header, rows)
+    points = scan_fidelity((6, 11, 17), (0.0, 0.07, 0.4), 12, 21,
+                           eps_b_grid=(0.0, 0.3), corr_p=0.3)
+    assert len(points) == 18 and read_back == points
+    for back, point in zip(read_back, points):
+        assert type(back.n_sites) is int and type(back.n_real) is int
+        assert all(a.hex() == b.hex() for a, b in zip(back[1:6], point[1:6]))
 
 
 def test_corr_scan_half_rows_equal_scan_rows(tmp_path):

@@ -1,10 +1,8 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
-from spinchain import (ChainSpec, FidelityPoint, ScanConfig, ensemble_average,
-                       fit_scaling, scan_fidelity)
+from spinchain import (ChainSpec, FidelityPoint, ensemble_average, fit_scaling,
+                       scan_fidelity)
 from spinchain.fitting import crossing_loglinear, power_law_fit, threshold_scaling
 from spinchain.scans import threshold_curves
 
@@ -22,28 +20,23 @@ def synthetic_scaling_points(kappa_j=0.2, kappa_b=0.7, n_values=(10, 50, 200),
     return points
 
 
-def test_config_validation():
-    with pytest.raises(ValueError):
-        ScanConfig(n_values=(), seed=1)
-    with pytest.raises(ValueError):
-        ScanConfig(n_values=(10,), seed=1, n_real=0)
-    with pytest.raises(ValueError):
-        ScanConfig(n_values=(10,), seed=None)
+def test_scan_refuses_no_realizations_before_drawing(forbid_draws):
+    with pytest.raises(ValueError, match="n_real"):
+        scan_fidelity((10, 30), (0.0, 0.1), 0, 1)
+    assert scan_fidelity((), (0.1,), 5, 1) == []
 
 
 def test_zero_disorder_grid_gives_unit_fidelity():
-    cfg = ScanConfig(n_values=(10, 30), seed=3, eps_j_values=(0.0,),
-                     eps_b_values=(0.0,), n_real=3)
-    for p in scan_fidelity(cfg):
+    points = scan_fidelity((10, 30), (0.0,), 3, 3)
+    assert len(points) == 2
+    for p in points:
         assert p.fbar >= 1.0 - 1e-9
         assert p.stderr <= 1e-12
 
 
 def test_scan_rows_in_grid_order_and_deterministic():
-    cfg = ScanConfig(n_values=(6, 9), seed=5, eps_j_values=(0.01, 0.1),
-                     eps_b_values=(0.0, 0.2), n_real=20)
-    a = scan_fidelity(cfg)
-    b = scan_fidelity(cfg)
+    a = scan_fidelity((6, 9), (0.01, 0.1), 20, 5, eps_b_grid=(0.0, 0.2))
+    b = scan_fidelity((6, 9), (0.01, 0.1), 20, 5, eps_b_grid=(0.0, 0.2))
     assert [(p.n_sites, p.eps_j, p.eps_b) for p in a] == \
         [(n, ej, eb) for n in (6, 9) for ej in (0.01, 0.1) for eb in (0.0, 0.2)]
     assert all(pa == pb for pa, pb in zip(a, b))
@@ -53,12 +46,11 @@ def test_scan_rows_in_grid_order_and_deterministic():
 def test_scan_rows_equal_one_ensemble_average_per_cell(n_real):
     # 3 cells x 50 realizations: the first 128-row block spans all three
     # cells and the second holds the tail of the third
-    cfg = ScanConfig(n_values=(9, 14), seed=8, eps_j_values=(0.1, 0.5, 1.0),
-                     eps_b_values=(0.2,), corr_p=0.7, n_real=n_real, t_eval=2.5)
-    points = scan_fidelity(cfg)
+    points = scan_fidelity((9, 14), (0.1, 0.5, 1.0), n_real, 8, eps_b_grid=(0.2,),
+                           corr_p=0.7, t_eval=2.5)
     expected = []
-    for ni, n in enumerate(cfg.n_values):
-        for ji, eps_j in enumerate(cfg.eps_j_values):
+    for ni, n in enumerate((9, 14)):
+        for ji, eps_j in enumerate((0.1, 0.5, 1.0)):
             spec = ChainSpec(n_sites=n, eps_j=eps_j, eps_b=0.2, corr_p=0.7)
             mean, err = ensemble_average(spec, n_real, 8, [2.5], key_prefix=(ni, ji))
             expected.append((n, eps_j, float(mean[0]), float(err[0])))
@@ -123,11 +115,9 @@ def test_threshold_extract_skips_out_of_range_chains():
 
 
 def test_correlated_scan_reproduces_uncorrelated_rows_bitwise():
-    cfg = ScanConfig(n_values=(12,), seed=9, eps_j_values=(0.05, 0.2), n_real=30)
     corr_points = [p for corr_p in (0.1, 0.5, 0.9)
-                   for p in scan_fidelity(replace(cfg, corr_p=corr_p))]
-    plain = scan_fidelity(ScanConfig(n_values=(12,), seed=9,
-                                     eps_j_values=(0.05, 0.2), n_real=30))
+                   for p in scan_fidelity((12,), (0.05, 0.2), 30, 9, corr_p=corr_p)]
+    plain = scan_fidelity((12,), (0.05, 0.2), 30, 9)
     half = [p for p in corr_points if p.corr_p == 0.5]
     assert len(half) == len(plain)
     for pc, pu in zip(half, plain):
@@ -138,9 +128,8 @@ def test_correlated_scan_reproduces_uncorrelated_rows_bitwise():
 
 def test_correlated_scan_monotone_in_sign_correlation():
     # anticorrelated signs degrade transfer more than correlated ones
-    cfg = ScanConfig(n_values=(100,), seed=14, eps_j_values=(0.1,), n_real=150)
     points = [p for corr_p in (0.1, 0.25, 0.5, 0.75, 0.9)
-              for p in scan_fidelity(replace(cfg, corr_p=corr_p))]
+              for p in scan_fidelity((100,), (0.1,), 150, 14, corr_p=corr_p)]
     fbar = [p.fbar for p in points]
     err = [p.stderr for p in points]
     for i in range(4):

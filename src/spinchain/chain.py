@@ -21,6 +21,7 @@ remain the reference.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,10 +69,10 @@ def _readonly(a, dtype=float) -> np.ndarray:
 class ChainSpec:
     """Physical parameters of one disordered-chain experiment.
 
-    n_sites:       chain length N (>= 2)
-    base_coupling: exchange scale J > 0; times are in units of 1/J
-    eps_j:         coupling disorder amplitude, dimensionless (>= 0)
-    eps_b:         field disorder amplitude in units of J (>= 0)
+    n_sites:       chain length N, of integral value >= 2 (stored as an int)
+    base_coupling: exchange scale J, finite and > 0; times are in units of 1/J
+    eps_j:         coupling disorder amplitude, dimensionless, finite and >= 0
+    eps_b:         field disorder amplitude in units of J, finite and >= 0
     corr_p:        probability that consecutive coupling errors share a
                    sign; 0.5 is exactly the uncorrelated model
     """
@@ -83,12 +84,13 @@ class ChainSpec:
     corr_p: float = 0.5
 
     def __post_init__(self):
-        if self.n_sites < 2:
-            raise ValueError(f"n_sites must be >= 2, got {self.n_sites}")
-        if not self.base_coupling > 0:
-            raise ValueError(f"base_coupling must be > 0, got {self.base_coupling}")
-        if self.eps_j < 0 or self.eps_b < 0:
-            raise ValueError("disorder amplitudes must be >= 0")
+        if not (float(self.n_sites).is_integer() and self.n_sites >= 2):
+            raise ValueError(f"n_sites must be an integer >= 2, got {self.n_sites!r}")
+        object.__setattr__(self, "n_sites", int(self.n_sites))
+        if not 0 < self.base_coupling < math.inf:
+            raise ValueError(f"base_coupling must be finite and > 0, got {self.base_coupling}")
+        if not (0 <= self.eps_j < math.inf and 0 <= self.eps_b < math.inf):
+            raise ValueError("disorder amplitudes must be finite and >= 0")
         if not 0.0 <= self.corr_p <= 1.0:
             raise ValueError(f"corr_p must lie in [0, 1], got {self.corr_p}")
 
@@ -203,8 +205,8 @@ def grid_cells(n_values, eps_j_values, eps_b_values=(0.0,), corr_p: float = 0.5,
     The cell of the k-th N, i-th eps_j and l-th eps_b has the key prefix
     (k, i * len(eps_b_values) + l) whatever corr_p, and a repeated value is
     a cell of its own.  Every grid command (scan, corr-scan, eta-scan,
-    dimension-scan) keys its cells here."""
-    return [(ChainSpec(n_sites=int(n), base_coupling=base_coupling, eps_j=float(eps_j),
+    dimension-scan) keys its cells here; ChainSpec refuses a non-integral N."""
+    return [(ChainSpec(n_sites=n, base_coupling=base_coupling, eps_j=float(eps_j),
                        eps_b=float(eps_b), corr_p=corr_p), (k, i * len(eps_b_values) + l))
             for k, n in enumerate(n_values)
             for i, eps_j in enumerate(eps_j_values)

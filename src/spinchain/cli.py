@@ -20,7 +20,7 @@ from .boxcount import (DIMENSION_HEADER, DegenerateSeriesError, box_count,
 from .evolve import fidelity_series, series_length, transfer_time
 from .fitting import curves_by_n, threshold_scaling
 from .levelstats import ETA_HEADER, collect_spacings, eta_scan, spacing_histogram
-from .scans import (FidelityPoint, fit_scaling, points_from_rows,
+from .scans import (FidelityPoint, PerturbationRow, fit_scaling, points_from_rows,
                     perturbation_comparison, scan_fidelity, threshold_curves)
 from .tableio import read_csv, write_csv, write_sidecar
 
@@ -314,8 +314,7 @@ def _cmd_fit_scaling(cfg):
     except ValueError as err:
         raise SystemExit(f"fit-scaling: --table {' '.join(cfg['table'])}: {err}") from None
     out_rows = [(name, fit.params[name], fit.stderr[name]) for name in sorted(fit.params)]
-    _write(cfg, "fit-scaling", ("parameter", "estimate", "stderr"), out_rows, metadata,
-           fit=_fit_payload(fit))
+    _write(cfg, "fit-scaling", ("parameter", "estimate", "stderr"), out_rows, metadata, fit=fit)
 
 
 def _cmd_threshold(cfg):
@@ -351,10 +350,7 @@ def _cmd_threshold(cfg):
             continue
         for n in sorted(scaling.thresholds):
             out_rows.append((cfg["param"], target, n, scaling.thresholds[n]))
-        fits[key] = {
-            "fit": _fit_payload(scaling.fit),
-            "skipped": list(scaling.skipped),
-        }
+        fits[key] = {"fit": scaling.fit, "skipped": list(scaling.skipped)}
     if not out_rows:
         reasons = "; ".join(fit["reason"] for fit in fits.values())
         targets = " ".join(str(t) for t in cfg["f_target"])
@@ -409,33 +405,20 @@ def _cmd_fractal(cfg):
         raise SystemExit(f"fractal: {flags}: {err}") from None
     _write(cfg, "fractal", ("box_length", "m"), zip(curve.lengths, curve.m_values),
            {"dimension": fit.params["dimension"]},
-           fit=_fit_payload(fit), transient_reached=bool(reached),
+           fit=fit, transient_reached=bool(reached),
            trimmed_samples=len(series) - len(trimmed.times))
 
 
 def _cmd_perturbation(cfg):
     sectors = ("j", "b") if cfg["sector"] == "both" else (cfg["sector"],)
     try:
-        results = perturbation_comparison(cfg["n"], cfg["eps"], sectors, cfg["n_real"],
-                                          cfg["seed"], base_coupling=cfg["j"], t=cfg["t"])
+        rows, summaries = perturbation_comparison(cfg["n"], cfg["eps"], sectors,
+                                                  cfg["n_real"], cfg["seed"],
+                                                  base_coupling=cfg["j"], t=cfg["t"])
     except ValueError as err:
         t = transfer_time(cfg["j"]) if cfg["t"] is None else cfg["t"]
         raise SystemExit(f"perturbation: --t {t!r}: {err}") from None
-    rows, payload = [], {}
-    for sector, result in results.items():
-        for r in result["rows"]:
-            rows.append((sector, r["eps"], r["fbar_mc"], r["stderr"], r["f_pert"],
-                         r["infid_mc"], r["infid_pert"], r["ratio"],
-                         r["mc_over_sector_sum"]))
-        payload[sector] = {
-            "sector_sum": result["sector_sum"],
-            "slope_fit": _fit_payload(result["slope_fit"]) if result["slope_fit"] else None,
-            "t": result["t"],
-        }
-    _write(cfg, "perturbation",
-           ("sector", "eps", "fbar_mc", "stderr", "f_pert",
-            "infid_mc", "infid_pert", "ratio", "mc_over_sector_sum"),
-           rows, {}, sectors=payload)
+    _write(cfg, "perturbation", PerturbationRow._fields, rows, {}, sectors=summaries)
 
 
 def _meta(cfg, **extra) -> dict:
@@ -450,12 +433,6 @@ def _meta(cfg, **extra) -> dict:
             meta[key] = value
     meta.update(extra)
     return meta
-
-
-def _fit_payload(fit) -> dict:
-    return {"model": fit.model, "params": fit.params, "stderr": fit.stderr,
-            "residual_norm": fit.residual_norm, "mask": list(fit.mask),
-            "window": list(fit.window) if fit.window else None}
 
 
 HANDLERS = {

@@ -5,8 +5,8 @@ Two propagators, each where it is cheaper:
 * Ensembles at a few given times (ensemble_averages, and
   ensemble_average for one cell) expand exp(-iHt) e_1 in Chebyshev
   polynomials (Tal-Ezer & Kosloff 1984) with no eigensolve.  The
-  realizations of every cell of one chain length are drawn straight
-  into arrays and stream through shared blocks of
+  realizations of consecutive cells of one chain length are drawn
+  straight into arrays and stream through shared blocks of
   _BLOCK_ELEMENTS // N rows, which may span cells; each row runs on its
   own cell's spectral interval for its own number of terms, so its bits
   do not depend on the block.  The cost grows with half-width x t.
@@ -32,6 +32,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
+from itertools import groupby
 
 import numpy as np
 
@@ -480,20 +481,21 @@ def _chebyshev_transfer_amplitude(diag: np.ndarray, offdiag: np.ndarray, half_wi
 
 
 def ensemble_averages(cells, n_real: int, master_seed: int, t_list) -> list:
-    """Disorder-averaged fidelity of several equal-N cells at the given times.
+    """Disorder-averaged fidelity of several cells at the given times.
 
     cells is a sequence of (spec, key_prefix); realization r of a cell
     draws from substream(master_seed, *key_prefix, r).  The cells'
     realizations stream, cell after cell, through blocks of
-    max(1, _BLOCK_ELEMENTS // N) rows (1,638 at N = 20, 65 at N = 500),
-    and a block may span cells; each row is propagated by the Chebyshev
-    expansion on its own cell's spectral_half_width, so its fidelity
-    does not depend on the block it lands in.  Each cell's mean runs over
-    its own contiguous rows in ascending r, for bit reproducibility.
-    Returns one (mean, fitting.standard_error) per cell.
+    max(1, _BLOCK_ELEMENTS // N) rows (1,638 at N = 20, 65 at N = 500);
+    a block may span consecutive cells of one N and ends where N
+    changes.  Each row is propagated by the Chebyshev expansion on its
+    own cell's spectral_half_width, so its fidelity does not depend on
+    the block it lands in.  Each cell's mean runs over its own contiguous
+    rows in ascending r, for bit reproducibility.  Returns one
+    (mean, fitting.standard_error) per cell.
 
-    n_real, the cells' chain lengths and the times are checked before
-    anything is drawn; a NaN or infinite time raises ValueError naming it.
+    n_real and the times are checked before anything is drawn; a NaN or
+    infinite time raises ValueError naming it.
     """
     cells = list(cells)
     t_list = np.atleast_1d(np.asarray(t_list, dtype=float))
@@ -502,15 +504,15 @@ def ensemble_averages(cells, n_real: int, master_seed: int, t_list) -> list:
             raise ValueError(f"evaluation time {float(t)!r} is not finite")
     if n_real < 1:
         raise ValueError("n_real must be >= 1")
-    lengths = {spec.n_sites for spec, _ in cells}
-    if len(lengths) > 1:
-        raise ValueError("the cells of one call must share the chain length N")
-    block = max(1, _BLOCK_ELEMENTS // max(lengths, default=1))
     half_widths = [spectral_half_width(spec) for spec, _ in cells]
-    total = len(cells) * n_real
-    fid = np.empty((total, t_list.shape[0]))
-    for start in range(0, total, block):
-        stop = min(start + block, total)
+    fid = np.empty((len(cells) * n_real, t_list.shape[0]))
+    # [start, stop) row blocks, cut run by run from consecutive cells of one N
+    blocks, end = [], 0
+    for n_sites, run in groupby(spec.n_sites for spec, _ in cells):
+        first, end = end, end + n_real * len(list(run))
+        size = max(1, _BLOCK_ELEMENTS // n_sites)
+        blocks += [(start, min(start + size, end)) for start in range(first, end, size)]
+    for start, stop in blocks:
         diag, offdiag, widths = [], [], []
         for c in range(start // n_real, (stop - 1) // n_real + 1):
             spec, key_prefix = cells[c]

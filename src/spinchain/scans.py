@@ -8,8 +8,8 @@ cross-check.  The correlated-sign variant is one scan per corr_p.
 Every cell of a scan draws from its own random stream, keyed as
 chain.grid_cells lays the grid out, so tables are bit-reproducible and
 cells could be evaluated in any order.  A scan makes one
-ensemble_averages call per N, and a perturbation comparison one call
-for all of its sectors.
+ensemble_averages call for its whole grid, and a perturbation
+comparison one call for all of its sectors.
 
 The scan table's columns are the fields of FidelityPoint; points_from_rows
 reads them back and refuses any other header.
@@ -17,7 +17,6 @@ reads them back and refuses any other header.
 
 from __future__ import annotations
 
-from itertools import groupby
 from typing import NamedTuple
 
 import numpy as np
@@ -35,6 +34,7 @@ __all__ = [
     "fit_scaling",
     "threshold_curves",
     "perturbation_comparison",
+    "PerturbationRow",
     "SCALING_MASK_FLOOR",
 ]
 
@@ -73,19 +73,15 @@ def scan_fidelity(n_values, eps_j_grid, n_real: int, master_seed: int,
 
     Rows come out in the order and with the stream keys of
     chain.grid_cells (N outer, eps_j, then eps_b); the keys do not depend
-    on corr_p.  All cells of one N go through one ensemble_averages call,
+    on corr_p.  The whole grid goes through one ensemble_averages call,
     which refuses n_real < 1 before drawing; an empty grid gives no rows.
     """
     cells = grid_cells(n_values, eps_j_grid, eps_b_grid, corr_p, base_coupling)
     t_list = [transfer_time(base_coupling) if t_eval is None else t_eval]
-    points = []
-    for _, group in groupby(cells, key=lambda cell: cell[1][0]):
-        group = list(group)
-        results = ensemble_averages(group, n_real, master_seed, t_list)
-        points += [FidelityPoint(spec.n_sites, spec.eps_j, spec.eps_b, spec.corr_p,
-                                 float(mean[0]), float(err[0]), n_real)
-                   for (spec, _), (mean, err) in zip(group, results)]
-    return points
+    results = ensemble_averages(cells, n_real, master_seed, t_list)
+    return [FidelityPoint(spec.n_sites, spec.eps_j, spec.eps_b, spec.corr_p,
+                          float(mean[0]), float(err[0]), n_real)
+            for (spec, _), (mean, err) in zip(cells, results)]
 
 
 def _one_corr_p(points):
@@ -154,16 +150,32 @@ def threshold_curves(points, param: str) -> dict:
     return curves
 
 
+class PerturbationRow(NamedTuple):
+    """One row of a perturbation table; the fields are its columns, in order."""
+
+    sector: str
+    eps: float
+    fbar_mc: float
+    stderr: float
+    f_pert: float
+    infid_mc: float
+    infid_pert: float
+    ratio: float
+    mc_over_sector_sum: float
+
+
 def perturbation_comparison(n_sites: int, eps_values, sectors, n_real: int,
                             master_seed: int, base_coupling: float = 1.0,
-                            t: float | None = None) -> dict:
+                            t: float | None = None) -> tuple[list, dict]:
     """Monte-Carlo infidelity against the perturbative formula per eps.
 
     sectors holds "j" (coupling disorder) and/or "b" (field disorder).
-    Returns {sector: result}, each result holding the comparison rows,
-    the log-log slope of the MC infidelity vs eps, and the fitted
-    prefactor ratio between the Monte Carlo and the plain sector sum (the
-    formula's own prefactor is eps^2/9).
+    Returns (rows, sectors): the PerturbationRows, sector by sector in
+    the order given and eps ascending, and per sector its sidecar entry
+    {"sector_sum", "slope_fit", "t"}, slope_fit being the log-log slope
+    of the MC infidelity vs eps (None below two positive infidelities).
+    mc_over_sector_sum is the fitted prefactor ratio between the Monte
+    Carlo and the plain sector sum (the formula's own is eps^2/9).
 
     The clean chain's coefficients are computed once for every sector,
     and the cells of every sector go through one ensemble_averages call;
@@ -179,36 +191,36 @@ def perturbation_comparison(n_sites: int, eps_values, sectors, n_real: int,
             raise ValueError(f"sector must be 'j' or 'b', got {sector!r}")
     coefficients = compute_coefficients(n_sites, base_coupling, t)
     require_transfer_time(coefficients, base_coupling)
-    t = coefficients.time
     field_sum, coupling_sum = infidelity_sums(coefficients)
+    sector_sums = {"j": coupling_sum, "b": field_sum}
 
     eps_sorted = sorted(float(x) for x in eps_values)
     cells = [(sector, eps, {"eps_j": eps} if sector == "j" else {"eps_b": eps}, ei)
              for sector in sectors for ei, eps in enumerate(eps_sorted)]
     averages = ensemble_averages(
         [(ChainSpec(n_sites=n_sites, base_coupling=base_coupling, **kw), (ei,))
-         for _, _, kw, ei in cells], n_real, master_seed, [t])
-    results = {sector: {"rows": [], "sector": sector, "t": t,
-                        "sector_sum": coupling_sum if sector == "j" else field_sum}
-               for sector in sectors}
+         for _, _, kw, ei in cells], n_real, master_seed, [coefficients.time])
+    rows = []
     for (sector, eps, kw, _), (mean, err) in zip(cells, averages):
-        sector_sum = results[sector]["sector_sum"]
         f_pert = perturbative_fidelity(coefficients, **kw)
         infid_mc = 1.0 - float(mean[0])
         infid_pert = 1.0 - f_pert
-        results[sector]["rows"].append({
-            "eps": eps, "fbar_mc": float(mean[0]), "stderr": float(err[0]),
-            "f_pert": f_pert, "infid_mc": infid_mc, "infid_pert": infid_pert,
-            "ratio": infid_mc / infid_pert if infid_pert else np.nan,
-            "mc_over_sector_sum": infid_mc / (sector_sum * eps ** 2)
-            if sector_sum and eps else np.nan,
-        })
+        rows.append(PerturbationRow(
+            sector, eps, float(mean[0]), float(err[0]), f_pert, infid_mc, infid_pert,
+            infid_mc / infid_pert if infid_pert else np.nan,
+            infid_mc / (sector_sums[sector] * eps ** 2)
+            if sector_sums[sector] and eps else np.nan))
 
-    for result in results.values():
-        eps_arr = np.array([r["eps"] for r in result["rows"]])
-        infid = np.array([r["infid_mc"] for r in result["rows"]])
+    summaries = {}
+    for sector in sectors:
+        eps_arr = np.array([r.eps for r in rows if r.sector == sector])
+        infid = np.array([r.infid_mc for r in rows if r.sector == sector])
         ok = infid > 0
-        result["slope_fit"] = (power_law_fit(eps_arr[ok], infid[ok], model="mc-infidelity",
-                                             mask=tuple(np.flatnonzero(ok)))
-                               if int(ok.sum()) >= 2 else None)
-    return results
+        summaries[sector] = {
+            "sector_sum": sector_sums[sector],
+            "slope_fit": (power_law_fit(eps_arr[ok], infid[ok], model="mc-infidelity",
+                                        mask=tuple(np.flatnonzero(ok)))
+                          if int(ok.sum()) >= 2 else None),
+            "t": coefficients.time,
+        }
+    return rows, summaries

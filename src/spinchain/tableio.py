@@ -4,11 +4,12 @@ CSV files carry only reproducible content (comment lines with the
 configuration and code version, a header row, then data rows with
 floats printed to 17 significant digits), so identical runs produce
 byte-identical files.  Wall-clock time and fit payloads live in the
-JSON sidecar next to the CSV.
+JSON sidecar next to the CSV, a dataclass (FitResult) as its fields.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from datetime import datetime, timezone
 from pathlib import Path
@@ -85,6 +86,8 @@ def write_sidecar(csv_path, payload: dict) -> Path:
 
 
 def _coerce(obj):
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        return dataclasses.asdict(obj)
     if isinstance(obj, np.ndarray):
         return obj.tolist()
     if isinstance(obj, (np.floating, np.integer)):

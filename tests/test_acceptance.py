@@ -299,9 +299,10 @@ def test_criterion_7_perturbation_agreement():
     results, ratio_spread, slopes = {}, {}, {}
     for sector in ("j", "b"):
         res = sc.perturbation_comparison(20, slope_grid, (sector,), n_real,
-                                         SEED + 8 if sector == "j" else SEED + 9)[sector]
-        slopes[sector] = res["slope_fit"].params["exponent"]
-        ratios = [r["ratio"] for r in res["rows"] if r["eps"] in ratio_grid]
+                                         SEED + 8 if sector == "j" else SEED + 9)
+        rows, sectors = res
+        slopes[sector] = sectors[sector]["slope_fit"].params["exponent"]
+        ratios = [r.ratio for r in rows if r.eps in ratio_grid]
         ratio_spread[sector] = max(ratios) / min(ratios)
         results[sector] = res
 

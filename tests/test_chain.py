@@ -7,6 +7,7 @@ from spinchain import (BoxCountCurve, ChainSpec, DisorderRealization, FidelitySe
                        SpacingHistogram, SpacingSample, SpectralDecomposition,
                        TridiagonalHamiltonian, build_hamiltonian, clean_hamiltonian,
                        hamiltonian_block, sample_disorder, substream, zero_disorder)
+from spinchain.chain import grid_cells
 
 from conftest import sector_matrix, single_excitation_block
 
@@ -20,6 +21,27 @@ def test_spec_validation():
         ChainSpec(n_sites=4, eps_j=-0.1)
     with pytest.raises(ValueError):
         ChainSpec(n_sites=4, corr_p=1.5)
+    # chains that cannot be built: a non-integral N, a non-finite J or eps
+    for named, kwargs in [("n_sites", {"n_sites": 8.5}), ("n_sites", {"n_sites": np.nan}),
+                          ("base_coupling", {"base_coupling": np.inf}),
+                          ("base_coupling", {"base_coupling": np.nan}),
+                          ("disorder", {"eps_j": np.inf}), ("disorder", {"eps_j": np.nan}),
+                          ("disorder", {"eps_b": np.inf}), ("disorder", {"eps_b": np.nan})]:
+        with pytest.raises(ValueError, match=named):
+            ChainSpec(**{"n_sites": 6, **kwargs})
+
+
+@pytest.mark.parametrize("n", [8.9, 8.5, np.nan, np.inf])
+def test_grid_cells_refuse_a_non_integral_chain_length(n):
+    with pytest.raises(ValueError, match=f"n_sites must be an integer >= 2, got {n!r}"):
+        grid_cells((6, n), (0.1,))
+
+
+def test_integral_chain_lengths_are_stored_as_ints():
+    cells = [grid_cells((n,), (0.1,)) for n in (8, 8.0, np.int64(8))]
+    assert cells[0] == cells[1] == cells[2]
+    assert all(type(spec.n_sites) is int for [(spec, _)] in cells)
+    assert type(ChainSpec(n_sites=np.float64(8.0)).n_sites) is int
 
 
 # The array fields of each value type, and its other fields.

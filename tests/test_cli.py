@@ -15,11 +15,11 @@ from spinchain import (ChainSpec, WindowSelectionError, build_hamiltonian,
                        perturbation_comparison, sample_disorder, scan_fidelity,
                        substream, transfer_time)
 from spinchain.chain import grid_cells
-from spinchain import cli
+from spinchain import cli, tableio
 from spinchain.cli import OPTIONS, build_parser, main
-from spinchain.fitting import threshold_scaling
-from spinchain.scans import points_from_rows, threshold_curves
-from spinchain.tableio import read_csv, sidecar_path
+from spinchain.fitting import FitResult, threshold_scaling
+from spinchain.scans import PerturbationRow, points_from_rows, threshold_curves
+from spinchain.tableio import read_csv, sidecar_path, write_sidecar
 
 
 def run_cli(*argv):
@@ -266,20 +266,34 @@ def test_table_commands_refuse_a_table_of_several_corr_p(tmp_path, command):
 
 
 def test_perturbation_both_sectors_match_one_library_call_each(tmp_path):
-    # one two-sector call and one call per sector give the command's rows
+    # the table is the rows of one two-sector call, which are those of one
+    # call per sector; the header is PerturbationRow's fields
     out = tmp_path / "pert.csv"
     run_cli("perturbation", "--n", 6, "--eps", 0.003, 0.01, "--n-real", 50,
             "--seed", 9, "--out", out)
     _, header, rows = read_csv(out)
-    fields = ("eps", "fbar_mc", "stderr", "f_pert", "infid_mc", "infid_pert",
-              "ratio", "mc_over_sector_sum")
-    both = perturbation_comparison(6, [0.003, 0.01], ("j", "b"), 50, 9)
-    for results in (both, {sector: perturbation_comparison(6, [0.003, 0.01], (sector,),
-                                                           50, 9)[sector]
-                           for sector in ("j", "b")}):
-        expected = [(sector, *(r[f] for f in fields))
-                    for sector in ("j", "b") for r in results[sector]["rows"]]
-        assert [tuple(r) for r in rows] == expected
+    assert tuple(header) == PerturbationRow._fields
+    both, sectors = perturbation_comparison(6, [0.003, 0.01], ("j", "b"), 50, 9)
+    one_each = [r for sector in ("j", "b")
+                for r in perturbation_comparison(6, [0.003, 0.01], (sector,), 50, 9)[0]]
+    assert [tuple(r) for r in rows] == both == one_each
+    assert list(sectors) == ["j", "b"]
+    assert json.loads(json.dumps(sectors, default=tableio._coerce)) == \
+        read_sidecar(out)["sectors"]
+
+
+def test_sidecar_writes_a_fit_result_as_its_fields(tmp_path):
+    fits = [FitResult(model="m", params={"a": 1.5}, stderr={"a": np.float64(0.25)},
+                      residual_norm=0.5, mask=(np.int64(0), 2), window=(1.0, 8.0)),
+            FitResult(model="n", params={}, stderr={}, residual_norm=0.0)]
+    write_sidecar(tmp_path / "t.csv", {"fits": fits, "kind": FitResult})
+    side = read_sidecar(tmp_path / "t.csv")
+    assert side["fits"] == [
+        {"model": "m", "params": {"a": 1.5}, "stderr": {"a": 0.25},
+         "residual_norm": 0.5, "mask": [0, 2], "window": [1.0, 8.0]},
+        {"model": "n", "params": {}, "stderr": {}, "residual_norm": 0.0,
+         "mask": [], "window": None}]
+    assert side["kind"] == str(FitResult)  # a dataclass type is no instance
 
 
 @pytest.mark.parametrize("argv, config, flag", [
@@ -699,6 +713,8 @@ def test_readme_command_block_parses():
 def test_readme_quick_tour_runs():
     namespace = {}
     exec(_readme_block("Library quick tour", "python"), namespace)
+    assert [r.sector for r in namespace["rows"]] == ["j", "j", "b", "b"]
+    assert list(namespace["sectors"]) == ["j", "b"]
     fit, curve = namespace["fit"], namespace["curve"]
     assert fit.model == "box-dimension" and np.isfinite(fit.params["dimension"])
     assert curve.lengths[0] <= fit.window[0] < fit.window[1] <= curve.lengths[-1]

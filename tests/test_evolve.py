@@ -332,10 +332,23 @@ def test_ensemble_refuses_a_non_finite_time_before_drawing(forbid_draws, bad):
         ensemble_averages([(spec, (0,)), (spec, (1,))], 5, 1, [bad])
 
 
-def test_ensemble_averages_refuses_cells_of_several_chain_lengths():
-    cells = [(ChainSpec(n_sites=10), (0,)), (ChainSpec(n_sites=11), (1,))]
-    with pytest.raises(ValueError, match="chain length"):
-        ensemble_averages(cells, 5, 1, [1.0])
+@pytest.mark.parametrize("rows", [1, 5, 1000])
+def test_ensemble_averages_of_mixed_chain_lengths_match_calls_per_length(monkeypatch,
+                                                                         rows):
+    # N = 10 twice in a row (a repeated N), then 11, then 10 again; blocks of
+    # 5 rows split cells, and the repeated N's cells may share a block
+    n_values = (10, 10, 11, 10)
+    cells = [(ChainSpec(n_sites=n, eps_j=0.05 * (i + 1), eps_b=0.1 * (i % 2)), (i,))
+             for i, n in enumerate(n_values)]
+    n_real, t_list = 7, [transfer_time(), 3 * transfer_time()]
+    monkeypatch.setattr(evolve, "_BLOCK_ELEMENTS", rows * 10)
+    mixed = ensemble_averages(cells, n_real, 3, t_list)
+    per_length = [result for n in sorted(set(n_values))
+                  for result in ensemble_averages([c for c in cells if c[0].n_sites == n],
+                                                  n_real, 3, t_list)]
+    order = sorted(range(len(cells)), key=lambda i: n_values[i])  # stable
+    assert [(m.tobytes(), e.tobytes()) for m, e in (mixed[i] for i in order)] == [
+        (m.tobytes(), e.tobytes()) for m, e in per_length]
 
 
 def _expm_transfer(h, times):
@@ -439,10 +452,10 @@ def test_eigensolver_fallback_logs_a_warning(caplog):
                for rec in caplog.records)
 
 
-def _solve(fn, h, driver):
+def _solve(fn, h, **driver):
     """fn's arrays on h as bytes, or the type of the error it raised."""
     try:
-        out = fn(h.diag, h.offdiag, lapack_driver=driver)
+        out = fn(h.diag, h.offdiag, **driver)
     except np.linalg.LinAlgError as err:
         return type(err)
     return [a.tobytes() for a in (out if isinstance(out, tuple) else (out,))]
@@ -457,11 +470,12 @@ def test_traced_eigensolver_names_forward_to_scipy_bit_for_bit(key):
 
     spec = ChainSpec(n_sites=200, eps_j=1.0)
     h = build_hamiltonian(spec, sample_disorder(spec, substream(*key)))
-    for ours, theirs, driver in [
-            (evolve.eigh_tridiagonal, scipy.linalg.eigh_tridiagonal, "stemr"),
-            (evolve.eigh_tridiagonal, scipy.linalg.eigh_tridiagonal, "stev"),
-            (levelstats.eigvalsh_tridiagonal, scipy.linalg.eigvalsh_tridiagonal, "sterf")]:
-        assert _solve(ours, h, driver) == _solve(theirs, h, driver), driver
+    for driver in ("stemr", "stev"):
+        assert (_solve(evolve.eigh_tridiagonal, h, lapack_driver=driver)
+                == _solve(scipy.linalg.eigh_tridiagonal, h, lapack_driver=driver)), driver
+    # levelstats' name always runs sterf
+    assert (_solve(levelstats.eigvalsh_tridiagonal, h)
+            == _solve(scipy.linalg.eigvalsh_tridiagonal, h, lapack_driver="sterf"))
 
 
 def _rayleigh_quotients(h, v):

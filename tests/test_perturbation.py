@@ -120,8 +120,8 @@ def test_comparison_refuses_non_transfer_times(t, refused):
                                              r"nearest t = 0\.785398"):
             perturbation_comparison(6, [0.01], ("b",), 20, 1, t=t)
     else:
-        [row] = perturbation_comparison(6, [0.01], ("b",), 20, 1, t=t)["b"]["rows"]
-        assert 0.99 < row["f_pert"] < 1.0
+        [row], _ = perturbation_comparison(6, [0.01], ("b",), 20, 1, t=t)
+        assert 0.99 < row.f_pert < 1.0
 
 
 def test_comparison_refuses_before_drawing(forbid_draws):

@@ -198,16 +198,19 @@ def hamiltonian_block(spec: ChainSpec, master_seed: int, key_prefix: tuple,
     return _hamiltonian_arrays(spec, _coupling_errors(spec, magnitude, coins), field_err)
 
 
-def grid_cells(n_values, eps_j_values, eps_b_values=(0.0,), corr_p: float = 0.5,
+def grid_cells(n_values, eps_j_values, eps_b_values=(0.0,), corr_p_values=(0.5,),
                base_coupling: float = 1.0) -> list:
-    """[(spec, key prefix)] of an (N, eps_j, eps_b) grid, N outer, eps_b inner.
+    """[(spec, key prefix)] of a (corr_p, N, eps_j, eps_b) grid, eps_b inner.
 
     The cell of the k-th N, i-th eps_j and l-th eps_b has the key prefix
-    (k, i * len(eps_b_values) + l) whatever corr_p, and a repeated value is
-    a cell of its own.  Every grid command (scan, corr-scan, eta-scan,
-    dimension-scan) keys its cells here; ChainSpec refuses a non-integral N."""
+    (k, i * len(eps_b_values) + l) whatever corr_p, so cells that differ
+    only in corr_p share their draws; a repeated value is a cell of its
+    own.  Every grid command (scan, eta-scan, dimension-scan) keys its
+    cells here; ChainSpec refuses a non-integral N."""
     return [(ChainSpec(n_sites=n, base_coupling=base_coupling, eps_j=float(eps_j),
-                       eps_b=float(eps_b), corr_p=corr_p), (k, i * len(eps_b_values) + l))
+                       eps_b=float(eps_b), corr_p=float(corr_p)),
+             (k, i * len(eps_b_values) + l))
+            for corr_p in corr_p_values
             for k, n in enumerate(n_values)
             for i, eps_j in enumerate(eps_j_values)
             for l, eps_b in enumerate(eps_b_values)]

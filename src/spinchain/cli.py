@@ -113,15 +113,8 @@ OPTIONS = {
         "n": {"type": int, "nargs": "+", "required": True},
         "eps_j": {"type": float, "nargs": "+", "default": (0.0,)},
         "eps_b": {"type": float, "nargs": "+", "default": (0.0,)},
-        "corr_p": {"type": float, "default": 0.5},
+        "corr_p": {"type": float, "nargs": "+", "default": (0.5,)},
         "n_real": {"type": int, "default": 1000},
-        "t_eval": {"type": float, "default": None},
-    }),
-    "corr-scan": _common({
-        "n": {"type": int, "nargs": "+", "required": True},
-        "eps_j": {"type": float, "nargs": "+", "required": True},
-        "corr_p": {"type": float, "nargs": "+", "default": (0.1, 0.25, 0.5, 0.75, 0.9)},
-        "n_real": {"type": int, "default": 200},
         "t_eval": {"type": float, "default": None},
     }),
     "fit-scaling": {
@@ -194,7 +187,7 @@ RANGES = {
     "t_max": (math.isfinite, "must be finite"),
     "t_eval": (math.isfinite, "must be finite"),
     "t": (math.isfinite, "must be finite"),
-    "bin_width": (lambda v: 0 < v < math.inf, "must be finite and > 0"),
+    "bin_width": (lambda v: 0 < v <= 4, "must lie in (0, 4]"),
 }
 
 
@@ -293,18 +286,9 @@ def _cmd_transfer(cfg):
 
 def _cmd_scan(cfg):
     points = scan_fidelity(cfg["n"], cfg["eps_j"], cfg["n_real"], cfg["seed"],
-                           eps_b_grid=cfg["eps_b"], corr_p=cfg["corr_p"],
+                           eps_b_grid=cfg["eps_b"], corr_p_grid=cfg["corr_p"],
                            base_coupling=cfg["j"], t_eval=cfg["t_eval"])
     _write(cfg, "scan", FidelityPoint._fields, points, {})
-
-
-def _cmd_corr_scan(cfg):
-    # one field-free scan per corr_p, rows ordered by (corr_p, N, eps_j)
-    points = [p for corr_p in cfg["corr_p"]
-              for p in scan_fidelity(cfg["n"], cfg["eps_j"], cfg["n_real"], cfg["seed"],
-                                     corr_p=corr_p, base_coupling=cfg["j"],
-                                     t_eval=cfg["t_eval"])]
-    _write(cfg, "corr-scan", FidelityPoint._fields, points, {})
 
 
 def _cmd_fit_scaling(cfg):
@@ -399,8 +383,9 @@ def _cmd_fractal(cfg):
     curve = box_count(trimmed)
     try:
         fit = fit_dimension(curve, window=window)
-    except DegenerateSeriesError:
-        raise
+    except DegenerateSeriesError as err:
+        raise SystemExit(f"fractal: {err}: the largest |f_N| is "
+                         f"{float(abs(series.amplitude).max()):.3g}") from None
     except ValueError as err:  # a manual window that holds too few box lengths
         raise SystemExit(f"fractal: {flags}: {err}") from None
     _write(cfg, "fractal", ("box_length", "m"), zip(curve.lengths, curve.m_values),
@@ -438,7 +423,6 @@ def _meta(cfg, **extra) -> dict:
 HANDLERS = {
     "transfer": _cmd_transfer,
     "scan": _cmd_scan,
-    "corr-scan": _cmd_corr_scan,
     "fit-scaling": _cmd_fit_scaling,
     "threshold": _cmd_threshold,
     "spectrum": _cmd_spectrum,

@@ -98,11 +98,16 @@ class SpacingHistogram:
         Both integrals run over the bins whose center lies in [0, 1], share
         the binning and share the Poisson reference evaluated at the bin
         centers, so a sample that concentrates in the bin containing s = 1
-        (the clean chain) gives eta = 1 identically.
+        (the clean chain) gives eta = 1 identically.  The first center is
+        w/4, so a bin width above 4 leaves no bin to integrate over and
+        raises ValueError.
         """
         centers = self.centers
         widths = self.widths
         inside = centers <= 1.0 + 1e-12
+        if not inside.any():
+            raise ValueError(f"bin width {self.bin_width!r} leaves no bin center "
+                             "in [0, 1]; eta needs a width of at most 4")
         poisson = np.exp(-centers[inside])
 
         delta_density = np.zeros_like(self.density)

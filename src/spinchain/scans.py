@@ -4,7 +4,8 @@ These reproduce the figure pipelines: averaged fidelity at the first
 transfer time t1 = pi/(4J) as a function of disorder strength and chain
 length, the exponential scaling collapse with constants kappa_j and
 kappa_b, threshold disorder strengths versus N, and the perturbative
-cross-check.  The correlated-sign variant is one scan per corr_p.
+cross-check.  The sign-correlation probability corr_p is a grid axis
+like eps_b; cells that differ only in corr_p share their draws.
 Every cell of a scan draws from its own random stream, keyed as
 chain.grid_cells lays the grid out, so tables are bit-reproducible and
 cells could be evaluated in any order.  A scan makes one
@@ -66,17 +67,17 @@ def points_from_rows(header, rows) -> list:
 
 
 def scan_fidelity(n_values, eps_j_grid, n_real: int, master_seed: int,
-                  eps_b_grid=(0.0,), corr_p: float = 0.5, base_coupling: float = 1.0,
+                  eps_b_grid=(0.0,), corr_p_grid=(0.5,), base_coupling: float = 1.0,
                   t_eval: float | None = None) -> list:
     """Averaged fidelity at t_eval (default t1 = pi / (4J)) over the
-    (N, eps_j, eps_b) grid.
+    (corr_p, N, eps_j, eps_b) grid.
 
     Rows come out in the order and with the stream keys of
-    chain.grid_cells (N outer, eps_j, then eps_b); the keys do not depend
-    on corr_p.  The whole grid goes through one ensemble_averages call,
+    chain.grid_cells (corr_p outer, then N, eps_j and eps_b); the keys do
+    not depend on corr_p.  The whole grid goes through one ensemble_averages call,
     which refuses n_real < 1 before drawing; an empty grid gives no rows.
     """
-    cells = grid_cells(n_values, eps_j_grid, eps_b_grid, corr_p, base_coupling)
+    cells = grid_cells(n_values, eps_j_grid, eps_b_grid, corr_p_grid, base_coupling)
     t_list = [transfer_time(base_coupling) if t_eval is None else t_eval]
     results = ensemble_averages(cells, n_real, master_seed, t_list)
     return [FidelityPoint(spec.n_sites, spec.eps_j, spec.eps_b, spec.corr_p,

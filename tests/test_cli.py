@@ -167,28 +167,27 @@ def test_scan_table_reads_back_as_the_points_that_wrote_it(tmp_path):
     _, header, rows = read_csv(out)
     read_back = points_from_rows(header, rows)
     points = scan_fidelity((6, 11, 17), (0.0, 0.07, 0.4), 12, 21,
-                           eps_b_grid=(0.0, 0.3), corr_p=0.3)
+                           eps_b_grid=(0.0, 0.3), corr_p_grid=(0.3,))
     assert len(points) == 18 and read_back == points
     for back, point in zip(read_back, points):
         assert type(back.n_sites) is int and type(back.n_real) is int
         assert all(a.hex() == b.hex() for a, b in zip(back[1:6], point[1:6]))
 
 
-def test_corr_scan_half_rows_equal_scan_rows(tmp_path):
-    grid = ("--n", 8, 12, "--eps-j", 0.05, 0.2, "--n-real", 10, "--seed", 5)
+def test_scan_corr_p_half_rows_equal_plain_scan_rows(tmp_path):
+    # corr_p is the outer axis and does not enter the stream keys
+    grid = ("--n", 8, 12, "--eps-j", 0.05, 0.2, "--eps-b", 0, 0.3, "--n-real", 10,
+            "--seed", 5)
     corr, plain = tmp_path / "corr.csv", tmp_path / "scan.csv"
-    run_cli("corr-scan", *grid, "--corr-p", 0.1, 0.5, 0.9, "--out", corr)
+    run_cli("scan", *grid, "--corr-p", 0.1, 0.5, 0.9, "--out", corr)
     run_cli("scan", *grid, "--out", plain)
     _, corr_header, corr_rows = read_csv(corr)
     _, scan_header, scan_rows = read_csv(plain)
     assert corr_header == scan_header
-    assert [r[3] for r in corr_rows] == [0.1] * 4 + [0.5] * 4 + [0.9] * 4
-    half = [r for r in corr_rows if r[3] == 0.5]
-    assert len(half) == len(scan_rows) == 4
-    for row, ref in zip(half, scan_rows):
-        for field, value, expected in zip(scan_header, row, ref):
-            assert value == expected, field
-    assert read_sidecar(corr)["command"] == "corr-scan"
+    assert [r[3] for r in corr_rows] == [0.1] * 8 + [0.5] * 8 + [0.9] * 8
+    assert corr_rows[8:16] == scan_rows
+    assert read_sidecar(corr)["config"]["corr_p"] == \
+        "0.10000000000000001 0.5 0.90000000000000002"
 
 
 @pytest.mark.parametrize("given, missing", [("--l-min", "--l-max"),
@@ -199,6 +198,18 @@ def test_fractal_manual_window_needs_both_edges(tmp_path, given, missing):
         main(["fractal", "--n", "20", "--eps-j", "0.4", "--seed", "6",
               "--t-max", "200", given, "1", "--out", str(out)])
     assert f"{missing} is missing" in str(err.value)
+    assert not out.exists()
+
+
+def test_fractal_exits_on_a_constant_series(tmp_path):
+    # at N = 500 and eps_j = 1.2 this draw's |f_N| stays below 1e-30 up to
+    # t = 100, so F is exactly 1/2 and box counting has no excursion to count
+    out = tmp_path / "frac.csv"
+    with pytest.raises(SystemExit) as err:
+        main(["fractal", "--n", "500", "--eps-j", "1.2", "--t-max", "100", "--seed", "1",
+              "--out", str(out)])
+    assert str(err.value).startswith("fractal: all excursions vanish (constant series), "
+                                     "dimension undefined: the largest |f_N| is ")
     assert not out.exists()
 
 
@@ -256,7 +267,7 @@ def test_table_commands_reject_a_table_of_another_kind(tmp_path, command):
 @pytest.mark.parametrize("command", ["fit-scaling", "threshold"])
 def test_table_commands_refuse_a_table_of_several_corr_p(tmp_path, command):
     table = tmp_path / "corr.csv"
-    run_cli("corr-scan", "--n", 8, 12, "--eps-j", 0.05, 0.2, "--corr-p", 0.1, 0.9,
+    run_cli("scan", "--n", 8, 12, "--eps-j", 0.05, 0.2, "--corr-p", 0.1, 0.9,
             "--n-real", 4, "--seed", 3, "--out", table)
     out = tmp_path / "x.csv"
     with pytest.raises(SystemExit) as err:
@@ -301,7 +312,7 @@ def test_sidecar_writes_a_fit_result_as_its_fields(tmp_path):
     ("perturbation --n 6 --eps 0.01 -0.01", "", "--eps"),
     ("scan --n 8 --eps-j -0.1", "", "--eps-j"),
     ("scan --n 8", "eps_b = 0.1 -0.1", "--eps-b"),
-    ("corr-scan --n 8 --eps-j 0.1", "n-real = 0", "--n-real"),
+    ("scan --n 8 --eps-j 0.1", "n-real = 0", "--n-real"),
     ("spectrum --n 8 --n-real -3", "", "--n-real"),
     ("eta-scan --n 8 --eps-j 0.1 --n-real 0", "", "--n-real"),
     ("transfer --n 8 --eps-b -0.1", "", "--eps-b"),
@@ -313,13 +324,16 @@ def test_sidecar_writes_a_fit_result_as_its_fields(tmp_path):
     ("scan --n 8 --j 0", "", "--j"),
     ("perturbation --n 6", "j = inf", "--j"),
     ("scan --n 8 --eps-j inf", "", "--eps-j"),
-    ("corr-scan --n 8 --eps-j 0.1 --corr-p 0.5 1.5", "", "--corr-p"),
+    ("scan --n 8 --eps-j 0.1 --corr-p 0.5 1.5", "", "--corr-p"),
     ("transfer --n 8 --corr-p nan", "", "--corr-p"),
     ("spectrum --n 8 --bin-width 0", "", "--bin-width"),
     ("eta-scan --n 8 --eps-j 0.1", "bin_width = inf", "--bin-width"),
+    # no bin center lies in [0, 1] above width 4, so eta is undefined
+    ("spectrum --n 8 --bin-width 5", "", "--bin-width"),
+    ("eta-scan --n 8 --eps-j 0.1 --bin-width 4.5", "", "--bin-width"),
     ("fractal --n 8 --t-max inf", "", "--t-max"),
     ("scan --n 8 --t-eval nan", "", "--t-eval"),
-    ("corr-scan --n 8 --eps-j 0.1", "t_eval = inf", "--t-eval"),
+    ("scan --n 8 --eps-j 0.1", "t_eval = inf", "--t-eval"),
     ("perturbation --n 6", "t = -inf", "--t"),
     ("scan --n 10 --eps-j 0.1 --n-real 5 --seed -1", "", "--seed"),
     ("transfer --n 8", "seed = -1", "--seed"),
@@ -357,24 +371,24 @@ import json, sys
 from spinchain.cli import main
 def scipy_modules():
     return sorted(m for m in sys.modules if m.partition(".")[0] == "scipy")
-loaded = {"import": scipy_modules()}
+loaded = [["import", scipy_modules()]]
 for argv in json.loads(sys.argv[1]):
     assert main(argv) == 0
-    loaded[argv[0]] = scipy_modules()
+    loaded.append([argv[0], scipy_modules()])
 print(json.dumps(loaded))
 """
 
 
 def test_scan_and_table_commands_run_without_scipy(tmp_path):
-    # scan and corr-scan propagate by Chebyshev and the fits are numpy, so
-    # these commands never load scipy; the first eigensolve (eta-scan) does
+    # scan propagates by Chebyshev and the fits are numpy, so these
+    # commands never load scipy; the first eigensolve (eta-scan) does
     scan = str(tmp_path / "scan.csv")
     eta_args = ["eta-scan", "--n", "10", "--eps-j", "0.1", "1.0", "--n-real", "5",
                 "--seed", "4", "--out"]
     commands = [
         ["scan", "--n", "8", "16", "--eps-j", "0.05", "0.1", "0.2", "0.4",
          "--n-real", "20", "--seed", "3", "--out", scan],
-        ["corr-scan", "--n", "8", "--eps-j", "0.1", "--corr-p", "0.2", "0.5",
+        ["scan", "--n", "8", "--eps-j", "0.1", "--corr-p", "0.2", "0.5",
          "--n-real", "5", "--seed", "3", "--out", str(tmp_path / "corr.csv")],
         ["fit-scaling", "--table", scan, "--out", str(tmp_path / "fit.csv")],
         ["threshold", "--table", scan, "--f-target", "0.9", "--param", "eps_j",
@@ -385,9 +399,11 @@ def test_scan_and_table_commands_run_without_scipy(tmp_path):
     probe = subprocess.run([sys.executable, "-c", _SCIPY_PROBE, json.dumps(commands)],
                            env=env, check=True, capture_output=True, text=True)
     loaded = json.loads(probe.stdout)
-    for stage in ("import", "scan", "corr-scan", "fit-scaling", "threshold"):
-        assert loaded[stage] == [], stage
-    assert "scipy.linalg" in loaded["eta-scan"]
+    assert [stage for stage, _ in loaded] == ["import", "scan", "scan", "fit-scaling",
+                                              "threshold", "eta-scan"]
+    for stage, modules in loaded[:-1]:
+        assert modules == [], stage
+    assert "scipy.linalg" in loaded[-1][1]
     run_cli(*eta_args, tmp_path / "eta.csv")
     assert (tmp_path / "eta_fresh.csv").read_bytes() == (tmp_path / "eta.csv").read_bytes()
 
@@ -404,8 +420,8 @@ def test_scan_and_table_commands_run_without_scipy(tmp_path):
     ("transfer", "transfer --n 12 --eps-j 0.05 --eps-b 0.1 --corr-p 0.7 --t-max 3 "
                  "--dt 0.01 --seed 7"),
     ("fractal", "fractal --n 40 --eps-j 0.4 --t-max 200 --seed 6"),
-    ("corr-scan", "corr-scan --n 8 12 --eps-j 0.05 0.2 --corr-p 0.1 0.5 0.9 "
-                  "--n-real 30 --seed 5"),
+    ("scan-corr-p", "scan --n 8 12 --eps-j 0.05 0.2 --corr-p 0.1 0.5 0.9 "
+                    "--n-real 30 --seed 5"),
     ("dimension-scan", "dimension-scan --n 12 20 --eps-j 0.3 0.6 1.0 --t-max 35 "
                        "--n-real 3 --seed 1"),
 ])
@@ -448,16 +464,18 @@ def _dimension_of_cell(spec, seed, key, n_real, t_max):
 
 def test_grid_commands_share_the_grid_cells_key_layout(tmp_path):
     # the cell of the k-th N, i-th eps_j and l-th eps_b draws realization r
-    # from substream(seed, k, i * len(eps_b) + l, r); a repeated eps_j is a
-    # cell of its own
-    n_values, eps_j, eps_b = (12, 20), (0.6, 0.3, 0.6), (0.0, 0.2)
-    grid = [(n, ej, eb, (k, 2 * i + l)) for k, n in enumerate(n_values)
+    # from substream(seed, k, i * len(eps_b) + l, r) whatever its corr_p,
+    # the outer axis; a repeated eps_j is a cell of its own
+    n_values, eps_j, eps_b, corr_p = (12, 20), (0.6, 0.3, 0.6), (0.0, 0.2), (0.3, 0.8)
+    grid = [(p, n, ej, eb, (k, 2 * i + l)) for p in corr_p for k, n in enumerate(n_values)
             for i, ej in enumerate(eps_j) for l, eb in enumerate(eps_b)]
-    cells = grid_cells(n_values, eps_j, eps_b, corr_p=0.3, base_coupling=1.5)
+    cells = grid_cells(n_values, eps_j, eps_b, corr_p, base_coupling=1.5)
     assert [key for _, key in cells] == [key for *_, key in grid]
     assert [spec for spec, _ in cells] == [
-        ChainSpec(n_sites=n, base_coupling=1.5, eps_j=ej, eps_b=eb, corr_p=0.3)
-        for n, ej, eb, _ in grid]
+        ChainSpec(n_sites=n, base_coupling=1.5, eps_j=ej, eps_b=eb, corr_p=p)
+        for p, n, ej, eb, _ in grid]
+    keys = [key for _, key in grid_cells(n_values, eps_j, eps_b)]
+    assert [key for _, key in cells] == keys * len(corr_p)
     field_free = [(n, ej, (k, i)) for k, n in enumerate(n_values)
                   for i, ej in enumerate(eps_j)]
     assert [key for _, key in grid_cells(n_values, eps_j)] == [
@@ -466,17 +484,17 @@ def test_grid_commands_share_the_grid_cells_key_layout(tmp_path):
     # each command's row of a cell is the per-cell library result at its key
     out = {name: tmp_path / f"{name}.csv" for name in ("scan", "eta", "dim")}
     run_cli("scan", "--n", *n_values, "--eps-j", *eps_j, "--eps-b", *eps_b,
-            "--corr-p", 0.3, "--n-real", 7, "--seed", 5, "--out", out["scan"])
+            "--corr-p", *corr_p, "--n-real", 7, "--seed", 5, "--out", out["scan"])
     run_cli("eta-scan", "--n", *n_values, "--eps-j", *eps_j, "--n-real", 6,
             "--seed", 5, "--out", out["eta"])
     run_cli("dimension-scan", "--n", *n_values, "--eps-j", *eps_j, "--t-max", 35,
             "--n-real", 3, "--seed", 5, "--out", out["dim"])
     rows = {name: read_csv(path)[2] for name, path in out.items()}
     assert len(rows["scan"]) == len(grid)
-    for row, (n, ej, eb, key) in zip(rows["scan"], grid):
-        spec = ChainSpec(n_sites=n, eps_j=ej, eps_b=eb, corr_p=0.3)
+    for row, (p, n, ej, eb, key) in zip(rows["scan"], grid):
+        spec = ChainSpec(n_sites=n, eps_j=ej, eps_b=eb, corr_p=p)
         mean, err = ensemble_average(spec, 7, 5, [transfer_time()], key_prefix=key)
-        assert list(row) == [n, ej, eb, 0.3, mean[0], err[0], 7]
+        assert list(row) == [n, ej, eb, p, mean[0], err[0], 7]
     assert len(rows["eta"]) == len(rows["dim"]) == len(field_free)
     for eta_row, dim_row, (n, ej, key) in zip(rows["eta"], rows["dim"], field_free):
         spec = ChainSpec(n_sites=n, eps_j=ej)
@@ -664,11 +682,11 @@ def test_config_file_value_that_does_not_parse_exits(tmp_path, command, config, 
 
 
 @pytest.mark.parametrize("argv, code, stream, expected", [
-    (["--help"], 0, "out", "{transfer,scan,corr-scan,fit-scaling,threshold,spectrum,"
-                           "eta-scan,dimension-scan,fractal,perturbation}"),
+    (["--help"], 0, "out", "{transfer,scan,fit-scaling,threshold,spectrum,eta-scan,"
+                           "dimension-scan,fractal,perturbation}"),
     (["--version"], 0, "out", f"spinchain {spinchain.__version__}\n"),
     (["foo"], 2, "err", "argument command: invalid choice: 'foo' (choose from "
-                        "'transfer', 'scan', 'corr-scan', 'fit-scaling'"),
+                        "'transfer', 'scan', 'fit-scaling', 'threshold'"),
     ([], 2, "err", "the following arguments are required: command"),
 ])
 def test_help_version_and_unknown_command(capsys, argv, code, stream, expected):

@@ -61,6 +61,14 @@ def test_eta_empty_sample_rejected():
         eta(SpacingSample(spacings=np.array([]), n_realizations=0))
 
 
+def test_eta_refuses_a_bin_width_with_no_center_in_unit_interval():
+    # the first bin [0, w/2) is centered at w/4: inside [0, 1] up to w = 4
+    spacings = np.linspace(0.1, 3.0, 50)
+    assert 0.0 <= spacing_histogram(spacings, 4.0).eta < np.inf
+    with pytest.raises(ValueError, match="bin width 5.0 leaves no bin center"):
+        spacing_histogram(spacings, 5.0).eta
+
+
 def test_eta_weak_disorder_stays_high():
     spec = ChainSpec(n_sites=100, eps_j=1e-3)
     sample = collect_spacings(spec, n_real=100, master_seed=4)

@@ -47,7 +47,7 @@ def test_scan_rows_equal_one_ensemble_average_per_cell(n_real):
     # 3 cells x 50 realizations: the first 128-row block spans all three
     # cells and the second holds the tail of the third
     points = scan_fidelity((9, 14), (0.1, 0.5, 1.0), n_real, 8, eps_b_grid=(0.2,),
-                           corr_p=0.7, t_eval=2.5)
+                           corr_p_grid=(0.7,), t_eval=2.5)
     expected = []
     for ni, n in enumerate((9, 14)):
         for ji, eps_j in enumerate((0.1, 0.5, 1.0)):
@@ -115,21 +115,22 @@ def test_threshold_extract_skips_out_of_range_chains():
 
 
 def test_correlated_scan_reproduces_uncorrelated_rows_bitwise():
-    corr_points = [p for corr_p in (0.1, 0.5, 0.9)
-                   for p in scan_fidelity((12,), (0.05, 0.2), 30, 9, corr_p=corr_p)]
-    plain = scan_fidelity((12,), (0.05, 0.2), 30, 9)
-    half = [p for p in corr_points if p.corr_p == 0.5]
-    assert len(half) == len(plain)
-    for pc, pu in zip(half, plain):
-        assert pc.fbar == pu.fbar and pc.stderr == pu.stderr
-    # ordered by (corr_p, n, eps)
-    assert [p.corr_p for p in corr_points] == [0.1, 0.1, 0.5, 0.5, 0.9, 0.9]
+    # corr_p is the outer axis and does not enter the keys, so each
+    # corr_p's rows are those of a one-value call, and corr_p = 0.5 those
+    # of a plain scan
+    grid = ((8, 12), (0.05, 0.2), 30, 9)
+    points = scan_fidelity(*grid, eps_b_grid=(0.0, 0.3), corr_p_grid=(0.1, 0.5, 0.9))
+    one_each = [p for corr_p in (0.1, 0.5, 0.9)
+                for p in scan_fidelity(*grid, eps_b_grid=(0.0, 0.3), corr_p_grid=(corr_p,))]
+    assert points == one_each
+    assert [p.corr_p for p in points] == [0.1] * 8 + [0.5] * 8 + [0.9] * 8
+    assert points[8:16] == scan_fidelity(*grid, eps_b_grid=(0.0, 0.3))
 
 
 def test_correlated_scan_monotone_in_sign_correlation():
     # anticorrelated signs degrade transfer more than correlated ones
-    points = [p for corr_p in (0.1, 0.25, 0.5, 0.75, 0.9)
-              for p in scan_fidelity((100,), (0.1,), 150, 14, corr_p=corr_p)]
+    points = scan_fidelity((100,), (0.1,), 150, 14,
+                           corr_p_grid=(0.1, 0.25, 0.5, 0.75, 0.9))
     fbar = [p.fbar for p in points]
     err = [p.stderr for p in points]
     for i in range(4):

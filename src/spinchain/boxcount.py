@@ -247,7 +247,7 @@ def dimension_of_series(series: FidelitySeries):
 
 
 def dimension_scan(n_values, eps_j_grid, n_real: int, master_seed: int,
-                   base_coupling: float = 1.0, t_max: float = 1e4, dt: float = 0.05):
+                   t_max: float = 1e4, dt: float = 0.05):
     """Mean fractal dimension over the (N, eps_j) grid: (rows, refusals).
 
     The dimension is fitted per realization and the fits averaged
@@ -261,7 +261,7 @@ def dimension_scan(n_values, eps_j_grid, n_real: int, master_seed: int,
     if n_real < 1:
         raise ValueError("n_real must be >= 1")
     rows, refusals = [], []
-    for spec, key in grid_cells(n_values, eps_j_grid, base_coupling=base_coupling):
+    for spec, key in grid_cells(n_values, eps_j_grid):
         diag, offdiag = hamiltonian_block(spec, master_seed, key, range(n_real))
         dims = []
         for r in range(n_real):

@@ -67,18 +67,16 @@ def _readonly(a, dtype=float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ChainSpec:
-    """Physical parameters of one disordered-chain experiment.
+    """Physical parameters of one disordered chain; J = 1 is the unit.
 
-    n_sites:       chain length N, of integral value >= 2 (stored as an int)
-    base_coupling: exchange scale J, finite and > 0; times are in units of 1/J
-    eps_j:         coupling disorder amplitude, dimensionless, finite and >= 0
-    eps_b:         field disorder amplitude in units of J, finite and >= 0
-    corr_p:        probability that consecutive coupling errors share a
-                   sign; 0.5 is exactly the uncorrelated model
+    n_sites: chain length N, of integral value >= 2 (stored as an int)
+    eps_j:   coupling disorder amplitude, dimensionless, finite and >= 0
+    eps_b:   field disorder amplitude in units of J, finite and >= 0
+    corr_p:  probability that consecutive coupling errors share a sign;
+             0.5 is exactly the uncorrelated model
     """
 
     n_sites: int
-    base_coupling: float = 1.0
     eps_j: float = 0.0
     eps_b: float = 0.0
     corr_p: float = 0.5
@@ -87,8 +85,6 @@ class ChainSpec:
         if not (float(self.n_sites).is_integer() and self.n_sites >= 2):
             raise ValueError(f"n_sites must be an integer >= 2, got {self.n_sites!r}")
         object.__setattr__(self, "n_sites", int(self.n_sites))
-        if not 0 < self.base_coupling < math.inf:
-            raise ValueError(f"base_coupling must be finite and > 0, got {self.base_coupling}")
         if not (0 <= self.eps_j < math.inf and 0 <= self.eps_b < math.inf):
             raise ValueError("disorder amplitudes must be finite and >= 0")
         if not 0.0 <= self.corr_p <= 1.0:
@@ -198,8 +194,7 @@ def hamiltonian_block(spec: ChainSpec, master_seed: int, key_prefix: tuple,
     return _hamiltonian_arrays(spec, _coupling_errors(spec, magnitude, coins), field_err)
 
 
-def grid_cells(n_values, eps_j_values, eps_b_values=(0.0,), corr_p_values=(0.5,),
-               base_coupling: float = 1.0) -> list:
+def grid_cells(n_values, eps_j_values, eps_b_values=(0.0,), corr_p_values=(0.5,)) -> list:
     """[(spec, key prefix)] of a (corr_p, N, eps_j, eps_b) grid, eps_b inner.
 
     The cell of the k-th N, i-th eps_j and l-th eps_b has the key prefix
@@ -207,8 +202,7 @@ def grid_cells(n_values, eps_j_values, eps_b_values=(0.0,), corr_p_values=(0.5,)
     only in corr_p share their draws; a repeated value is a cell of its
     own.  Every grid command (scan, eta-scan, dimension-scan) keys its
     cells here; ChainSpec refuses a non-integral N."""
-    return [(ChainSpec(n_sites=n, base_coupling=base_coupling, eps_j=float(eps_j),
-                       eps_b=float(eps_b), corr_p=float(corr_p)),
+    return [(ChainSpec(n_sites=n, eps_j=float(eps_j), eps_b=float(eps_b), corr_p=float(corr_p)),
              (k, i * len(eps_b_values) + l))
             for corr_p in corr_p_values
             for k, n in enumerate(n_values)
@@ -321,11 +315,11 @@ def _hamiltonian_arrays(spec: ChainSpec, delta: np.ndarray, field_err: np.ndarra
     """(diag, offdiag) of build_hamiltonian, along the last axis."""
     n = spec.n_sites
     k = np.arange(1, n, dtype=float)
-    return -2.0 * field_err, 2.0 * spec.base_coupling * np.sqrt(k * (n - k)) * (1.0 + delta)
+    return -2.0 * field_err, 2.0 * np.sqrt(k * (n - k)) * (1.0 + delta)
 
 
-def clean_hamiltonian(n_sites: int, base_coupling: float = 1.0) -> TridiagonalHamiltonian:
-    spec = ChainSpec(n_sites=n_sites, base_coupling=base_coupling)
+def clean_hamiltonian(n_sites: int) -> TridiagonalHamiltonian:
+    spec = ChainSpec(n_sites=n_sites)
     return build_hamiltonian(spec, zero_disorder(spec))
 
 

@@ -19,7 +19,7 @@ from .boxcount import (DIMENSION_HEADER, DegenerateSeriesError, box_count,
                        transient_trim)
 from .evolve import fidelity_series, series_length, transfer_time
 from .fitting import curves_by_n, threshold_scaling
-from .levelstats import ETA_HEADER, collect_spacings, eta_scan, spacing_histogram
+from .levelstats import ETA_HEADER, MAX_BIN_WIDTH, collect_spacings, eta_scan, spacing_histogram
 from .scans import (FidelityPoint, PerturbationRow, fit_scaling, points_from_rows,
                     perturbation_comparison, scan_fidelity, threshold_curves)
 from .tableio import read_csv, write_csv, write_sidecar
@@ -95,7 +95,6 @@ def _add_options(parser: argparse.ArgumentParser, options: dict):
 
 def _common(extra: dict) -> dict:
     return {"seed": {"type": int, "required": True, "help": "master seed (required)"},
-            "j": {"type": float, "default": 1.0, "help": "base coupling J"},
             **extra,
             "out": {"type": str, "required": True, "help": "output CSV path"}}
 
@@ -178,7 +177,6 @@ RANGES = {
     "n": (lambda v: v >= 2, "must be >= 2"),
     "n_real": (lambda v: v >= 1, "must be >= 1"),
     "seed": (lambda v: v >= 0, "must be >= 0"),
-    "j": (lambda v: 0 < v < math.inf, "must be finite and > 0"),
     "eps_j": (lambda v: 0 <= v < math.inf, "must be finite and >= 0"),
     "eps_b": (lambda v: 0 <= v < math.inf, "must be finite and >= 0"),
     "eps": (lambda v: 0 <= v < math.inf, "must be finite and >= 0"),
@@ -187,7 +185,7 @@ RANGES = {
     "t_max": (math.isfinite, "must be finite"),
     "t_eval": (math.isfinite, "must be finite"),
     "t": (math.isfinite, "must be finite"),
-    "bin_width": (lambda v: 0 < v <= 4, "must lie in (0, 4]"),
+    "bin_width": (lambda v: 0 < v <= MAX_BIN_WIDTH, f"must lie in (0, {MAX_BIN_WIDTH:g}]"),
 }
 
 
@@ -212,8 +210,8 @@ def _check_ranges(command, cfg):
 
 
 def _spec(cfg) -> ChainSpec:
-    return ChainSpec(n_sites=cfg["n"], base_coupling=cfg["j"], eps_j=cfg["eps_j"],
-                     eps_b=cfg["eps_b"], corr_p=cfg["corr_p"])
+    return ChainSpec(n_sites=cfg["n"], eps_j=cfg["eps_j"], eps_b=cfg["eps_b"],
+                     corr_p=cfg["corr_p"])
 
 
 def _series(cfg):
@@ -287,7 +285,7 @@ def _cmd_transfer(cfg):
 def _cmd_scan(cfg):
     points = scan_fidelity(cfg["n"], cfg["eps_j"], cfg["n_real"], cfg["seed"],
                            eps_b_grid=cfg["eps_b"], corr_p_grid=cfg["corr_p"],
-                           base_coupling=cfg["j"], t_eval=cfg["t_eval"])
+                           t_eval=cfg["t_eval"])
     _write(cfg, "scan", FidelityPoint._fields, points, {})
 
 
@@ -356,15 +354,13 @@ def _cmd_spectrum(cfg):
 
 
 def _cmd_eta_scan(cfg):
-    rows = eta_scan(cfg["n"], cfg["eps_j"], cfg["n_real"], cfg["seed"],
-                    base_coupling=cfg["j"], bin_width=cfg["bin_width"])
+    rows = eta_scan(cfg["n"], cfg["eps_j"], cfg["n_real"], cfg["seed"], bin_width=cfg["bin_width"])
     _write(cfg, "eta-scan", ETA_HEADER, rows, {})
 
 
 def _cmd_dimension_scan(cfg):
     rows, refusals = dimension_scan(cfg["n"], cfg["eps_j"], cfg["n_real"], cfg["seed"],
-                                    base_coupling=cfg["j"], t_max=cfg["t_max"],
-                                    dt=cfg["dt"])
+                                    t_max=cfg["t_max"], dt=cfg["dt"])
     _write(cfg, "dimension-scan", DIMENSION_HEADER, rows, {}, refusals=refusals)
 
 
@@ -398,10 +394,9 @@ def _cmd_perturbation(cfg):
     sectors = ("j", "b") if cfg["sector"] == "both" else (cfg["sector"],)
     try:
         rows, summaries = perturbation_comparison(cfg["n"], cfg["eps"], sectors,
-                                                  cfg["n_real"], cfg["seed"],
-                                                  base_coupling=cfg["j"], t=cfg["t"])
+                                                  cfg["n_real"], cfg["seed"], t=cfg["t"])
     except ValueError as err:
-        t = transfer_time(cfg["j"]) if cfg["t"] is None else cfg["t"]
+        t = transfer_time() if cfg["t"] is None else cfg["t"]
         raise SystemExit(f"perturbation: --t {t!r}: {err}") from None
     _write(cfg, "perturbation", PerturbationRow._fields, rows, {}, sectors=summaries)
 

@@ -91,9 +91,9 @@ _TINY = np.finfo(float).tiny
 _log = logging.getLogger(__name__)
 
 
-def transfer_time(base_coupling: float = 1.0, n: int = 0) -> float:
-    """n-th perfect-transfer time of the clean chain, (2n+1) pi / (4J)."""
-    return (2 * n + 1) * np.pi / (4.0 * base_coupling)
+def transfer_time(n: int = 0) -> float:
+    """n-th clean perfect-transfer time, (2n+1) pi / 4 in units of 1/J."""
+    return (2 * n + 1) * np.pi / 4.0
 
 
 @dataclass(frozen=True)

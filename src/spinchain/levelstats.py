@@ -46,6 +46,9 @@ def eigvalsh_tridiagonal(d, e):
 # The spacing histogram's edge grid covers at least [0, S_MAX].
 S_MAX = 5.0
 
+# eta needs a bin centered in [0, 1]; the first bin of width w is centered at w/4.
+MAX_BIN_WIDTH = 4.0
+
 # The columns of eta_scan's rows.
 ETA_HEADER = ("n_sites", "eps_j", "eta")
 
@@ -98,16 +101,15 @@ class SpacingHistogram:
         Both integrals run over the bins whose center lies in [0, 1], share
         the binning and share the Poisson reference evaluated at the bin
         centers, so a sample that concentrates in the bin containing s = 1
-        (the clean chain) gives eta = 1 identically.  The first center is
-        w/4, so a bin width above 4 leaves no bin to integrate over and
-        raises ValueError.
+        (the clean chain) gives eta = 1 identically.  A bin width above
+        MAX_BIN_WIDTH leaves no bin to integrate over and raises ValueError.
         """
+        if not self.bin_width <= MAX_BIN_WIDTH:
+            raise ValueError(f"bin width {self.bin_width!r} leaves no bin center "
+                             f"in [0, 1]; eta needs a width of at most {MAX_BIN_WIDTH:g}")
         centers = self.centers
         widths = self.widths
         inside = centers <= 1.0 + 1e-12
-        if not inside.any():
-            raise ValueError(f"bin width {self.bin_width!r} leaves no bin center "
-                             "in [0, 1]; eta needs a width of at most 4")
         poisson = np.exp(-centers[inside])
 
         delta_density = np.zeros_like(self.density)
@@ -164,9 +166,11 @@ def eta(sample: SpacingSample, bin_width: float = 0.05) -> float:
 
 
 def eta_scan(n_values, eps_j_grid, n_real: int, master_seed: int,
-             base_coupling: float = 1.0, bin_width: float = 0.05) -> list:
+             bin_width: float = 0.05) -> list:
     """Rows in ETA_HEADER order over the (N, eps_j) grid, in the order and
-    with the stream keys of chain.grid_cells."""
+    with the stream keys of chain.grid_cells; bin_width is checked first."""
+    if not 0 < bin_width <= MAX_BIN_WIDTH:
+        raise ValueError(f"bin_width must lie in (0, {MAX_BIN_WIDTH:g}], got {bin_width!r}")
     return [(spec.n_sites, spec.eps_j,
              eta(collect_spacings(spec, n_real, master_seed, key), bin_width))
-            for spec, key in grid_cells(n_values, eps_j_grid, base_coupling=base_coupling)]
+            for spec, key in grid_cells(n_values, eps_j_grid)]

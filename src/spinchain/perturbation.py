@@ -15,23 +15,23 @@ U_l^k(t) = <l| exp(-iHt) |k>:
 and D_kk, F_kk second-order double integrals over the ordered time
 simplex 0 <= t2 <= t1 <= t (ordering is what makes the result invariant
 under the constant part of the field term).  The leading 1 holds only
-where the clean chain transfers perfectly, t = (2n+1) pi / (4J).
+where the clean chain transfers perfectly, t = (2n+1) pi / 4 (J = 1).
 
 The coefficients are exact sums over the clean eigenbasis, with no time
 grid.  Every integrand is a sum of exponentials exp(-i w s), so with
 f(z) = exp(z t) and nodes z_m = -i E_m the single integrals are first
 divided differences f[z_m, z_n] and the ordered double integrals second
 divided differences f[z_m, z_p, z_n] (Van Loan, IEEE TAC 23, 395
-(1978)).  The clean spectrum is the lattice E_m = 2J(2m - N + 1), so two
+(1978)).  The clean spectrum is the lattice E_m = 2(2m - N + 1), so two
 nodes coincide exactly when their labels do, and the confluent cases
 (derivatives of f) are chosen by label, never by comparing floats.  The
 lattice is symmetric, -E_n = E_{N-1-n}, so the F integrals use the same
 divided-difference tensor as D with the last label reflected.  The cost
 is one N x N by N x N^2 product, O(N^4) flops, and O(N^3) memory.
-Second differences cancel like eps / (J t)^2: against Gauss-Legendre
-quadrature D and F agree to about 1e-13 relative at J t = 0.01 and
-1e-10 at J t = 1e-4.  t = 0 gives exact zeros, and every caller in the
-package works at a transfer time, J t >= pi / 4.
+Second differences cancel like eps / t^2: against Gauss-Legendre
+quadrature D and F agree to about 1e-13 relative at t = 0.01 and
+1e-10 at t = 1e-4.  t = 0 gives exact zeros, and every caller in the
+package works at a transfer time, t >= pi / 4.
 
 This module serves as an independent check on the Monte-Carlo engine;
 it never touches the disorder sampler.  compute_coefficients decomposes
@@ -57,7 +57,7 @@ __all__ = [
 ]
 
 # A clean transfer amplitude |f_N(t)| below 1 - TRANSFER_TOL is no
-# perfect transfer; at t = (2n+1) pi / (4J) it is 1 to rounding.
+# perfect transfer; at t = (2n+1) pi / 4 it is 1 to rounding.
 TRANSFER_TOL = 1e-9
 
 
@@ -104,17 +104,16 @@ def _divided_differences(nodes: np.ndarray, t: float):
     return f1, f2
 
 
-def compute_coefficients(n_sites: int, base_coupling: float = 1.0,
-                         t: float | None = None) -> PerturbationCoefficients:
+def compute_coefficients(n_sites: int, t: float | None = None) -> PerturbationCoefficients:
     """Every coefficient of the clean N-site chain at time t.
 
-    t defaults to the first transfer time pi / (4J).  The clean chain is
+    t defaults to the first transfer time pi / 4.  The clean chain is
     decomposed here, once per call.
     """
-    t = transfer_time(base_coupling) if t is None else float(t)
+    t = transfer_time() if t is None else float(t)
     if t < 0:
         raise ValueError("t must be >= 0")
-    sd = eigendecompose(clean_hamiltonian(n_sites, base_coupling))
+    sd = eigendecompose(clean_hamiltonian(n_sites))
     v = sd.eigenvectors
     x = v * v[0]                                   # x[l, m] = V_lm V_1m
     f1, f2 = _divided_differences(-1j * sd.eigenvalues, t)
@@ -145,23 +144,22 @@ def compute_coefficients(n_sites: int, base_coupling: float = 1.0,
                                     f_diag=f_diag, clean_transfer=float(clean_transfer))
 
 
-def require_transfer_time(coefficients: PerturbationCoefficients,
-                          base_coupling: float = 1.0) -> None:
+def require_transfer_time(coefficients: PerturbationCoefficients) -> None:
     """Refuse coefficients taken where the clean chain does not transfer.
 
     perturbative_fidelity expands around a clean fidelity of 1, which
-    holds only at t = (2n+1) pi / (4J); elsewhere its 1 - ... is wrong
+    holds only at t = (2n+1) pi / 4; elsewhere its 1 - ... is wrong
     at zeroth order.  The message names the nearest transfer time.
     """
     if coefficients.clean_transfer >= 1.0 - TRANSFER_TOL:
         return
     t = coefficients.time
-    n = max(0, round(2.0 * base_coupling * t / np.pi - 0.5))
-    nearest = transfer_time(base_coupling, n)
+    n = max(0, round(2.0 * t / np.pi - 0.5))
+    nearest = transfer_time(n)
     raise ValueError(
         f"t = {t!r} is no perfect-transfer time of the clean chain "
         f"(|f_N| = {coefficients.clean_transfer:.6g}); the perturbative "
-        f"fidelity holds only at (2n+1) pi / (4J), nearest t = {nearest!r}")
+        f"fidelity holds only at (2n+1) pi / 4, nearest t = {nearest!r}")
 
 
 def infidelity_sums(coeffs: PerturbationCoefficients) -> tuple[float, float]:

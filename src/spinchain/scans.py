@@ -1,7 +1,7 @@
 """Batch fidelity scans over disorder grids, scaling fits, thresholds.
 
 These reproduce the figure pipelines: averaged fidelity at the first
-transfer time t1 = pi/(4J) as a function of disorder strength and chain
+transfer time t1 = pi/4 as a function of disorder strength and chain
 length, the exponential scaling collapse with constants kappa_j and
 kappa_b, threshold disorder strengths versus N, and the perturbative
 cross-check.  The sign-correlation probability corr_p is a grid axis
@@ -67,9 +67,8 @@ def points_from_rows(header, rows) -> list:
 
 
 def scan_fidelity(n_values, eps_j_grid, n_real: int, master_seed: int,
-                  eps_b_grid=(0.0,), corr_p_grid=(0.5,), base_coupling: float = 1.0,
-                  t_eval: float | None = None) -> list:
-    """Averaged fidelity at t_eval (default t1 = pi / (4J)) over the
+                  eps_b_grid=(0.0,), corr_p_grid=(0.5,), t_eval: float | None = None) -> list:
+    """Averaged fidelity at t_eval (default t1 = pi / 4) over the
     (corr_p, N, eps_j, eps_b) grid.
 
     Rows come out in the order and with the stream keys of
@@ -77,8 +76,8 @@ def scan_fidelity(n_values, eps_j_grid, n_real: int, master_seed: int,
     not depend on corr_p.  The whole grid goes through one ensemble_averages call,
     which refuses n_real < 1 before drawing; an empty grid gives no rows.
     """
-    cells = grid_cells(n_values, eps_j_grid, eps_b_grid, corr_p_grid, base_coupling)
-    t_list = [transfer_time(base_coupling) if t_eval is None else t_eval]
+    cells = grid_cells(n_values, eps_j_grid, eps_b_grid, corr_p_grid)
+    t_list = [transfer_time() if t_eval is None else t_eval]
     results = ensemble_averages(cells, n_real, master_seed, t_list)
     return [FidelityPoint(spec.n_sites, spec.eps_j, spec.eps_b, spec.corr_p,
                           float(mean[0]), float(err[0]), n_real)
@@ -166,8 +165,7 @@ class PerturbationRow(NamedTuple):
 
 
 def perturbation_comparison(n_sites: int, eps_values, sectors, n_real: int,
-                            master_seed: int, base_coupling: float = 1.0,
-                            t: float | None = None) -> tuple[list, dict]:
+                            master_seed: int, t: float | None = None) -> tuple[list, dict]:
     """Monte-Carlo infidelity against the perturbative formula per eps.
 
     sectors holds "j" (coupling disorder) and/or "b" (field disorder).
@@ -184,14 +182,14 @@ def perturbation_comparison(n_sites: int, eps_values, sectors, n_real: int,
     sector, so a one-sector call gives that sector's rows bit for bit.
 
     Raises ValueError, before anything is drawn, for an unknown sector and
-    when t (default pi / (4J)) is no perfect-transfer time of the clean
+    when t (default pi / 4) is no perfect-transfer time of the clean
     chain, where the perturbative formula does not apply.
     """
     for sector in sectors:
         if sector not in ("j", "b"):
             raise ValueError(f"sector must be 'j' or 'b', got {sector!r}")
-    coefficients = compute_coefficients(n_sites, base_coupling, t)
-    require_transfer_time(coefficients, base_coupling)
+    coefficients = compute_coefficients(n_sites, t)
+    require_transfer_time(coefficients)
     field_sum, coupling_sum = infidelity_sums(coefficients)
     sector_sums = {"j": coupling_sum, "b": field_sum}
 
@@ -199,7 +197,7 @@ def perturbation_comparison(n_sites: int, eps_values, sectors, n_real: int,
     cells = [(sector, eps, {"eps_j": eps} if sector == "j" else {"eps_b": eps}, ei)
              for sector in sectors for ei, eps in enumerate(eps_sorted)]
     averages = ensemble_averages(
-        [(ChainSpec(n_sites=n_sites, base_coupling=base_coupling, **kw), (ei,))
+        [(ChainSpec(n_sites=n_sites, **kw), (ei,))
          for _, _, kw, ei in cells], n_real, master_seed, [coefficients.time])
     rows = []
     for (sector, eps, kw, _), (mean, err) in zip(cells, averages):

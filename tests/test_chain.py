@@ -16,15 +16,11 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         ChainSpec(n_sites=1)
     with pytest.raises(ValueError):
-        ChainSpec(n_sites=4, base_coupling=0.0)
-    with pytest.raises(ValueError):
         ChainSpec(n_sites=4, eps_j=-0.1)
     with pytest.raises(ValueError):
         ChainSpec(n_sites=4, corr_p=1.5)
-    # chains that cannot be built: a non-integral N, a non-finite J or eps
+    # chains that cannot be built: a non-integral N or a non-finite eps
     for named, kwargs in [("n_sites", {"n_sites": 8.5}), ("n_sites", {"n_sites": np.nan}),
-                          ("base_coupling", {"base_coupling": np.inf}),
-                          ("base_coupling", {"base_coupling": np.nan}),
                           ("disorder", {"eps_j": np.inf}), ("disorder", {"eps_j": np.nan}),
                           ("disorder", {"eps_b": np.inf}), ("disorder", {"eps_b": np.nan})]:
         with pytest.raises(ValueError, match=named):
@@ -203,7 +199,7 @@ def test_disordered_block_matches_dense_oracle():
 
 @pytest.mark.parametrize("n", [2, 3, 10, 57, 200])
 def test_clean_spectrum_equispaced(n):
-    h = clean_hamiltonian(n, base_coupling=1.0)
+    h = clean_hamiltonian(n)
     gaps = np.diff(np.linalg.eigvalsh(h.dense()))
     assert np.all(np.abs(gaps - 4.0) <= 1e-8 * 4.0)
 

@@ -321,8 +321,6 @@ def test_sidecar_writes_a_fit_result_as_its_fields(tmp_path):
     ("fractal --n 8 --t-max 0.01", "", "--t-max"),
     ("scan --n 8 1", "", "--n"),
     ("transfer --n 1", "", "--n"),
-    ("scan --n 8 --j 0", "", "--j"),
-    ("perturbation --n 6", "j = inf", "--j"),
     ("scan --n 8 --eps-j inf", "", "--eps-j"),
     ("scan --n 8 --eps-j 0.1 --corr-p 0.5 1.5", "", "--corr-p"),
     ("transfer --n 8 --corr-p nan", "", "--corr-p"),
@@ -469,10 +467,10 @@ def test_grid_commands_share_the_grid_cells_key_layout(tmp_path):
     n_values, eps_j, eps_b, corr_p = (12, 20), (0.6, 0.3, 0.6), (0.0, 0.2), (0.3, 0.8)
     grid = [(p, n, ej, eb, (k, 2 * i + l)) for p in corr_p for k, n in enumerate(n_values)
             for i, ej in enumerate(eps_j) for l, eb in enumerate(eps_b)]
-    cells = grid_cells(n_values, eps_j, eps_b, corr_p, base_coupling=1.5)
+    cells = grid_cells(n_values, eps_j, eps_b, corr_p)
     assert [key for _, key in cells] == [key for *_, key in grid]
     assert [spec for spec, _ in cells] == [
-        ChainSpec(n_sites=n, base_coupling=1.5, eps_j=ej, eps_b=eb, corr_p=p)
+        ChainSpec(n_sites=n, eps_j=ej, eps_b=eb, corr_p=p)
         for p, n, ej, eb, _ in grid]
     keys = [key for _, key in grid_cells(n_values, eps_j, eps_b)]
     assert [key for _, key in cells] == keys * len(corr_p)
@@ -653,6 +651,8 @@ def test_table_commands_refuse_tables_of_two_kinds(tmp_path):
 @pytest.mark.parametrize("config, key", [
     ("n_rael = 5", "'n_rael'"),
     ("config = other.cfg", "'config'"),
+    # J is the unit of energy, no option: an old file's j key names nothing
+    ("j = 1", "'j'"),
 ])
 def test_config_file_key_of_no_option_exits(tmp_path, config, key):
     cfg = tmp_path / "typo.cfg"
@@ -688,6 +688,8 @@ def test_config_file_value_that_does_not_parse_exits(tmp_path, command, config, 
     (["foo"], 2, "err", "argument command: invalid choice: 'foo' (choose from "
                         "'transfer', 'scan', 'fit-scaling', 'threshold'"),
     ([], 2, "err", "the following arguments are required: command"),
+    (["scan", "--n", "6", "--seed", "1", "--out", "x.csv", "--j", "2"], 2, "err",
+     "unrecognized arguments: --j"),
 ])
 def test_help_version_and_unknown_command(capsys, argv, code, stream, expected):
     with pytest.raises(SystemExit) as err:

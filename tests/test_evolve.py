@@ -41,7 +41,7 @@ def test_clean_three_site_spectrum():
 
 
 def test_clean_hundred_site_gaps_are_4j():
-    sd = eigendecompose(clean_hamiltonian(100, base_coupling=1.0))
+    sd = eigendecompose(clean_hamiltonian(100))
     gaps = np.diff(sd.eigenvalues)
     assert gaps.shape == (99,)
     assert np.all(np.abs(gaps - 4.0) <= 1e-8 * 4.0)

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spinchain import (ChainSpec, SpacingSample, collect_spacings, eta,
+from spinchain import (ChainSpec, SpacingSample, collect_spacings, eta, eta_scan,
                        spacing_histogram)
 from spinchain.fitting import threshold_scaling
 
@@ -149,3 +149,10 @@ def test_collect_spacings_matches_hand_loop_over_keys():
 def test_collect_spacings_refuses_no_realizations_before_drawing(forbid_draws):
     with pytest.raises(ValueError, match="n_real"):
         collect_spacings(ChainSpec(n_sites=9, eps_j=0.3), 0, 12)
+
+
+@pytest.mark.parametrize("bin_width", [5.0, 0.0, -0.05, np.nan])
+def test_eta_scan_refuses_a_bin_width_before_drawing(forbid_draws, bin_width):
+    # eta needs a width of at most 4; a scan checks that before its first cell
+    with pytest.raises(ValueError, match=r"bin_width must lie in \(0, 4\]"):
+        eta_scan((200,), (0.1,), 300, 1, bin_width=bin_width)

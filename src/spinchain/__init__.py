@@ -11,9 +11,8 @@ from .chain import (ChainSpec, DisorderRealization, TridiagonalHamiltonian,
                     build_hamiltonian, clean_hamiltonian, hamiltonian_block,
                     sample_disorder, substream, zero_disorder)
 from .evolve import (FidelitySeries, SpectralDecomposition, amplitudes,
-                     eigendecompose, ensemble_average, ensemble_averages,
-                     fidelity_of_amplitude, fidelity_series, transfer_amplitude,
-                     transfer_time)
+                     eigendecompose, ensemble_averages, fidelity_of_amplitude,
+                     fidelity_series, transfer_amplitude, transfer_time)
 from .fitting import FitResult, ThresholdScaling, crossing_loglinear, power_law_fit
 from .levelstats import (SpacingHistogram, SpacingSample, collect_spacings,
                          eta, eta_scan, spacing_histogram)

@@ -123,7 +123,8 @@ class TridiagonalHamiltonian:
         return self.diag.shape[0]
 
     def dense(self) -> np.ndarray:
-        """Full N x N matrix, mainly for tests and small-N checks."""
+        """Full N x N matrix: the dense oracles of the tests and of
+        benchmark/oracle.py read it."""
         h = np.diag(self.diag)
         n = self.n_sites
         h[np.arange(n - 1), np.arange(1, n)] = self.offdiag

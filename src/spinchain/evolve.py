@@ -2,24 +2,25 @@
 
 Two propagators, each where it is cheaper:
 
-* Ensembles at a few given times (ensemble_averages, and
-  ensemble_average for one cell) expand exp(-iHt) e_1 in Chebyshev
-  polynomials (Tal-Ezer & Kosloff 1984) with no eigensolve.  The
-  realizations of consecutive cells of one chain length are drawn
-  straight into arrays and stream through shared blocks of
-  _BLOCK_ELEMENTS // N rows, which may span cells; each row runs on its
-  own cell's spectral interval for its own number of terms, so its bits
-  do not depend on the block.  The cost grows with half-width x t.
+* Ensembles at a few given times (ensemble_averages; scan, perturbation)
+  expand exp(-iHt) e_1 in Chebyshev polynomials (Tal-Ezer & Kosloff
+  1984) with no eigensolve.  The realizations of consecutive cells of
+  one chain length are drawn straight into arrays and stream through
+  shared blocks of _BLOCK_ELEMENTS // N rows, which may span cells; each
+  row runs on its own cell's spectral interval for its own number of
+  terms, so its bits do not depend on the block.  The cost grows with
+  half-width x t.
 * Single Hamiltonians and long time series use the spectrum; amplitudes
-  at any time then follow from phase factors on it.  eigendecompose
-  (with eigenvectors) serves amplitudes and transfer_amplitude.
-  fidelity_series reads only the eigenvalues E_k and the end-to-end
-  weights w_k = v_1k v_Nk, so it computes no eigenvectors: sterf
-  eigenvalues, refined by one Newton step on the Sturm pivots, and the
-  weights from the Jacobi-matrix identity.  A series of m samples
-  builds its phases from two tables of about sqrt(m) exact exponentials
-  per mode, so after the setup it costs O(N m) flops in BLAS plus
-  O(N sqrt(m)) exponentials.
+  at any time then follow from phase factors on it.  fidelity_series
+  (transfer, fractal, dimension-scan) reads only the eigenvalues E_k
+  and the end-to-end weights w_k = v_1k v_Nk, so it computes no
+  eigenvectors: sterf eigenvalues, refined by one Newton step on the
+  Sturm pivots, and the weights from the Jacobi-matrix identity.  A
+  series of m samples builds its phases from two tables of about
+  sqrt(m) exact exponentials per mode, so after the setup it costs
+  O(N m) flops in BLAS plus O(N sqrt(m)) exponentials.  No command
+  reads eigendecompose's eigenvectors but the perturbation layer's
+  clean chain; amplitudes and transfer_amplitude are the tests' reference.
 
 Only the spectral path calls LAPACK, and it imports scipy.linalg on
 its first call (eigh_tridiagonal here, sterf in _transfer_spectrum), so
@@ -36,7 +37,7 @@ from itertools import groupby
 
 import numpy as np
 
-from .chain import (ChainSpec, TridiagonalHamiltonian, _readonly, gershgorin_radii,
+from .chain import (TridiagonalHamiltonian, _readonly, gershgorin_radii,
                     hamiltonian_block, spectral_half_width)
 from .fitting import standard_error
 
@@ -50,7 +51,6 @@ __all__ = [
     "fidelity_of_amplitude",
     "fidelity_series",
     "series_length",
-    "ensemble_average",
     "ensemble_averages",
 ]
 
@@ -106,10 +106,6 @@ class SpectralDecomposition:
     def __post_init__(self):
         for name in ("eigenvalues", "eigenvectors"):
             object.__setattr__(self, name, _readonly(getattr(self, name)))
-
-    @property
-    def n_sites(self) -> int:
-        return self.eigenvalues.shape[0]
 
 
 @dataclass(frozen=True)
@@ -526,11 +522,3 @@ def ensemble_averages(cells, n_real: int, master_seed: int, t_list) -> list:
             t_list))
     return [(cell.mean(axis=0), standard_error(cell))
             for cell in fid.reshape(len(cells), n_real, t_list.shape[0])]
-
-
-def ensemble_average(spec: ChainSpec, n_real: int, master_seed: int, t_list,
-                     key_prefix: tuple = ()) -> tuple[np.ndarray, np.ndarray]:
-    """Disorder-averaged fidelity at the given times: ensemble_averages of
-    the one cell (spec, key_prefix), returned as (mean, standard error)."""
-    [result] = ensemble_averages([(spec, key_prefix)], n_real, master_seed, t_list)
-    return result

@@ -92,6 +92,7 @@ class SpacingHistogram:
 
     @property
     def mass(self) -> float:
+        """Total probability, 1 by construction; benchmark/oracle.py checks it."""
         return float(np.sum(self.density * self.widths))
 
     @property

@@ -126,7 +126,7 @@ def compute_coefficients(n_sites: int, t: float | None = None) -> PerturbationCo
     e = 4.0 * np.sum(p[:-1] * xb[1:], axis=1).real
 
     # y[l, p, n] = sum_m x_lm exp(i E_m t) f[z_m, z_p, z_n]
-    n = sd.n_sites
+    n = v.shape[0]
     y = (xb @ f2.reshape(n, n * n)).reshape(n, n, n)
     # D's occupation terms integrate to t C_l - t^2 / 2; the rest pairs
     # (l, p) and (l, n) through the intermediate site's weight V_lp^2

@@ -172,7 +172,8 @@ def perturbation_comparison(n_sites: int, eps_values, sectors, n_real: int,
     Returns (rows, sectors): the PerturbationRows, sector by sector in
     the order given and eps ascending, and per sector its sidecar entry
     {"sector_sum", "slope_fit", "t"}, slope_fit being the log-log slope
-    of the MC infidelity vs eps (None below two positive infidelities).
+    of the MC infidelity vs eps on the rows where both are positive
+    (None below two distinct eps there).
     mc_over_sector_sum is the fitted prefactor ratio between the Monte
     Carlo and the plain sector sum (the formula's own is eps^2/9).
 
@@ -214,12 +215,12 @@ def perturbation_comparison(n_sites: int, eps_values, sectors, n_real: int,
     for sector in sectors:
         eps_arr = np.array([r.eps for r in rows if r.sector == sector])
         infid = np.array([r.infid_mc for r in rows if r.sector == sector])
-        ok = infid > 0
+        ok = (infid > 0) & (eps_arr > 0)
         summaries[sector] = {
             "sector_sum": sector_sums[sector],
             "slope_fit": (power_law_fit(eps_arr[ok], infid[ok], model="mc-infidelity",
                                         mask=tuple(np.flatnonzero(ok)))
-                          if int(ok.sum()) >= 2 else None),
+                          if np.unique(eps_arr[ok]).size >= 2 else None),
             "t": coefficients.time,
         }
     return rows, summaries

@@ -3,14 +3,15 @@
 CSV files carry only reproducible content (comment lines with the
 configuration and code version, a header row, then data rows with
 floats printed to 17 significant digits), so identical runs produce
-byte-identical files.  Wall-clock time and fit payloads live in the
-JSON sidecar next to the CSV, a dataclass (FitResult) as its fields.
+byte-identical files.  Wall-clock time, library versions and fit payloads
+live in the JSON sidecar next to the CSV, a dataclass as its fields.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import sys
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -77,8 +78,12 @@ def sidecar_path(csv_path) -> Path:
 
 
 def write_sidecar(csv_path, payload: dict) -> Path:
+    """payload plus the library versions as csv_path's sidecar; scipy's is
+    null when the run never loaded it (the Chebyshev and table commands)."""
     out = dict(payload)
     out.setdefault("version", __version__)
+    out["libraries"] = {"python": "%d.%d.%d" % sys.version_info[:3], "numpy": np.__version__,
+                        "scipy": getattr(sys.modules.get("scipy"), "__version__", None)}
     out["wall_clock"] = datetime.now(timezone.utc).isoformat()
     path = sidecar_path(csv_path)
     path.write_text(json.dumps(out, indent=2, sort_keys=True, default=_coerce) + "\n")

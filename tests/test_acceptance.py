@@ -13,6 +13,8 @@ import numpy as np
 import pytest
 
 import spinchain as sc
+from spinchain import evolve
+from spinchain.chain import spectral_half_width
 from spinchain.fitting import curves_by_n, threshold_scaling
 from spinchain.scans import threshold_curves
 
@@ -30,21 +32,41 @@ def report(num, ok, detail):
     return line
 
 
+def command_amplitudes(h, spec, t):
+    """f_N(t) of h on the two propagators the commands run: the series
+    spectrum of transfer, fractal and dimension-scan, and the Chebyshev
+    sweep of scan and perturbation on spec's half-width."""
+    series = sc.fidelity_series(h, t, t).amplitude[-1]
+    chebyshev = evolve._chebyshev_transfer_amplitude(
+        h.diag[None], h.offdiag[None], spectral_half_width(spec), np.array([t]))[0, 0]
+    return series, chebyshev
+
+
 # ---------------------------------------------------------------------------
 # 1. Perfect transfer on clean chains
 # ---------------------------------------------------------------------------
 
 def test_criterion_1_perfect_transfer():
-    worst = 1.0
+    times = [sc.transfer_time(n=k) for k in range(3)]
+    worst = worst_series = worst_chebyshev = 1.0
     for n in (10, 100, 500):
-        sd = sc.eigendecompose(sc.clean_hamiltonian(n))
-        for k in range(3):
-            t = sc.transfer_time(n=k)
+        h = sc.clean_hamiltonian(n)
+        sd = sc.eigendecompose(h)
+        for t in times:
             f = sc.fidelity_of_amplitude(sc.transfer_amplitude(sd, [t])[0])
             worst = min(worst, f)
-    ok = worst >= 1.0 - 1e-9
-    assert ok, report(1, ok, f"min F(t_n) = {worst:.3e}")
-    report(1, ok, f"min F(t_n) over N in (10,100,500), n in (0,1,2): {worst:.12f}")
+        # samples 1, 3 and 5 of the grid i pi/4 are t_0, t_1 and t_2
+        series = sc.fidelity_series(h, sc.transfer_time(2), np.pi / 4)
+        worst_series = min(worst_series, float(series.fidelity[[1, 3, 5]].min()))
+        # what scan --eps-j 0 runs
+        [(mean, _)] = sc.ensemble_averages([(sc.ChainSpec(n_sites=n), ())], 1, SEED, times)
+        worst_chebyshev = min(worst_chebyshev, float(mean.min()))
+    ok = min(worst, worst_series, worst_chebyshev) >= 1.0 - 1e-9
+    detail = (f"min F(t_n) over N in (10,100,500), n in (0,1,2): {worst:.12f}; "
+              f"1 - min F on the series path {1.0 - worst_series:.1e}, "
+              f"on the Chebyshev path {1.0 - worst_chebyshev:.1e} (<=1e-9)")
+    assert ok, report(1, ok, detail)
+    report(1, ok, detail)
 
 
 # ---------------------------------------------------------------------------
@@ -53,7 +75,7 @@ def test_criterion_1_perfect_transfer():
 
 def test_criterion_2_oracle_equivalence():
     rng = np.random.default_rng(SEED)
-    worst = 0.0
+    worst = worst_series = worst_chebyshev = 0.0
     for _ in range(50):
         n = int(rng.integers(2, 13))
         t = float(rng.uniform(0.0, 20.0))
@@ -61,12 +83,19 @@ def test_criterion_2_oracle_equivalence():
         fields = rng.uniform(-0.3, 0.3, n)
         spec = sc.ChainSpec(n_sites=n, eps_j=0.5, eps_b=0.3)
         real = sc.DisorderRealization(delta=delta, field_err=fields)
-        f = sc.amplitudes(sc.eigendecompose(sc.build_hamiltonian(spec, real)), t)
+        h = sc.build_hamiltonian(spec, real)
+        f = sc.amplitudes(sc.eigendecompose(h), t)
         f_oracle = oracle_amplitudes(n, t, delta=delta, fields=fields)
         worst = max(worst, float(np.max(np.abs(f - f_oracle))))
-    ok = worst <= 1e-8
-    assert ok, report(2, ok, f"max amplitude error {worst:.3e}")
-    report(2, ok, f"max amplitude error over 50 random cases: {worst:.3e}")
+        f_series, f_chebyshev = command_amplitudes(h, spec, t)
+        worst_series = max(worst_series, abs(f_series - f_oracle[-1]))
+        worst_chebyshev = max(worst_chebyshev, abs(f_chebyshev - f_oracle[-1]))
+    ok = max(worst, worst_series, worst_chebyshev) <= 1e-8
+    detail = (f"max amplitude error over 50 random cases: {worst:.3e}; site N on the "
+              f"series path {worst_series:.3e}, on the Chebyshev path "
+              f"{worst_chebyshev:.3e} (<=1e-8)")
+    assert ok, report(2, ok, detail)
+    report(2, ok, detail)
 
 
 # ---------------------------------------------------------------------------
@@ -310,12 +339,12 @@ def test_criterion_7_perturbation_agreement():
     t1 = sc.transfer_time()
     eps = 5e-3
     mixed_spec = sc.ChainSpec(n_sites=20, eps_j=eps, eps_b=eps)
-    mean_m, err_m = sc.ensemble_average(mixed_spec, n_real, SEED + 10, [t1])
+    [(mean_m, err_m)] = sc.ensemble_averages([(mixed_spec, ())], n_real, SEED + 10, [t1])
     pure = {}
     for sector, seed in (("j", SEED + 11), ("b", SEED + 12)):
         kwargs = {"eps_j": eps} if sector == "j" else {"eps_b": eps}
-        mean, err = sc.ensemble_average(sc.ChainSpec(n_sites=20, **kwargs),
-                                        n_real, seed, [t1])
+        [(mean, err)] = sc.ensemble_averages([(sc.ChainSpec(n_sites=20, **kwargs), ())],
+                                             n_real, seed, [t1])
         pure[sector] = (1.0 - mean[0], err[0])
     infid_mixed = 1.0 - mean_m[0]
     infid_sum = pure["j"][0] + pure["b"][0]
@@ -357,14 +386,20 @@ def test_criterion_8_invariants(tmp_path):
         sc.build_hamiltonian(spec, sc.sample_disorder(spec, sc.substream(1, 0))), 200.0, 0.05)
     range_ok = bool(np.all(series.fidelity >= 0.5) and np.all(series.fidelity <= 1.0))
 
-    # clean closed form |f_N| = |sin 2Jt|^(N-1) for N <= 12
-    worst_closed = 0.0
+    # clean closed form |f_N| = |sin 2t|^(N-1) for N <= 12, on the eigen
+    # path and on the two the commands run
+    worst_closed = worst_closed_series = worst_closed_chebyshev = 0.0
     for n in range(2, 13):
-        sd = sc.eigendecompose(sc.clean_hamiltonian(n))
+        h = sc.clean_hamiltonian(n)
+        sd = sc.eigendecompose(h)
         for t in rng.uniform(0.0, 5.0, 10):
+            closed = abs(np.sin(2 * t)) ** (n - 1)
             f_n = abs(sc.amplitudes(sd, t)[-1])
-            worst_closed = max(worst_closed,
-                               abs(f_n - abs(np.sin(2 * t)) ** (n - 1)))
+            worst_closed = max(worst_closed, abs(f_n - closed))
+            f_series, f_chebyshev = command_amplitudes(h, sc.ChainSpec(n_sites=n), t)
+            worst_closed_series = max(worst_closed_series, abs(abs(f_series) - closed))
+            worst_closed_chebyshev = max(worst_closed_chebyshev,
+                                         abs(abs(f_chebyshev) - closed))
 
     # byte-identical CLI outputs for one seed
     from spinchain.cli import main
@@ -376,9 +411,11 @@ def test_criterion_8_invariants(tmp_path):
     identical = out1.read_bytes() == out2.read_bytes()
 
     ok = (worst_unit <= 1e-10 and worst_rec <= 1e-10 and range_ok
-          and worst_closed <= 1e-8 and identical)
+          and max(worst_closed, worst_closed_series, worst_closed_chebyshev) <= 1e-8
+          and identical)
     detail = (f"unitarity {worst_unit:.1e} (<=1e-10), reciprocity {worst_rec:.1e} "
               f"(<=1e-10), range {range_ok}, closed form {worst_closed:.1e} "
-              f"(<=1e-8), determinism {identical}")
+              f"(<=1e-8; series path {worst_closed_series:.1e}, Chebyshev path "
+              f"{worst_closed_chebyshev:.1e}), determinism {identical}")
     assert ok, report(8, ok, detail)
     report(8, ok, detail)

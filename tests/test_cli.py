@@ -11,7 +11,7 @@ import pytest
 import spinchain
 from spinchain import (ChainSpec, WindowSelectionError, build_hamiltonian,
                        collect_spacings, dimension_of_series, dimension_scan,
-                       ensemble_average, eta, eta_scan, fidelity_series, fit_scaling,
+                       ensemble_averages, eta, eta_scan, fidelity_series, fit_scaling,
                        perturbation_comparison, sample_disorder, scan_fidelity,
                        substream, transfer_time)
 from spinchain.chain import grid_cells
@@ -138,6 +138,36 @@ def test_perturbation_refuses_a_non_transfer_time(tmp_path, t, refused):
     assert f"perturbation: --t {t!r}: " in str(err.value)
     assert "nearest t = 0.7853981633974483" in str(err.value)
     assert not out.exists()
+
+
+def test_perturbation_fits_its_slope_without_an_eps_of_zero(tmp_path):
+    # eps = 0 is the clean chain, whose infidelity is rounding: its row is
+    # written, but the log-log slope cannot take it
+    out = tmp_path / "pert.csv"
+    run_cli("perturbation", "--n", 8, "--eps", 0, 0.01, 0.03, "--n-real", 10,
+            "--seed", 1, "--out", out)
+    _, _, rows = read_csv(out)
+    assert [(r[0], r[1]) for r in rows] == [(s, e) for s in "jb" for e in (0.0, 0.01, 0.03)]
+    assert all(np.isnan(r[7]) and np.isnan(r[8]) for r in rows if r[1] == 0.0)
+    for summary in read_sidecar(out)["sectors"].values():
+        assert summary["slope_fit"]["mask"] == [1, 2]
+    # one distinct eps leaves no slope to fit, which is no error of --t
+    run_cli("perturbation", "--n", 8, "--eps", 0.01, 0.01, "--n-real", 10,
+            "--seed", 1, "--out", out)
+    assert [summary["slope_fit"] for summary in read_sidecar(out)["sectors"].values()] \
+        == [None, None]
+
+
+def test_sidecar_records_the_library_versions(tmp_path, monkeypatch):
+    # scipy's version only where the run has loaded scipy
+    import scipy
+    versions = {"python": "%d.%d.%d" % sys.version_info[:3], "numpy": np.__version__}
+    write_sidecar(tmp_path / "a.csv", {})
+    assert read_sidecar(tmp_path / "a.csv")["libraries"] == {**versions,
+                                                             "scipy": scipy.__version__}
+    monkeypatch.delitem(sys.modules, "scipy")
+    write_sidecar(tmp_path / "b.csv", {})
+    assert read_sidecar(tmp_path / "b.csv")["libraries"] == {**versions, "scipy": None}
 
 
 def test_config_file_with_flag_override(tmp_path):
@@ -406,8 +436,55 @@ def test_scan_and_table_commands_run_without_scipy(tmp_path):
     assert (tmp_path / "eta_fresh.csv").read_bytes() == (tmp_path / "eta.csv").read_bytes()
 
 
+DATA = Path(__file__).parent / "data"
+
+
+def _column_gaps(path, golden) -> str:
+    """Each column's largest absolute and relative gap of the table at path
+    against the golden one, plus the metadata lines that differ; or why
+    the two cannot be compared row by row."""
+    meta, header, rows = read_csv(path)
+    golden_meta, golden_header, golden_rows = read_csv(golden)
+    if header != golden_header or len(rows) != len(golden_rows):
+        return (f"{len(rows)} rows of {','.join(header)} against {len(golden_rows)} "
+                f"rows of {','.join(golden_header)}")
+    lines = [f"# {key}: {meta.get(key)!r} against {golden_meta.get(key)!r}"
+             for key in sorted(meta.keys() | golden_meta.keys())
+             if meta.get(key) != golden_meta.get(key)]
+    for column, values, expected in zip(header, zip(*rows), zip(*golden_rows)):
+        if any(isinstance(v, str) for v in values + expected):
+            differ = sum(a != b for a, b in zip(values, expected))
+            lines.append(f"{column}: {differ} rows differ")
+            continue
+        a, b = np.array(values), np.array(expected)
+        with np.errstate(all="ignore"):
+            gap = np.where((a == b) | (np.isnan(a) & np.isnan(b)), 0.0, np.abs(a - b))
+            gap = np.nan_to_num(gap, nan=np.inf)
+            relative = np.where(gap == 0.0, 0.0, gap / np.abs(b))
+        lines.append(f"{column}: max abs gap {gap.max():.3g}, "
+                     f"max rel gap {np.nan_to_num(relative, nan=np.inf).max():.3g}")
+    return "\n".join(lines)
+
+
+def test_column_gaps_name_each_columns_largest_gap(tmp_path):
+    header = ("sector", "eps", "fbar")
+    tableio.write_csv(tmp_path / "golden.csv", header,
+                      [("j", 0.1, 0.5), ("b", 0.2, np.nan)], metadata={"seed": 1})
+    tableio.write_csv(tmp_path / "out.csv", header,
+                      [("j", 0.1, 0.5 + 1e-12), ("b", 0.2, np.nan)], metadata={"seed": 2})
+    assert _column_gaps(tmp_path / "out.csv", tmp_path / "golden.csv").splitlines() == [
+        "# seed: '2' against '1'", "sector: 0 rows differ",
+        "eps: max abs gap 0, max rel gap 0", "fbar: max abs gap 1e-12, max rel gap 2e-12"]
+    tableio.write_csv(tmp_path / "short.csv", header, [("j", 0.1, 0.5)])
+    assert _column_gaps(tmp_path / "short.csv", tmp_path / "golden.csv") == \
+        "1 rows of sector,eps,fbar against 2 rows of sector,eps,fbar"
+
+
 # Tables written at fixed seeds by the commit that recorded tests/data; the
-# CSV bytes of a fixed seed are part of the package's contract.
+# CSV bytes of a fixed seed are part of the package's contract.  The table
+# commands record their --table paths, so they run in a fixed directory:
+# tests/data for its committed tables, or the test's own directory for a
+# table written by the commands before " && ".
 @pytest.mark.parametrize("name, argv", [
     ("scan", "scan --n 6 16 --eps-j 0 0.05 0.3 --eps-b 0 0.2 --corr-p 0.3 "
              "--n-real 150 --seed 13"),
@@ -422,12 +499,22 @@ def test_scan_and_table_commands_run_without_scipy(tmp_path):
                     "--n-real 30 --seed 5"),
     ("dimension-scan", "dimension-scan --n 12 20 --eps-j 0.3 0.6 1.0 --t-max 35 "
                        "--n-real 3 --seed 1"),
+    ("threshold-eta-scan", "threshold --table eta-scan.csv --f-target 0.5"),
+    # 1.4 is crossed at N = 12 only: the sidecar records it as skipped
+    ("threshold-dimension-scan", "threshold --table dimension-scan.csv "
+                                 "--f-target 1.6 1.4"),
+    ("fit-scaling", "scan --n 6 16 --eps-j 0 0.05 0.1 0.3 --eps-b 0 0.5 1 2 "
+                    "--n-real 150 --seed 13 --out s.csv && fit-scaling --table s.csv"),
 ])
-def test_output_matches_the_committed_golden_table(tmp_path, name, argv):
+def test_output_matches_the_committed_golden_table(tmp_path, monkeypatch, name, argv):
     out = tmp_path / f"{name}.csv"
-    run_cli(*argv.split(), "--out", out)
-    golden = Path(__file__).parent / "data" / f"{name}.csv"
-    assert out.read_bytes() == golden.read_bytes()
+    *tables, command = argv.split(" && ")
+    monkeypatch.chdir(tmp_path if tables else DATA)
+    for table in tables:
+        run_cli(*table.split())
+    run_cli(*command.split(), "--out", out)
+    golden = DATA / f"{name}.csv"
+    assert out.read_bytes() == golden.read_bytes(), _column_gaps(out, golden)
 
 
 def test_dimension_scan_command_matches_the_library(tmp_path):
@@ -491,7 +578,7 @@ def test_grid_commands_share_the_grid_cells_key_layout(tmp_path):
     assert len(rows["scan"]) == len(grid)
     for row, (p, n, ej, eb, key) in zip(rows["scan"], grid):
         spec = ChainSpec(n_sites=n, eps_j=ej, eps_b=eb, corr_p=p)
-        mean, err = ensemble_average(spec, 7, 5, [transfer_time()], key_prefix=key)
+        [(mean, err)] = ensemble_averages([(spec, key)], 7, 5, [transfer_time()])
         assert list(row) == [n, ej, eb, p, mean[0], err[0], 7]
     assert len(rows["eta"]) == len(rows["dim"]) == len(field_free)
     for eta_row, dim_row, (n, ej, key) in zip(rows["eta"], rows["dim"], field_free):

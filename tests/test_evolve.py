@@ -11,7 +11,7 @@ from scipy.sparse.linalg import expm_multiply
 
 from spinchain import (ChainSpec, DisorderRealization, amplitudes,
                        build_hamiltonian, clean_hamiltonian, eigendecompose,
-                       ensemble_average, ensemble_averages, fidelity_of_amplitude,
+                       ensemble_averages, fidelity_of_amplitude,
                        fidelity_series, sample_disorder, substream,
                        transfer_amplitude, transfer_time, zero_disorder)
 from spinchain import evolve
@@ -228,7 +228,7 @@ def test_series_input_validation():
 def test_ensemble_single_realization_matches_direct():
     spec = ChainSpec(n_sites=40, eps_j=0.05)
     t_list = [0.3, transfer_time(), 2.0]
-    mean, err = ensemble_average(spec, 1, 99, t_list)
+    [(mean, err)] = ensemble_averages([(spec, ())], 1, 99, t_list)
     h = build_hamiltonian(spec, sample_disorder(spec, substream(99, 0)))
     direct = fidelity_of_amplitude(_chebyshev(
         [h], spectral_half_width(spec), np.array(t_list))[0])
@@ -240,7 +240,7 @@ def test_ensemble_single_realization_matches_direct():
 
 def test_ensemble_clean_disorder_free():
     spec = ChainSpec(n_sites=25, eps_j=0.0, eps_b=0.0)
-    mean, err = ensemble_average(spec, 7, 4, [transfer_time()])
+    [(mean, err)] = ensemble_averages([(spec, ())], 7, 4, [transfer_time()])
     assert abs(mean[0] - 1.0) <= 1e-9
     assert np.all(err <= 1e-12)
 
@@ -249,14 +249,14 @@ def test_ensemble_peak_suppression_grows_with_time():
     # averaged maxima at t_n decrease with n
     spec = ChainSpec(n_sites=100, eps_j=1e-2)
     t_list = [transfer_time(n=k) for k in range(3)]
-    mean, err = ensemble_average(spec, 100, 7, t_list)
+    [(mean, err)] = ensemble_averages([(spec, ())], 100, 7, t_list)
     assert mean[0] > mean[1] > mean[2]
 
 
 def test_ensemble_reduction_is_deterministic():
     spec = ChainSpec(n_sites=30, eps_j=0.08, eps_b=0.02)
-    a = ensemble_average(spec, 25, 11, [transfer_time()])
-    b = ensemble_average(spec, 25, 11, [transfer_time()])
+    [a] = ensemble_averages([(spec, ())], 25, 11, [transfer_time()])
+    [b] = ensemble_averages([(spec, ())], 25, 11, [transfer_time()])
     assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
 
 
@@ -266,7 +266,7 @@ def test_small_perturbation_continuity():
     means, errs = [], []
     for eps in grid:
         spec = ChainSpec(n_sites=50, eps_j=eps)
-        mean, err = ensemble_average(spec, 150, 13, [transfer_time()])
+        [(mean, err)] = ensemble_averages([(spec, ())], 150, 13, [transfer_time()])
         means.append(mean[0])
         errs.append(err[0])
     for i in range(len(grid) - 1):
@@ -277,7 +277,7 @@ def test_small_perturbation_continuity():
 def test_ensemble_average_matches_hand_loop_over_keys():
     spec = ChainSpec(n_sites=15, eps_j=0.2, eps_b=0.1, corr_p=0.3)
     t_list = [0.4, transfer_time()]
-    mean, err = ensemble_average(spec, 6, 21, t_list, key_prefix=(2, 5))
+    [(mean, err)] = ensemble_averages([(spec, (2, 5))], 6, 21, t_list)
     hams = [build_hamiltonian(spec, sample_disorder(spec, substream(21, 2, 5, r)))
             for r in range(6)]
     fid = np.array([
@@ -297,7 +297,7 @@ def test_ensemble_average_across_realization_blocks(monkeypatch):
     spec = ChainSpec(n_sites=8, eps_j=0.3, eps_b=0.2)
     n_real = 2 * 128 + 3
     t_list = [transfer_time(), 2.0]
-    mean, err = ensemble_average(spec, n_real, 4, t_list)
+    [(mean, err)] = ensemble_averages([(spec, ())], n_real, 4, t_list)
     fid = np.array([
         fidelity_of_amplitude(_chebyshev(
             [build_hamiltonian(spec, sample_disorder(spec, substream(4, r)))],
@@ -327,7 +327,7 @@ def test_ensemble_averages_do_not_depend_on_the_block_size(monkeypatch, n):
 def test_ensemble_refuses_a_non_finite_time_before_drawing(forbid_draws, bad):
     spec = ChainSpec(n_sites=10, eps_j=0.1)
     with pytest.raises(ValueError, match=f"evaluation time {float(bad)!r} is not finite"):
-        ensemble_average(spec, 5, 1, [1.0, bad])
+        ensemble_averages([(spec, ())], 5, 1, [1.0, bad])
     with pytest.raises(ValueError, match=f"evaluation time {float(bad)!r}"):
         ensemble_averages([(spec, (0,)), (spec, (1,))], 5, 1, [bad])
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from spinchain import (ChainSpec, clean_hamiltonian, compute_coefficients,
-                       eigendecompose, ensemble_average,
+                       eigendecompose, ensemble_averages,
                        infidelity_sums, perturbation_comparison,
                        perturbative_fidelity, transfer_time)
 
@@ -162,7 +162,7 @@ def test_field_sector_formula_matches_monte_carlo():
     coeffs = compute_coefficients(n, t=t)
     pert = 1.0 - perturbative_fidelity(coeffs, eps_b=eps_b)
     spec = ChainSpec(n_sites=n, eps_b=eps_b)
-    mean, err = ensemble_average(spec, 3000, 21, [t])
+    [(mean, err)] = ensemble_averages([(spec, ())], 3000, 21, [t])
     mc = 1.0 - mean[0]
     assert abs(mc - pert) < max(4.0 * err[0], 0.03 * pert)
 
@@ -177,6 +177,6 @@ def test_coupling_sector_proportional_to_monte_carlo():
     ratios = []
     for i, eps_j in enumerate((3e-3, 1e-2)):
         spec = ChainSpec(n_sites=n, eps_j=eps_j)
-        mean, _ = ensemble_average(spec, 3000, 22, [t], key_prefix=(i,))
+        [(mean, _)] = ensemble_averages([(spec, (i,))], 3000, 22, [t])
         ratios.append((1.0 - mean[0]) / (coupling_sum * eps_j ** 2))
     assert ratios[0] == pytest.approx(ratios[1], rel=0.1)

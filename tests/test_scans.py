@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from spinchain import (ChainSpec, FidelityPoint, ensemble_average, fit_scaling,
+from spinchain import (ChainSpec, FidelityPoint, ensemble_averages, fit_scaling,
                        scan_fidelity)
 from spinchain.fitting import crossing_loglinear, power_law_fit, threshold_scaling
 from spinchain.scans import threshold_curves
@@ -52,7 +52,7 @@ def test_scan_rows_equal_one_ensemble_average_per_cell(n_real):
     for ni, n in enumerate((9, 14)):
         for ji, eps_j in enumerate((0.1, 0.5, 1.0)):
             spec = ChainSpec(n_sites=n, eps_j=eps_j, eps_b=0.2, corr_p=0.7)
-            mean, err = ensemble_average(spec, n_real, 8, [2.5], key_prefix=(ni, ji))
+            [(mean, err)] = ensemble_averages([(spec, (ni, ji))], n_real, 8, [2.5])
             expected.append((n, eps_j, float(mean[0]), float(err[0])))
     assert [(p.n_sites, p.eps_j, p.fbar, p.stderr) for p in points] == expected
 

@@ -7,14 +7,28 @@ summarized by eta, the integrated distance of P(s) from the Poisson law
 over s in [0, 1], normalized by the same distance for the delta peak.
 
 Each ensemble is one chain.hamiltonian_block, whose rows are
-diagonalized for eigenvalues only (LAPACK sterf); realization r of a
-sample draws from substream(master_seed, *key_prefix, r), and eta_scan
-takes each cell's key prefix from chain.grid_cells.  scipy.linalg is
-imported on the first eigvalsh_tridiagonal call, not with this module.
+diagonalized for eigenvalues only by eigvalsh_tridiagonal; realization
+r of a sample draws from substream(master_seed, *key_prefix, r), and
+eta_scan takes each cell's key prefix from chain.grid_cells.
+
+eigvalsh_tridiagonal has two routes.  A chain with any nonzero field
+goes to LAPACK sterf, bit for bit scipy's.  A zero-field chain (every
+chain of eta-scan) is chiral, and its levels are plus and minus the
+singular values of an N/2-sized bidiagonal, computed by LAPACK's dqds
+(dlasq1) to high relative accuracy.  scipy.linalg does not wrap dlasq1,
+so it is bound once through ctypes from the capsule that
+scipy.linalg.cython_lapack exports; a missing capsule, or one with
+another signature, raises ImportError naming scipy's version, and a
+nonzero INFO raises numpy.linalg.LinAlgError naming N.  There is no
+fallback between the routes.  scipy.linalg (and with it cython_lapack)
+is imported on the first eigvalsh_tridiagonal call, not with this
+module.
 """
 
 from __future__ import annotations
 
+import ctypes
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,14 +47,94 @@ __all__ = [
 
 
 def eigvalsh_tridiagonal(d, e):
-    """Ascending eigenvalues by LAPACK sterf (root-free QL, robust for
-    near-severed chains), importing scipy.linalg on first use.
+    """Ascending eigenvalues of the symmetric tridiagonal (d, e).
+
+    A chain with fields (any nonzero d) goes to LAPACK sterf (root-free
+    QL, robust for near-severed chains) and comes back bit for bit as
+    scipy.linalg.eigvalsh_tridiagonal(d, e, lapack_driver="sterf").
+    A zero-field chain (d all zero; -0.0 counts as zero) is chiral: its
+    levels are -sigma_k and sigma_k, the singular values of the
+    bidiagonal with diagonal |e[0::2]| and superdiagonal |e[1::2]|
+    (Golub & Kahan 1965), which LAPACK's dqds (dlasq1) computes to high
+    relative accuracy (Fernando & Parlett 1994).  For odd N that
+    diagonal ends in a zero; the smallest singular value is dropped and
+    the middle level is an exact 0.0.  Both routes import scipy.linalg
+    on first use.  dlasq1 is bound through ctypes from the capsule that
+    scipy.linalg.cython_lapack exports (_bind_dlasq1): a missing capsule,
+    or one with another signature, raises ImportError naming scipy's
+    version, and a nonzero INFO raises numpy.linalg.LinAlgError naming N.
+    Non-finite couplings raise ValueError on either route, and so do
+    couplings that are not N - 1.
 
     benchmark/tracer.py looks this function up by name and spans its
     calls inside collect_spacings.
     """
-    import scipy.linalg
-    return scipy.linalg.eigvalsh_tridiagonal(d, e, lapack_driver="sterf")
+    d = np.asarray(d, dtype=float)
+    if d.any():
+        import scipy.linalg
+        return scipy.linalg.eigvalsh_tridiagonal(d, e, lapack_driver="sterf")
+    n = d.size
+    e = np.abs(np.asarray(e, dtype=float))
+    if d.ndim != 1 or e.shape != (n - 1,) or not np.isfinite(e).all():
+        raise ValueError(f"a zero-field chain of N = {n} sites needs N - 1 finite "
+                         f"couplings, got an array of shape {e.shape}")
+    m = (n + 1) // 2
+    diag = np.zeros(m)
+    diag[:n // 2] = e[0::2]
+    superdiag = np.zeros(m)
+    superdiag[:m - 1] = e[1::2]
+    info = _dlasq1(m, diag, superdiag)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"dqds (dlasq1) failed on the zero-field chain of "
+                                    f"N = {n}: INFO = {info}")
+    sigma = diag[:n // 2]  # descending; an odd N drops its smallest, the zero level
+    return np.concatenate((-sigma, np.zeros(n % 2), sigma[::-1]))
+
+
+# LAPACK's dlasq1(N, D, E, WORK, INFO) from scipy.linalg.cython_lapack,
+# bound on the first zero-field chain.
+_DLASQ1 = None
+_DLASQ1_SIGNATURE = "void (int *, d *, d *, d *, int *)"
+
+
+def _dlasq1(m, diag, superdiag) -> int:
+    """Singular values of the m x m upper bidiagonal (diag, superdiag),
+    descending, in place of diag; returns LAPACK's INFO."""
+    global _DLASQ1
+    if _DLASQ1 is None:
+        _DLASQ1 = _bind_dlasq1()
+    n, info = ctypes.c_int(m), ctypes.c_int(0)
+    work = np.empty(4 * m)
+    _DLASQ1(ctypes.byref(n), diag.ctypes.data, superdiag.ctypes.data, work.ctypes.data,
+            ctypes.byref(info))
+    return info.value
+
+
+def _bind_dlasq1():
+    """A ctypes function for the dlasq1 capsule; ImportError naming scipy's
+    version when the capsule is missing or has another signature."""
+    import scipy
+    import scipy.linalg.cython_lapack as cython_lapack
+
+    capsule = cython_lapack.__pyx_capi__.get("dlasq1")
+    if capsule is None:
+        raise ImportError(f"scipy {scipy.__version__}: scipy.linalg.cython_lapack "
+                          f"exports no dlasq1, which zero-field level statistics need")
+    # prototypes of their own, so ctypes.pythonapi's shared attributes stay as they are
+    get_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
+        ("PyCapsule_GetName", ctypes.pythonapi))
+    get_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+        ("PyCapsule_GetPointer", ctypes.pythonapi))
+    name = get_name(capsule)
+    # Cython names its typedef of double __pyx_t_<module path>_d
+    signature = re.sub(r"__pyx_t_\w*_d\b", "d", (name or b"").decode())
+    if signature != _DLASQ1_SIGNATURE:
+        raise ImportError(f"scipy {scipy.__version__}: cython_lapack's dlasq1 has the "
+                          f"signature {signature!r}, not {_DLASQ1_SIGNATURE!r}")
+    pointer = get_pointer(capsule, name)
+    prototype = ctypes.CFUNCTYPE(None, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p,
+                                 ctypes.c_void_p, ctypes.c_void_p)
+    return prototype(pointer)
 
 
 # The spacing histogram's edge grid covers at least [0, S_MAX].

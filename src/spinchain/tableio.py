@@ -4,13 +4,16 @@ CSV files carry only reproducible content (comment lines with the
 configuration and code version, a header row, then data rows with
 floats printed to 17 significant digits), so identical runs produce
 byte-identical files.  Wall-clock time, library versions and fit payloads
-live in the JSON sidecar next to the CSV, a dataclass as its fields.
+live in the JSON sidecar next to the CSV, a dataclass as its fields.  The
+sidecar is strict JSON: a non-finite float (the stderr of a two-point
+fit, say) is written as null.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
@@ -86,15 +89,29 @@ def write_sidecar(csv_path, payload: dict) -> Path:
                         "scipy": getattr(sys.modules.get("scipy"), "__version__", None)}
     out["wall_clock"] = datetime.now(timezone.utc).isoformat()
     path = sidecar_path(csv_path)
-    path.write_text(json.dumps(out, indent=2, sort_keys=True, default=_coerce) + "\n")
+    path.write_text(_json_text(out) + "\n")
     return path
 
 
-def _coerce(obj):
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return dataclasses.asdict(obj)
+def _json_text(obj) -> str:
+    """obj as strict JSON (RFC 8259), the sidecar's format: a dataclass as
+    its fields, arrays as lists, a non-finite float as null."""
+    return json.dumps(_plain(obj), indent=2, sort_keys=True, allow_nan=False)
+
+
+def _plain(obj):
+    if isinstance(obj, dict):
+        return {key: _plain(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_plain(value) for value in obj]
+    if isinstance(obj, (float, np.floating)):
+        return float(obj) if math.isfinite(obj) else None
+    if obj is None or isinstance(obj, (str, int)):
+        return obj
+    if isinstance(obj, np.integer):
+        return int(obj)
     if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
+        return _plain(obj.tolist())
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        return _plain(dataclasses.asdict(obj))
     return str(obj)

@@ -118,6 +118,47 @@ def oracle_transfer_series(n, t_max, dt, j=1.0, delta=None, fields=None,
     return times, f_n
 
 
+def oracle_sturm_level(e, k, digits=60):
+    """The k-th smallest eigenvalue (0-based) of the zero-diagonal
+    symmetric tridiagonal with off-diagonal e, as a decimal.Decimal.
+
+    Bisection on Sturm counts in `digits`-digit decimal arithmetic (the
+    stdlib only: no mpmath).  Each entry of e converts exactly, floats
+    included, and a zero-diagonal chain's levels are relatively
+    insensitive to relative changes of its couplings, so the result is
+    good to roughly `digits` - 5 digits relative, tiny levels included.
+    """
+    import decimal
+
+    with decimal.localcontext() as ctx:
+        ctx.prec = digits
+        b2 = [decimal.Decimal(x) ** 2 for x in e]
+        tiny = decimal.Decimal(10) ** -(4 * digits)
+
+        def count_below(x):
+            # negative pivots of the LDL^T factorization of T - x
+            count, pivot = 0, -x
+            for c in b2:
+                if pivot == 0:
+                    pivot = tiny
+                count += pivot < 0
+                pivot = -x - c / pivot
+            return count + (pivot < 0)
+
+        top = 2 * max((abs(decimal.Decimal(x)) for x in e), default=decimal.Decimal(0)) + 1
+        lo, hi = -top, top
+        tol = decimal.Decimal(10) ** -(digits - 5)
+        for _ in range(20 * digits):
+            mid = (lo + hi) / 2
+            if count_below(mid) > k:
+                hi = mid
+            else:
+                lo = mid
+            if hi - lo <= tol * min(abs(lo), abs(hi)):
+                break
+        return +(lo + hi) / 2
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)

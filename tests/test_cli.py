@@ -170,6 +170,24 @@ def test_sidecar_records_the_library_versions(tmp_path, monkeypatch):
     assert read_sidecar(tmp_path / "b.csv")["libraries"] == {**versions, "scipy": None}
 
 
+def _strict_json(path):
+    def refuse(token):
+        raise ValueError(f"{path.name} holds the non-JSON token {token}")
+    return json.loads(path.read_text(), parse_constant=refuse)
+
+
+def test_sidecars_are_strict_json(tmp_path):
+    # a two-point slope fit has a NaN stderr, which the sidecar writes as null
+    out = tmp_path / "pert.csv"
+    for argv in ("--n 8 --eps 0 0.01 0.03", "--n 6 --eps 0.003 0.01"):
+        run_cli("perturbation", *argv.split(), "--n-real", 10, "--seed", 1, "--out", out)
+        side = _strict_json(sidecar_path(out))
+        assert [summary["slope_fit"]["stderr"] for summary in side["sectors"].values()] \
+            == [{"exponent": None}, {"exponent": None}], argv
+    write_sidecar(out, {"values": [np.nan, -np.inf, np.float32(np.inf), 1.5]})
+    assert _strict_json(sidecar_path(out))["values"] == [None, None, None, 1.5]
+
+
 def test_config_file_with_flag_override(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("n = 8 12\neps-j = 0.02 0.1\nn_real = 10\nseed = 13\n")
@@ -319,8 +337,7 @@ def test_perturbation_both_sectors_match_one_library_call_each(tmp_path):
                 for r in perturbation_comparison(6, [0.003, 0.01], (sector,), 50, 9)[0]]
     assert [tuple(r) for r in rows] == both == one_each
     assert list(sectors) == ["j", "b"]
-    assert json.loads(json.dumps(sectors, default=tableio._coerce)) == \
-        read_sidecar(out)["sectors"]
+    assert json.loads(tableio._json_text(sectors)) == read_sidecar(out)["sectors"]
 
 
 def test_sidecar_writes_a_fit_result_as_its_fields(tmp_path):

@@ -473,9 +473,15 @@ def test_traced_eigensolver_names_forward_to_scipy_bit_for_bit(key):
     for driver in ("stemr", "stev"):
         assert (_solve(evolve.eigh_tridiagonal, h, lapack_driver=driver)
                 == _solve(scipy.linalg.eigh_tridiagonal, h, lapack_driver=driver)), driver
-    # levelstats' name always runs sterf
-    assert (_solve(levelstats.eigvalsh_tridiagonal, h)
-            == _solve(scipy.linalg.eigvalsh_tridiagonal, h, lapack_driver="sterf"))
+    # levelstats' name runs sterf on a chain with fields, bit for bit
+    fields = ChainSpec(n_sites=200, eps_j=1.0, eps_b=0.3)
+    h_fields = build_hamiltonian(fields, sample_disorder(fields, substream(*key)))
+    assert (_solve(levelstats.eigvalsh_tridiagonal, h_fields)
+            == _solve(scipy.linalg.eigvalsh_tridiagonal, h_fields, lapack_driver="sterf"))
+    # and dqds on the zero-field chain, within test_levelstats' bound of sterf
+    levels = levelstats.eigvalsh_tridiagonal(h.diag, h.offdiag)
+    sterf = scipy.linalg.eigvalsh_tridiagonal(h.diag, h.offdiag, lapack_driver="sterf")
+    assert np.max(np.abs(levels - sterf)) <= 1e-13 * np.max(np.abs(h.offdiag))
 
 
 def _rayleigh_quotients(h, v):

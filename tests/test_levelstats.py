@@ -1,10 +1,13 @@
+import decimal
+
 import numpy as np
 import pytest
+from conftest import oracle_sturm_level
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spinchain import (ChainSpec, SpacingSample, collect_spacings, eta, eta_scan,
-                       spacing_histogram)
+                       hamiltonian_block, levelstats, spacing_histogram)
 from spinchain.fitting import threshold_scaling
 
 
@@ -156,3 +159,113 @@ def test_eta_scan_refuses_a_bin_width_before_drawing(forbid_draws, bin_width):
     # eta needs a width of at most 4; a scan checks that before its first cell
     with pytest.raises(ValueError, match=r"bin_width must lie in \(0, 4\]"):
         eta_scan((200,), (0.1,), 300, 1, bin_width=bin_width)
+
+
+# ---------------------------------------------------------------------------
+# eigvalsh_tridiagonal: dqds on the chiral half of a zero-field chain, sterf
+# on any other
+# ---------------------------------------------------------------------------
+
+def _sterf(d, e):
+    from scipy.linalg import eigvalsh_tridiagonal as scipy_eigvalsh
+    return scipy_eigvalsh(d, e, lapack_driver="sterf")
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 50, 51, 200, 501])
+@pytest.mark.parametrize("eps_j", [0.0, 0.3, 1.0, 3.0])
+def test_zero_field_levels_agree_with_sterf(n, eps_j):
+    # measured: at most 2.0e-14 max|e| at N = 501, 7e-15 max|e| up to N = 200
+    diag, offdiag = hamiltonian_block(ChainSpec(n_sites=n, eps_j=eps_j), 41, (n,), range(3))
+    for d, e in zip(diag, offdiag):
+        assert not d.any()
+        levels = levelstats.eigvalsh_tridiagonal(d, e)
+        assert levels.shape == (n,) and np.all(np.diff(levels) >= 0)
+        assert np.max(np.abs(levels - _sterf(d, e))) <= 1e-13 * np.max(np.abs(e))
+        if n % 2:
+            assert levels[n // 2] == 0.0  # the chiral zero level, exactly
+
+
+@pytest.mark.parametrize("site", [0, 24, 49])
+def test_a_chain_with_a_field_takes_sterfs_bytes(site):
+    spec = ChainSpec(n_sites=50, eps_j=1.0)
+    d, e = (a[0] for a in hamiltonian_block(spec, 3, (), range(1)))
+    d = d.copy()
+    d[site] = 5e-324  # the smallest nonzero double is a field
+    assert levelstats.eigvalsh_tridiagonal(d, e).tobytes() == _sterf(d, e).tobytes()
+
+
+def test_a_negative_zero_diagonal_takes_the_chiral_route(monkeypatch):
+    import scipy.linalg
+
+    e = hamiltonian_block(ChainSpec(n_sites=31, eps_j=0.5), 5, (), range(1))[1][0]
+    expected = levelstats.eigvalsh_tridiagonal(np.zeros(31), e)
+
+    def no_sterf(*args, **kwargs):
+        raise AssertionError("sterf ran on a zero-field chain")
+
+    monkeypatch.setattr(scipy.linalg, "eigvalsh_tridiagonal", no_sterf)
+    d = np.full(31, -0.0)
+    d[::2] = 0.0
+    assert levelstats.eigvalsh_tridiagonal(d, e).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("n", [2, 9, 10, 41])
+def test_sturm_oracle_and_dqds_read_the_clean_chains_levels(n):
+    # the clean couplings 2 sqrt(k (N - k)) have the levels 2 (2m - N + 1)
+    exact = [2 * (2 * m - n + 1) for m in range(n)]
+    with decimal.localcontext() as ctx:
+        ctx.prec = 70
+        couplings = [(4 * decimal.Decimal(k * (n - k))).sqrt() for k in range(1, n)]
+    for m in range(n):
+        assert abs(oracle_sturm_level(couplings, m) - exact[m]) <= decimal.Decimal("1e-50")
+    k = np.arange(1, n)
+    levels = levelstats.eigvalsh_tridiagonal(np.zeros(n), 2 * np.sqrt(k * (n - k)))
+    assert np.max(np.abs(levels - exact)) <= 1e-14 * n
+    if n % 2:
+        assert levels[n // 2] == 0.0
+
+
+@pytest.mark.parametrize("n", [200, 500])
+@pytest.mark.parametrize("eps_j", [1.0, 1.2, 3.0])
+def test_central_level_of_strong_disorder_matches_the_sturm_oracle(n, eps_j):
+    # the central level lies between 4e-17 and 2e-2 on these 18 chains;
+    # dqds reads it to at most 2.4e-15 relative, where sterf misses it by
+    # up to 101 times its size (at E = 4.3e-17, N = 200, eps_j = 1.2)
+    diag, offdiag = hamiltonian_block(ChainSpec(n_sites=n, eps_j=eps_j), 2005, (n,), range(3))
+    for d, e in zip(diag, offdiag):
+        level = levelstats.eigvalsh_tridiagonal(d, e)[n // 2]
+        reference = oracle_sturm_level(e, n // 2)
+        assert abs(decimal.Decimal(level) - reference) <= decimal.Decimal("1e-14") * reference
+
+
+def test_a_nonzero_info_from_dqds_raises_naming_n(monkeypatch):
+    levelstats.eigvalsh_tridiagonal(np.zeros(2), np.ones(1))  # binds dlasq1
+
+    def failing_dlasq1(n, diag, superdiag, work, info):
+        info._obj.value = 2
+
+    monkeypatch.setattr(levelstats, "_DLASQ1", failing_dlasq1)
+    with pytest.raises(np.linalg.LinAlgError, match=r"N = 7: INFO = 2"):
+        levelstats.eigvalsh_tridiagonal(np.zeros(7), np.ones(6))
+
+
+def test_a_missing_or_mismatched_dlasq1_capsule_raises_import_error(monkeypatch):
+    import scipy
+    from scipy.linalg import cython_lapack
+
+    monkeypatch.setattr(levelstats, "_DLASQ1", None)
+    capsules = cython_lapack.__pyx_capi__
+    monkeypatch.setitem(capsules, "dlasq1", capsules["dsterf"])
+    with pytest.raises(ImportError, match=rf"scipy {scipy.__version__}: .*signature"):
+        levelstats.eigvalsh_tridiagonal(np.zeros(4), np.ones(3))
+    monkeypatch.delitem(capsules, "dlasq1")
+    with pytest.raises(ImportError, match=rf"scipy {scipy.__version__}: .*no dlasq1"):
+        levelstats.eigvalsh_tridiagonal(np.zeros(4), np.ones(3))
+    assert levelstats._DLASQ1 is None
+
+
+@pytest.mark.parametrize("e", [[1.0, np.nan, 2.0], [1.0, np.inf, 2.0], [1.0, 2.0]])
+def test_zero_field_couplings_must_be_n_minus_1_and_finite(e):
+    # sterf refuses them through scipy; dqds would not
+    with pytest.raises(ValueError, match="N = 4 sites needs N - 1 finite couplings"):
+        levelstats.eigvalsh_tridiagonal(np.zeros(4), np.array(e))

@@ -19,8 +19,9 @@ Two propagators, each where it is cheaper:
   series of m samples builds its phases from two tables of about
   sqrt(m) exact exponentials per mode, so after the setup it costs
   O(N m) flops in BLAS plus O(N sqrt(m)) exponentials.  No command
-  reads eigendecompose's eigenvectors but the perturbation layer's
-  clean chain; amplitudes and transfer_amplitude are the tests' reference.
+  reads eigendecompose's eigenvectors (the perturbation layer builds
+  the clean chain's basis in closed form); eigendecompose, amplitudes
+  and transfer_amplitude are the tests' reference.
 
 Only the spectral path calls LAPACK, and it imports scipy.linalg on
 its first call (eigh_tridiagonal here, sterf in _transfer_spectrum), so

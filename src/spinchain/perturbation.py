@@ -33,10 +33,16 @@ quadrature D and F agree to about 1e-13 relative at t = 0.01 and
 1e-10 at t = 1e-4.  t = 0 gives exact zeros, and every caller in the
 package works at a transfer time, t >= pi / 4.
 
+The clean couplings 2 sqrt(k(N-k)) make H = 4 J_x for spin (N-1)/2
+(Christandl et al., PRL 92, 187902 (2004)), so the eigenbasis is known
+in closed form and is constructed here, not decomposed: _clean_basis
+runs the three-term recurrence of H v = E v from site 1 to the middle
+of the chain and fills the other half from persymmetry.  Nothing here
+calls LAPACK, so the perturbation layer runs on numpy alone.
+
 This module serves as an independent check on the Monte-Carlo engine;
-it never touches the disorder sampler.  compute_coefficients decomposes
-the clean chain itself, and scans.perturbation_comparison calls it once
-for every sector it compares.
+it never touches the disorder sampler.  scans.perturbation_comparison
+calls compute_coefficients once for every sector it compares.
 """
 
 from __future__ import annotations
@@ -45,8 +51,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import clean_hamiltonian
-from .evolve import eigendecompose, transfer_time
+from .chain import ChainSpec
+from .evolve import transfer_time
 
 __all__ = [
     "PerturbationCoefficients",
@@ -104,20 +110,54 @@ def _divided_differences(nodes: np.ndarray, t: float):
     return f1, f2
 
 
+def _clean_basis(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues (ascending) and orthonormal eigenvectors of the clean
+    N-site chain, column m <-> E_m = 2(2m - N + 1), each with v[0] > 0.
+
+    With hoppings b_j = 2 sqrt((j+1)(N-j-1)), every column starts from
+    v_0 = 1, v_1 = E / b_0 and steps v_(j+1) = (E v_j - b_(j-1) v_(j-1)) / b_j
+    up to the middle site, where the wanted solution grows or oscillates,
+    so the forward recurrence is stable.  Persymmetry fills the rest,
+    v[N-1-k, m] = (-1)^(N-1-m) v[k, m]; for odd N the middle entry of an
+    odd-parity column is exactly 0.  The unnormalized entries grow like 2^(N/2)
+    and would overflow only beyond N of about 2000, far past the O(N^3)
+    memory of compute_coefficients.
+    """
+    m = np.arange(n)
+    energies = 2.0 * (2 * m - n + 1)
+    k = np.arange(1, n)
+    hop = 2.0 * np.sqrt(k * (n - k))
+    half = (n + 1) // 2
+    v = np.empty((n, n))
+    v[0] = 1.0
+    v[1] = energies / hop[0]
+    for j in range(1, half - 1):
+        v[j + 1] = (energies * v[j] - hop[j - 1] * v[j - 1]) / hop[j]
+    odd = (n - 1 - m) % 2 == 1
+    v[n - half:] = v[half - 1::-1] * np.where(odd, -1.0, 1.0)
+    if n % 2:
+        v[half - 1, odd] = 0.0
+    v /= np.sqrt(np.sum(v * v, axis=0))
+    return energies, v
+
+
 def compute_coefficients(n_sites: int, t: float | None = None) -> PerturbationCoefficients:
     """Every coefficient of the clean N-site chain at time t.
 
-    t defaults to the first transfer time pi / 4.  The clean chain is
-    decomposed here, once per call.
+    t defaults to the first transfer time pi / 4.  The clean eigenbasis
+    is constructed (_clean_basis), once per call.  Raises ValueError,
+    before any work, for a NaN, infinite or negative t and for an
+    n_sites that is no integer >= 2.
     """
     t = transfer_time() if t is None else float(t)
+    if not np.isfinite(t):
+        raise ValueError(f"time t = {t!r} is not finite")
     if t < 0:
         raise ValueError("t must be >= 0")
-    sd = eigendecompose(clean_hamiltonian(n_sites))
-    v = sd.eigenvectors
+    energies, v = _clean_basis(ChainSpec(n_sites=n_sites).n_sites)
     x = v * v[0]                                   # x[l, m] = V_lm V_1m
-    f1, f2 = _divided_differences(-1j * sd.eigenvalues, t)
-    back = np.exp(1j * sd.eigenvalues * t)         # undoes the node shift by E_m
+    f1, f2 = _divided_differences(-1j * energies, t)
+    back = np.exp(1j * energies * t)               # undoes the node shift by E_m
     xb = x * back
 
     # C and E: int_0^t exp(-i (E_m - E_n) s) ds = f1[m, n] exp(i E_n t)

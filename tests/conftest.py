@@ -159,6 +159,35 @@ def oracle_sturm_level(e, k, digits=60):
         return +(lo + hi) / 2
 
 
+def oracle_clean_basis(n):
+    """The clean N-site chain's orthonormal eigenvectors, column m <-> E_m
+    = 2(2m - N + 1), each with a positive first entry, in Python integers.
+
+    With mu = 2m - N + 1 the integers W_1 = 1, W_2 = mu,
+    W_(k+1) = mu W_k - (k-1)(N-k+1) W_(k-1) give the k-th entry (1-based)
+    as sign(W_k) sqrt(s_k / sum s) with s_k = W_k^2 C(N-1, k-1) ((N-k)!)^2.
+    Each root is taken by math.isqrt to 128 bits beyond the rational's
+    own, so the one float conversion is the only rounding that shows.
+    Independent of the package: no recurrence in floats, no LAPACK.
+    """
+    import math
+
+    out = np.empty((n, n))
+    weight = [math.comb(n - 1, k - 1) * math.factorial(n - k) ** 2 for k in range(1, n + 1)]
+    for m in range(n):
+        mu = 2 * m - n + 1
+        w = [1, mu]
+        for k in range(2, n):
+            w.append(mu * w[k - 1] - (k - 1) * (n - k + 1) * w[k - 2])
+        squares = [wk * wk * c for wk, c in zip(w, weight)]
+        total = sum(squares)
+        for k, (wk, sq) in enumerate(zip(w, squares)):
+            shift = (total.bit_length() - sq.bit_length() + 257) // 2
+            root = math.isqrt((sq << (2 * shift)) // total)
+            out[k, m] = math.copysign(math.ldexp(float(root), -shift), wk)
+    return out
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)

@@ -425,8 +425,9 @@ print(json.dumps(loaded))
 
 
 def test_scan_and_table_commands_run_without_scipy(tmp_path):
-    # scan propagates by Chebyshev and the fits are numpy, so these
-    # commands never load scipy; the first eigensolve (eta-scan) does
+    # scan and perturbation propagate by Chebyshev, perturbation builds its
+    # clean basis in closed form and the fits are numpy, so these commands
+    # never load scipy; the first eigensolve (eta-scan) does
     scan = str(tmp_path / "scan.csv")
     eta_args = ["eta-scan", "--n", "10", "--eps-j", "0.1", "1.0", "--n-real", "5",
                 "--seed", "4", "--out"]
@@ -438,6 +439,8 @@ def test_scan_and_table_commands_run_without_scipy(tmp_path):
         ["fit-scaling", "--table", scan, "--out", str(tmp_path / "fit.csv")],
         ["threshold", "--table", scan, "--f-target", "0.9", "--param", "eps_j",
          "--out", str(tmp_path / "thr.csv")],
+        ["perturbation", "--n", "8", "--eps", "0.01", "--n-real", "5", "--seed", "3",
+         "--out", str(tmp_path / "pert.csv")],
         [*eta_args, str(tmp_path / "eta_fresh.csv")],
     ]
     env = {**os.environ, "PYTHONPATH": str(Path(spinchain.__file__).parents[1])}
@@ -445,9 +448,10 @@ def test_scan_and_table_commands_run_without_scipy(tmp_path):
                            env=env, check=True, capture_output=True, text=True)
     loaded = json.loads(probe.stdout)
     assert [stage for stage, _ in loaded] == ["import", "scan", "scan", "fit-scaling",
-                                              "threshold", "eta-scan"]
+                                              "threshold", "perturbation", "eta-scan"]
     for stage, modules in loaded[:-1]:
         assert modules == [], stage
+    assert read_sidecar(tmp_path / "pert.csv")["libraries"]["scipy"] is None
     assert "scipy.linalg" in loaded[-1][1]
     run_cli(*eta_args, tmp_path / "eta.csv")
     assert (tmp_path / "eta_fresh.csv").read_bytes() == (tmp_path / "eta.csv").read_bytes()

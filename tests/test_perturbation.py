@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from conftest import oracle_clean_basis
+from spinchain import perturbation
 from spinchain import (ChainSpec, clean_hamiltonian, compute_coefficients,
                        eigendecompose, ensemble_averages,
                        infidelity_sums, perturbation_comparison,
@@ -180,3 +182,49 @@ def test_coupling_sector_proportional_to_monte_carlo():
         [(mean, _)] = ensemble_averages([(spec, (i,))], 3000, 22, [t])
         ratios.append((1.0 - mean[0]) / (coupling_sum * eps_j ** 2))
     assert ratios[0] == pytest.approx(ratios[1], rel=0.1)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 7, 12, 21])
+def test_clean_basis_oracle_matches_eigendecompose(n):
+    # the integer oracle is checked against LAPACK, so it is no restatement
+    # of the recurrence it tests
+    sd = eigendecompose(clean_hamiltonian(n))
+    assert np.max(np.abs(oracle_clean_basis(n) - sd.eigenvectors)) <= 1e-13
+
+
+def test_clean_basis_matches_the_exact_basis():
+    worst = 0.0
+    for n in range(2, 121):
+        energies, v = perturbation._clean_basis(n)
+        assert np.array_equal(energies, 2.0 * (2 * np.arange(n) - n + 1)), n
+        assert np.all(v[0] > 0.0), n
+        if n % 2:
+            # odd-parity columns vanish on the middle site, exactly
+            odd = (n - 1 - np.arange(n)) % 2 == 1
+            assert np.all(v[n // 2, odd] == 0.0), n
+        worst = max(worst, float(np.max(np.abs(v - oracle_clean_basis(n)))))
+    assert worst <= 4e-15   # 7.6e-16 measured
+
+
+@pytest.mark.parametrize("n", [200, 500])
+def test_clean_basis_is_orthonormal_at_large_n(n):
+    _, v = perturbation._clean_basis(n)
+    assert np.max(np.abs(v.T @ v - np.eye(n))) <= 1e-14
+
+
+@pytest.mark.parametrize("n", [4, 8, 12, 20, 50])
+def test_infidelity_sums_match_the_exact_basis(n, monkeypatch):
+    sums = infidelity_sums(compute_coefficients(n))
+    energies = 2.0 * (2 * np.arange(n) - n + 1)
+    monkeypatch.setattr(perturbation, "_clean_basis",
+                        lambda size: (energies, oracle_clean_basis(size)))
+    exact = infidelity_sums(compute_coefficients(n))
+    np.testing.assert_allclose(sums, exact, rtol=1e-14, atol=0.0)
+
+
+@pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf])
+def test_non_finite_time_is_refused_naming_it(t, forbid_draws):
+    with pytest.raises(ValueError, match=f"t = {t!r} is not finite"):
+        compute_coefficients(6, t)
+    with pytest.raises(ValueError, match=f"t = {t!r} is not finite"):
+        perturbation_comparison(6, [0.01], ("b",), 5, 1, t=t)

@@ -14,19 +14,23 @@ Two propagators, each where it is cheaper:
   at any time then follow from phase factors on it.  fidelity_series
   (transfer, fractal, dimension-scan) reads only the eigenvalues E_k
   and the end-to-end weights w_k = v_1k v_Nk, so it computes no
-  eigenvectors: sterf eigenvalues, refined by one Newton step on the
-  Sturm pivots, and the weights from the Jacobi-matrix identity.  A
-  series of m samples builds its phases from two tables of about
-  sqrt(m) exact exponentials per mode, so after the setup it costs
-  O(N m) flops in BLAS plus O(N sqrt(m)) exponentials.  No command
-  reads eigendecompose's eigenvectors (the perturbation layer builds
-  the clean chain's basis in closed form); eigendecompose, amplitudes
-  and transfer_amplitude are the tests' reference.
+  eigenvectors: levelstats.eigvalsh_tridiagonal's levels (dqds on the
+  chiral half of a zero-field chain, sterf with fields), refined by one
+  Newton step on the Sturm pivots, and the weights from the
+  Jacobi-matrix identity.  A zero-field chain's levels come in pairs
+  +-sigma, so it steps and weighs only sigma >= 0 and its series sums
+  over sigma > 0 alone.  A series of m samples builds its phases from
+  two tables of about sqrt(m) exact exponentials per mode, so after the
+  setup it costs O(N m) flops in BLAS plus O(N sqrt(m)) exponentials,
+  half of each for a zero-field chain.  No command reads
+  eigendecompose's eigenvectors (the perturbation layer builds the
+  clean chain's basis in closed form); eigendecompose, amplitudes and
+  transfer_amplitude are the tests' reference.
 
 Only the spectral path calls LAPACK, and it imports scipy.linalg on
-its first call (eigh_tridiagonal here, sterf in _transfer_spectrum), so
-the Chebyshev path and everything that imports this module run on
-numpy alone.
+its first call (eigh_tridiagonal here, levelstats.eigvalsh_tridiagonal
+in _transfer_spectrum), so the Chebyshev path and everything that
+imports this module run on numpy alone.
 """
 
 from __future__ import annotations
@@ -38,6 +42,7 @@ from itertools import groupby
 
 import numpy as np
 
+from . import levelstats
 from .chain import (TridiagonalHamiltonian, _readonly, gershgorin_radii,
                     hamiltonian_block, spectral_half_width)
 from .fitting import standard_error
@@ -161,9 +166,10 @@ def eigendecompose(h: TridiagonalHamiltonian) -> SpectralDecomposition:
     return SpectralDecomposition(eigenvalues=w, eigenvectors=v)
 
 
-def _newton_step(diag: np.ndarray, offdiag: np.ndarray,
-                 eigenvalues: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalue estimates after one Newton step on det(H - x).
+def _newton_step(diag: np.ndarray, offdiag: np.ndarray, eigenvalues: np.ndarray,
+                 first: int = 0, start: str = "given") -> np.ndarray:
+    """Ascending eigenvalue estimates after one Newton step on det(H - x)
+    for eigenvalues[first:]; the ones below first are returned as given.
 
     det(H - x) is the product of the LDL^T pivots (the Sturm sequence)
     d_0 = a_0 - x, d_i = a_i - x - b_(i-1)^2 / d_(i-1), so the step is
@@ -178,26 +184,29 @@ def _newton_step(diag: np.ndarray, offdiag: np.ndarray,
     (a clean odd-N chain at x = 0, where a_0 = 0) stays finite; the step
     it gives is then tiny or rejected.
 
-    A step is kept only if it is finite and smaller than half the gap to
-    the nearest other estimate, which also keeps the order that
-    _end_to_end_weights relies on.  Any other step leaves that estimate
-    as it was, and a WARNING names N and the count.  Inside a cluster
-    closer than the estimates' error (the near-zero pair of a chain with
-    no fields at strong disorder, a nearly severed mirror-symmetric
-    chain) the step cannot help, and this is where rejections happen.
+    A step is kept only if it is finite and moves the rounded estimate by
+    less than half the gap to the nearest other estimate (those below
+    first included; a step just under a 1-ulp half gap can round onto
+    it).  That also keeps the order _end_to_end_weights relies on.  Any
+    other step leaves its estimate as it was, and a WARNING names N, the
+    count and the start whose values stay.  Inside a cluster closer than
+    the estimates' error (a nearly severed mirror-symmetric chain, whose
+    pairs dqds returns coincident) the step cannot help, and this is
+    where rejections happen.
     """
     n = diag.shape[0]
+    x = eigenvalues[first:]
     b2 = offdiag * offdiag
     pivmin = _TINY * max(1.0, float(b2.max(initial=0.0)))
-    pivot = diag[0] - eigenvalues
+    pivot = diag[0] - x
     np.putmask(pivot, np.abs(pivot) < pivmin, -pivmin)
     ratio = -1.0 / pivot
     total = ratio.copy()
-    coupling = np.empty(n)
-    inverse = np.empty(n)
+    coupling = np.empty(x.shape[0])
+    inverse = np.empty(x.shape[0])
     for i in range(1, n):
         np.divide(b2[i - 1], pivot, out=coupling)      # b^2 / d_(i-1)
-        np.subtract(diag[i], eigenvalues, out=pivot)
+        np.subtract(diag[i], x, out=pivot)
         pivot -= coupling
         np.putmask(pivot, np.abs(pivot) < pivmin, -pivmin)
         coupling /= pivot                               # g_i
@@ -205,18 +214,23 @@ def _newton_step(diag: np.ndarray, offdiag: np.ndarray,
         np.divide(1.0, pivot, out=inverse)
         ratio -= inverse
         total += ratio
-    step = -1.0 / total
+    refined = x - 1.0 / total
     gaps = np.diff(eigenvalues)
     half_gap = 0.5 * np.minimum(np.append(gaps, np.inf), np.insert(gaps, 0, np.inf))
-    ok = np.abs(step) < half_gap
+    ok = np.abs(refined - x) < half_gap[first:]
     if not ok.all():
         _log.warning("Newton step rejected for %d of %d eigenvalues of an N = %d "
-                     "Hamiltonian; keeping sterf's values", n - np.count_nonzero(ok), n, n)
-    return np.where(ok, eigenvalues + step, eigenvalues)
+                     "Hamiltonian; keeping their %s values",
+                     x.shape[0] - np.count_nonzero(ok), x.shape[0], n, start)
+    out = eigenvalues.copy()
+    out[first:] = np.where(ok, refined, x)
+    return out
 
 
-def _end_to_end_weights(offdiag: np.ndarray, eigenvalues: np.ndarray) -> np.ndarray:
-    """w_k = v_1k v_Nk from ascending eigenvalues, without eigenvectors.
+def _end_to_end_weights(offdiag: np.ndarray, eigenvalues: np.ndarray,
+                        first: int = 0) -> np.ndarray:
+    """w_k = v_1k v_Nk for k >= first from ascending eigenvalues, without
+    eigenvectors.
 
     For a Jacobi matrix with hoppings b_j the (1, N) entry of the
     resolvent is prod_j b_j / det(z - H), and its residues give
@@ -236,20 +250,21 @@ def _end_to_end_weights(offdiag: np.ndarray, eigenvalues: np.ndarray) -> np.ndar
     """
     n = eigenvalues.shape[0]
     floor = max(np.finfo(float).eps * max(-eigenvalues[0], eigenvalues[-1]), _TINY)
-    gaps = eigenvalues - eigenvalues[:, None]        # gaps[j, k] = E_k - E_j
-    np.fill_diagonal(gaps, 1.0)
+    k = np.arange(first, n)
+    gaps = eigenvalues[first:] - eigenvalues[:, None]   # gaps[j, k - first] = E_k - E_j
+    gaps[k, k - first] = 1.0
     if np.min(np.diff(eigenvalues), initial=np.inf) < floor:
         below = np.abs(gaps) < floor
-        gaps[below] = np.where(np.tri(n, k=-1, dtype=bool), -floor, floor)[below]
+        gaps[below] = np.where(np.arange(n)[:, None] > k, -floor, floor)[below]
     # column k pairs b_j with E_k - E_j, and b_k with the 1 on the diagonal
     ratios = np.divide(np.append(offdiag, 1.0)[:, None], gaps, out=gaps)
-    mantissa = np.ones(n)
-    exponent = np.zeros(n, dtype=int)
+    mantissa = np.ones(n - first)
+    exponent = np.zeros(n - first, dtype=int)
     for start in range(0, n, _WEIGHT_CHUNK):
         mantissa *= np.prod(ratios[start:start + _WEIGHT_CHUNK], axis=0)
         mantissa, e = np.frexp(mantissa)
         exponent += e
-    weights = np.zeros(n)
+    weights = np.zeros(n - first)
     np.ldexp(mantissa, exponent, out=weights, where=exponent > np.finfo(float).minexp)
     return weights
 
@@ -257,19 +272,33 @@ def _end_to_end_weights(offdiag: np.ndarray, eigenvalues: np.ndarray) -> np.ndar
 def _transfer_spectrum(h: TridiagonalHamiltonian) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (ascending) and end-to-end weights w_k = v_1k v_Nk of h.
 
-    sterf eigenvalues (root-free QL; it never refuses a matrix), one
-    guarded Newton step (_newton_step) and the Jacobi-matrix identity
-    (_end_to_end_weights): O(N^2), with no eigenvectors.  Against
-    long-double Rayleigh quotients at N = 200 and 500 the step brings
-    the eigenvalues from 18-45 eps a (sterf) to below eps a for
-    half-width a; stemr with vectors reads 5-22 eps a.
+    The start is levelstats.eigvalsh_tridiagonal: sterf for a chain with
+    fields, and dqds (dlasq1) on the chain's bidiagonal half for a
+    zero-field chain (every diagonal entry 0, -0.0 included).  One
+    guarded Newton step (_newton_step) refines it and the Jacobi-matrix
+    identity (_end_to_end_weights) gives the weights: O(N^2), with no
+    eigenvectors.  A zero-field chain is chiral, with levels -sigma_k
+    and sigma_k and, for odd N, an exact 0.0 in the middle; it steps
+    only sigma > 0, weighs only sigma >= 0 and mirrors the rest, so its
+    levels are exactly antisymmetric and w(-sigma) = (-1)^(N-1) w(sigma).
+    Against long-double Rayleigh quotients at N = 200 and 500 the step
+    brings the eigenvalues from 18-45 eps a (sterf) or 1.4-11 eps a
+    (dqds) to below eps a for half-width a; stemr with vectors reads
+    5-22 eps a.  dqds also reads the near-zero pair of a strongly
+    disordered zero-field chain to high relative accuracy, where sterf
+    and its step can miss it by a thousand times its size.
     """
-    # called through the module, not a name bound here: benchmark/tracer.py
-    # wraps module-level names, and this call belongs to fidelity_series
-    import scipy.linalg
-    eigenvalues = scipy.linalg.eigvalsh_tridiagonal(h.diag, h.offdiag, lapack_driver="sterf")
-    eigenvalues = _newton_step(h.diag, h.offdiag, eigenvalues)
-    return eigenvalues, _end_to_end_weights(h.offdiag, eigenvalues)
+    eigenvalues = levelstats.eigvalsh_tridiagonal(h.diag, h.offdiag)
+    if h.diag.any():
+        eigenvalues = _newton_step(h.diag, h.offdiag, eigenvalues, start="sterf")
+        return eigenvalues, _end_to_end_weights(h.offdiag, eigenvalues)
+    n = h.n_sites
+    positive = (n + 1) // 2   # index of the smallest sigma > 0
+    eigenvalues = _newton_step(h.diag, h.offdiag, eigenvalues, first=positive, start="dqds")
+    eigenvalues[:n // 2] = -eigenvalues[positive:][::-1]
+    weights = _end_to_end_weights(h.offdiag, eigenvalues, first=n // 2)
+    mirrored = (-1) ** (n - 1) * weights[positive - n // 2:][::-1]
+    return eigenvalues, np.concatenate((mirrored, weights))
 
 
 def amplitudes(sd: SpectralDecomposition, t: float) -> np.ndarray:
@@ -341,9 +370,28 @@ def series_length(t_max: float, dt: float) -> int:
 
 
 def fidelity_series(h: TridiagonalHamiltonian, t_max: float, dt: float) -> FidelitySeries:
-    """Fidelity of the last spin under h on the grid t_i = i dt, 0 <= t_i <= t_max."""
+    """Fidelity of the last spin under h on the grid t_i = i dt, 0 <= t_i <= t_max.
+
+    A zero-field chain sums over its levels sigma > 0 alone, folding in
+    their mirrors -sigma with w(-sigma) = (-1)^(N-1) w(sigma): for even N
+    f_N = 2i Im sum w exp(-i sigma t), exactly imaginary, and for odd N
+    f_N = w_0 + 2 Re sum w exp(-i sigma t), exactly real.  Both phase
+    tables then hold half the exponentials.  A chain with fields sums
+    over every level.
+    """
     times = np.arange(series_length(t_max, dt)) * dt
-    amp = _transfer_amplitude_uniform(*_transfer_spectrum(h), times)
+    eigenvalues, weights = _transfer_spectrum(h)
+    if h.diag.any():
+        amp = _transfer_amplitude_uniform(eigenvalues, weights, times)
+    else:
+        n = h.n_sites
+        positive = (n + 1) // 2
+        half = _transfer_amplitude_uniform(eigenvalues[positive:], weights[positive:], times)
+        amp = np.zeros(times.shape[0], dtype=complex)
+        if n % 2:
+            amp.real = weights[n // 2] + 2.0 * half.real
+        else:
+            amp.imag = 2.0 * half.imag
     return FidelitySeries(times=times, amplitude=amp,
                           fidelity=fidelity_of_amplitude(amp))
 

@@ -11,11 +11,12 @@ diagonalized for eigenvalues only by eigvalsh_tridiagonal; realization
 r of a sample draws from substream(master_seed, *key_prefix, r), and
 eta_scan takes each cell's key prefix from chain.grid_cells.
 
-eigvalsh_tridiagonal has two routes.  A chain with any nonzero field
-goes to LAPACK sterf, bit for bit scipy's.  A zero-field chain (every
-chain of eta-scan) is chiral, and its levels are plus and minus the
-singular values of an N/2-sized bidiagonal, computed by LAPACK's dqds
-(dlasq1) to high relative accuracy.  scipy.linalg does not wrap dlasq1,
+eigvalsh_tridiagonal has two routes, and evolve's fidelity series
+start from it too.  A chain with any nonzero field goes to LAPACK
+sterf, bit for bit scipy's.  A zero-field chain (every chain of
+eta-scan) is chiral, and its levels are plus and minus the singular
+values of an N/2-sized bidiagonal, computed by LAPACK's dqds (dlasq1)
+to high relative accuracy.  scipy.linalg does not wrap dlasq1,
 so it is bound once through ctypes from the capsule that
 scipy.linalg.cython_lapack exports; a missing capsule, or one with
 another signature, raises ImportError naming scipy's version, and a
@@ -66,8 +67,9 @@ def eigvalsh_tridiagonal(d, e):
     Non-finite couplings raise ValueError on either route, and so do
     couplings that are not N - 1.
 
-    benchmark/tracer.py looks this function up by name and spans its
-    calls inside collect_spacings.
+    collect_spacings and evolve's series path (_transfer_spectrum) both
+    take their levels from here.  benchmark/tracer.py looks this
+    function up by name and spans its calls.
     """
     d = np.asarray(d, dtype=float)
     if d.any():
@@ -119,7 +121,7 @@ def _bind_dlasq1():
     capsule = cython_lapack.__pyx_capi__.get("dlasq1")
     if capsule is None:
         raise ImportError(f"scipy {scipy.__version__}: scipy.linalg.cython_lapack "
-                          f"exports no dlasq1, which zero-field level statistics need")
+                          f"exports no dlasq1, which zero-field chains need")
     # prototypes of their own, so ctypes.pythonapi's shared attributes stay as they are
     get_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
         ("PyCapsule_GetName", ctypes.pythonapi))

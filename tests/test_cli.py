@@ -515,6 +515,8 @@ def test_column_gaps_name_each_columns_largest_gap(tmp_path):
                  "--seed 3"),
     ("transfer", "transfer --n 12 --eps-j 0.05 --eps-b 0.1 --corr-p 0.7 --t-max 3 "
                  "--dt 0.01 --seed 7"),
+    # no field: the series sums over sigma > 0 alone (dqds start, folded sum)
+    ("transfer-zero-field", "transfer --n 12 --eps-j 0.05 --t-max 3 --seed 7"),
     ("fractal", "fractal --n 40 --eps-j 0.4 --t-max 200 --seed 6"),
     ("scan-corr-p", "scan --n 8 12 --eps-j 0.05 0.2 --corr-p 0.1 0.5 0.9 "
                     "--n-real 30 --seed 5"),

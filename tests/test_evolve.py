@@ -1,3 +1,4 @@
+import decimal
 import logging
 import math
 
@@ -14,12 +15,13 @@ from spinchain import (ChainSpec, DisorderRealization, amplitudes,
                        ensemble_averages, fidelity_of_amplitude,
                        fidelity_series, sample_disorder, substream,
                        transfer_amplitude, transfer_time, zero_disorder)
-from spinchain import evolve
-from spinchain.chain import spectral_half_width
-from spinchain.evolve import (_chebyshev_transfer_amplitude, _newton_step,
+from spinchain import evolve, levelstats
+from spinchain.chain import TridiagonalHamiltonian, hamiltonian_block, spectral_half_width
+from spinchain.evolve import (_chebyshev_transfer_amplitude, _end_to_end_weights,
+                              _newton_step, _transfer_amplitude_uniform,
                               _transfer_spectrum)
 
-from conftest import oracle_amplitudes, oracle_transfer_series
+from conftest import oracle_amplitudes, oracle_sturm_level, oracle_transfer_series
 
 
 def _chebyshev(hams, half_width, times):
@@ -565,14 +567,17 @@ def test_clean_odd_chain_zero_pivot_stays_finite(n):
     assert series.fidelity[50] >= 1.0 - 1e-9
 
 
-def test_newton_guard_keeps_sterf_values_on_a_near_degenerate_pair(caplog):
-    # the 6e-14 middle bond of a mirror-symmetric chain splits every
-    # eigenvalue of the halves into a pair a few ulp apart
-    spec = ChainSpec(n_sites=60, eps_j=1.0)
+def _mirror_chain(field):
+    """An N = 60 chain whose 6e-14 middle bond splits every eigenvalue of
+    its two mirror-image halves into a pair a few ulp apart (or none)."""
+    spec = ChainSpec(n_sites=60, eps_j=1.0, eps_b=field)
     delta = np.zeros(59)
     delta[29] = -1.0 + 1e-15
-    h = build_hamiltonian(spec, DisorderRealization(delta=delta, field_err=np.zeros(60)))
-    sterf = eigvalsh_tridiagonal(h.diag, h.offdiag, lapack_driver="sterf")
+    return build_hamiltonian(spec, DisorderRealization(delta=delta,
+                                                       field_err=np.full(60, field)))
+
+
+def _assert_guard_keeps_the_start(h, start, caplog):
     with caplog.at_level(logging.WARNING, logger="spinchain.evolve"), \
             np.errstate(all="raise"):
         eigenvalues, _ = _transfer_spectrum(h)
@@ -580,14 +585,31 @@ def test_newton_guard_keeps_sterf_values_on_a_near_degenerate_pair(caplog):
     rejected = [rec.getMessage() for rec in caplog.records
                 if rec.levelno == logging.WARNING and "N = 60" in rec.getMessage()]
     assert len(rejected) == 2
-    kept = eigenvalues == sterf
+    kept = eigenvalues == start
     assert np.any(kept[0::2] & kept[1::2])          # a whole pair kept
-    gaps = np.diff(sterf)
+    gaps = np.diff(start)
     half_gap = 0.5 * np.minimum(np.append(gaps, np.inf), np.insert(gaps, 0, np.inf))
-    assert np.all(kept | (np.abs(eigenvalues - sterf) < half_gap))
+    assert np.all(kept | (np.abs(eigenvalues - start) < half_gap))
     assert np.all(np.diff(eigenvalues) >= 0.0)
     # nothing crosses the 6e-14 bond faster than 6e-14 per unit time
     assert np.max(np.abs(series.amplitude)) <= 6e-14 * 1e3
+    return rejected
+
+
+def test_newton_guard_keeps_sterf_values_on_a_near_degenerate_pair(caplog):
+    # a uniform field keeps the mirror symmetry and takes the chain to sterf
+    h = _mirror_chain(0.1)
+    sterf = eigvalsh_tridiagonal(h.diag, h.offdiag, lapack_driver="sterf")
+    rejected = _assert_guard_keeps_the_start(h, sterf, caplog)
+    assert all(message.endswith("keeping their sterf values") for message in rejected)
+
+
+def test_newton_guard_keeps_dqds_values_on_a_near_degenerate_pair(caplog):
+    # with no field the start is dqds, which returns each pair coincident
+    h = _mirror_chain(0.0)
+    dqds = levelstats.eigvalsh_tridiagonal(h.diag, h.offdiag)
+    rejected = _assert_guard_keeps_the_start(h, dqds, caplog)
+    assert all(message.endswith("keeping their dqds values") for message in rejected)
 
 
 def test_newton_guard_rejects_a_step_beyond_half_the_gap(caplog):
@@ -599,3 +621,78 @@ def test_newton_guard_rejects_a_step_beyond_half_the_gap(caplog):
     assert np.max(np.abs(np.delete(refined, 2) - [-8.0, -4.0, 4.0, 8.0])) <= 1e-14
     assert any("1 of 5 eigenvalues of an N = 5 Hamiltonian" in rec.getMessage()
                for rec in caplog.records)
+
+
+def _zero_field_chain(n, chain, seed=0):
+    """Row 0 of a zero-field block at eps_j = chain, or the clean chain
+    with its middle bond cut to 1e-12 of itself (chain "near-severed")."""
+    if chain == "near-severed":
+        delta = np.zeros(n - 1)
+        delta[(n - 1) // 2] = -1.0 + 1e-12
+        return build_hamiltonian(ChainSpec(n_sites=n),
+                                 DisorderRealization(delta=delta, field_err=np.zeros(n)))
+    diag, offdiag = hamiltonian_block(ChainSpec(n_sites=n, eps_j=chain), seed, (n,), range(1))
+    return TridiagonalHamiltonian(diag=diag[0], offdiag=offdiag[0])
+
+
+@pytest.mark.parametrize("n", [2, 3, 20, 101, 200, 500])
+@pytest.mark.parametrize("chain", [0.3, 1.0, "near-severed"])
+def test_zero_field_series_is_chiral_and_matches_the_general_path(n, chain):
+    h = _zero_field_chain(n, chain)
+    with np.errstate(all="raise", under="ignore"):
+        eigenvalues, weights = _transfer_spectrum(h)
+        series = fidelity_series(h, 1e3, 0.05)
+    # levels -sigma and sigma, an exact 0.0 in the middle of an odd chain,
+    # and w(-sigma) = (-1)^(N-1) w(sigma)
+    assert np.array_equal(eigenvalues, -eigenvalues[::-1])
+    assert np.all(np.diff(eigenvalues) >= 0.0)
+    if n % 2:
+        assert eigenvalues[n // 2] == 0.0
+    assert np.array_equal(weights[::-1], (-1) ** (n - 1) * weights)
+    # the folded sum is exactly imaginary (even N) or exactly real (odd N)
+    assert np.all((series.amplitude.imag if n % 2 else series.amplitude.real) == 0.0)
+    total = np.sum(np.abs(weights))
+    # the fold against the unfolded sum on the same spectrum: 8.5e-16 S
+    unfolded = _transfer_amplitude_uniform(eigenvalues, weights, series.times)
+    assert np.max(np.abs(series.amplitude - unfolded)) <= 1e-14 * total
+    # against the general path (sterf start), each series within its own
+    # eigenvalue error times t of the exact one: up to 1.4e-12 S at T = 1e3.
+    # sterf misplaces the pair nearest zero of a strongly disordered chain
+    # by up to 1e3 times its size (test below); that pair's phase gap
+    # t |w| |E - e| is allowed on top.
+    start = eigvalsh_tridiagonal(h.diag, h.offdiag, lapack_driver="sterf")
+    general_levels = _newton_step(h.diag, h.offdiag, start)
+    general_weights = _end_to_end_weights(h.offdiag, general_levels)
+    general = _transfer_amplitude_uniform(general_levels, general_weights, series.times)
+    pair = np.argsort(np.abs(eigenvalues))[:2]
+    sterf_pair_gap = series.times[-1] * np.sum(
+        np.abs(general_weights[pair]) * np.abs(eigenvalues[pair] - general_levels[pair]))
+    assert np.max(np.abs(series.amplitude - general)) <= 3e-12 * total + sterf_pair_gap
+
+
+@pytest.mark.parametrize("eps_j", [1.0, 1.2])
+def test_zero_field_near_zero_pair_is_resolved_without_a_warning(caplog, eps_j):
+    # sterf's pair nearest zero lies closer than its error on 3 of these
+    # 40 chains, where the Newton guard warned and kept it; dqds resolves
+    # the pair to high relative accuracy, and the step keeps it there
+    spec = ChainSpec(n_sites=500, eps_j=eps_j)
+    with caplog.at_level(logging.WARNING, logger="spinchain.evolve"):
+        for seed in range(1000, 1020):
+            diag, offdiag = hamiltonian_block(spec, seed, (500,), range(1))
+            eigenvalues, _ = _transfer_spectrum(TridiagonalHamiltonian(diag=diag[0],
+                                                                       offdiag=offdiag[0]))
+            reference = oracle_sturm_level(offdiag[0], 250)
+            for level in (eigenvalues[250], -eigenvalues[249]):
+                assert abs(decimal.Decimal(level) - reference) <= \
+                    decimal.Decimal("1e-14") * reference, seed
+    assert [rec.getMessage() for rec in caplog.records if rec.levelno >= logging.WARNING] == []
+
+
+def test_a_zero_field_series_without_the_dlasq1_capsule_raises_import_error(monkeypatch):
+    # as for level statistics: no silent fallback to sterf
+    from scipy.linalg import cython_lapack
+
+    monkeypatch.setattr(levelstats, "_DLASQ1", None)
+    monkeypatch.delitem(cython_lapack.__pyx_capi__, "dlasq1")
+    with pytest.raises(ImportError, match="exports no dlasq1"):
+        fidelity_series(clean_hamiltonian(6), 1.0, 0.05)

@@ -27,10 +27,13 @@ Two propagators, each where it is cheaper:
   clean chain's basis in closed form); eigendecompose, amplitudes and
   transfer_amplitude are the tests' reference.
 
-Only the spectral path calls LAPACK, and it imports scipy.linalg on
-its first call (eigh_tridiagonal here, levelstats.eigvalsh_tridiagonal
-in _transfer_spectrum), so the Chebyshev path and everything that
-imports this module run on numpy alone.
+Only the spectral path calls LAPACK.  The series path takes sterf and
+dqds from levelstats.eigvalsh_tridiagonal, which binds them from
+scipy's cython_lapack on first use without importing scipy.linalg;
+eigh_tridiagonal, the tests' reference behind eigendecompose, imports
+scipy.linalg on its first call, and no command reaches it.  The
+Chebyshev path and everything that imports this module run on numpy
+alone.
 """
 
 from __future__ import annotations
@@ -181,8 +184,11 @@ def _newton_step(diag: np.ndarray, offdiag: np.ndarray, eigenvalues: np.ndarray,
 
     A pivot below pivmin = tiny * max(1, max b^2) in magnitude is set to
     -pivmin, as in LAPACK's bisection (dstebz), so an exactly zero pivot
-    (a clean odd-N chain at x = 0, where a_0 = 0) stays finite; the step
-    it gives is then tiny or rejected.
+    stays finite.  The ratios from it on may overflow or cancel, and
+    numpy's warnings on that are silenced: a zero last pivot (an N = 2
+    chain whose sterf levels are exact to the last bit) makes the sum
+    infinite and the step 0, and one further in front can make the sum
+    0 or NaN, and the step is then rejected.
 
     A step is kept only if it is finite and moves the rounded estimate by
     less than half the gap to the nearest other estimate (those below
@@ -204,17 +210,18 @@ def _newton_step(diag: np.ndarray, offdiag: np.ndarray, eigenvalues: np.ndarray,
     total = ratio.copy()
     coupling = np.empty(x.shape[0])
     inverse = np.empty(x.shape[0])
-    for i in range(1, n):
-        np.divide(b2[i - 1], pivot, out=coupling)      # b^2 / d_(i-1)
-        np.subtract(diag[i], x, out=pivot)
-        pivot -= coupling
-        np.putmask(pivot, np.abs(pivot) < pivmin, -pivmin)
-        coupling /= pivot                               # g_i
-        ratio *= coupling
-        np.divide(1.0, pivot, out=inverse)
-        ratio -= inverse
-        total += ratio
-    refined = x - 1.0 / total
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for i in range(1, n):
+            np.divide(b2[i - 1], pivot, out=coupling)      # b^2 / d_(i-1)
+            np.subtract(diag[i], x, out=pivot)
+            pivot -= coupling
+            np.putmask(pivot, np.abs(pivot) < pivmin, -pivmin)
+            coupling /= pivot                               # g_i
+            ratio *= coupling
+            np.divide(1.0, pivot, out=inverse)
+            ratio -= inverse
+            total += ratio
+        refined = x - 1.0 / total
     gaps = np.diff(eigenvalues)
     half_gap = 0.5 * np.minimum(np.append(gaps, np.inf), np.insert(gaps, 0, np.inf))
     ok = np.abs(refined - x) < half_gap[first:]

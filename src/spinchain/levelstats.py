@@ -16,20 +16,25 @@ start from it too.  A chain with any nonzero field goes to LAPACK
 sterf, bit for bit scipy's.  A zero-field chain (every chain of
 eta-scan) is chiral, and its levels are plus and minus the singular
 values of an N/2-sized bidiagonal, computed by LAPACK's dqds (dlasq1)
-to high relative accuracy.  scipy.linalg does not wrap dlasq1,
-so it is bound once through ctypes from the capsule that
-scipy.linalg.cython_lapack exports; a missing capsule, or one with
-another signature, raises ImportError naming scipy's version, and a
-nonzero INFO raises numpy.linalg.LinAlgError naming N.  There is no
-fallback between the routes.  scipy.linalg (and with it cython_lapack)
-is imported on the first eigvalsh_tridiagonal call, not with this
-module.
+to high relative accuracy.  Both routines come from the LAPACK bundled
+with scipy, bound once each through ctypes from the capsules that
+scipy.linalg.cython_lapack exports (scipy.linalg does not wrap dlasq1);
+a missing capsule, or one with another signature, raises ImportError
+naming scipy's version, and a nonzero INFO raises
+numpy.linalg.LinAlgError naming N.  There is no fallback between the
+routes.  cython_lapack is loaded by its path on the first
+eigvalsh_tridiagonal call, without scipy.linalg's package, so no
+command that eigensolves imports scipy.linalg.
 """
 
 from __future__ import annotations
 
 import ctypes
+import importlib.machinery
+import importlib.util
+import os
 import re
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,84 +64,120 @@ def eigvalsh_tridiagonal(d, e):
     (Golub & Kahan 1965), which LAPACK's dqds (dlasq1) computes to high
     relative accuracy (Fernando & Parlett 1994).  For odd N that
     diagonal ends in a zero; the smallest singular value is dropped and
-    the middle level is an exact 0.0.  Both routes import scipy.linalg
-    on first use.  dlasq1 is bound through ctypes from the capsule that
-    scipy.linalg.cython_lapack exports (_bind_dlasq1): a missing capsule,
-    or one with another signature, raises ImportError naming scipy's
-    version, and a nonzero INFO raises numpy.linalg.LinAlgError naming N.
-    Non-finite couplings raise ValueError on either route, and so do
-    couplings that are not N - 1.
+    the middle level is an exact 0.0.  Both routines are bound on first
+    use through ctypes from the capsules that scipy.linalg.cython_lapack
+    exports (_lapack): a missing capsule, or one with another signature,
+    raises ImportError naming scipy's version, and a nonzero INFO raises
+    numpy.linalg.LinAlgError naming N.  Non-finite fields or couplings
+    raise ValueError on either route, and so do couplings that are not
+    N - 1.  The caller's arrays are never written to.
 
     collect_spacings and evolve's series path (_transfer_spectrum) both
     take their levels from here.  benchmark/tracer.py looks this
     function up by name and spans its calls.
     """
     d = np.asarray(d, dtype=float)
-    if d.any():
-        import scipy.linalg
-        return scipy.linalg.eigvalsh_tridiagonal(d, e, lapack_driver="sterf")
+    e = np.asarray(e, dtype=float)
     n = d.size
-    e = np.abs(np.asarray(e, dtype=float))
-    if d.ndim != 1 or e.shape != (n - 1,) or not np.isfinite(e).all():
-        raise ValueError(f"a zero-field chain of N = {n} sites needs N - 1 finite "
-                         f"couplings, got an array of shape {e.shape}")
+    if (d.ndim != 1 or e.shape != (n - 1,)
+            or not (np.isfinite(d).all() and np.isfinite(e).all())):
+        raise ValueError(f"a chain of N = {n} sites needs N - 1 finite couplings and N "
+                         f"finite fields, got arrays of shapes {d.shape} and {e.shape}")
+    info = ctypes.c_int(0)
+    if d.any():
+        # sterf overwrites D with the levels and E with scratch; the copies
+        # must outlive the call, which sees only their addresses
+        levels, scratch = d.copy(), e.copy()
+        _lapack("dsterf")(ctypes.byref(ctypes.c_int(n)), levels.ctypes.data,
+                          scratch.ctypes.data, ctypes.byref(info))
+        if info.value != 0:
+            raise np.linalg.LinAlgError(f"sterf failed on the chain of N = {n}: "
+                                        f"INFO = {info.value}")
+        return levels
+    e = np.abs(e)
     m = (n + 1) // 2
     diag = np.zeros(m)
     diag[:n // 2] = e[0::2]
     superdiag = np.zeros(m)
     superdiag[:m - 1] = e[1::2]
-    info = _dlasq1(m, diag, superdiag)
-    if info != 0:
+    work = np.empty(4 * m)
+    _lapack("dlasq1")(ctypes.byref(ctypes.c_int(m)), diag.ctypes.data,
+                      superdiag.ctypes.data, work.ctypes.data, ctypes.byref(info))
+    if info.value != 0:
         raise np.linalg.LinAlgError(f"dqds (dlasq1) failed on the zero-field chain of "
-                                    f"N = {n}: INFO = {info}")
+                                    f"N = {n}: INFO = {info.value}")
     sigma = diag[:n // 2]  # descending; an odd N drops its smallest, the zero level
     return np.concatenate((-sigma, np.zeros(n % 2), sigma[::-1]))
 
 
-# LAPACK's dlasq1(N, D, E, WORK, INFO) from scipy.linalg.cython_lapack,
-# bound on the first zero-field chain.
-_DLASQ1 = None
-_DLASQ1_SIGNATURE = "void (int *, d *, d *, d *, int *)"
+# The LAPACK routines eigvalsh_tridiagonal calls, with their capsules'
+# signatures (Cython's typedef of double written d): sterf(N, D, E, INFO)
+# and dlasq1(N, D, E, WORK, INFO).  _BOUND holds each one's ctypes
+# function once its first call has bound it.
+_SIGNATURES = {
+    "dsterf": "void (int *, d *, d *, int *)",
+    "dlasq1": "void (int *, d *, d *, d *, int *)",
+}
+_BOUND = {}
+
+_CYTHON_LAPACK = "scipy.linalg.cython_lapack"
 
 
-def _dlasq1(m, diag, superdiag) -> int:
-    """Singular values of the m x m upper bidiagonal (diag, superdiag),
-    descending, in place of diag; returns LAPACK's INFO."""
-    global _DLASQ1
-    if _DLASQ1 is None:
-        _DLASQ1 = _bind_dlasq1()
-    n, info = ctypes.c_int(m), ctypes.c_int(0)
-    work = np.empty(4 * m)
-    _DLASQ1(ctypes.byref(n), diag.ctypes.data, superdiag.ctypes.data, work.ctypes.data,
-            ctypes.byref(info))
-    return info.value
-
-
-def _bind_dlasq1():
-    """A ctypes function for the dlasq1 capsule; ImportError naming scipy's
-    version when the capsule is missing or has another signature."""
+def _lapack(name):
+    """The ctypes function for the cython_lapack capsule of routine name,
+    bound on first use; ImportError naming scipy's version when the
+    capsule is missing or has another signature."""
+    routine = _BOUND.get(name)
+    if routine is not None:
+        return routine
     import scipy
-    import scipy.linalg.cython_lapack as cython_lapack
 
-    capsule = cython_lapack.__pyx_capi__.get("dlasq1")
+    capsule = _cython_lapack().__pyx_capi__.get(name)
     if capsule is None:
-        raise ImportError(f"scipy {scipy.__version__}: scipy.linalg.cython_lapack "
-                          f"exports no dlasq1, which zero-field chains need")
+        raise ImportError(f"scipy {scipy.__version__}: {_CYTHON_LAPACK} exports no {name}, "
+                          f"which eigvalsh_tridiagonal needs")
     # prototypes of their own, so ctypes.pythonapi's shared attributes stay as they are
     get_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
         ("PyCapsule_GetName", ctypes.pythonapi))
     get_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
         ("PyCapsule_GetPointer", ctypes.pythonapi))
-    name = get_name(capsule)
+    capsule_name = get_name(capsule)
     # Cython names its typedef of double __pyx_t_<module path>_d
-    signature = re.sub(r"__pyx_t_\w*_d\b", "d", (name or b"").decode())
-    if signature != _DLASQ1_SIGNATURE:
-        raise ImportError(f"scipy {scipy.__version__}: cython_lapack's dlasq1 has the "
-                          f"signature {signature!r}, not {_DLASQ1_SIGNATURE!r}")
-    pointer = get_pointer(capsule, name)
-    prototype = ctypes.CFUNCTYPE(None, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p,
-                                 ctypes.c_void_p, ctypes.c_void_p)
-    return prototype(pointer)
+    signature = re.sub(r"__pyx_t_\w*_d\b", "d", (capsule_name or b"").decode())
+    if signature != _SIGNATURES[name]:
+        raise ImportError(f"scipy {scipy.__version__}: cython_lapack's {name} has the "
+                          f"signature {signature!r}, not {_SIGNATURES[name]!r}")
+    # every argument of a LAPACK routine is a pointer
+    prototype = ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * (signature.count(",") + 1))
+    routine = _BOUND[name] = prototype(get_pointer(capsule, capsule_name))
+    return routine
+
+
+def _cython_lapack():
+    """scipy.linalg.cython_lapack, without running scipy/linalg/__init__.py.
+
+    An imported one is reused.  Otherwise the extension file is loaded
+    by its path in scipy's package, and its sys.modules entry is dropped
+    again, so no submodule stays registered without its package.  Cython
+    keeps one module object per process, so a later import scipy.linalg
+    takes this same object as its cython_lapack.
+    """
+    module = sys.modules.get(_CYTHON_LAPACK)
+    if module is not None:
+        return module
+    import scipy
+
+    linalg = [os.path.join(path, "linalg")
+              for path in importlib.util.find_spec("scipy").submodule_search_locations]
+    spec = importlib.machinery.PathFinder.find_spec(_CYTHON_LAPACK, linalg)
+    if spec is None:
+        raise ImportError(f"scipy {scipy.__version__}: no {_CYTHON_LAPACK} in {linalg}")
+    module = importlib.util.module_from_spec(spec)
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.modules.pop(_CYTHON_LAPACK, None)
+    return module
 
 
 # The spacing histogram's edge grid covers at least [0, S_MAX].

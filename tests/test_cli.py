@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 
 import spinchain
 from spinchain import (ChainSpec, WindowSelectionError, build_hamiltonian,
@@ -427,7 +428,8 @@ print(json.dumps(loaded))
 def test_scan_and_table_commands_run_without_scipy(tmp_path):
     # scan and perturbation propagate by Chebyshev, perturbation builds its
     # clean basis in closed form and the fits are numpy, so these commands
-    # never load scipy; the first eigensolve (eta-scan) does
+    # never load scipy; the eigensolving ones bind sterf and dqds from the
+    # capsules of scipy's cython_lapack and never load scipy.linalg
     scan = str(tmp_path / "scan.csv")
     eta_args = ["eta-scan", "--n", "10", "--eps-j", "0.1", "1.0", "--n-real", "5",
                 "--seed", "4", "--out"]
@@ -442,19 +444,61 @@ def test_scan_and_table_commands_run_without_scipy(tmp_path):
         ["perturbation", "--n", "8", "--eps", "0.01", "--n-real", "5", "--seed", "3",
          "--out", str(tmp_path / "pert.csv")],
         [*eta_args, str(tmp_path / "eta_fresh.csv")],
+        ["transfer", "--n", "12", "--eps-j", "0.05", "--t-max", "3", "--seed", "7",
+         "--out", str(tmp_path / "transfer.csv")],
+        ["transfer", "--n", "12", "--eps-j", "0.05", "--eps-b", "0.1", "--t-max", "3",
+         "--seed", "7", "--out", str(tmp_path / "transfer-fields.csv")],
+        ["spectrum", "--n", "20", "--eps-j", "0.3", "--eps-b", "0.2", "--n-real", "5",
+         "--seed", "5", "--out", str(tmp_path / "spectrum.csv")],
+        ["fractal", "--n", "40", "--eps-j", "0.4", "--t-max", "200", "--seed", "6",
+         "--out", str(tmp_path / "fractal.csv")],
+        ["dimension-scan", "--n", "12", "--eps-j", "0.3", "1.0", "--n-real", "2",
+         "--t-max", "35", "--seed", "8", "--out", str(tmp_path / "dimension.csv")],
     ]
     env = {**os.environ, "PYTHONPATH": str(Path(spinchain.__file__).parents[1])}
     probe = subprocess.run([sys.executable, "-c", _SCIPY_PROBE, json.dumps(commands)],
                            env=env, check=True, capture_output=True, text=True)
     loaded = json.loads(probe.stdout)
-    assert [stage for stage, _ in loaded] == ["import", "scan", "scan", "fit-scaling",
-                                              "threshold", "perturbation", "eta-scan"]
-    for stage, modules in loaded[:-1]:
+    assert [stage for stage, _ in loaded] == ["import", *(argv[0] for argv in commands)]
+    for stage, modules in loaded[:6]:
         assert modules == [], stage
     assert read_sidecar(tmp_path / "pert.csv")["libraries"]["scipy"] is None
-    assert "scipy.linalg" in loaded[-1][1]
+    for (stage, modules), argv in zip(loaded[6:], commands[5:]):
+        assert [m for m in modules if m.startswith("scipy.linalg")] == [], stage
+        assert read_sidecar(argv[-1])["libraries"]["scipy"] == scipy.__version__, stage
     run_cli(*eta_args, tmp_path / "eta.csv")
     assert (tmp_path / "eta_fresh.csv").read_bytes() == (tmp_path / "eta.csv").read_bytes()
+
+
+_IMPORT_AFTER_AN_EIGENSOLVE = """
+import ctypes, sys
+import numpy as np
+from spinchain import levelstats
+levels = levelstats.eigvalsh_tridiagonal(np.full(3, 0.5), np.ones(2))
+levelstats.eigvalsh_tridiagonal(np.zeros(3), np.ones(2))
+assert sorted(levelstats._BOUND) == ["dlasq1", "dsterf"]
+assert not [m for m in sys.modules if m.startswith("scipy.linalg")]
+loaded = levelstats._cython_lapack()
+import scipy.linalg
+assert scipy.linalg.cython_lapack is loaded
+assert sys.modules["scipy.linalg.cython_lapack"] is loaded
+get_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
+    ("PyCapsule_GetName", ctypes.pythonapi))
+get_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+    ("PyCapsule_GetPointer", ctypes.pythonapi))
+for name, routine in levelstats._BOUND.items():
+    capsule = scipy.linalg.cython_lapack.__pyx_capi__[name]
+    assert ctypes.cast(routine, ctypes.c_void_p).value == get_pointer(capsule, get_name(capsule))
+assert (scipy.linalg.eigvalsh_tridiagonal(np.full(3, 0.5), np.ones(2), lapack_driver="sterf")
+        .tobytes() == levels.tobytes())
+"""
+
+
+def test_scipy_linalg_imported_after_an_eigensolve_shares_the_bound_module():
+    # the binder loads cython_lapack by its path and leaves no half-registered
+    # submodule; a later import scipy.linalg takes the same module object
+    env = {**os.environ, "PYTHONPATH": str(Path(spinchain.__file__).parents[1])}
+    subprocess.run([sys.executable, "-c", _IMPORT_AFTER_AN_EIGENSOLVE], env=env, check=True)
 
 
 DATA = Path(__file__).parent / "data"

@@ -1,6 +1,7 @@
 import decimal
 import logging
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -465,8 +466,9 @@ def _solve(fn, h, **driver):
 
 @pytest.mark.parametrize("key", [(7, 0), (7, 0, 7)])  # stemr accepts / refuses
 def test_traced_eigensolver_names_forward_to_scipy_bit_for_bit(key):
-    # benchmark/tracer.py wraps these two module-level names; each imports
-    # scipy.linalg on first use and must hand back scipy's arrays unchanged
+    # benchmark/tracer.py wraps these two module-level names; each must hand
+    # back scipy's arrays unchanged (test_levelstats checks sterf's bytes on
+    # 300 more chains with fields)
     import scipy.linalg
     from spinchain import evolve, levelstats
 
@@ -623,6 +625,36 @@ def test_newton_guard_rejects_a_step_beyond_half_the_gap(caplog):
                for rec in caplog.records)
 
 
+@pytest.mark.parametrize("seed", [16, 75, 172])
+def test_an_exact_level_takes_a_zero_step_without_overflow(caplog, seed):
+    # the chains of transfer --n 2 --eps-j 1 --eps-b 1 --seed <seed>: sterf's
+    # levels are exact to the last bit, so the last Sturm pivot is 0 and is
+    # set to -pivmin; the ratios overflow, the sum is infinite and the step
+    # 0, with no RuntimeWarning
+    spec = ChainSpec(n_sites=2, eps_j=1.0, eps_b=1.0)
+    h = build_hamiltonian(spec, sample_disorder(spec, substream(seed, 0)))
+    start = levelstats.eigvalsh_tridiagonal(h.diag, h.offdiag)
+    with warnings.catch_warnings(), \
+            caplog.at_level(logging.WARNING, logger="spinchain.evolve"):
+        warnings.simplefilter("error", RuntimeWarning)
+        assert _newton_step(h.diag, h.offdiag, start).tobytes() == start.tobytes()
+        fidelity_series(h, 1.0, 0.01)  # what transfer --t-max 1 runs
+    assert caplog.records == []
+
+
+def test_a_zero_pivot_in_front_rejects_its_step_without_a_runtime_warning(caplog):
+    # x = 1 is a level of the leading 2 x 2 block, so d_1 = 0 is set to
+    # -pivmin, and the ratios after it overflow and cancel
+    d, e = np.array([0.0, 0.0, 0.5]), np.ones(2)
+    with warnings.catch_warnings(), \
+            caplog.at_level(logging.WARNING, logger="spinchain.evolve"):
+        warnings.simplefilter("error", RuntimeWarning)
+        refined = _newton_step(d, e, np.array([-1.3, 1.0, 1.8]))
+    assert refined[1] == 1.0
+    assert any("1 of 3 eigenvalues of an N = 3 Hamiltonian" in rec.getMessage()
+               for rec in caplog.records)
+
+
 def _zero_field_chain(n, chain, seed=0):
     """Row 0 of a zero-field block at eps_j = chain, or the clean chain
     with its middle bond cut to 1e-12 of itself (chain "near-severed")."""
@@ -692,7 +724,7 @@ def test_a_zero_field_series_without_the_dlasq1_capsule_raises_import_error(monk
     # as for level statistics: no silent fallback to sterf
     from scipy.linalg import cython_lapack
 
-    monkeypatch.setattr(levelstats, "_DLASQ1", None)
+    monkeypatch.setattr(levelstats, "_BOUND", {})
     monkeypatch.delitem(cython_lapack.__pyx_capi__, "dlasq1")
     with pytest.raises(ImportError, match="exports no dlasq1"):
         fidelity_series(clean_hamiltonian(6), 1.0, 0.05)

@@ -194,16 +194,37 @@ def test_a_chain_with_a_field_takes_sterfs_bytes(site):
     assert levelstats.eigvalsh_tridiagonal(d, e).tobytes() == _sterf(d, e).tobytes()
 
 
-def test_a_negative_zero_diagonal_takes_the_chiral_route(monkeypatch):
-    import scipy.linalg
+def test_sterf_bytes_on_random_chains_with_fields():
+    # the capsule-bound sterf against scipy's wrapper of the same routine:
+    # N from 1 to 300, couplings of either sign down to 1e-20 in size
+    rng = np.random.default_rng(2025)
+    sizes = np.concatenate(([1, 2, 3, 300], rng.integers(1, 301, size=296)))
+    for k, n in enumerate(sizes):
+        d = rng.normal(size=n) * 10.0 ** rng.uniform(-3, 1)
+        d[rng.integers(n)] += 1e-3  # a field on at least one site
+        e = rng.choice([-1.0, 1.0], size=n - 1) * 10.0 ** rng.uniform(-20, 1, size=n - 1)
+        if k % 3 == 0 and n > 1:
+            e[rng.integers(n - 1, size=min(n - 1, 3))] = 1e-20 * rng.choice([-1.0, 1.0])
+        assert np.array_equal(levelstats.eigvalsh_tridiagonal(d, e), _sterf(d, e)), (k, n)
 
+
+@pytest.mark.parametrize("field", [0.0, 0.7])
+def test_the_callers_arrays_are_not_written_to(field):
+    d, e = (a[0].copy() for a in hamiltonian_block(
+        ChainSpec(n_sites=40, eps_j=1.0, eps_b=field), 9, (), range(1)))
+    d_before, e_before = d.copy(), e.copy()
+    levelstats.eigvalsh_tridiagonal(d, e)
+    assert d.tobytes() == d_before.tobytes() and e.tobytes() == e_before.tobytes()
+
+
+def test_a_negative_zero_diagonal_takes_the_chiral_route(monkeypatch):
     e = hamiltonian_block(ChainSpec(n_sites=31, eps_j=0.5), 5, (), range(1))[1][0]
     expected = levelstats.eigvalsh_tridiagonal(np.zeros(31), e)
 
     def no_sterf(*args, **kwargs):
         raise AssertionError("sterf ran on a zero-field chain")
 
-    monkeypatch.setattr(scipy.linalg, "eigvalsh_tridiagonal", no_sterf)
+    monkeypatch.setitem(levelstats._BOUND, "dsterf", no_sterf)
     d = np.full(31, -0.0)
     d[::2] = 0.0
     assert levelstats.eigvalsh_tridiagonal(d, e).tobytes() == expected.tobytes()
@@ -244,16 +265,25 @@ def test_a_nonzero_info_from_dqds_raises_naming_n(monkeypatch):
     def failing_dlasq1(n, diag, superdiag, work, info):
         info._obj.value = 2
 
-    monkeypatch.setattr(levelstats, "_DLASQ1", failing_dlasq1)
+    monkeypatch.setitem(levelstats._BOUND, "dlasq1", failing_dlasq1)
     with pytest.raises(np.linalg.LinAlgError, match=r"N = 7: INFO = 2"):
         levelstats.eigvalsh_tridiagonal(np.zeros(7), np.ones(6))
+
+
+def test_a_nonzero_info_from_sterf_raises_naming_n(monkeypatch):
+    def failing_sterf(n, d, e, info):
+        info._obj.value = 3
+
+    monkeypatch.setitem(levelstats._BOUND, "dsterf", failing_sterf)
+    with pytest.raises(np.linalg.LinAlgError, match=r"sterf failed .* N = 7: INFO = 3"):
+        levelstats.eigvalsh_tridiagonal(np.full(7, 0.5), np.ones(6))
 
 
 def test_a_missing_or_mismatched_dlasq1_capsule_raises_import_error(monkeypatch):
     import scipy
     from scipy.linalg import cython_lapack
 
-    monkeypatch.setattr(levelstats, "_DLASQ1", None)
+    monkeypatch.setattr(levelstats, "_BOUND", {})
     capsules = cython_lapack.__pyx_capi__
     monkeypatch.setitem(capsules, "dlasq1", capsules["dsterf"])
     with pytest.raises(ImportError, match=rf"scipy {scipy.__version__}: .*signature"):
@@ -261,11 +291,36 @@ def test_a_missing_or_mismatched_dlasq1_capsule_raises_import_error(monkeypatch)
     monkeypatch.delitem(capsules, "dlasq1")
     with pytest.raises(ImportError, match=rf"scipy {scipy.__version__}: .*no dlasq1"):
         levelstats.eigvalsh_tridiagonal(np.zeros(4), np.ones(3))
-    assert levelstats._DLASQ1 is None
+    assert "dlasq1" not in levelstats._BOUND
+
+
+def test_a_missing_or_mismatched_dsterf_capsule_raises_import_error(monkeypatch):
+    import scipy
+    from scipy.linalg import cython_lapack
+
+    monkeypatch.setattr(levelstats, "_BOUND", {})
+    capsules = cython_lapack.__pyx_capi__
+    monkeypatch.setitem(capsules, "dsterf", capsules["dlasq1"])
+    with pytest.raises(ImportError, match=rf"scipy {scipy.__version__}: .*signature"):
+        levelstats.eigvalsh_tridiagonal(np.ones(4), np.ones(3))
+    monkeypatch.delitem(capsules, "dsterf")
+    with pytest.raises(ImportError, match=rf"scipy {scipy.__version__}: .*no dsterf"):
+        levelstats.eigvalsh_tridiagonal(np.ones(4), np.ones(3))
+    assert "dsterf" not in levelstats._BOUND
 
 
 @pytest.mark.parametrize("e", [[1.0, np.nan, 2.0], [1.0, np.inf, 2.0], [1.0, 2.0]])
 def test_zero_field_couplings_must_be_n_minus_1_and_finite(e):
-    # sterf refuses them through scipy; dqds would not
-    with pytest.raises(ValueError, match="N = 4 sites needs N - 1 finite couplings"):
-        levelstats.eigvalsh_tridiagonal(np.zeros(4), np.array(e))
+    # neither LAPACK routine checks them; eigvalsh_tridiagonal does, on both
+    # routes: a zero-field d (dqds) and one with fields (sterf)
+    for d in (np.zeros(4), np.array([0.0, 0.3, 0.0, -0.1])):
+        with pytest.raises(ValueError, match="N = 4 sites needs N - 1 finite couplings"):
+            levelstats.eigvalsh_tridiagonal(d, np.array(e))
+
+
+@pytest.mark.parametrize("field", [np.nan, np.inf, -np.inf])
+def test_fields_must_be_finite(field):
+    d = np.array([0.0, field, 0.0, 0.2])
+    with pytest.raises(ValueError, match="N = 4 sites needs N - 1 finite couplings "
+                                         "and N finite fields"):
+        levelstats.eigvalsh_tridiagonal(d, np.ones(3))

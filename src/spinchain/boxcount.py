@@ -112,25 +112,74 @@ def box_count(series: FidelitySeries, lengths=None) -> BoxCountCurve:
 
     Windows span [i L, (i+1) L] including both boundary samples; an
     incomplete window at the end of the series is dropped.  Each L must
-    be an integer multiple of the grid step and fit inside the series.
+    be a positive integer multiple of the grid step and fit inside the
+    series; every L is checked before any is counted.
+
+    A box of n samples takes one of two exact passes over its k windows
+    (see `_excursions`): short boxes fold the n - 1 interior columns
+    f[j::n] into the max and min of neighbouring boundary samples, long
+    boxes reduce the rows of f[:k n] reshaped to (k, n) and fold in the
+    right boundary.  Max and min are exact and the excursions are summed
+    as one length-k array, so M(L) is the same to the last bit as the
+    window-by-window count.
     """
     dt = series.dt
     if lengths is None:
         lengths = default_box_lengths(len(series), dt)
     lengths = np.atleast_1d(np.asarray(lengths, dtype=float))
+    samples = [_box_samples(length, dt, len(series)) for length in lengths]
     f = series.fidelity
     m_values = np.empty(lengths.shape[0])
-    for idx, length in enumerate(lengths):
-        n = int(round(length / dt))
-        if n < 1 or abs(n * dt - length) > 1e-6 * dt:
-            raise ValueError(f"box length {length} is not a multiple of dt={dt}")
-        if n > len(series) - 1:
-            raise ValueError(f"box length {length} exceeds the series duration")
-        windows = np.lib.stride_tricks.sliding_window_view(f, n + 1)[::n]
-        excursions = windows.max(axis=1) - windows.min(axis=1)
-        m_values[idx] = excursions.sum() / length
+    for idx, (length, n) in enumerate(zip(lengths, samples)):
+        m_values[idx] = _excursions(f, n).sum() / length
     order = np.argsort(lengths)
     return BoxCountCurve(lengths=lengths[order], m_values=m_values[order], dt=dt)
+
+
+def _box_samples(length, dt, n_samples) -> int:
+    """Grid steps n in a box of length L = n dt, or a ValueError naming L."""
+    if not (np.isfinite(length) and length > 0):
+        raise ValueError(f"box length {length} is not a positive finite number")
+    n = int(round(length / dt))
+    if n < 1 or abs(n * dt - length) > 1e-6 * dt:
+        raise ValueError(f"box length {length} is not a multiple of dt={dt}")
+    if n > n_samples - 1:
+        raise ValueError(f"box length {length} exceeds the series duration")
+    return n
+
+
+# Boxes of up to _SHORT_BOX grid steps fold columns; longer ones reduce
+# rows.  Each column pass carries a few microseconds of call overhead
+# and each row reduction a fixed cost per row, so neither pass wins at
+# every n.  Whole default-grid box_count, best of 25 on one core of a
+# 2-core host, dt = 0.05, in ms by cut-off:
+#                                     16    32    45    54    64   rows only
+#   N = 500, eps_j = 0.26, T = 1e3:   2.0   1.8   1.7   1.7   1.7     5.0
+#   N = 100, eps_j = 1.2,  T = 1e3:   2.1   1.7   1.7   1.7   1.7     5.0
+#   N = 500, eps_j = 0.26, T = 1e4:  18.7  15.6  15.3  14.6  14.6    46.9
+#   N = 100, eps_j = 0.6,  T = 1e4:  17.8  14.7  13.6  13.3  13.4    45.9
+# The cut-off takes the default grid's 54 and leaves its 64 (a power of
+# two, whose column stride is the slowest) to the rows.
+_SHORT_BOX = 54
+
+
+def _excursions(f, n):
+    """max - min of each complete window f[i n : (i + 1) n + 1]."""
+    end = (f.shape[0] - 1) // n * n
+    if n <= _SHORT_BOX:
+        left, right = f[0:end:n], f[n:end + 1:n]
+        hi, lo = np.maximum(left, right), np.minimum(left, right)
+        for j in range(1, n):
+            column = f[j:j + end:n]
+            np.maximum(hi, column, out=hi)
+            np.minimum(lo, column, out=lo)
+    else:
+        rows = f[:end].reshape(-1, n)
+        hi, lo = rows.max(axis=1), rows.min(axis=1)
+        right = f[n:end + 1:n]
+        np.maximum(hi, right, out=hi)
+        np.minimum(lo, right, out=lo)
+    return hi - lo
 
 
 def _auto_window(lengths, logl, logm):

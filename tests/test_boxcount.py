@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,7 @@ from spinchain import (BoxCountCurve, ChainSpec, DegenerateSeriesError,
                        dimension_of_series,
                        default_box_lengths, fit_dimension, fidelity_series,
                        sample_disorder, substream, transient_trim)
+from spinchain import boxcount
 from spinchain.boxcount import MIN_POINTS, MIN_RATIO, R2_MIN, _auto_window
 from spinchain.evolve import FidelitySeries
 from spinchain.fitting import threshold_scaling
@@ -133,7 +136,7 @@ def test_weierstrass_dimension_with_square_box_oracle():
     assert abs(fit.params["dimension"] - oracle) <= 0.1
 
 
-def test_box_length_validation():
+def test_box_length_validation(monkeypatch):
     t = np.arange(1000) * 0.1
     series = synthetic_series(t, np.sin(t))
     with pytest.raises(ValueError):
@@ -142,6 +145,79 @@ def test_box_length_validation():
         box_count(series, [0.13])        # not a multiple of dt
     with pytest.raises(ValueError):
         box_count(series, [200.0])       # longer than the series
+
+    # every length is checked before any is counted, and the error names it
+    def count_nothing(f, n):
+        raise AssertionError("counted a box before every length was checked")
+
+    monkeypatch.setattr(boxcount, "_excursions", count_nothing)
+    for bad in (np.inf, -np.inf, np.nan, 0.0, -0.1, -0.3, 0.13, 200.0):
+        with pytest.raises(ValueError, match=f"box length {re.escape(str(bad))} "):
+            box_count(series, [bad])
+        with pytest.raises(ValueError, match=f"box length {re.escape(str(bad))} "):
+            box_count(series, [0.4, 1.0, bad])
+
+
+def _sliding_box_count(series, lengths):
+    """Box count with each length's windows as the rows of a sliding view
+    of n + 1 samples, reduced along the rows: the reference that
+    box_count's column and row passes must match bit for bit."""
+    f, dt = series.fidelity, series.dt
+    lengths = np.asarray(lengths, dtype=float)
+    m_values = np.empty(lengths.shape[0])
+    for idx, length in enumerate(lengths):
+        n = int(round(length / dt))
+        windows = np.lib.stride_tricks.sliding_window_view(f, n + 1)[::n]
+        m_values[idx] = (windows.max(axis=1) - windows.min(axis=1)).sum() / length
+    order = np.argsort(lengths)
+    return lengths[order], m_values[order]
+
+
+def _assert_matches_sliding(series, lengths=None):
+    curve = box_count(series, lengths)
+    if lengths is None:
+        lengths = default_box_lengths(len(series), series.dt)
+    ref_lengths, ref_m = _sliding_box_count(series, lengths)
+    assert np.array_equal(curve.lengths, ref_lengths)
+    assert np.array_equal(curve.m_values, ref_m)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_box_count_matches_sliding_windows_on_random_series(seed):
+    rng = np.random.default_rng(seed)
+    dt, cut = 0.05, boxcount._SHORT_BOX
+    # 8640 = 2^6 3^3 5 and 4 cut (cut + 1) have many exact divisors; the
+    # third size leaves a partial window at most lengths
+    for m in (8641, 4 * cut * (cut + 1) + 1, 8642 + 7 * seed):
+        t = np.arange(m) * dt
+        counts = [1, 2, 3, 5, 8, cut - 1, cut, cut + 1, 2 * cut, 2 * cut + 1,
+                  96, 160, (m - 1) // 8, (m - 1) // 3, m - 1]
+        for values in (rng.random(m),                          # rough
+                       0.5 + 1e-3 * np.cumsum(rng.normal(size=m)),   # walk
+                       rng.integers(0, 3, m) * 0.25):          # many ties
+            series = synthetic_series(t, values)
+            _assert_matches_sliding(series)                    # default grid
+            _assert_matches_sliding(series, rng.permutation(counts) * dt)
+
+
+@given(seed=st.integers(0, 2 ** 32 - 1), m=st.integers(2, 3000),
+       counts=st.lists(st.integers(1, 3000), min_size=1, max_size=6))
+@settings(max_examples=60, deadline=None)
+def test_box_count_matches_sliding_windows_property(seed, m, counts):
+    rng = np.random.default_rng(seed)
+    t = np.arange(m) * 0.1
+    series = synthetic_series(t, rng.normal(size=m))
+    counts = [1 + (c - 1) % (m - 1) for c in counts]
+    _assert_matches_sliding(series, np.array(counts) * 0.1)
+
+
+@pytest.mark.parametrize("n_sites, eps_j, t_max", [
+    (100, 0.26, 1e3), (100, 1.2, 1e4), (500, 0.6, 1e3), (500, 0.26, 1e4)])
+def test_box_count_matches_sliding_windows_on_engine_series(n_sites, eps_j, t_max):
+    spec = ChainSpec(n_sites=n_sites, eps_j=eps_j)
+    series = fidelity_series(build_hamiltonian(spec, sample_disorder(spec, substream(26, 0))),
+                             t_max, 0.05)
+    _assert_matches_sliding(series)
 
 
 def test_scale_invariance_of_dimension():

@@ -60,11 +60,10 @@ class TrimResult(NamedTuple):
 
 @dataclass(frozen=True)
 class BoxCountCurve:
-    """Box lengths L (time units), counts M(L), and the grid step."""
+    """Box lengths L (time units) and counts M(L)."""
 
     lengths: np.ndarray
     m_values: np.ndarray
-    dt: float
 
     def __post_init__(self):
         for name in ("lengths", "m_values"):
@@ -133,7 +132,7 @@ def box_count(series: FidelitySeries, lengths=None) -> BoxCountCurve:
     for idx, (length, n) in enumerate(zip(lengths, samples)):
         m_values[idx] = _excursions(f, n).sum() / length
     order = np.argsort(lengths)
-    return BoxCountCurve(lengths=lengths[order], m_values=m_values[order], dt=dt)
+    return BoxCountCurve(lengths=lengths[order], m_values=m_values[order])
 
 
 def _box_samples(length, dt, n_samples) -> int:

@@ -16,7 +16,8 @@ so hamiltonian_block derives the keys of a whole block of rows at once
 and draws every row through one reused generator, a few us per row plus
 about 0.1 ms per call; substream, sample_disorder and build_hamiltonian
 draw one realization at a time (about 20 us for the stream alone) and
-remain the reference.
+remain the reference of the tests and of benchmark/oracle.py; no
+command calls them.
 """
 
 from __future__ import annotations
@@ -34,9 +35,7 @@ __all__ = [
     "sample_disorder",
     "hamiltonian_block",
     "grid_cells",
-    "zero_disorder",
     "build_hamiltonian",
-    "clean_hamiltonian",
     "gershgorin_radii",
     "spectral_half_width",
 ]
@@ -290,12 +289,6 @@ def _finish_keys(pools: np.ndarray) -> np.ndarray:
     return np.stack([w[0] | w[1] << np.uint64(32), w[2] | w[3] << np.uint64(32)], axis=1)
 
 
-def zero_disorder(spec: ChainSpec) -> DisorderRealization:
-    """The clean (zero-error) realization for the given chain length."""
-    return DisorderRealization(delta=np.zeros(spec.n_sites - 1),
-                               field_err=np.zeros(spec.n_sites))
-
-
 def build_hamiltonian(spec: ChainSpec, realization: DisorderRealization) -> TridiagonalHamiltonian:
     """Assemble the single-excitation Hamiltonian for one realization.
 
@@ -317,11 +310,6 @@ def _hamiltonian_arrays(spec: ChainSpec, delta: np.ndarray, field_err: np.ndarra
     n = spec.n_sites
     k = np.arange(1, n, dtype=float)
     return -2.0 * field_err, 2.0 * np.sqrt(k * (n - k)) * (1.0 + delta)
-
-
-def clean_hamiltonian(n_sites: int) -> TridiagonalHamiltonian:
-    spec = ChainSpec(n_sites=n_sites)
-    return build_hamiltonian(spec, zero_disorder(spec))
 
 
 def gershgorin_radii(diag, offdiag) -> np.ndarray:
@@ -346,6 +334,6 @@ def spectral_half_width(spec: ChainSpec) -> float:
     realization's radii exceed it, even in the last bit.
     """
     n = spec.n_sites
-    worst = build_hamiltonian(spec, DisorderRealization(
-        delta=np.full(n - 1, spec.eps_j), field_err=np.full(n, spec.eps_b)))
-    return float(np.max(gershgorin_radii(worst.diag, worst.offdiag)))
+    diag, offdiag = _hamiltonian_arrays(spec, np.full(n - 1, spec.eps_j),
+                                        np.full(n, spec.eps_b))
+    return float(np.max(gershgorin_radii(diag, offdiag)))

@@ -10,30 +10,26 @@ Two propagators, each where it is cheaper:
   row runs on its own cell's spectral interval for its own number of
   terms, so its bits do not depend on the block.  The cost grows with
   half-width x t.
-* Single Hamiltonians and long time series use the spectrum; amplitudes
-  at any time then follow from phase factors on it.  fidelity_series
-  (transfer, fractal, dimension-scan) reads only the eigenvalues E_k
-  and the end-to-end weights w_k = v_1k v_Nk, so it computes no
-  eigenvectors: levelstats.eigvalsh_tridiagonal's levels (dqds on the
-  chiral half of a zero-field chain, sterf with fields), refined by one
-  Newton step on the Sturm pivots, and the weights from the
-  Jacobi-matrix identity.  A zero-field chain's levels come in pairs
+* Single Hamiltonians over long time series (fidelity_series; transfer,
+  fractal, dimension-scan) use the spectrum, and read only the
+  eigenvalues E_k and the end-to-end weights w_k = v_1k v_Nk, so they
+  compute no eigenvectors: levelstats.eigvalsh_tridiagonal's levels
+  (dqds on the chiral half of a zero-field chain, sterf with fields),
+  refined by one Newton step on the Sturm pivots, and the weights from
+  the Jacobi-matrix identity.  A zero-field chain's levels come in pairs
   +-sigma, so it steps and weighs only sigma >= 0 and its series sums
   over sigma > 0 alone.  A series of m samples builds its phases from
   two tables of about sqrt(m) exact exponentials per mode, so after the
   setup it costs O(N m) flops in BLAS plus O(N sqrt(m)) exponentials,
-  half of each for a zero-field chain.  No command reads
-  eigendecompose's eigenvectors (the perturbation layer builds the
-  clean chain's basis in closed form); eigendecompose, amplitudes and
-  transfer_amplitude are the tests' reference.
+  half of each for a zero-field chain.
 
-Only the spectral path calls LAPACK.  The series path takes sterf and
-dqds from levelstats.eigvalsh_tridiagonal, which binds them from
-scipy's cython_lapack on first use without importing scipy.linalg;
-eigh_tridiagonal, the tests' reference behind eigendecompose, imports
-scipy.linalg on its first call, and no command reaches it.  The
-Chebyshev path and everything that imports this module run on numpy
-alone.
+No command computes eigenvectors: the perturbation layer builds the
+clean chain's basis in closed form, and the tests keep LAPACK's
+eigenvector path as their reference (tests/oracles.py).  The series
+path takes sterf and dqds from levelstats.eigvalsh_tridiagonal, which
+binds them from scipy's cython_lapack on first use without importing
+scipy.linalg.  The Chebyshev path and everything that imports this
+module run on numpy alone.
 """
 
 from __future__ import annotations
@@ -51,12 +47,8 @@ from .chain import (TridiagonalHamiltonian, _readonly, gershgorin_radii,
 from .fitting import standard_error
 
 __all__ = [
-    "SpectralDecomposition",
     "FidelitySeries",
     "transfer_time",
-    "eigendecompose",
-    "amplitudes",
-    "transfer_amplitude",
     "fidelity_of_amplitude",
     "fidelity_series",
     "series_length",
@@ -67,8 +59,9 @@ __all__ = [
 def eigh_tridiagonal(d, e, *, lapack_driver):
     """scipy.linalg.eigh_tridiagonal, importing scipy.linalg on first use.
 
-    benchmark/tracer.py looks this function up by name and counts its
-    calls per lapack_driver.
+    No package code calls it.  It stays only because benchmark/tracer.py
+    looks it up by name (Tracer.install raises AttributeError without
+    it); ROADMAP item 1 removes that lookup, and this function with it.
     """
     import scipy.linalg
     return scipy.linalg.eigh_tridiagonal(d, e, lapack_driver=lapack_driver)
@@ -76,9 +69,6 @@ def eigh_tridiagonal(d, e, *, lapack_driver):
 
 # Tolerated overshoot of |f| beyond 1 before declaring unitarity broken.
 UNITARITY_SLACK = 1e-9
-
-# Times per phase table in transfer_amplitude; caps it at 4096 x N.
-_PHASE_CHUNK = 4096
 
 # Sites x rows of one float64 Chebyshev work array (256 KiB):
 # ensemble_averages propagates max(1, _BLOCK_ELEMENTS // N) realizations
@@ -106,18 +96,6 @@ def transfer_time(n: int = 0) -> float:
 
 
 @dataclass(frozen=True)
-class SpectralDecomposition:
-    """Eigenvalues (ascending) and orthonormal eigenvectors, column m <-> E_m."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-    def __post_init__(self):
-        for name in ("eigenvalues", "eigenvectors"):
-            object.__setattr__(self, name, _readonly(getattr(self, name)))
-
-
-@dataclass(frozen=True)
 class FidelitySeries:
     """Transfer amplitude f_N and fidelity F on a uniform time grid."""
 
@@ -137,36 +115,6 @@ class FidelitySeries:
 
     def __len__(self) -> int:
         return self.times.shape[0]
-
-
-def eigendecompose(h: TridiagonalHamiltonian) -> SpectralDecomposition:
-    """Full spectrum of a real symmetric tridiagonal Hamiltonian.
-
-    Eigenvalues come out ascending.  Eigenvector signs are fixed so the
-    first nonzero component of each column is positive, which makes the
-    decomposition deterministic; amplitudes are insensitive to the
-    choice since eigenvectors always enter in pairs.
-
-    The fast MRRR driver (stemr) sometimes refuses a matrix; that falls
-    through to the implicit-QL driver (stev), which is several times
-    slower, and logs a WARNING naming N.  Refusals are not confined to
-    near-severed chains: stemr refuses 28 of 200 eps_j = 1, N = 200
-    chains whose smallest hopping is 0.08 to 3.3.  The fallback is a
-    function of the input alone, so outputs stay deterministic.
-
-    fidelity_series does not come here: it needs no eigenvectors and
-    takes its spectrum from _transfer_spectrum, which never falls back.
-    """
-    try:
-        w, v = eigh_tridiagonal(h.diag, h.offdiag, lapack_driver="stemr")
-    except np.linalg.LinAlgError:
-        _log.warning("stemr refused an N = %d Hamiltonian; falling back to stev",
-                     h.n_sites)
-        w, v = eigh_tridiagonal(h.diag, h.offdiag, lapack_driver="stev")
-    first_nonzero = np.argmax(v != 0.0, axis=0)
-    flip = v[first_nonzero, np.arange(v.shape[1])] < 0.0
-    v[:, flip] *= -1.0
-    return SpectralDecomposition(eigenvalues=w, eigenvectors=v)
 
 
 def _newton_step(diag: np.ndarray, offdiag: np.ndarray, eigenvalues: np.ndarray,
@@ -308,28 +256,6 @@ def _transfer_spectrum(h: TridiagonalHamiltonian) -> tuple[np.ndarray, np.ndarra
     return eigenvalues, np.concatenate((mirrored, weights))
 
 
-def amplitudes(sd: SpectralDecomposition, t: float) -> np.ndarray:
-    """All site amplitudes f_j(t) = <j| exp(-iHt) |1>, j = 1..N."""
-    if t < 0:
-        raise ValueError("t must be >= 0")
-    v = sd.eigenvectors
-    phase = np.exp(-1j * sd.eigenvalues * t)
-    return v @ (phase * v[0])
-
-
-def transfer_amplitude(sd: SpectralDecomposition, times) -> np.ndarray:
-    """End-of-chain amplitude f_N(t) for an arbitrary array of times."""
-    times = np.atleast_1d(np.asarray(times, dtype=float))
-    v = sd.eigenvectors
-    weights = v[0] * v[-1]
-    out = np.empty(times.shape[0], dtype=complex)
-    for start in range(0, times.shape[0], _PHASE_CHUNK):
-        stop = min(start + _PHASE_CHUNK, times.shape[0])
-        phases = np.exp(np.outer(times[start:stop], -1j * sd.eigenvalues))
-        out[start:stop] = phases @ weights
-    return out
-
-
 def _transfer_amplitude_uniform(eigenvalues: np.ndarray, weights: np.ndarray,
                                 times: np.ndarray) -> np.ndarray:
     """f_N = sum_k w_k exp(-i E_k t) on a uniform grid t_k = k dt from two
@@ -368,7 +294,13 @@ def fidelity_of_amplitude(f):
 
 
 def series_length(t_max: float, dt: float) -> int:
-    """Number of samples t_i = i dt, 0 <= t_i <= t_max, of fidelity_series."""
+    """Number of samples t_i = i dt, 0 <= t_i <= t_max, of fidelity_series.
+
+    A NaN or infinite t_max or dt raises ValueError naming it.
+    """
+    for name, value in (("t_max", t_max), ("dt", dt)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} = {float(value)!r} is not finite")
     if dt <= 0:
         raise ValueError("dt must be > 0")
     if t_max < dt:
@@ -459,15 +391,16 @@ def _chebyshev_transfer_amplitude(diag: np.ndarray, offdiag: np.ndarray, half_wi
     8000) against a matrix-exponential oracle.
 
     Cost: K_a ~ a max(t) + O((a max(t))^(1/3)) steps for each row, each
-    updating at most N elements of it, while the eigen path pays one
-    eigensolve with vectors per realization whatever t.  Propagation
-    alone at eps_j = 0.1 in blocks of _BLOCK_ELEMENTS // N rows, one
-    core: N = 100, R = 1000 takes 54 / 286 / 573 ms at 1 / 5 / 10 t1
-    against 990 ms on the eigen path; N = 20 takes 4 / 12 / 21 ms
-    against 120 ms; N = 500, R = 100 takes 92 / 815 / 1609 ms against
-    2400 ms.  The expansion is the cheaper one up to about 10 t1; long
-    times belong on the eigen path (fidelity_series), since the
-    coefficient table alone holds 2K complex values per time.
+    updating at most N elements of it, where one eigensolve with vectors
+    (stemr, the tests' reference in tests/oracles.py) per realization
+    costs the same whatever t.  Propagation alone at eps_j = 0.1 in
+    blocks of _BLOCK_ELEMENTS // N rows, one core: N = 100, R = 1000
+    takes 54 / 286 / 573 ms at 1 / 5 / 10 t1 against 990 ms with stemr;
+    N = 20 takes 4 / 12 / 21 ms against 120 ms; N = 500, R = 100 takes
+    92 / 815 / 1609 ms against 2400 ms.  The expansion is the cheaper
+    one up to about 10 t1; long times belong on the spectrum
+    (fidelity_series), since the coefficient table alone holds 2K
+    complex values per time.
     """
     n_real, n = diag.shape
     half_width = np.broadcast_to(np.asarray(half_width, dtype=float), (n_real,))

@@ -114,7 +114,7 @@ def test_long_sine_dimension_two():
 
 def test_exact_power_law_recovered_to_machine_precision():
     lengths = np.geomspace(0.1, 100.0, 30)
-    curve = BoxCountCurve(lengths=lengths, m_values=3.7 * lengths ** -1.5, dt=0.01)
+    curve = BoxCountCurve(lengths=lengths, m_values=3.7 * lengths ** -1.5)
     fit = fit_dimension(curve)
     assert abs(fit.params["dimension"] - 1.5) < 1e-12
 
@@ -263,7 +263,7 @@ def test_manual_window_override():
     lengths = np.geomspace(0.1, 100.0, 30)
     m = 2.0 * lengths ** -1.2
     m[lengths > 10] = 2.0 * 10.0 ** 0.8 * lengths[lengths > 10] ** -2.0
-    curve = BoxCountCurve(lengths=lengths, m_values=m, dt=0.01)
+    curve = BoxCountCurve(lengths=lengths, m_values=m)
     fit = fit_dimension(curve, window=(0.1, 9.0))
     assert abs(fit.params["dimension"] - 1.2) < 1e-9
 
@@ -272,7 +272,7 @@ def test_window_refusal_with_diagnostic():
     # log-convex curve: no decade-wide sub-grid is linear to R^2 >= 0.995
     lengths = np.geomspace(0.1, 100.0, 25)
     curve = BoxCountCurve(lengths=lengths,
-                          m_values=np.exp(-np.log(lengths) ** 2), dt=0.01)
+                          m_values=np.exp(-np.log(lengths) ** 2))
     with pytest.raises(WindowSelectionError) as err:
         fit_dimension(curve)
     assert "R^2" in str(err.value)
@@ -322,7 +322,7 @@ def test_refusal_names_the_brute_force_best_window():
     rng = np.random.default_rng(8)
     lengths = np.geomspace(0.1, 100.0, 25)
     m_values = np.exp(-np.log(lengths) ** 2 + 0.05 * rng.normal(size=lengths.size))
-    curve = BoxCountCurve(lengths=lengths, m_values=m_values, dt=0.01)
+    curve = BoxCountCurve(lengths=lengths, m_values=m_values)
     best_r2, best_window = -np.inf, None
     for i in range(1, lengths.size - 1):
         for j in range(i + 5, lengths.size - 1):
@@ -387,14 +387,14 @@ def _two_segments(first, second):
     logm = np.random.default_rng(5).normal(size=30)
     for (lo, hi), slope in ((first, -1.3), (second, -1.8)):
         logm[lo:hi + 1] = slope * np.log(lengths[lo:hi + 1])
-    return BoxCountCurve(lengths=lengths, m_values=np.exp(logm), dt=0.01)
+    return BoxCountCurve(lengths=lengths, m_values=np.exp(logm))
 
 
 def _synthetic_window_curve(case):
     lengths = np.geomspace(0.1, 100.0, 30)
     if case == "power-law":
         # every window ties at R^2 ~ 1: the longest one wins
-        return BoxCountCurve(lengths=lengths, m_values=3.7 * lengths ** -1.5, dt=0.01)
+        return BoxCountCurve(lengths=lengths, m_values=3.7 * lengths ** -1.5)
     if case == "mirror-segments":
         # equal length, edge and centring: the first in (i, j) order wins
         return _two_segments((2, 12), (17, 27))
@@ -406,10 +406,9 @@ def _synthetic_window_curve(case):
         flat = (lengths >= 0.5) & (lengths <= 20.0)
         m = np.where(lengths < 0.5, (lengths / 0.5) ** -1.2,
                      np.where(flat, 1.0, (lengths / 20.0) ** -1.7))
-        return BoxCountCurve(lengths=lengths, m_values=m, dt=0.01)
+        return BoxCountCurve(lengths=lengths, m_values=m)
     if case == "no-admissible-window":
-        return BoxCountCurve(lengths=lengths, m_values=np.exp(-np.log(lengths) ** 2),
-                             dt=0.01)
+        return BoxCountCurve(lengths=lengths, m_values=np.exp(-np.log(lengths) ** 2))
     n_sites, eps_j, seed = case
     spec = ChainSpec(n_sites=n_sites, eps_j=eps_j)
     series = fidelity_series(build_hamiltonian(spec, sample_disorder(spec, substream(seed, 0))),

@@ -4,12 +4,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spinchain import (BoxCountCurve, ChainSpec, DisorderRealization, FidelitySeries,
-                       SpacingHistogram, SpacingSample, SpectralDecomposition,
-                       TridiagonalHamiltonian, build_hamiltonian, clean_hamiltonian,
-                       hamiltonian_block, sample_disorder, substream, zero_disorder)
+                       SpacingHistogram, SpacingSample, TridiagonalHamiltonian,
+                       build_hamiltonian, hamiltonian_block, sample_disorder, substream)
 from spinchain.chain import grid_cells
 
-from conftest import sector_matrix, single_excitation_block
+from oracles import sector_matrix, single_excitation_block
+
+
+def clean_hamiltonian(n):
+    return build_hamiltonian(ChainSpec(n_sites=n),
+                             DisorderRealization(np.zeros(n - 1), np.zeros(n)))
 
 
 def test_spec_validation():
@@ -44,10 +48,9 @@ def test_integral_chain_lengths_are_stored_as_ints():
 VALUE_TYPES = {
     DisorderRealization: ({"delta": np.zeros(4), "field_err": np.zeros(5)}, {}),
     TridiagonalHamiltonian: ({"diag": np.zeros(5), "offdiag": np.zeros(4)}, {}),
-    SpectralDecomposition: ({"eigenvalues": np.zeros(3), "eigenvectors": np.eye(3)}, {}),
     FidelitySeries: ({"times": np.zeros(3), "amplitude": np.zeros(3, complex),
                       "fidelity": np.zeros(3)}, {}),
-    BoxCountCurve: ({"lengths": np.ones(3), "m_values": np.ones(3)}, {"dt": 0.1}),
+    BoxCountCurve: ({"lengths": np.ones(3), "m_values": np.ones(3)}, {}),
     SpacingSample: ({"spacings": np.ones(3)}, {"n_realizations": 1}),
     SpacingHistogram: ({"edges": np.arange(3.0), "density": np.ones(2)},
                        {"bin_width": 1.0}),

@@ -1,5 +1,10 @@
+import ast
+import importlib
+import inspect
 import json
 import os
+import pkgutil
+import re
 import shlex
 import subprocess
 import sys
@@ -21,6 +26,9 @@ from spinchain.cli import OPTIONS, build_parser, main
 from spinchain.fitting import FitResult, threshold_scaling
 from spinchain.scans import PerturbationRow, points_from_rows, threshold_curves
 from spinchain.tableio import read_csv, sidecar_path, write_sidecar
+
+
+ROOT = Path(__file__).parents[1]
 
 
 def run_cli(*argv):
@@ -425,15 +433,10 @@ print(json.dumps(loaded))
 """
 
 
-def test_scan_and_table_commands_run_without_scipy(tmp_path):
-    # scan and perturbation propagate by Chebyshev, perturbation builds its
-    # clean basis in closed form and the fits are numpy, so these commands
-    # never load scipy; the eigensolving ones bind sterf and dqds from the
-    # capsules of scipy's cython_lapack and never load scipy.linalg
+def every_command(tmp_path) -> list:
+    """All nine commands at small sizes, those that never load scipy first."""
     scan = str(tmp_path / "scan.csv")
-    eta_args = ["eta-scan", "--n", "10", "--eps-j", "0.1", "1.0", "--n-real", "5",
-                "--seed", "4", "--out"]
-    commands = [
+    return [
         ["scan", "--n", "8", "16", "--eps-j", "0.05", "0.1", "0.2", "0.4",
          "--n-real", "20", "--seed", "3", "--out", scan],
         ["scan", "--n", "8", "--eps-j", "0.1", "--corr-p", "0.2", "0.5",
@@ -443,7 +446,8 @@ def test_scan_and_table_commands_run_without_scipy(tmp_path):
          "--out", str(tmp_path / "thr.csv")],
         ["perturbation", "--n", "8", "--eps", "0.01", "--n-real", "5", "--seed", "3",
          "--out", str(tmp_path / "pert.csv")],
-        [*eta_args, str(tmp_path / "eta_fresh.csv")],
+        ["eta-scan", "--n", "10", "--eps-j", "0.1", "1.0", "--n-real", "5",
+         "--seed", "4", "--out", str(tmp_path / "eta_fresh.csv")],
         ["transfer", "--n", "12", "--eps-j", "0.05", "--t-max", "3", "--seed", "7",
          "--out", str(tmp_path / "transfer.csv")],
         ["transfer", "--n", "12", "--eps-j", "0.05", "--eps-b", "0.1", "--t-max", "3",
@@ -455,6 +459,14 @@ def test_scan_and_table_commands_run_without_scipy(tmp_path):
         ["dimension-scan", "--n", "12", "--eps-j", "0.3", "1.0", "--n-real", "2",
          "--t-max", "35", "--seed", "8", "--out", str(tmp_path / "dimension.csv")],
     ]
+
+
+def test_scan_and_table_commands_run_without_scipy(tmp_path):
+    # scan and perturbation propagate by Chebyshev, perturbation builds its
+    # clean basis in closed form and the fits are numpy, so these commands
+    # never load scipy; the eigensolving ones bind sterf and dqds from the
+    # capsules of scipy's cython_lapack and never load scipy.linalg
+    commands = every_command(tmp_path)
     env = {**os.environ, "PYTHONPATH": str(Path(spinchain.__file__).parents[1])}
     probe = subprocess.run([sys.executable, "-c", _SCIPY_PROBE, json.dumps(commands)],
                            env=env, check=True, capture_output=True, text=True)
@@ -466,7 +478,7 @@ def test_scan_and_table_commands_run_without_scipy(tmp_path):
     for (stage, modules), argv in zip(loaded[6:], commands[5:]):
         assert [m for m in modules if m.startswith("scipy.linalg")] == [], stage
         assert read_sidecar(argv[-1])["libraries"]["scipy"] == scipy.__version__, stage
-    run_cli(*eta_args, tmp_path / "eta.csv")
+    run_cli(*commands[5][:-1], tmp_path / "eta.csv")
     assert (tmp_path / "eta_fresh.csv").read_bytes() == (tmp_path / "eta.csv").read_bytes()
 
 
@@ -492,6 +504,82 @@ for name, routine in levelstats._BOUND.items():
 assert (scipy.linalg.eigvalsh_tridiagonal(np.full(3, 0.5), np.ones(2), lapack_driver="sterf")
         .tobytes() == levels.tobytes())
 """
+
+
+# Public names that no command enters, each with the benchmark file that
+# reads it; each goes when the benchmark stops reading it.
+BENCHMARK_READS = {
+    "chain.substream": "benchmark/oracle.py",
+    "chain.sample_disorder": "benchmark/oracle.py",
+    "chain.build_hamiltonian": "benchmark/oracle.py",
+    "chain.TridiagonalHamiltonian.dense": "benchmark/oracle.py",
+    "evolve.eigh_tridiagonal": "benchmark/tracer.py",
+    "levelstats.SpacingHistogram.mass": "benchmark/oracle.py",
+    "perturbation.PerturbationCoefficients.step": "benchmark/tracer.py",
+}
+
+
+def _public_code() -> dict:
+    """{"module.name" or "module.Class.member": code object} of every public
+    function, method and property defined in a spinchain module."""
+    found = {}
+    for info in pkgutil.iter_modules(spinchain.__path__):
+        if info.name == "__main__":   # importing it would run a command
+            continue
+        module = importlib.import_module(f"spinchain.{info.name}")
+        for name, obj in vars(module).items():
+            if name.startswith("_") or getattr(obj, "__module__", None) != module.__name__:
+                continue
+            if inspect.isfunction(obj):
+                found[f"{info.name}.{name}"] = obj.__code__
+            for member, value in vars(obj).items() if inspect.isclass(obj) else ():
+                fn = getattr(value, "fget", getattr(value, "__func__", value))
+                if not member.startswith("_") and inspect.isfunction(fn):
+                    found[f"{info.name}.{name}.{member}"] = fn.__code__
+    return found
+
+
+def test_every_public_callable_is_run_by_a_command(tmp_path):
+    # src/ holds what the commands run: a public name that no command
+    # enters is dead code, unless the benchmark reads it
+    config = tmp_path / "run.cfg"
+    config.write_text("eps_j = 0.05\nt_max = 3\n")
+    runs = every_command(tmp_path) + [
+        ["transfer", "--config", config, "--n", "12", "--seed", "7",
+         "--out", tmp_path / "config.csv"],
+        ["fractal", "--n", "40", "--eps-j", "0.4", "--t-max", "200", "--seed", "6",
+         "--l-min", "0.2", "--l-max", "5", "--out", tmp_path / "manual.csv"]]
+    assert {argv[0] for argv in runs} == set(OPTIONS)
+    entered = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            entered.add(frame.f_code)
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        for argv in runs:
+            run_cli(*argv)
+    finally:
+        sys.setprofile(previous)
+    unreached = {name for name, code in _public_code().items() if code not in entered}
+    assert sorted(unreached - BENCHMARK_READS.keys()) == [], "entered by no command"
+    assert sorted(BENCHMARK_READS.keys() - unreached) == [], "now entered by a command"
+    for name, path in BENCHMARK_READS.items():
+        attr = name.rsplit(".", 1)[1]
+        assert re.search(rf"\b{attr}\b", (ROOT / path).read_text()), (name, path)
+
+
+def test_oracles_do_not_import_spinchain():
+    # tests/oracles.py is the independent reference: no package code in it
+    tree = ast.parse((ROOT / "tests" / "oracles.py").read_text())
+    imported = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                for alias in node.names]
+    imported += [node.module or "" for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom)]
+    assert "numpy" in imported
+    assert [m for m in imported if m.partition(".")[0] == "spinchain"] == []
 
 
 def test_scipy_linalg_imported_after_an_eigensolve_shares_the_bound_module():
@@ -863,7 +951,7 @@ def test_every_subcommand_help_lists_its_options(capsys):
 
 def _readme_block(section, language):
     """The first fenced block of the given language in a README section."""
-    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    readme = (ROOT / "README.md").read_text()
     return readme.split(f"## {section}", 1)[1].split(f"```{language}\n", 1)[1] \
         .split("```", 1)[0]
 

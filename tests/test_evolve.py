@@ -7,22 +7,25 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.linalg import eigvalsh_tridiagonal
-from scipy.sparse import diags
-from scipy.sparse.linalg import expm_multiply
+from scipy.linalg import eigh_tridiagonal, eigvalsh_tridiagonal
 
-from spinchain import (ChainSpec, DisorderRealization, amplitudes,
-                       build_hamiltonian, clean_hamiltonian, eigendecompose,
+from spinchain import (ChainSpec, DisorderRealization, build_hamiltonian,
                        ensemble_averages, fidelity_of_amplitude,
                        fidelity_series, sample_disorder, substream,
-                       transfer_amplitude, transfer_time, zero_disorder)
+                       transfer_time)
 from spinchain import evolve, levelstats
 from spinchain.chain import TridiagonalHamiltonian, hamiltonian_block, spectral_half_width
 from spinchain.evolve import (_chebyshev_transfer_amplitude, _end_to_end_weights,
                               _newton_step, _transfer_amplitude_uniform,
                               _transfer_spectrum)
 
-from conftest import oracle_amplitudes, oracle_sturm_level, oracle_transfer_series
+from oracles import (amplitudes, eigendecompose, oracle_amplitudes, oracle_sturm_level,
+                     oracle_transfer_series, sector_matrix, transfer_amplitude)
+
+
+def clean_hamiltonian(n):
+    return build_hamiltonian(ChainSpec(n_sites=n),
+                             DisorderRealization(np.zeros(n - 1), np.zeros(n)))
 
 
 def _chebyshev(hams, half_width, times):
@@ -32,20 +35,19 @@ def _chebyshev(hams, half_width, times):
                                          half_width, times)
 
 
-def _random_disordered_sd(n, eps_j, eps_b, seed):
+def _random_disordered_h(n, eps_j, eps_b, seed):
     spec = ChainSpec(n_sites=n, eps_j=eps_j, eps_b=eps_b)
-    real = sample_disorder(spec, substream(seed, 0))
-    return eigendecompose(build_hamiltonian(spec, real))
+    return build_hamiltonian(spec, sample_disorder(spec, substream(seed, 0)))
 
 
 def test_clean_three_site_spectrum():
-    sd = eigendecompose(clean_hamiltonian(3))
-    assert np.allclose(sd.eigenvalues, [-4.0, 0.0, 4.0], atol=1e-12)
+    eigenvalues, _ = eigendecompose(clean_hamiltonian(3))
+    assert np.allclose(eigenvalues, [-4.0, 0.0, 4.0], atol=1e-12)
 
 
 def test_clean_hundred_site_gaps_are_4j():
-    sd = eigendecompose(clean_hamiltonian(100))
-    gaps = np.diff(sd.eigenvalues)
+    eigenvalues, _ = eigendecompose(clean_hamiltonian(100))
+    gaps = np.diff(eigenvalues)
     assert gaps.shape == (99,)
     assert np.all(np.abs(gaps - 4.0) <= 1e-8 * 4.0)
 
@@ -53,11 +55,8 @@ def test_clean_hundred_site_gaps_are_4j():
 @given(n=st.integers(2, 60), seed=st.integers(0, 2 ** 32))
 @settings(max_examples=25)
 def test_reconstruction_and_orthonormality(n, seed):
-    sd = _random_disordered_sd(n, 0.5, 0.3, seed)
-    h = build_hamiltonian(ChainSpec(n_sites=n, eps_j=0.5, eps_b=0.3),
-                          sample_disorder(ChainSpec(n_sites=n, eps_j=0.5, eps_b=0.3),
-                                          substream(seed, 0)))
-    v, w = sd.eigenvectors, sd.eigenvalues
+    h = _random_disordered_h(n, 0.5, 0.3, seed)
+    w, v = eigendecompose(h)
     assert np.max(np.abs(v.T @ v - np.eye(n))) <= 1e-10
     dense = h.dense()
     residual = np.max(np.abs(v @ np.diag(w) @ v.T - dense))
@@ -65,15 +64,14 @@ def test_reconstruction_and_orthonormality(n, seed):
 
 
 def test_eigenvector_sign_convention():
-    sd = eigendecompose(clean_hamiltonian(12))
-    v = sd.eigenvectors
+    _, v = eigendecompose(clean_hamiltonian(12))
     for m in range(12):
         col = v[:, m]
         assert col[np.argmax(col != 0.0)] > 0
 
 
 def test_amplitude_at_zero_time_is_initial_state():
-    sd = _random_disordered_sd(17, 0.2, 0.1, seed=5)
+    sd = eigendecompose(_random_disordered_h(17, 0.2, 0.1, seed=5))
     f = amplitudes(sd, 0.0)
     expected = np.zeros(17, dtype=complex)
     expected[0] = 1.0
@@ -90,7 +88,7 @@ def test_five_site_amplitude_closed_form_and_oracle():
     sd = eigendecompose(clean_hamiltonian(5))
     f5 = amplitudes(sd, 0.3)[-1]
     assert abs(abs(f5) - np.sin(0.6) ** 4) < 1e-10
-    oracle = oracle_amplitudes(5, 0.3)
+    oracle = oracle_amplitudes(sector_matrix(5), 0.3)
     assert np.max(np.abs(amplitudes(sd, 0.3) - oracle)) < 1e-10
 
 
@@ -99,7 +97,7 @@ def test_clean_closed_form_against_expm_oracle(n):
     sd = eigendecompose(clean_hamiltonian(n))
     for t in (0.05, 0.3, 1.1, 2.7):
         f = amplitudes(sd, t)
-        oracle = oracle_amplitudes(n, t)
+        oracle = oracle_amplitudes(sector_matrix(n), t)
         assert np.max(np.abs(f - oracle)) < 1e-8
         assert abs(abs(f[-1]) - np.abs(np.sin(2 * t)) ** (n - 1)) < 1e-8
 
@@ -108,18 +106,18 @@ def test_clean_closed_form_against_expm_oracle(n):
        t=st.floats(0, 100), seed=st.integers(0, 2 ** 32))
 @settings(max_examples=30)
 def test_unitarity_and_reciprocity(n, eps_j, eps_b, t, seed):
-    sd = _random_disordered_sd(n, eps_j, eps_b, seed)
+    sd = eigendecompose(_random_disordered_h(n, eps_j, eps_b, seed))
     f = amplitudes(sd, t)
     assert abs(np.sum(np.abs(f) ** 2) - 1.0) <= 1e-10
     # <N|U|1> = <1|U|N> for a real symmetric Hamiltonian
-    v = sd.eigenvectors
-    phase = np.exp(-1j * sd.eigenvalues * t)
+    w, v = sd
+    phase = np.exp(-1j * w * t)
     from_last = v @ (phase * v[-1])
     assert abs(f[-1] - from_last[0]) <= 1e-10
 
 
 def test_unitarity_long_time_large_chain():
-    sd = _random_disordered_sd(500, 0.3, 0.1, seed=9)
+    sd = eigendecompose(_random_disordered_h(500, 0.3, 0.1, seed=9))
     f = amplitudes(sd, 1e4)
     assert abs(np.sum(np.abs(f) ** 2) - 1.0) <= 1e-10
 
@@ -204,7 +202,7 @@ def test_clean_series_peaks_and_period():
     n_per_quarter = 200
     dt = (np.pi / 4) / n_per_quarter
     spec = ChainSpec(n_sites=20)
-    series = fidelity_series(build_hamiltonian(spec, zero_disorder(spec)), 8 * (np.pi / 4), dt)
+    series = fidelity_series(clean_hamiltonian(20), 8 * (np.pi / 4), dt)
     for peak in range(3):
         idx = (2 * peak + 1) * n_per_quarter
         assert series.fidelity[idx] >= 1.0 - 1e-9
@@ -221,11 +219,16 @@ def test_disordered_series_loses_perfect_peak():
 
 
 def test_series_input_validation():
-    spec = ChainSpec(n_sites=5)
+    h = clean_hamiltonian(5)
     with pytest.raises(ValueError):
-        fidelity_series(build_hamiltonian(spec, zero_disorder(spec)), 1.0, 0.0)
+        fidelity_series(h, 1.0, 0.0)
     with pytest.raises(ValueError):
-        fidelity_series(build_hamiltonian(spec, zero_disorder(spec)), 0.01, 0.05)
+        fidelity_series(h, 0.01, 0.05)
+    # a NaN or infinite grid is refused by name before numpy sees it
+    for t_max, dt, named in [(np.nan, 0.05, "t_max = nan"), (np.inf, 0.05, "t_max = inf"),
+                             (1.0, np.nan, "dt = nan"), (1.0, -np.inf, "dt = -inf")]:
+        with pytest.raises(ValueError, match=f"^{named} is not finite$"):
+            fidelity_series(h, t_max, dt)
 
 
 def test_ensemble_single_realization_matches_direct():
@@ -354,15 +357,6 @@ def test_ensemble_averages_of_mixed_chain_lengths_match_calls_per_length(monkeyp
         (m.tobytes(), e.tobytes()) for m, e in per_length]
 
 
-def _expm_transfer(h, times):
-    """f_N(t) by scipy's expm_multiply (Al-Mohy & Higham truncated Taylor
-    series): independent of both package propagators."""
-    e1 = np.zeros(h.n_sites, dtype=complex)
-    e1[0] = 1.0
-    a = -1j * diags([h.offdiag, h.diag, h.offdiag], [-1, 0, 1], format="csr")
-    return np.array([expm_multiply(t * a, e1)[-1] for t in times])
-
-
 @pytest.mark.parametrize("n", [2, 3, 20, 100, 200, 500])
 def test_chebyshev_matches_expm_and_eigen_paths(n):
     t1 = transfer_time()
@@ -373,7 +367,8 @@ def test_chebyshev_matches_expm_and_eigen_paths(n):
             h = build_hamiltonian(spec, sample_disorder(spec, substream(11, n, ji, int(eps_b))))
             f = _chebyshev([h], spectral_half_width(spec), times)[0]
             assert f[0] == 0.0
-            assert np.max(np.abs(f - _expm_transfer(h, times))) <= 1e-12
+            expm = [oracle_amplitudes(h.dense(), t)[-1] for t in times]
+            assert np.max(np.abs(f - expm)) <= 1e-12
             assert np.max(np.abs(f - transfer_amplitude(eigendecompose(h), times))) <= 2e-12
 
 
@@ -385,7 +380,8 @@ def test_chebyshev_on_a_near_severed_chain():
     times = np.array([0.0, transfer_time(), 5 * transfer_time()])
     f = _chebyshev([h], spectral_half_width(spec), times)[0]
     assert np.max(np.abs(f)) < 1e-13    # about 1e-14: the bond is 6e-14
-    assert np.max(np.abs(f - _expm_transfer(h, times))) <= 1e-12
+    expm = [oracle_amplitudes(h.dense(), t)[-1] for t in times]
+    assert np.max(np.abs(f - expm)) <= 1e-12
     assert np.max(np.abs(f - transfer_amplitude(eigendecompose(h), times))) <= 2e-12
 
 
@@ -446,13 +442,18 @@ def test_chebyshev_refuses_a_hamiltonian_outside_the_interval():
                                       np.array([transfer_time()]))
 
 
-def test_eigensolver_fallback_logs_a_warning(caplog):
+def test_eigensolver_fallback_takes_stev():
+    # stemr refuses this chain; the reference then returns stev's
+    # decomposition, each column signed so its first nonzero entry is > 0
     spec = ChainSpec(n_sites=200, eps_j=1.0)
     h = build_hamiltonian(spec, sample_disorder(spec, substream(7, 0, 7)))
-    with caplog.at_level(logging.WARNING, logger="spinchain.evolve"):
-        eigendecompose(h)
-    assert any(rec.levelno == logging.WARNING and "N = 200" in rec.getMessage()
-               for rec in caplog.records)
+    with pytest.raises(np.linalg.LinAlgError):
+        eigh_tridiagonal(h.diag, h.offdiag, lapack_driver="stemr")
+    w, v = eigendecompose(h)
+    w_stev, v_stev = eigh_tridiagonal(h.diag, h.offdiag, lapack_driver="stev")
+    assert w.tobytes() == w_stev.tobytes()
+    signs = np.sign(v_stev[np.argmax(v_stev != 0.0, axis=0), np.arange(200)])
+    assert (v_stev * signs).tobytes() == v.tobytes()
 
 
 def _solve(fn, h, **driver):
@@ -525,7 +526,7 @@ def test_transfer_spectrum_weights_match_eigenvectors(n, ji, eps_j):
     with np.errstate(all="raise"):
         eigenvalues, weights = _transfer_spectrum(h)
     cluster = np.concatenate([[0], np.cumsum(np.diff(eigenvalues) > 1e-6)])
-    for v in (eigendecompose(h).eigenvectors, np.linalg.eigh(h.dense())[1]):
+    for v in (eigendecompose(h)[1], np.linalg.eigh(h.dense())[1]):
         with np.errstate(under="ignore"):
             reference = v[0] * v[-1]
         assert np.max(np.abs(np.bincount(cluster, weights)

@@ -2,7 +2,7 @@ import decimal
 
 import numpy as np
 import pytest
-from conftest import oracle_sturm_level
+from oracles import oracle_sturm_level
 from hypothesis import given, settings
 from hypothesis import strategies as st
 

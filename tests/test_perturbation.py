@@ -1,17 +1,22 @@
 import numpy as np
 import pytest
 
-from conftest import oracle_clean_basis
+from oracles import eigendecompose, oracle_clean_basis
 from spinchain import perturbation
-from spinchain import (ChainSpec, clean_hamiltonian, compute_coefficients,
-                       eigendecompose, ensemble_averages,
+from spinchain import (ChainSpec, DisorderRealization, build_hamiltonian,
+                       compute_coefficients, ensemble_averages,
                        infidelity_sums, perturbation_comparison,
                        perturbative_fidelity, transfer_time)
 
 
+def clean_spectrum(n):
+    return eigendecompose(build_hamiltonian(ChainSpec(n_sites=n), DisorderRealization(
+        np.zeros(n - 1), np.zeros(n))))
+
+
 def propagator_matrix(sd, t):
-    v = sd.eigenvectors
-    return (v * np.exp(-1j * sd.eigenvalues * t)) @ v.T
+    w, v = sd
+    return (v * np.exp(-1j * w * t)) @ v.T
 
 
 def gauss_triangle_oracle(n, t, order=80):
@@ -20,7 +25,7 @@ def gauss_triangle_oracle(n, t, order=80):
     Independent of the package's Simpson machinery: the integrands are
     evaluated from dense propagator matrices at arbitrary nodes.
     """
-    sd = eigendecompose(clean_hamiltonian(n))
+    sd = clean_spectrum(n)
     x, w = np.polynomial.legendre.leggauss(order)
 
     def d_integrand(l, t1, t2):
@@ -51,7 +56,7 @@ def gauss_triangle_oracle(n, t, order=80):
 
 def gauss_line_oracle(n, t, order=120):
     """C_l and E_l by plain Gauss-Legendre on [0, t]."""
-    sd = eigendecompose(clean_hamiltonian(n))
+    sd = clean_spectrum(n)
     x, w = np.polynomial.legendre.leggauss(order)
     nodes = 0.5 * t * (x + 1.0)
     c = np.zeros(n)
@@ -150,7 +155,7 @@ def test_infidelity_quadratic_in_disorder():
 
 
 def test_table_unitarity_on_grid():
-    sd = eigendecompose(clean_hamiltonian(15))
+    sd = clean_spectrum(15)
     for t in np.linspace(0.0, transfer_time(), 8):
         u = propagator_matrix(sd, t)
         assert np.max(np.abs(u @ u.conj().T - np.eye(15))) < 1e-10
@@ -188,8 +193,8 @@ def test_coupling_sector_proportional_to_monte_carlo():
 def test_clean_basis_oracle_matches_eigendecompose(n):
     # the integer oracle is checked against LAPACK, so it is no restatement
     # of the recurrence it tests
-    sd = eigendecompose(clean_hamiltonian(n))
-    assert np.max(np.abs(oracle_clean_basis(n) - sd.eigenvectors)) <= 1e-13
+    sd = clean_spectrum(n)
+    assert np.max(np.abs(oracle_clean_basis(n) - sd[1])) <= 1e-13
 
 
 def test_clean_basis_matches_the_exact_basis():

@@ -15,7 +15,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .chain import TridiagonalHamiltonian, _readonly, grid_cells, hamiltonian_block
-from .evolve import FidelitySeries, fidelity_series
+from .evolve import FidelitySeries, fidelity_series, series_length
 from .fitting import FitResult, line_fit, standard_error
 
 __all__ = [
@@ -54,7 +54,7 @@ class WindowSelectionError(RuntimeError):
 
 
 class TrimResult(NamedTuple):
-    series: FidelitySeries
+    start: int
     reached: bool
 
 
@@ -70,24 +70,13 @@ class BoxCountCurve:
             object.__setattr__(self, name, _readonly(getattr(self, name)))
 
 
-def transient_trim(series: FidelitySeries) -> TrimResult:
-    """Drop the head of the series before fidelity first falls to ~1/2.
-
-    Everything before the first sample with F <= TRIM_THRESHOLD goes; if
-    the threshold is never reached the series comes back unchanged with
-    reached=False so callers can flag it.
+def transient_trim(f) -> TrimResult:
+    """Where the transient of the fidelity samples f ends: the first index
+    with F <= TRIM_THRESHOLD, or 0 with reached=False if there is none.
     """
-    if len(series) == 0:
-        raise ValueError("empty series")
-    hit = series.fidelity <= TRIM_THRESHOLD
-    if not np.any(hit):
-        return TrimResult(series, False)
-    i = int(np.argmax(hit))
-    if i == 0:
-        return TrimResult(series, True)
-    return TrimResult(FidelitySeries(times=series.times[i:],
-                                     amplitude=series.amplitude[i:],
-                                     fidelity=series.fidelity[i:]), True)
+    hit = np.asarray(f) <= TRIM_THRESHOLD
+    start = int(np.argmax(hit))
+    return TrimResult(start, bool(hit[start]))
 
 
 def default_box_lengths(n_samples: int, dt: float) -> np.ndarray:
@@ -106,13 +95,14 @@ def default_box_lengths(n_samples: int, dt: float) -> np.ndarray:
     return np.unique(np.array(counts, dtype=int)) * dt
 
 
-def box_count(series: FidelitySeries, lengths=None) -> BoxCountCurve:
-    """Sum of per-window excursions over L for each box length L.
+def box_count(f, dt: float, lengths=None) -> BoxCountCurve:
+    """Sum of per-window excursions over L for each box length L of the
+    signal f sampled every dt.
 
     Windows span [i L, (i+1) L] including both boundary samples; an
     incomplete window at the end of the series is dropped.  Each L must
-    be a positive integer multiple of the grid step and fit inside the
-    series; every L is checked before any is counted.
+    be a positive integer multiple of dt and fit inside the series;
+    every L is checked before any is counted.
 
     A box of n samples takes one of two exact passes over its k windows
     (see `_excursions`): short boxes fold the n - 1 interior columns
@@ -122,12 +112,13 @@ def box_count(series: FidelitySeries, lengths=None) -> BoxCountCurve:
     as one length-k array, so M(L) is the same to the last bit as the
     window-by-window count.
     """
-    dt = series.dt
+    f = np.asarray(f, dtype=float)
+    if not (np.isfinite(dt) and dt > 0):
+        raise ValueError(f"dt = {dt!r} must be finite and > 0")
     if lengths is None:
-        lengths = default_box_lengths(len(series), dt)
+        lengths = default_box_lengths(f.shape[0], dt)
     lengths = np.atleast_1d(np.asarray(lengths, dtype=float))
-    samples = [_box_samples(length, dt, len(series)) for length in lengths]
-    f = series.fidelity
+    samples = [_box_samples(length, dt, f.shape[0]) for length in lengths]
     m_values = np.empty(lengths.shape[0])
     for idx, (length, n) in enumerate(zip(lengths, samples)):
         m_values[idx] = _excursions(f, n).sum() / length
@@ -287,11 +278,13 @@ def fit_dimension(curve: BoxCountCurve, window=None) -> FitResult:
     )
 
 
-def dimension_of_series(series: FidelitySeries):
-    """Trim the transient, box count, fit: returns (FitResult, BoxCountCurve)."""
-    trimmed, _ = transient_trim(series)
-    curve = box_count(trimmed)
-    return fit_dimension(curve), curve
+def dimension_of_series(series: FidelitySeries, window=None):
+    """Trim the transient, box count the rest on the series' own dt, and
+    fit on fit_dimension's window: (FitResult, BoxCountCurve, TrimResult).
+    """
+    trim = transient_trim(series.fidelity)
+    curve = box_count(series.fidelity[trim.start:], series.dt)
+    return fit_dimension(curve, window=window), curve, trim
 
 
 def dimension_scan(n_values, eps_j_grid, n_real: int, master_seed: int,
@@ -304,10 +297,12 @@ def dimension_scan(n_values, eps_j_grid, n_real: int, master_seed: int,
     mean D, its standard error, refused realizations), NaN D where all
     are refused or degenerate; each refusal is {n_sites, eps_j,
     realization, note}.  Cells are ordered and keyed by chain.grid_cells.
-    n_real is checked first.
+    n_real, then t_max and dt (a series long enough to box count), are
+    checked before anything is drawn.
     """
     if n_real < 1:
         raise ValueError("n_real must be >= 1")
+    default_box_lengths(series_length(t_max, dt), dt)
     rows, refusals = [], []
     for spec, key in grid_cells(n_values, eps_j_grid):
         diag, offdiag = hamiltonian_block(spec, master_seed, key, range(n_real))
@@ -315,7 +310,7 @@ def dimension_scan(n_values, eps_j_grid, n_real: int, master_seed: int,
         for r in range(n_real):
             h = TridiagonalHamiltonian(diag=diag[r], offdiag=offdiag[r])
             try:
-                fit, _ = dimension_of_series(fidelity_series(h, t_max, dt))
+                fit, _, _ = dimension_of_series(fidelity_series(h, t_max, dt))
             except (WindowSelectionError, DegenerateSeriesError) as err:
                 refusals.append({"n_sites": spec.n_sites, "eps_j": spec.eps_j,
                                  "realization": r, "note": f"{type(err).__name__}: {err}"})

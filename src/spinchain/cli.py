@@ -14,9 +14,8 @@ from pathlib import Path
 
 from . import __version__
 from .chain import ChainSpec, TridiagonalHamiltonian, hamiltonian_block
-from .boxcount import (DIMENSION_HEADER, DegenerateSeriesError, box_count,
-                       default_box_lengths, dimension_scan, fit_dimension,
-                       transient_trim)
+from .boxcount import (DIMENSION_HEADER, DegenerateSeriesError, default_box_lengths,
+                       dimension_of_series, dimension_scan)
 from .evolve import fidelity_series, series_length, transfer_time
 from .fitting import curves_by_n, threshold_scaling
 from .levelstats import ETA_HEADER, MAX_BIN_WIDTH, collect_spacings, eta_scan, spacing_histogram
@@ -375,10 +374,8 @@ def _cmd_fractal(cfg):
     if window and not window[0] <= window[1]:
         raise SystemExit(f"fractal: {flags}: --l-min must be <= --l-max")
     series = _series(cfg)
-    trimmed, reached = transient_trim(series)
-    curve = box_count(trimmed)
     try:
-        fit = fit_dimension(curve, window=window)
+        fit, curve, trim = dimension_of_series(series, window=window)
     except DegenerateSeriesError as err:
         raise SystemExit(f"fractal: {err}: the largest |f_N| is "
                          f"{float(abs(series.amplitude).max()):.3g}") from None
@@ -386,8 +383,7 @@ def _cmd_fractal(cfg):
         raise SystemExit(f"fractal: {flags}: {err}") from None
     _write(cfg, "fractal", ("box_length", "m"), zip(curve.lengths, curve.m_values),
            {"dimension": fit.params["dimension"]},
-           fit=fit, transient_reached=bool(reached),
-           trimmed_samples=len(series) - len(trimmed.times))
+           fit=fit, transient_reached=trim.reached, trimmed_samples=trim.start)
 
 
 def _cmd_perturbation(cfg):

@@ -97,24 +97,27 @@ def transfer_time(n: int = 0) -> float:
 
 @dataclass(frozen=True)
 class FidelitySeries:
-    """Transfer amplitude f_N and fidelity F on a uniform time grid."""
+    """Transfer amplitude f_N and fidelity F on the grid t_i = i dt."""
 
-    times: np.ndarray
+    dt: float
     amplitude: np.ndarray
     fidelity: np.ndarray
 
     def __post_init__(self):
-        for name, dtype in (("times", float), ("amplitude", complex), ("fidelity", float)):
+        object.__setattr__(self, "dt", float(self.dt))
+        if not (math.isfinite(self.dt) and self.dt > 0):
+            raise ValueError(f"dt = {self.dt!r} must be finite and > 0")
+        for name, dtype in (("amplitude", complex), ("fidelity", float)):
             object.__setattr__(self, name, _readonly(getattr(self, name), dtype))
-        if not (self.times.shape == self.amplitude.shape == self.fidelity.shape):
-            raise ValueError("times, amplitude and fidelity must share a shape")
+        if self.amplitude.shape != self.fidelity.shape:
+            raise ValueError("amplitude and fidelity must share a shape")
 
     @property
-    def dt(self) -> float:
-        return float(self.times[1] - self.times[0])
+    def times(self) -> np.ndarray:
+        return np.arange(len(self)) * self.dt
 
     def __len__(self) -> int:
-        return self.times.shape[0]
+        return self.fidelity.shape[0]
 
 
 def _newton_step(diag: np.ndarray, offdiag: np.ndarray, eigenvalues: np.ndarray,
@@ -257,22 +260,21 @@ def _transfer_spectrum(h: TridiagonalHamiltonian) -> tuple[np.ndarray, np.ndarra
 
 
 def _transfer_amplitude_uniform(eigenvalues: np.ndarray, weights: np.ndarray,
-                                times: np.ndarray) -> np.ndarray:
-    """f_N = sum_k w_k exp(-i E_k t) on a uniform grid t_k = k dt from two
+                                m: int, dt: float) -> np.ndarray:
+    """f_N = sum_k w_k exp(-i E_k t) on the m samples t_k = k dt from two
     tables of exact phases.
 
-    With B = ceil(sqrt(m)) for m samples and k = aB + b,
-    exp(-iE t_k) = exp(-iE t_aB) exp(-iE t_b): row a of `outer` holds the
-    weighted anchor phases and row b of `inner` the in-block ones, so
-    every sample is a product of two exactly computed exponentials, with
-    no recurrence to drift.  The anchors are read from the grid itself.
+    With B = ceil(sqrt(m)) and k = aB + b, exp(-iE t_k) =
+    exp(-iE t_aB) exp(-iE t_b): row a of `outer` holds the weighted
+    anchor phases and row b of `inner` the in-block ones, so every sample
+    is a product of two exactly computed exponentials, with no recurrence
+    to drift.  Each time is the product k dt, as in FidelitySeries.times.
     The reduction is one zgemv per anchor row; a single zgemm would be
     faster, but its bits change with the BLAS thread count.
     """
-    m = times.shape[0]
     block = math.isqrt(m - 1) + 1  # ceil(sqrt(m))
-    outer = np.exp(np.outer(times[::block], -1j * eigenvalues)) * weights
-    inner = np.exp(np.outer(times[:block], -1j * eigenvalues))
+    outer = np.exp(np.outer(np.arange(0, m, block) * dt, -1j * eigenvalues)) * weights
+    inner = np.exp(np.outer(np.arange(block) * dt, -1j * eigenvalues))
     return np.concatenate([inner @ row for row in outer])[:m]
 
 
@@ -318,21 +320,20 @@ def fidelity_series(h: TridiagonalHamiltonian, t_max: float, dt: float) -> Fidel
     tables then hold half the exponentials.  A chain with fields sums
     over every level.
     """
-    times = np.arange(series_length(t_max, dt)) * dt
+    m = series_length(t_max, dt)
     eigenvalues, weights = _transfer_spectrum(h)
     if h.diag.any():
-        amp = _transfer_amplitude_uniform(eigenvalues, weights, times)
+        amp = _transfer_amplitude_uniform(eigenvalues, weights, m, dt)
     else:
         n = h.n_sites
         positive = (n + 1) // 2
-        half = _transfer_amplitude_uniform(eigenvalues[positive:], weights[positive:], times)
-        amp = np.zeros(times.shape[0], dtype=complex)
+        half = _transfer_amplitude_uniform(eigenvalues[positive:], weights[positive:], m, dt)
+        amp = np.zeros(m, dtype=complex)
         if n % 2:
             amp.real = weights[n // 2] + 2.0 * half.real
         else:
             amp.imag = 2.0 * half.imag
-    return FidelitySeries(times=times, amplitude=amp,
-                          fidelity=fidelity_of_amplitude(amp))
+    return FidelitySeries(dt=dt, amplitude=amp, fidelity=fidelity_of_amplitude(amp))
 
 
 def _chebyshev_terms(x: float) -> int:

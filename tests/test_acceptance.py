@@ -183,29 +183,23 @@ def test_criterion_5_spectral_crossover():
 # 6. Fractal dimension: calibration, reference point, threshold scaling
 # ---------------------------------------------------------------------------
 
-def _series(times, values):
-    return sc.FidelitySeries(times=times,
-                             amplitude=np.zeros_like(times, dtype=complex),
-                             fidelity=values)
-
-
 def test_criterion_6a_calibration_suite():
     n = 2 ** 16 + 1
     t = np.arange(n) * 0.05
     line_fit = sc.fit_dimension(sc.box_count(
-        _series(t, 0.4 + 3e-5 * t), np.array([2 ** k for k in range(2, 14)]) * 0.05))
+        0.4 + 3e-5 * t, 0.05, np.array([2 ** k for k in range(2, 14)]) * 0.05))
     d_line = line_fit.params["dimension"]
 
     period = 2 * np.pi
     dt = period / 100
     ts = np.arange(200_000) * dt
-    d_sine = sc.fit_dimension(sc.box_count(_series(ts, np.sin(ts)))).params["dimension"]
+    d_sine = sc.fit_dimension(sc.box_count(np.sin(ts), dt)).params["dimension"]
 
     tw = np.arange(100_000) * 2e-5
     w = np.zeros_like(tw)
     for k in range(21):
         w += 2.0 ** -k * np.cos(3 ** k * np.pi * tw)
-    d_weier = sc.fit_dimension(sc.box_count(_series(tw, w))).params["dimension"]
+    d_weier = sc.fit_dimension(sc.box_count(w, 2e-5)).params["dimension"]
     d_weier_expected = 2.0 - np.log(2.0) / np.log(3.0)
 
     ok = (abs(d_line - 1.0) <= 0.02 and abs(d_sine - 2.0) <= 0.05
@@ -272,7 +266,7 @@ def test_criterion_6b_reference_point():
     spec = sc.ChainSpec(n_sites=n, eps_j=0.26)
     real = sc.sample_disorder(spec, sc.substream(SEED + 6, 0))
     series = sc.fidelity_series(sc.build_hamiltonian(spec, real), t_max, dt)
-    fit, curve = sc.dimension_of_series(series)
+    fit, curve, _ = sc.dimension_of_series(series)
     d_pkg = fit.params["dimension"]
 
     _, f_n = oracle_transfer_series(n, t_max, dt, delta=real.delta,

@@ -16,11 +16,6 @@ from spinchain.evolve import FidelitySeries
 from spinchain.fitting import threshold_scaling
 
 
-def synthetic_series(times, values):
-    return FidelitySeries(times=times, amplitude=np.zeros_like(times, dtype=complex),
-                          fidelity=values)
-
-
 def square_box_dimension_oracle(times, values, counts):
     """Plain square box counting on the graph, column by column.
 
@@ -47,36 +42,40 @@ def square_box_dimension_oracle(times, values, counts):
 # ---------------------------------------------------------------------------
 
 def test_trim_noop_when_series_starts_at_half():
-    t = np.arange(100) * 0.1
-    series = synthetic_series(t, np.full(100, 0.5))
-    trimmed, reached = transient_trim(series)
-    assert reached and len(trimmed.times) == 100
+    assert transient_trim(np.full(100, 0.5)) == (0, True)
 
 
 def test_trim_first_crossing_rule():
-    t = np.arange(6) * 1.0
-    series = synthetic_series(t, np.array([0.9, 0.8, 0.54, 0.9, 0.5, 0.7]))
-    trimmed, reached = transient_trim(series)
-    assert reached
-    assert trimmed.times[0] == 2.0
-    assert len(trimmed.times) == 4
+    start, reached = transient_trim(np.array([0.9, 0.8, 0.54, 0.9, 0.5, 0.7]))
+    assert (start, reached) == (2, True)
+    assert type(start) is int and type(reached) is bool
 
 
 def test_trim_flags_series_that_never_relax():
-    t = np.arange(50) * 0.1
-    series = synthetic_series(t, np.full(50, 0.95))
-    trimmed, reached = transient_trim(series)
-    assert not reached
-    assert len(trimmed.times) == 50
+    assert transient_trim(np.full(50, 0.95)) == (0, False)
 
 
 def test_trim_on_engine_series_is_small():
     spec = ChainSpec(n_sites=60, eps_j=0.26)
     series = fidelity_series(build_hamiltonian(spec, sample_disorder(spec, substream(8, 0))),
                              200.0, 0.05)
-    trimmed, reached = transient_trim(series)
+    start, reached = transient_trim(series.fidelity)
     assert reached
-    assert len(series) - len(trimmed.times) < 0.1 * len(series)
+    assert start < 0.1 * len(series)
+
+
+def test_dimension_of_series_counts_the_trimmed_samples_on_the_series_dt():
+    # 0.05 * 38 - 0.05 * 37 is 0.050000000000000044: box lengths taken from
+    # the trimmed time axis would drift in their last bits
+    m, dt = 2000, 0.05
+    rng = np.random.default_rng(28)
+    fidelity = np.concatenate([np.full(37, 0.9), 0.5 + 0.05 * rng.random(m - 37)])
+    series = FidelitySeries(dt=dt, amplitude=np.zeros(m, dtype=complex), fidelity=fidelity)
+    fit, curve, trim = dimension_of_series(series, window=(0.2, 2.0))
+    assert trim.start == 37 and trim.reached
+    assert np.array_equal(curve.lengths, default_box_lengths(m - 37, 0.05))
+    assert np.array_equal(curve.m_values, box_count(fidelity[37:], dt).m_values)
+    assert fit == fit_dimension(curve, window=(0.2, 2.0))
 
 
 # ---------------------------------------------------------------------------
@@ -84,9 +83,7 @@ def test_trim_on_engine_series_is_small():
 # ---------------------------------------------------------------------------
 
 def test_constant_series_counts_are_zero_and_fit_degenerate():
-    t = np.arange(4097) * 0.01
-    series = synthetic_series(t, np.full(t.shape, 0.5))
-    curve = box_count(series)
+    curve = box_count(np.full(4097, 0.5), 0.01)
     assert np.all(curve.m_values == 0.0)
     with pytest.raises(DegenerateSeriesError):
         fit_dimension(curve)
@@ -95,9 +92,8 @@ def test_constant_series_counts_are_zero_and_fit_degenerate():
 def test_straight_line_dimension_one():
     n = 2 ** 16 + 1
     t = np.arange(n) * 0.05
-    series = synthetic_series(t, 0.4 + 3e-5 * t)
     counts = np.array([2 ** k for k in range(2, 14)])
-    fit = fit_dimension(box_count(series, counts * 0.05))
+    fit = fit_dimension(box_count(0.4 + 3e-5 * t, 0.05, counts * 0.05))
     assert abs(fit.params["dimension"] - 1.0) <= 0.02
 
 
@@ -105,8 +101,7 @@ def test_long_sine_dimension_two():
     period = 2 * np.pi
     dt = period / 100
     t = np.arange(200_000) * dt  # 2000 periods
-    series = synthetic_series(t, np.sin(t))
-    fit = fit_dimension(box_count(series))
+    fit = fit_dimension(box_count(np.sin(t), dt))
     assert abs(fit.params["dimension"] - 2.0) <= 0.05
     # the selected window sits in the regime of many periods per box
     assert fit.window[0] > period
@@ -124,10 +119,9 @@ def test_weierstrass_dimension_with_square_box_oracle():
     w = np.zeros_like(t)
     for k in range(21):
         w += 2.0 ** -k * np.cos(3 ** k * np.pi * t)
-    series = synthetic_series(t, w)
     expected = 2.0 - np.log(2.0) / np.log(3.0)
 
-    fit = fit_dimension(box_count(series))
+    fit = fit_dimension(box_count(w, 2e-5))
     assert abs(fit.params["dimension"] - expected) <= 0.05
 
     counts = np.unique(np.geomspace(50, 5000, 12).astype(int))
@@ -137,14 +131,16 @@ def test_weierstrass_dimension_with_square_box_oracle():
 
 
 def test_box_length_validation(monkeypatch):
-    t = np.arange(1000) * 0.1
-    series = synthetic_series(t, np.sin(t))
+    f = np.sin(np.arange(1000) * 0.1)
     with pytest.raises(ValueError):
-        box_count(series, [0.05])        # below dt
+        box_count(f, 0.1, [0.05])        # below dt
     with pytest.raises(ValueError):
-        box_count(series, [0.13])        # not a multiple of dt
+        box_count(f, 0.1, [0.13])        # not a multiple of dt
     with pytest.raises(ValueError):
-        box_count(series, [200.0])       # longer than the series
+        box_count(f, 0.1, [200.0])       # longer than the series
+    for dt in (0.0, -0.1, np.nan, np.inf):
+        with pytest.raises(ValueError, match=r"^dt = .* must be finite and > 0$"):
+            box_count(f, dt, [0.4])
 
     # every length is checked before any is counted, and the error names it
     def count_nothing(f, n):
@@ -153,16 +149,15 @@ def test_box_length_validation(monkeypatch):
     monkeypatch.setattr(boxcount, "_excursions", count_nothing)
     for bad in (np.inf, -np.inf, np.nan, 0.0, -0.1, -0.3, 0.13, 200.0):
         with pytest.raises(ValueError, match=f"box length {re.escape(str(bad))} "):
-            box_count(series, [bad])
+            box_count(f, 0.1, [bad])
         with pytest.raises(ValueError, match=f"box length {re.escape(str(bad))} "):
-            box_count(series, [0.4, 1.0, bad])
+            box_count(f, 0.1, [0.4, 1.0, bad])
 
 
-def _sliding_box_count(series, lengths):
+def _sliding_box_count(f, dt, lengths):
     """Box count with each length's windows as the rows of a sliding view
     of n + 1 samples, reduced along the rows: the reference that
     box_count's column and row passes must match bit for bit."""
-    f, dt = series.fidelity, series.dt
     lengths = np.asarray(lengths, dtype=float)
     m_values = np.empty(lengths.shape[0])
     for idx, length in enumerate(lengths):
@@ -173,11 +168,11 @@ def _sliding_box_count(series, lengths):
     return lengths[order], m_values[order]
 
 
-def _assert_matches_sliding(series, lengths=None):
-    curve = box_count(series, lengths)
+def _assert_matches_sliding(f, dt, lengths=None):
+    curve = box_count(f, dt, lengths)
     if lengths is None:
-        lengths = default_box_lengths(len(series), series.dt)
-    ref_lengths, ref_m = _sliding_box_count(series, lengths)
+        lengths = default_box_lengths(len(f), dt)
+    ref_lengths, ref_m = _sliding_box_count(f, dt, lengths)
     assert np.array_equal(curve.lengths, ref_lengths)
     assert np.array_equal(curve.m_values, ref_m)
 
@@ -189,15 +184,13 @@ def test_box_count_matches_sliding_windows_on_random_series(seed):
     # 8640 = 2^6 3^3 5 and 4 cut (cut + 1) have many exact divisors; the
     # third size leaves a partial window at most lengths
     for m in (8641, 4 * cut * (cut + 1) + 1, 8642 + 7 * seed):
-        t = np.arange(m) * dt
         counts = [1, 2, 3, 5, 8, cut - 1, cut, cut + 1, 2 * cut, 2 * cut + 1,
                   96, 160, (m - 1) // 8, (m - 1) // 3, m - 1]
         for values in (rng.random(m),                          # rough
                        0.5 + 1e-3 * np.cumsum(rng.normal(size=m)),   # walk
                        rng.integers(0, 3, m) * 0.25):          # many ties
-            series = synthetic_series(t, values)
-            _assert_matches_sliding(series)                    # default grid
-            _assert_matches_sliding(series, rng.permutation(counts) * dt)
+            _assert_matches_sliding(values, dt)                # default grid
+            _assert_matches_sliding(values, dt, rng.permutation(counts) * dt)
 
 
 @given(seed=st.integers(0, 2 ** 32 - 1), m=st.integers(2, 3000),
@@ -205,10 +198,8 @@ def test_box_count_matches_sliding_windows_on_random_series(seed):
 @settings(max_examples=60, deadline=None)
 def test_box_count_matches_sliding_windows_property(seed, m, counts):
     rng = np.random.default_rng(seed)
-    t = np.arange(m) * 0.1
-    series = synthetic_series(t, rng.normal(size=m))
     counts = [1 + (c - 1) % (m - 1) for c in counts]
-    _assert_matches_sliding(series, np.array(counts) * 0.1)
+    _assert_matches_sliding(rng.normal(size=m), 0.1, np.array(counts) * 0.1)
 
 
 @pytest.mark.parametrize("n_sites, eps_j, t_max", [
@@ -217,22 +208,18 @@ def test_box_count_matches_sliding_windows_on_engine_series(n_sites, eps_j, t_ma
     spec = ChainSpec(n_sites=n_sites, eps_j=eps_j)
     series = fidelity_series(build_hamiltonian(spec, sample_disorder(spec, substream(26, 0))),
                              t_max, 0.05)
-    _assert_matches_sliding(series)
+    _assert_matches_sliding(series.fidelity, series.dt)
 
 
 def test_scale_invariance_of_dimension():
     rng = np.random.default_rng(0)
-    t = np.arange(20_000) * 0.05
-    values = np.cumsum(rng.normal(size=t.shape)) * 1e-3 + 0.5
-    series = synthetic_series(t, values)
-    base = fit_dimension(box_count(series))
+    values = np.cumsum(rng.normal(size=20_000)) * 1e-3 + 0.5
+    base = fit_dimension(box_count(values, 0.05))
 
-    scaled = synthetic_series(t, values * 37.0)
-    fit_scaled = fit_dimension(box_count(scaled))
+    fit_scaled = fit_dimension(box_count(values * 37.0, 0.05))
     assert abs(fit_scaled.params["dimension"] - base.params["dimension"]) < 1e-9
 
-    stretched = synthetic_series(t * 4.0, values)
-    fit_stretched = fit_dimension(box_count(stretched))
+    fit_stretched = fit_dimension(box_count(values, 0.05 * 4.0))
     assert abs(fit_stretched.params["dimension"] - base.params["dimension"]) < 1e-9
 
 
@@ -240,18 +227,16 @@ def test_scale_invariance_of_dimension():
 @settings(max_examples=10)
 def test_scale_invariance_property(scale, seed):
     rng = np.random.default_rng(seed)
-    t = np.arange(5_000) * 0.1
-    values = np.cumsum(rng.normal(size=t.shape))
-    m1 = box_count(synthetic_series(t, values)).m_values
-    m2 = box_count(synthetic_series(t, values * scale)).m_values
+    values = np.cumsum(rng.normal(size=5_000))
+    m1 = box_count(values, 0.1).m_values
+    m2 = box_count(values * scale, 0.1).m_values
     assert np.allclose(m2, m1 * scale, rtol=1e-9)
 
 
 def test_auto_window_excludes_grid_ends():
     rng = np.random.default_rng(3)
-    t = np.arange(50_000) * 0.05
-    values = np.cumsum(rng.normal(size=t.shape)) * 1e-4 + 0.5
-    curve = box_count(synthetic_series(t, values))
+    values = np.cumsum(rng.normal(size=50_000)) * 1e-4 + 0.5
+    curve = box_count(values, 0.05)
     fit = fit_dimension(curve)
     assert fit.window[0] > curve.lengths[0]
     assert fit.window[1] < curve.lengths[-1]
@@ -291,7 +276,7 @@ def test_dimension_approaches_one_at_strong_disorder():
     spec = ChainSpec(n_sites=200, eps_j=1.2)
     series = fidelity_series(build_hamiltonian(spec, sample_disorder(spec, substream(44, 0))),
                              1e4, 0.05)
-    fit = fit_dimension(box_count(series))
+    fit = fit_dimension(box_count(series.fidelity, series.dt))
     assert fit.params["dimension"] <= 1.25
 
 
@@ -316,6 +301,17 @@ def test_dimension_scan_checks_n_real_first():
 
     with pytest.raises(ValueError, match="n_real"):
         dimension_scan((12,), (0.1, 0.6), 0, 17, t_max=200.0, dt=0.05)
+
+
+@pytest.mark.parametrize("t_max, dt, match", [
+    (1.0, 0.05, "series too short"),     # 21 samples, where box counting needs 33
+    (np.nan, 0.05, "t_max = nan"),
+    (200.0, 0.0, "dt must be > 0")])
+def test_dimension_scan_checks_the_series_before_drawing(forbid_draws, t_max, dt, match):
+    from spinchain import dimension_scan
+
+    with pytest.raises(ValueError, match=match):
+        dimension_scan((12,), (0.1, 0.6), 2, 17, t_max=t_max, dt=dt)
 
 
 def test_refusal_names_the_brute_force_best_window():

@@ -48,8 +48,8 @@ def test_integral_chain_lengths_are_stored_as_ints():
 VALUE_TYPES = {
     DisorderRealization: ({"delta": np.zeros(4), "field_err": np.zeros(5)}, {}),
     TridiagonalHamiltonian: ({"diag": np.zeros(5), "offdiag": np.zeros(4)}, {}),
-    FidelitySeries: ({"times": np.zeros(3), "amplitude": np.zeros(3, complex),
-                      "fidelity": np.zeros(3)}, {}),
+    FidelitySeries: ({"amplitude": np.zeros(3, complex), "fidelity": np.zeros(3)},
+                     {"dt": 0.05}),
     BoxCountCurve: ({"lengths": np.ones(3), "m_values": np.ones(3)}, {}),
     SpacingSample: ({"spacings": np.ones(3)}, {"n_realizations": 1}),
     SpacingHistogram: ({"edges": np.arange(3.0), "density": np.ones(2)},

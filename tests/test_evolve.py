@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import eigh_tridiagonal, eigvalsh_tridiagonal
 
-from spinchain import (ChainSpec, DisorderRealization, build_hamiltonian,
+from spinchain import (ChainSpec, DisorderRealization, FidelitySeries, build_hamiltonian,
                        ensemble_averages, fidelity_of_amplitude,
                        fidelity_series, sample_disorder, substream,
                        transfer_time)
@@ -229,6 +229,15 @@ def test_series_input_validation():
                              (1.0, np.nan, "dt = nan"), (1.0, -np.inf, "dt = -inf")]:
         with pytest.raises(ValueError, match=f"^{named} is not finite$"):
             fidelity_series(h, t_max, dt)
+
+
+def test_series_holds_a_positive_finite_dt_and_its_times_are_float():
+    zeros, half = np.zeros(3, complex), np.full(3, 0.5)
+    for dt in (0.0, -0.05, np.nan, np.inf):
+        with pytest.raises(ValueError, match=r"^dt = .* must be finite and > 0$"):
+            FidelitySeries(dt=dt, amplitude=zeros, fidelity=half)
+    series = FidelitySeries(dt=1, amplitude=zeros, fidelity=half)
+    assert series.times.dtype == float and np.array_equal(series.times, [0.0, 1.0, 2.0])
 
 
 def test_ensemble_single_realization_matches_direct():
@@ -686,7 +695,7 @@ def test_zero_field_series_is_chiral_and_matches_the_general_path(n, chain):
     assert np.all((series.amplitude.imag if n % 2 else series.amplitude.real) == 0.0)
     total = np.sum(np.abs(weights))
     # the fold against the unfolded sum on the same spectrum: 8.5e-16 S
-    unfolded = _transfer_amplitude_uniform(eigenvalues, weights, series.times)
+    unfolded = _transfer_amplitude_uniform(eigenvalues, weights, len(series), series.dt)
     assert np.max(np.abs(series.amplitude - unfolded)) <= 1e-14 * total
     # against the general path (sterf start), each series within its own
     # eigenvalue error times t of the exact one: up to 1.4e-12 S at T = 1e3.
@@ -696,7 +705,8 @@ def test_zero_field_series_is_chiral_and_matches_the_general_path(n, chain):
     start = eigvalsh_tridiagonal(h.diag, h.offdiag, lapack_driver="sterf")
     general_levels = _newton_step(h.diag, h.offdiag, start)
     general_weights = _end_to_end_weights(h.offdiag, general_levels)
-    general = _transfer_amplitude_uniform(general_levels, general_weights, series.times)
+    general = _transfer_amplitude_uniform(general_levels, general_weights, len(series),
+                                          series.dt)
     pair = np.argsort(np.abs(eigenvalues))[:2]
     sterf_pair_gap = series.times[-1] * np.sum(
         np.abs(general_weights[pair]) * np.abs(eigenvalues[pair] - general_levels[pair]))

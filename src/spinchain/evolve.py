@@ -8,7 +8,10 @@ Two propagators, each where it is cheaper:
   one chain length are drawn straight into arrays and stream through
   shared blocks of _BLOCK_ELEMENTS // N rows, which may span cells; each
   row runs on its own cell's spectral interval for its own number of
-  terms, so its bits do not depend on the block.  The cost grows with
+  terms, so its bits do not depend on the block.  A zero-field chain is
+  bipartite, so its k-th Chebyshev vector lives on the sites of parity k
+  alone: a block's zero-field rows run as one stack that steps only
+  those sites, half the chain, to the same bits.  The cost grows with
   half-width x t.
 * Single Hamiltonians over long time series (fidelity_series; transfer,
   fractal, dimension-scan) use the spectrum, and read only the
@@ -72,8 +75,9 @@ UNITARITY_SLACK = 1e-9
 
 # Sites x rows of one float64 Chebyshev work array (256 KiB):
 # ensemble_averages propagates max(1, _BLOCK_ELEMENTS // N) realizations
-# together, across cells.  Measured best at every N from 20 to 500
-# (README, Propagators).
+# together, across cells.  Measured best at every N from 20 to 500; a
+# zero-field stack, on half the sites, would gain from twice the rows,
+# but rows with fields in the same blocks lose more (README, Propagators).
 _BLOCK_ELEMENTS = 1 << 15
 
 # The Chebyshev series stops where the Kapteyn bound on the sum of every
@@ -341,11 +345,14 @@ def _chebyshev_terms(x: float) -> int:
 
     Every term beyond k = x is bounded by Kapteyn's inequality
     |J_k(k sech a)| <= exp(k (tanh a - a)), and the bounds are summed.
+    For a subnormal x, k / x overflows to inf and its bound is 0, as it
+    should be; numpy's overflow warning on that is silenced.
     """
     if x == 0.0:
         return 1
     k = np.arange(np.floor(x) + 1.0, np.ceil(x + 40.0 * np.cbrt(x) + 60.0))
-    bound = 2.0 * np.exp(k * (np.sqrt(1.0 - (x / k) ** 2) - np.arccosh(k / x)))
+    with np.errstate(over="ignore"):
+        bound = 2.0 * np.exp(k * (np.sqrt(1.0 - (x / k) ** 2) - np.arccosh(k / x)))
     tail = np.cumsum(bound[::-1])[::-1]
     return int(k[np.argmax(tail < _CHEBYSHEV_TAIL)])
 
@@ -385,6 +392,18 @@ def _chebyshev_transfer_amplitude(diag: np.ndarray, offdiag: np.ndarray, half_wi
     light cone), so terms k < N-1 are zero, and each step updates only
     the sites that a later term still reads.
 
+    A stack whose diagonals are all zero (-0.0 included) is bipartite:
+    phi_k lives on the sites of parity k alone.  Its phi is held on two
+    contiguous arrays, one per sublattice, with zero rows for the sites
+    off the chain, and step k+1 rewrites only sublattice k+1 mod 2 in
+    place, as (o_right c_right + o_left c_left) - phi_(k-1): four numpy
+    calls over N/2 sites against six over N, and the sums read site N-1
+    only on the steps of its parity.  Every term this drops from the full
+    step (d c_i, which is +-0, and the off-parity zeros) is an exact zero,
+    and the kept operations are the full step's in its order, so the
+    amplitudes are the same to the byte (tests/oracles.py's plain
+    recurrence checks both steps).
+
     Every spectrum must lie in its row's [-a, a]; a Hamiltonian whose
     Gershgorin radius exceeds it raises ValueError, since the recurrence
     would grow.  Truncation leaves |error| < 1e-16; rounding grows with
@@ -392,14 +411,13 @@ def _chebyshev_transfer_amplitude(diag: np.ndarray, offdiag: np.ndarray, half_wi
     8000) against a matrix-exponential oracle.
 
     Cost: K_a ~ a max(t) + O((a max(t))^(1/3)) steps for each row, each
-    updating at most N elements of it, where one eigensolve with vectors
-    (stemr, the tests' reference in tests/oracles.py) per realization
-    costs the same whatever t.  Propagation alone at eps_j = 0.1 in
-    blocks of _BLOCK_ELEMENTS // N rows, one core: N = 100, R = 1000
-    takes 54 / 286 / 573 ms at 1 / 5 / 10 t1 against 990 ms with stemr;
-    N = 20 takes 4 / 12 / 21 ms against 120 ms; N = 500, R = 100 takes
-    92 / 815 / 1609 ms against 2400 ms.  The expansion is the cheaper
-    one up to about 10 t1; long times belong on the spectrum
+    updating at most N elements of it (N/2 in a zero-field stack).
+    Propagation alone at eps_j = 0.1 in blocks of _BLOCK_ELEMENTS // N
+    rows, one core, best of 15 runs, at 1 / 5 / 10 t1: zero-field rows
+    take 2.3 / 7.2 / 12 ms at N = 20, R = 1000, 22 / 104 / 202 ms at
+    N = 100, R = 1000 and 34 / 231 / 477 ms at N = 500, R = 100; rows
+    with fields (eps_b = 0.1) take 4.3 / 15 / 28, 51 / 311 / 602 and
+    80 / 580 / 1231 ms.  Long times belong on the spectrum
     (fidelity_series), since the coefficient table alone holds 2K
     complex values per time.
     """
@@ -430,29 +448,58 @@ def _chebyshev_transfer_amplitude(diag: np.ndarray, offdiag: np.ndarray, half_wi
     table_of_row = table_of_row[order]
     row_terms = table_terms[table_of_row]
     running_after = {int(c): int(np.count_nonzero(row_terms > c)) for c in table_terms}
-    # sites outer, realizations inner: a site range is one contiguous slice
+    # sites outer, realizations inner: a site range is one contiguous slice;
+    # phi[k % len(phi)] holds phi_k
     scale = 2.0 / half_width[order]
-    d2 = np.ascontiguousarray(diag[order].T) * scale
     o2 = np.ascontiguousarray(offdiag[order].T) * scale
-    prev, cur, nxt = (np.zeros((n, n_real)) for _ in range(3))
-    tmp = np.empty((n - 1, n_real))
+    chiral = not diag.any()
+    if chiral:
+        # phi_k lives on the sites of parity k.  Sublattice q holds site
+        # 2j - q in row j, so its site in row j reads rows j - q and
+        # j + 1 - q of the other one; coupling[q][j] joins that site to the
+        # one right of it.  The rows of sites off the chain, and their
+        # bonds, stay zero.
+        rows = n // 2 + 2
+        phi = [np.zeros((rows, n_real)) for _ in range(2)]
+        coupling = [np.zeros((rows, n_real)) for _ in range(2)]
+        coupling[0][:n // 2], coupling[1][1:(n + 1) // 2] = o2[0::2], o2[1::2]
+        scratch = [np.empty((rows, n_real)) for _ in range(2)]
+        phi[0][0], phi[1][1] = 1.0, 0.5 * o2[0]
+        end, stride = n // 2, 2   # site N-1's row, live every other step
+    else:
+        d2 = np.ascontiguousarray(diag[order].T) * scale
+        phi = [np.zeros((n, n_real)) for _ in range(3)]
+        coupling, scratch = [d2, o2], [np.empty((n - 1, n_real))]
+        phi[0][0] = 1.0
+        phi[1][0], phi[1][1] = 0.5 * d2[0], 0.5 * o2[0]
+        end, stride = n - 1, 1
     sums = out
-    prev[0] = 1.0
-    cur[0], cur[1] = 0.5 * d2[0], 0.5 * o2[0]
     for k in range(1, n_terms):
         if k in running_after:
             r = running_after[k]
-            prev, cur, nxt, d2, o2 = (np.ascontiguousarray(a[:, :r])
-                                      for a in (prev, cur, nxt, d2, o2))
-            tmp = np.empty((n - 1, r))
+            phi, coupling, scratch = ([np.ascontiguousarray(a[:, :r]) for a in group]
+                                      for group in (phi, coupling, scratch))
             table_of_row, sums = table_of_row[:r], out[:r]
-        if k >= n - 1:
-            sums += cur[n - 1][:, None] * coef[k].take(table_of_row, axis=0)
+        if k >= n - 1 and (k - n + 1) % stride == 0:
+            sums += phi[k % len(phi)][end][:, None] * coef[k].take(table_of_row, axis=0)
         if k + 1 == n_terms:
             break
         # phi_(k+1) on sites lo..hi-1: beyond k+1 it is zero, and below lo
         # no term up to K-1 reads it
         lo, hi = max(0, n + k + 1 - n_terms), min(k + 2, n)
+        if chiral:
+            # only sublattice q = (k+1) mod 2, in place of phi_(k-1)
+            q = (k + 1) % 2
+            live, other = phi[q], phi[1 - q]
+            right, left = scratch
+            a, b = (lo + q + 1) // 2, (hi + q + 1) // 2
+            np.multiply(coupling[q][a:b], other[a + 1 - q:b + 1 - q], out=right[a:b])
+            np.multiply(coupling[1 - q][a - q:b - q], other[a - q:b - q], out=left[a:b])
+            right[a:b] += left[a:b]
+            np.subtract(right[a:b], live[a:b], out=live[a:b])
+            continue
+        prev, cur, nxt = phi[(k - 1) % 3], phi[k % 3], phi[(k + 1) % 3]
+        (d2, o2), (tmp,) = coupling, scratch
         np.multiply(d2[lo:hi], cur[lo:hi], out=nxt[lo:hi])
         top = min(hi, n - 1)
         np.multiply(o2[lo:top], cur[lo + 1:top + 1], out=tmp[lo:top])
@@ -462,7 +509,6 @@ def _chebyshev_transfer_amplitude(diag: np.ndarray, offdiag: np.ndarray, half_wi
                     out=tmp[bottom - 1:hi - 1])
         nxt[bottom:hi] += tmp[bottom - 1:hi - 1]
         nxt[lo:hi] -= prev[lo:hi]
-        prev, cur, nxt = cur, nxt, prev
     return out[np.argsort(order)]
 
 
@@ -476,7 +522,11 @@ def ensemble_averages(cells, n_real: int, master_seed: int, t_list) -> list:
     a block may span consecutive cells of one N and ends where N
     changes.  Each row is propagated by the Chebyshev expansion on its
     own cell's spectral_half_width, so its fidelity does not depend on
-    the block it lands in.  Each cell's mean runs over its own contiguous
+    the block it lands in.  A block's zero-field rows (every diagonal
+    entry 0) and its rows with fields go to the expansion as two stacks,
+    each in block order, so that the zero-field stack steps only its live
+    sublattice; perturbation's coupling and field sectors share blocks
+    this way.  Each cell's mean runs over its own contiguous
     rows in ascending r, for bit reproducibility.  Returns one
     (mean, fitting.standard_error) per cell.
 
@@ -507,8 +557,13 @@ def ensemble_averages(cells, n_real: int, master_seed: int, t_list) -> list:
             diag.append(d)
             offdiag.append(o)
             widths.append(np.full(len(rows), half_widths[c]))
-        fid[start:stop] = fidelity_of_amplitude(_chebyshev_transfer_amplitude(
-            np.concatenate(diag), np.concatenate(offdiag), np.concatenate(widths),
-            t_list))
+        diag, offdiag, widths = (np.concatenate(a) for a in (diag, offdiag, widths))
+        amp = np.empty((stop - start, t_list.shape[0]), dtype=complex)
+        zero_field = ~diag.any(axis=1)
+        for part in (zero_field, ~zero_field):
+            if part.any():
+                amp[part] = _chebyshev_transfer_amplitude(diag[part], offdiag[part],
+                                                          widths[part], t_list)
+        fid[start:stop] = fidelity_of_amplitude(amp)
     return [(cell.mean(axis=0), standard_error(cell))
             for cell in fid.reshape(len(cells), n_real, t_list.shape[0])]

@@ -15,12 +15,13 @@ from spinchain import (ChainSpec, DisorderRealization, FidelitySeries, build_ham
                        transfer_time)
 from spinchain import evolve, levelstats
 from spinchain.chain import TridiagonalHamiltonian, hamiltonian_block, spectral_half_width
-from spinchain.evolve import (_chebyshev_transfer_amplitude, _end_to_end_weights,
-                              _newton_step, _transfer_amplitude_uniform,
-                              _transfer_spectrum)
+from spinchain.evolve import (_chebyshev_coefficients, _chebyshev_transfer_amplitude,
+                              _end_to_end_weights, _newton_step,
+                              _transfer_amplitude_uniform, _transfer_spectrum)
 
-from oracles import (amplitudes, eigendecompose, oracle_amplitudes, oracle_sturm_level,
-                     oracle_transfer_series, sector_matrix, transfer_amplitude)
+from oracles import (amplitudes, chebyshev_transfer_amplitude, eigendecompose,
+                     oracle_amplitudes, oracle_sturm_level, oracle_transfer_series,
+                     sector_matrix, transfer_amplitude)
 
 
 def clean_hamiltonian(n):
@@ -338,6 +339,43 @@ def test_ensemble_averages_do_not_depend_on_the_block_size(monkeypatch, n):
     assert results[0] == results[1] == results[2]
 
 
+@pytest.mark.parametrize("n", [20, 21])
+def test_ensemble_averages_of_interleaved_sectors_do_not_depend_on_the_block_size(
+        monkeypatch, n):
+    # perturbation's layout: cells of the coupling sector (no fields) and of
+    # the field sector in turn; blocks of 5 rows split cells and hold both
+    cells = [(ChainSpec(n_sites=n, eps_j=0.02 * (i + 1)), (0, i)) if i % 2 == 0
+             else (ChainSpec(n_sites=n, eps_b=0.02 * (i + 1)), (1, i)) for i in range(4)]
+    n_real, t_list = 7, [transfer_time(), 5 * transfer_time()]
+    stacks = []
+    chebyshev = evolve._chebyshev_transfer_amplitude
+
+    def recording(diag, *args):
+        stacks.append(diag.any(axis=1))
+        return chebyshev(diag, *args)
+
+    monkeypatch.setattr(evolve, "_chebyshev_transfer_amplitude", recording)
+    results = []
+    for rows in (5, len(cells) * n_real):
+        monkeypatch.setattr(evolve, "_BLOCK_ELEMENTS", rows * n)
+        results.append([(mean.tobytes(), err.tobytes())
+                        for mean, err in ensemble_averages(cells, n_real, 3, t_list)])
+    assert results[0] == results[1]
+    # each block runs its zero-field rows and its rows with fields apart
+    assert all(fields.all() or not fields.any() for fields in stacks)
+    assert sum(not fields.any() for fields in stacks) > 2
+    assert sum(fields.all() for fields in stacks) > 2
+
+
+def test_ensemble_at_a_subnormal_time_is_the_initial_state_without_a_warning():
+    # a t below 1e-306 makes the term count's k / (a t) overflow
+    spec = ChainSpec(n_sites=4, eps_j=0.1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        [(mean, err)] = ensemble_averages([(spec, ())], 3, 1, [1e-310, 5e-324])
+    assert np.array_equal(mean, [0.5, 0.5]) and np.array_equal(err, [0.0, 0.0])
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_ensemble_refuses_a_non_finite_time_before_drawing(forbid_draws, bad):
     spec = ChainSpec(n_sites=10, eps_j=0.1)
@@ -436,6 +474,69 @@ def test_chebyshev_rows_do_not_depend_on_the_stack():
     stacked = _chebyshev(hams, np.array(widths), times)
     for row, h, w in zip(stacked, hams, widths):
         assert row.tobytes() == _chebyshev([h], w, times)[0].tobytes()
+    # rows of perturbation's coupling sector (no fields) and field sector
+    # interleaved: the stack steps every site, a zero-field row run alone
+    # only its live sublattice, and the bytes agree
+    times = np.array([transfer_time(), 5 * transfer_time()])
+    for n in (20, 21):
+        specs = [ChainSpec(n_sites=n, eps_j=0.3), ChainSpec(n_sites=n, eps_b=0.3)]
+        picks = [0, 1, 1, 0, 1, 0, 0]
+        hams = [build_hamiltonian(specs[s], sample_disorder(specs[s], substream(10, n, r)))
+                for r, s in enumerate(picks)]
+        widths = [spectral_half_width(specs[s]) for s in picks]
+        stacked = _chebyshev(hams, np.array(widths), times)
+        for row, h, w in zip(stacked, hams, widths):
+            assert row.tobytes() == _chebyshev([h], w, times)[0].tobytes()
+
+
+def _plain_recurrence(diag, offdiag, widths, times):
+    """tests/oracles.py's full-lattice recurrence on each row's own table."""
+    tables = [_chebyshev_coefficients(float(a) * times) for a in widths]
+    return chebyshev_transfer_amplitude(diag, offdiag, widths, tables)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 20, 21, 100])
+def test_chebyshev_matches_the_plain_recurrence_bit_for_bit(n):
+    # site N - 1 on either sublattice; each eps_j has its own half-width and
+    # term count, and eps_j = 3 draws negative couplings
+    eps_values = (0.0, 0.02, 0.3, 1.0, 3.0)
+    zero_field = [ChainSpec(n_sites=n, eps_j=eps_j) for eps_j in eps_values]
+    fields = [ChainSpec(n_sites=n, eps_j=eps_j, eps_b=0.5) for eps_j in eps_values]
+    severed = ChainSpec(n_sites=n, eps_j=1.0)
+    delta = np.zeros(n - 1)
+    delta[(n - 1) // 2] = -1.0 + 1e-15
+    severed_h = build_hamiltonian(severed, DisorderRealization(delta=delta, field_err=np.zeros(n)))
+    stacks = {"zero-field": zero_field + [severed], "fields": fields,
+              "mixed": [s for pair in zip(zero_field, fields) for s in pair] + [severed]}
+    t1 = transfer_time()
+    for name, specs in stacks.items():
+        hams = [severed_h if s is severed
+                else build_hamiltonian(s, sample_disorder(s, substream(12, n, i)))
+                for i, s in enumerate(specs)]
+        diag = np.array([h.diag for h in hams])
+        offdiag = np.array([h.offdiag for h in hams])
+        widths = np.array([spectral_half_width(s) for s in specs])
+        assert diag.any() == (name != "zero-field")
+        for times in ([0.0], [t1], [5 * t1], [0.0, t1, 5 * t1]):
+            times = np.array(times)
+            f = _chebyshev_transfer_amplitude(diag, offdiag, widths, times)
+            assert f.tobytes() == _plain_recurrence(diag, offdiag, widths, times).tobytes(), (
+                name, times)
+
+
+@given(n=st.integers(2, 30), eps_j=st.lists(st.floats(0.0, 3.0), min_size=1, max_size=5),
+       times=st.lists(st.floats(0.0, 2.0), min_size=1, max_size=3),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_zero_field_chebyshev_matches_the_plain_recurrence(n, eps_j, times, seed):
+    specs = [ChainSpec(n_sites=n, eps_j=e) for e in eps_j]
+    hams = [build_hamiltonian(s, sample_disorder(s, substream(seed, i)))
+            for i, s in enumerate(specs)]
+    diag = np.array([h.diag for h in hams])
+    offdiag = np.array([h.offdiag for h in hams])
+    widths = np.array([spectral_half_width(s) for s in specs])
+    times = np.array(times)
+    f = _chebyshev_transfer_amplitude(diag, offdiag, widths, times)
+    assert f.tobytes() == _plain_recurrence(diag, offdiag, widths, times).tobytes()
 
 
 def test_chebyshev_refuses_a_hamiltonian_outside_the_interval():

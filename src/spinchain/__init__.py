@@ -16,7 +16,7 @@ from .fitting import FitResult, ThresholdScaling, crossing_loglinear, power_law_
 from .levelstats import (SpacingHistogram, SpacingSample, collect_spacings,
                          eta, eta_scan, spacing_histogram)
 from .boxcount import (BoxCountCurve, DegenerateSeriesError, TrimResult,
-                       WindowSelectionError, box_count, default_box_lengths,
+                       WindowSelectionError, box_count, default_box_counts,
                        dimension_of_series, dimension_scan, fit_dimension,
                        transient_trim)
 from .perturbation import (PerturbationCoefficients, compute_coefficients,

@@ -24,7 +24,7 @@ __all__ = [
     "TrimResult",
     "BoxCountCurve",
     "transient_trim",
-    "default_box_lengths",
+    "default_box_counts",
     "box_count",
     "fit_dimension",
     "dimension_of_series",
@@ -60,7 +60,7 @@ class TrimResult(NamedTuple):
 
 @dataclass(frozen=True)
 class BoxCountCurve:
-    """Box lengths L (time units) and counts M(L)."""
+    """Box lengths L = n dt (time units) and M(L), in increasing L."""
 
     lengths: np.ndarray
     m_values: np.ndarray
@@ -79,30 +79,31 @@ def transient_trim(f) -> TrimResult:
     return TrimResult(start, bool(hit[start]))
 
 
-def default_box_lengths(n_samples: int, dt: float) -> np.ndarray:
-    """Geometric grid of box lengths, ratio 2^(1/4), from 4 dt to T/8.
+def default_box_counts(n_samples: int) -> np.ndarray:
+    """Geometric grid of box sizes in samples, ratio 2^(1/4), from 4 to
+    (n_samples - 1) // 8: box lengths 4 dt to T/8.
 
     The bounds keep the grid away from the coarse-grain regime at the
     sample scale and the finite-length regime near the full duration.
     """
-    max_windows = (n_samples - 1) // 8
-    if max_windows < 4:
+    max_count = (n_samples - 1) // 8
+    if max_count < 4:
         raise ValueError(f"series too short for box counting ({n_samples} samples)")
     counts, c = [], 4.0
-    while round(c) <= max_windows:
+    while round(c) <= max_count:
         counts.append(round(c))
         c *= 2.0 ** 0.25
-    return np.unique(np.array(counts, dtype=int)) * dt
+    return np.unique(counts)
 
 
-def box_count(f, dt: float, lengths=None) -> BoxCountCurve:
-    """Sum of per-window excursions over L for each box length L of the
-    signal f sampled every dt.
+def box_count(f, dt: float, counts=None) -> BoxCountCurve:
+    """Sum of per-window excursions over L for each box of n samples,
+    L = n dt, of the signal f sampled every dt.
 
     Windows span [i L, (i+1) L] including both boundary samples; an
-    incomplete window at the end of the series is dropped.  Each L must
-    be a positive integer multiple of dt and fit inside the series;
-    every L is checked before any is counted.
+    incomplete window at the end of the series is dropped.  Each count n
+    must be an integer in [1, len(f) - 1], default_box_counts(len(f))
+    when none are given; every count is checked before any is counted.
 
     A box of n samples takes one of two exact passes over its k windows
     (see `_excursions`): short boxes fold the n - 1 interior columns
@@ -115,27 +116,14 @@ def box_count(f, dt: float, lengths=None) -> BoxCountCurve:
     f = np.asarray(f, dtype=float)
     if not (np.isfinite(dt) and dt > 0):
         raise ValueError(f"dt = {dt!r} must be finite and > 0")
-    if lengths is None:
-        lengths = default_box_lengths(f.shape[0], dt)
-    lengths = np.atleast_1d(np.asarray(lengths, dtype=float))
-    samples = [_box_samples(length, dt, f.shape[0]) for length in lengths]
-    m_values = np.empty(lengths.shape[0])
-    for idx, (length, n) in enumerate(zip(lengths, samples)):
-        m_values[idx] = _excursions(f, n).sum() / length
-    order = np.argsort(lengths)
-    return BoxCountCurve(lengths=lengths[order], m_values=m_values[order])
-
-
-def _box_samples(length, dt, n_samples) -> int:
-    """Grid steps n in a box of length L = n dt, or a ValueError naming L."""
-    if not (np.isfinite(length) and length > 0):
-        raise ValueError(f"box length {length} is not a positive finite number")
-    n = int(round(length / dt))
-    if n < 1 or abs(n * dt - length) > 1e-6 * dt:
-        raise ValueError(f"box length {length} is not a multiple of dt={dt}")
-    if n > n_samples - 1:
-        raise ValueError(f"box length {length} exceeds the series duration")
-    return n
+    counts = np.atleast_1d(default_box_counts(f.shape[0]) if counts is None else counts)
+    for n in counts:
+        if not (float(n).is_integer() and 1 <= n <= f.shape[0] - 1):
+            raise ValueError(f"box count {n} is not an integer in [1, {f.shape[0] - 1}]")
+    counts = np.sort(counts.astype(int))
+    lengths = counts * dt
+    m_values = [_excursions(f, n).sum() / length for n, length in zip(counts, lengths)]
+    return BoxCountCurve(lengths=lengths, m_values=m_values)
 
 
 # Boxes of up to _SHORT_BOX grid steps fold columns; longer ones reduce
@@ -302,7 +290,7 @@ def dimension_scan(n_values, eps_j_grid, n_real: int, master_seed: int,
     """
     if n_real < 1:
         raise ValueError("n_real must be >= 1")
-    default_box_lengths(series_length(t_max, dt), dt)
+    default_box_counts(series_length(t_max, dt))
     rows, refusals = [], []
     for spec, key in grid_cells(n_values, eps_j_grid):
         diag, offdiag = hamiltonian_block(spec, master_seed, key, range(n_real))

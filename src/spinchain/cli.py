@@ -14,7 +14,7 @@ from pathlib import Path
 
 from . import __version__
 from .chain import ChainSpec, TridiagonalHamiltonian, hamiltonian_block
-from .boxcount import (DIMENSION_HEADER, DegenerateSeriesError, default_box_lengths,
+from .boxcount import (DIMENSION_HEADER, DegenerateSeriesError, default_box_counts,
                        dimension_of_series, dimension_scan)
 from .evolve import fidelity_series, series_length, transfer_time
 from .fitting import curves_by_n, threshold_scaling
@@ -170,8 +170,8 @@ OPTIONS = {
 }
 
 
-# Admissible values of the ranged options; --t-max is checked against --dt and,
-# for the box-counting commands, box counting's shortest series.  NaN fails all.
+# Admissible values of the ranged options; NaN fails all.  --t-max and --dt are
+# checked as a sample count, for the box-counting commands a box-countable one.
 RANGES = {
     "n": (lambda v: v >= 2, "must be >= 2"),
     "n_real": (lambda v: v >= 1, "must be >= 1"),
@@ -184,6 +184,8 @@ RANGES = {
     "t_max": (math.isfinite, "must be finite"),
     "t_eval": (math.isfinite, "must be finite"),
     "t": (math.isfinite, "must be finite"),
+    "l_min": (lambda v: not math.isnan(v), "must be a number"),
+    "l_max": (lambda v: not math.isnan(v), "must be a number"),
     "bin_width": (lambda v: 0 < v <= MAX_BIN_WIDTH, f"must lie in (0, {MAX_BIN_WIDTH:g}]"),
 }
 
@@ -197,12 +199,11 @@ def _check_ranges(command, cfg):
         for v in value if isinstance(value, tuple) else (value,):
             if v is not None and not admissible(v):
                 raise SystemExit(f"{command}: --{dest.replace('_', '-')} {v!r}: {rule}")
-    if "t_max" in cfg and not cfg["t_max"] >= cfg["dt"]:
-        raise SystemExit(f"{command}: --t-max {cfg['t_max']!r}: must be >= "
-                         f"--dt {cfg['dt']!r}")
-    if command in ("fractal", "dimension-scan"):
+    if "t_max" in cfg:
         try:
-            default_box_lengths(series_length(cfg["t_max"], cfg["dt"]), cfg["dt"])
+            n_samples = series_length(cfg["t_max"], cfg["dt"])
+            if command in ("fractal", "dimension-scan"):
+                default_box_counts(n_samples)
         except ValueError as err:
             raise SystemExit(f"{command}: --t-max {cfg['t_max']!r} --dt {cfg['dt']!r}: "
                              f"{err}") from None

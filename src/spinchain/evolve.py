@@ -302,7 +302,8 @@ def fidelity_of_amplitude(f):
 def series_length(t_max: float, dt: float) -> int:
     """Number of samples t_i = i dt, 0 <= t_i <= t_max, of fidelity_series.
 
-    A NaN or infinite t_max or dt raises ValueError naming it.
+    A NaN or infinite t_max or dt, or a t_max / dt that overflows,
+    raises ValueError naming them.
     """
     for name, value in (("t_max", t_max), ("dt", dt)):
         if not math.isfinite(value):
@@ -311,7 +312,11 @@ def series_length(t_max: float, dt: float) -> int:
         raise ValueError("dt must be > 0")
     if t_max < dt:
         raise ValueError("t_max must be >= dt")
-    return int(np.floor(t_max / dt + 1e-9)) + 1
+    steps = float(t_max) / float(dt)
+    if not math.isfinite(steps):
+        raise ValueError(f"t_max = {float(t_max)!r} over dt = {float(dt)!r} "
+                         "is not a finite sample count")
+    return int(np.floor(steps + 1e-9)) + 1
 
 
 def fidelity_series(h: TridiagonalHamiltonian, t_max: float, dt: float) -> FidelitySeries:

@@ -187,7 +187,7 @@ def test_criterion_6a_calibration_suite():
     n = 2 ** 16 + 1
     t = np.arange(n) * 0.05
     line_fit = sc.fit_dimension(sc.box_count(
-        0.4 + 3e-5 * t, 0.05, np.array([2 ** k for k in range(2, 14)]) * 0.05))
+        0.4 + 3e-5 * t, 0.05, np.array([2 ** k for k in range(2, 14)])))
     d_line = line_fit.params["dimension"]
 
     period = 2 * np.pi

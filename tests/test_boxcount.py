@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from spinchain import (BoxCountCurve, ChainSpec, DegenerateSeriesError,
                        WindowSelectionError, box_count, build_hamiltonian,
                        dimension_of_series,
-                       default_box_lengths, fit_dimension, fidelity_series,
+                       default_box_counts, fit_dimension, fidelity_series,
                        sample_disorder, substream, transient_trim)
 from spinchain import boxcount
 from spinchain.boxcount import MIN_POINTS, MIN_RATIO, R2_MIN, _auto_window
@@ -73,7 +73,7 @@ def test_dimension_of_series_counts_the_trimmed_samples_on_the_series_dt():
     series = FidelitySeries(dt=dt, amplitude=np.zeros(m, dtype=complex), fidelity=fidelity)
     fit, curve, trim = dimension_of_series(series, window=(0.2, 2.0))
     assert trim.start == 37 and trim.reached
-    assert np.array_equal(curve.lengths, default_box_lengths(m - 37, 0.05))
+    assert np.array_equal(curve.lengths, default_box_counts(m - 37) * 0.05)
     assert np.array_equal(curve.m_values, box_count(fidelity[37:], dt).m_values)
     assert fit == fit_dimension(curve, window=(0.2, 2.0))
 
@@ -93,7 +93,7 @@ def test_straight_line_dimension_one():
     n = 2 ** 16 + 1
     t = np.arange(n) * 0.05
     counts = np.array([2 ** k for k in range(2, 14)])
-    fit = fit_dimension(box_count(0.4 + 3e-5 * t, 0.05, counts * 0.05))
+    fit = fit_dimension(box_count(0.4 + 3e-5 * t, 0.05, counts))
     assert abs(fit.params["dimension"] - 1.0) <= 0.02
 
 
@@ -132,47 +132,39 @@ def test_weierstrass_dimension_with_square_box_oracle():
 
 def test_box_length_validation(monkeypatch):
     f = np.sin(np.arange(1000) * 0.1)
-    with pytest.raises(ValueError):
-        box_count(f, 0.1, [0.05])        # below dt
-    with pytest.raises(ValueError):
-        box_count(f, 0.1, [0.13])        # not a multiple of dt
-    with pytest.raises(ValueError):
-        box_count(f, 0.1, [200.0])       # longer than the series
     for dt in (0.0, -0.1, np.nan, np.inf):
         with pytest.raises(ValueError, match=r"^dt = .* must be finite and > 0$"):
-            box_count(f, dt, [0.4])
+            box_count(f, dt, [4])
 
-    # every length is checked before any is counted, and the error names it
+    # every count is checked before any box is counted, and the error names it
     def count_nothing(f, n):
-        raise AssertionError("counted a box before every length was checked")
+        raise AssertionError("counted a box before every count was checked")
 
     monkeypatch.setattr(boxcount, "_excursions", count_nothing)
-    for bad in (np.inf, -np.inf, np.nan, 0.0, -0.1, -0.3, 0.13, 200.0):
-        with pytest.raises(ValueError, match=f"box length {re.escape(str(bad))} "):
-            box_count(f, 0.1, [bad])
-        with pytest.raises(ValueError, match=f"box length {re.escape(str(bad))} "):
-            box_count(f, 0.1, [0.4, 1.0, bad])
+    for bad in (0, -1, 2.5, len(f), np.inf, np.nan):
+        for counts in ([bad], [4, 10, bad]):
+            with pytest.raises(ValueError, match=f"^box count {re.escape(str(bad))} is not "
+                                                 r"an integer in \[1, 999\]$"):
+                box_count(f, 0.1, counts)
 
 
-def _sliding_box_count(f, dt, lengths):
-    """Box count with each length's windows as the rows of a sliding view
+def _sliding_box_count(f, dt, counts):
+    """Box count with each box's windows as the rows of a sliding view
     of n + 1 samples, reduced along the rows: the reference that
     box_count's column and row passes must match bit for bit."""
-    lengths = np.asarray(lengths, dtype=float)
-    m_values = np.empty(lengths.shape[0])
-    for idx, length in enumerate(lengths):
-        n = int(round(length / dt))
+    counts = np.sort(counts)
+    m_values = []
+    for n in counts:
         windows = np.lib.stride_tricks.sliding_window_view(f, n + 1)[::n]
-        m_values[idx] = (windows.max(axis=1) - windows.min(axis=1)).sum() / length
-    order = np.argsort(lengths)
-    return lengths[order], m_values[order]
+        m_values.append((windows.max(axis=1) - windows.min(axis=1)).sum() / (n * dt))
+    return counts * dt, np.array(m_values)
 
 
-def _assert_matches_sliding(f, dt, lengths=None):
-    curve = box_count(f, dt, lengths)
-    if lengths is None:
-        lengths = default_box_lengths(len(f), dt)
-    ref_lengths, ref_m = _sliding_box_count(f, dt, lengths)
+def _assert_matches_sliding(f, dt, counts=None):
+    curve = box_count(f, dt, counts)
+    if counts is None:
+        counts = default_box_counts(len(f))
+    ref_lengths, ref_m = _sliding_box_count(f, dt, counts)
     assert np.array_equal(curve.lengths, ref_lengths)
     assert np.array_equal(curve.m_values, ref_m)
 
@@ -190,7 +182,7 @@ def test_box_count_matches_sliding_windows_on_random_series(seed):
                        0.5 + 1e-3 * np.cumsum(rng.normal(size=m)),   # walk
                        rng.integers(0, 3, m) * 0.25):          # many ties
             _assert_matches_sliding(values, dt)                # default grid
-            _assert_matches_sliding(values, dt, rng.permutation(counts) * dt)
+            _assert_matches_sliding(values, dt, rng.permutation(counts))
 
 
 @given(seed=st.integers(0, 2 ** 32 - 1), m=st.integers(2, 3000),
@@ -199,7 +191,7 @@ def test_box_count_matches_sliding_windows_on_random_series(seed):
 def test_box_count_matches_sliding_windows_property(seed, m, counts):
     rng = np.random.default_rng(seed)
     counts = [1 + (c - 1) % (m - 1) for c in counts]
-    _assert_matches_sliding(rng.normal(size=m), 0.1, np.array(counts) * 0.1)
+    _assert_matches_sliding(rng.normal(size=m), 0.1, np.array(counts))
 
 
 @pytest.mark.parametrize("n_sites, eps_j, t_max", [
@@ -263,11 +255,12 @@ def test_window_refusal_with_diagnostic():
     assert "R^2" in str(err.value)
 
 
-def test_default_box_lengths_bounds():
-    lengths = default_box_lengths(200_001, 0.05)
-    assert lengths[0] == pytest.approx(4 * 0.05)
-    assert lengths[-1] <= 200_000 * 0.05 / 8.0
-    ratios = lengths[1:] / lengths[:-1]
+def test_default_box_counts_bounds():
+    counts = default_box_counts(200_001)
+    assert counts.dtype.kind == "i"
+    assert counts[0] == 4
+    assert counts[-1] <= 200_000 // 8
+    ratios = counts[1:] / counts[:-1]
     assert np.all(ratios <= 2 ** 0.25 * 1.2)
 
 

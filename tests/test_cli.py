@@ -284,8 +284,14 @@ def _no_work(*args, **kwargs):
     # which box lengths a window holds is known once the series is counted
     ("fractal --n 20 --eps-j 0.4 --t-max 200 --l-min 1 --l-max 2",
      "--l-min 1.0 --l-max 2.0", False),
+    # t_max / dt overflows to an infinite sample count
+    ("transfer --n 20 --t-max 1e308 --dt 1e-300", "--t-max 1e+308 --dt 1e-300", True),
+    ("fractal --n 20 --t-max 1e308 --dt 1e-300", "--t-max 1e+308 --dt 1e-300", True),
+    ("dimension-scan --n 20 --eps-j 0.3 --t-max 1e308 --dt 1e-300",
+     "--t-max 1e+308 --dt 1e-300", True),
 ], ids=["fractal-too-short", "dimension-scan-too-short", "fractal-reversed-window",
-        "fractal-window-too-narrow"])
+        "fractal-window-too-narrow", "transfer-overflow", "fractal-overflow",
+        "dimension-scan-overflow"])
 def test_box_count_options_exit_naming_their_flags(tmp_path, monkeypatch, argv, flags,
                                                    checked_first):
     if checked_first:
@@ -386,6 +392,9 @@ def test_sidecar_writes_a_fit_result_as_its_fields(tmp_path):
     ("spectrum --n 8 --bin-width 5", "", "--bin-width"),
     ("eta-scan --n 8 --eps-j 0.1 --bin-width 4.5", "", "--bin-width"),
     ("fractal --n 8 --t-max inf", "", "--t-max"),
+    ("fractal --n 8 --l-min 1 --l-max nan", "", "--l-max"),
+    ("fractal --n 8 --l-min 1", "l_max = nan", "--l-max"),
+    ("fractal --n 8 --l-min nan", "", "--l-min"),
     ("scan --n 8 --t-eval nan", "", "--t-eval"),
     ("scan --n 8 --eps-j 0.1", "t_eval = inf", "--t-eval"),
     ("perturbation --n 6", "t = -inf", "--t"),

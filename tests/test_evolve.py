@@ -230,6 +230,10 @@ def test_series_input_validation():
                              (1.0, np.nan, "dt = nan"), (1.0, -np.inf, "dt = -inf")]:
         with pytest.raises(ValueError, match=f"^{named} is not finite$"):
             fidelity_series(h, t_max, dt)
+    # so is a grid whose t_max / dt overflows to an infinite sample count
+    with pytest.raises(ValueError, match=r"^t_max = 1e\+308 over dt = 1e-300 is not a "
+                                         "finite sample count$"):
+        fidelity_series(h, 1e308, 1e-300)
 
 
 def test_series_holds_a_positive_finite_dt_and_its_times_are_float():

@@ -245,8 +245,9 @@ CURVE_MODELS = {ETA_HEADER: "eta-threshold", DIMENSION_HEADER: "dimension-thresh
 def _read_tables(command, paths):
     """(metadata, header, rows) of one or more tables of one kind, the rows
     pooled in the order given.  A missing, empty or headerless table, a
-    row that is not one number per column, or a header that differs from
-    the first table's exits naming --table and the path.  One table's
+    row that is not one number per column or whose n_sites or n_real is
+    not a finite integer, or a header that differs from the first
+    table's exits naming --table and the path.  One table's
     metadata is carried as it is; with several, key k of the i-th table
     becomes table<i>.k."""
     tables = []
@@ -266,6 +267,10 @@ def _read_tables(command, paths):
             if len(row) != len(header) or any(isinstance(v, str) for v in row):
                 raise SystemExit(f"{command}: --table {path}: data row {k} is not "
                                  f"{len(header)} numbers")
+            for name, value in zip(header, row):
+                if name in ("n_sites", "n_real") and not value.is_integer():
+                    raise SystemExit(f"{command}: --table {path}: data row {k}: "
+                                     f"{name} {value!r} is not a finite integer")
     if len(paths) == 1:
         metadata = {"table": paths[0], **tables[0][0]}
     else:

@@ -4,15 +4,14 @@ Two propagators, each where it is cheaper:
 
 * Ensembles at a few given times (ensemble_averages; scan, perturbation)
   expand exp(-iHt) e_1 in Chebyshev polynomials (Tal-Ezer & Kosloff
-  1984) with no eigensolve.  The realizations of consecutive cells of
-  one chain length are drawn straight into arrays and stream through
-  shared blocks of _BLOCK_ELEMENTS // N rows, which may span cells; each
-  row runs on its own cell's spectral interval for its own number of
-  terms, so its bits do not depend on the block.  A zero-field chain is
-  bipartite, so its k-th Chebyshev vector lives on the sites of parity k
-  alone: a block's zero-field rows run as one stack that steps only
-  those sites, half the chain, to the same bits.  The cost grows with
-  half-width x t.
+  1984) with no eigensolve.  The realizations of every cell of one
+  chain length and row kind (zero-field, or with fields) are drawn
+  straight into arrays and stream through shared blocks, each one
+  stack; each row runs on its own cell's spectral interval for its own
+  number of terms, so its bits do not depend on the block.  A
+  zero-field chain is bipartite, so its k-th Chebyshev vector lives on
+  the sites of parity k alone, and its stack steps only those sites,
+  half the chain, to the same bits.  The cost grows with half-width x t.
 * Single Hamiltonians over long time series (fidelity_series; transfer,
   fractal, dimension-scan) use the spectrum, and read only the
   eigenvalues E_k and the end-to-end weights w_k = v_1k v_Nk, so they
@@ -73,11 +72,9 @@ def eigh_tridiagonal(d, e, *, lapack_driver):
 # Tolerated overshoot of |f| beyond 1 before declaring unitarity broken.
 UNITARITY_SLACK = 1e-9
 
-# Sites x rows of one float64 Chebyshev work array (256 KiB):
-# ensemble_averages propagates max(1, _BLOCK_ELEMENTS // N) realizations
-# together, across cells.  Measured best at every N from 20 to 500; a
-# zero-field stack, on half the sites, would gain from twice the rows,
-# but rows with fields in the same blocks lose more (README, Propagators).
+# Elements of one float64 Chebyshev work array (256 KiB): ensemble_averages
+# stacks max(1, _BLOCK_ELEMENTS // sites) rows, where a row's work arrays
+# hold N sites with fields and N // 2 + 2 zero-field (README, Propagators).
 _BLOCK_ELEMENTS = 1 << 15
 
 # The Chebyshev series stops where the Kapteyn bound on the sum of every
@@ -417,12 +414,12 @@ def _chebyshev_transfer_amplitude(diag: np.ndarray, offdiag: np.ndarray, half_wi
 
     Cost: K_a ~ a max(t) + O((a max(t))^(1/3)) steps for each row, each
     updating at most N elements of it (N/2 in a zero-field stack).
-    Propagation alone at eps_j = 0.1 in blocks of _BLOCK_ELEMENTS // N
-    rows, one core, best of 15 runs, at 1 / 5 / 10 t1: zero-field rows
-    take 2.3 / 7.2 / 12 ms at N = 20, R = 1000, 22 / 104 / 202 ms at
-    N = 100, R = 1000 and 34 / 231 / 477 ms at N = 500, R = 100; rows
-    with fields (eps_b = 0.1) take 4.3 / 15 / 28, 51 / 311 / 602 and
-    80 / 580 / 1231 ms.  Long times belong on the spectrum
+    Propagation alone at eps_j = 0.1 in ensemble_averages' blocks, one
+    core, at 1 / 5 / 10 t1: zero-field rows take 1.8 / 5.6 / 9.9 ms at
+    N = 20, R = 1000, 15 / 86 / 175 ms at N = 100, R = 1000 and
+    26 / 179 / 362 ms at N = 500, R = 100 (best of 9); rows with fields
+    (eps_b = 0.1) take 4.3 / 15 / 28, 51 / 311 / 602 and
+    80 / 580 / 1231 ms (best of 15).  Long times belong on the spectrum
     (fidelity_series), since the coefficient table alone holds 2K
     complex values per time.
     """
@@ -521,19 +518,17 @@ def ensemble_averages(cells, n_real: int, master_seed: int, t_list) -> list:
     """Disorder-averaged fidelity of several cells at the given times.
 
     cells is a sequence of (spec, key_prefix); realization r of a cell
-    draws from substream(master_seed, *key_prefix, r).  The cells'
-    realizations stream, cell after cell, through blocks of
-    max(1, _BLOCK_ELEMENTS // N) rows (1,638 at N = 20, 65 at N = 500);
-    a block may span consecutive cells of one N and ends where N
-    changes.  Each row is propagated by the Chebyshev expansion on its
-    own cell's spectral_half_width, so its fidelity does not depend on
-    the block it lands in.  A block's zero-field rows (every diagonal
-    entry 0) and its rows with fields go to the expansion as two stacks,
-    each in block order, so that the zero-field stack steps only its live
-    sublattice; perturbation's coupling and field sectors share blocks
-    this way.  Each cell's mean runs over its own contiguous
-    rows in ascending r, for bit reproducibility.  Returns one
-    (mean, fitting.standard_error) per cell.
+    draws from substream(master_seed, *key_prefix, r).  The cells are
+    grouped by chain length and row kind, zero-field (eps_b = 0) or with
+    fields, each group in grid order, and a group's realizations stream
+    cell after cell through blocks of max(1, _BLOCK_ELEMENTS // sites)
+    rows, each one stack, with sites = N // 2 + 2 zero-field (2,730 rows
+    at N = 20, 130 at N = 500) and N with fields (1,638 and 65).  Each
+    row is propagated by the Chebyshev expansion on its own cell's
+    spectral_half_width, so its fidelity does not depend on the block it
+    lands in.  Each cell's mean runs over its own rows in ascending r,
+    for bit reproducibility.  Returns one (mean, fitting.standard_error)
+    per cell, in the order of cells.
 
     n_real and the times are checked before anything is drawn; a NaN or
     infinite time raises ValueError naming it.
@@ -545,30 +540,25 @@ def ensemble_averages(cells, n_real: int, master_seed: int, t_list) -> list:
             raise ValueError(f"evaluation time {float(t)!r} is not finite")
     if n_real < 1:
         raise ValueError("n_real must be >= 1")
-    half_widths = [spectral_half_width(spec) for spec, _ in cells]
-    fid = np.empty((len(cells) * n_real, t_list.shape[0]))
-    # [start, stop) row blocks, cut run by run from consecutive cells of one N
-    blocks, end = [], 0
-    for n_sites, run in groupby(spec.n_sites for spec, _ in cells):
-        first, end = end, end + n_real * len(list(run))
-        size = max(1, _BLOCK_ELEMENTS // n_sites)
-        blocks += [(start, min(start + size, end)) for start in range(first, end, size)]
-    for start, stop in blocks:
-        diag, offdiag, widths = [], [], []
-        for c in range(start // n_real, (stop - 1) // n_real + 1):
-            spec, key_prefix = cells[c]
-            rows = range(max(start - c * n_real, 0), min(stop - c * n_real, n_real))
-            d, o = hamiltonian_block(spec, master_seed, key_prefix, rows)
-            diag.append(d)
-            offdiag.append(o)
-            widths.append(np.full(len(rows), half_widths[c]))
-        diag, offdiag, widths = (np.concatenate(a) for a in (diag, offdiag, widths))
-        amp = np.empty((stop - start, t_list.shape[0]), dtype=complex)
-        zero_field = ~diag.any(axis=1)
-        for part in (zero_field, ~zero_field):
-            if part.any():
-                amp[part] = _chebyshev_transfer_amplitude(diag[part], offdiag[part],
-                                                          widths[part], t_list)
-        fid[start:stop] = fidelity_of_amplitude(amp)
-    return [(cell.mean(axis=0), standard_error(cell))
-            for cell in fid.reshape(len(cells), n_real, t_list.shape[0])]
+    fid = np.empty((len(cells), n_real, t_list.shape[0]))
+
+    def kind(c):   # eps_b = 0 draws an all-zero diagonal
+        return cells[c][0].n_sites, cells[c][0].eps_b > 0
+
+    for (n_sites, fields), group in groupby(sorted(range(len(cells)), key=kind), key=kind):
+        group = list(group)
+        slot = np.empty((len(group) * n_real, t_list.shape[0]))
+        size = max(1, _BLOCK_ELEMENTS // (n_sites if fields else n_sites // 2 + 2))
+        for start in range(0, slot.shape[0], size):
+            stop = min(start + size, slot.shape[0])
+            blocks = []
+            for g in range(start // n_real, (stop - 1) // n_real + 1):
+                spec, key_prefix = cells[group[g]]
+                rows = range(max(start - g * n_real, 0), min(stop - g * n_real, n_real))
+                blocks.append((*hamiltonian_block(spec, master_seed, key_prefix, rows),
+                               np.full(len(rows), spectral_half_width(spec))))
+            diag, offdiag, widths = (np.concatenate(a) for a in zip(*blocks))
+            slot[start:stop] = fidelity_of_amplitude(
+                _chebyshev_transfer_amplitude(diag, offdiag, widths, t_list))
+        fid[group] = slot.reshape(len(group), n_real, -1)
+    return [(cell.mean(axis=0), standard_error(cell)) for cell in fid]

@@ -20,11 +20,13 @@ from spinchain import (ChainSpec, WindowSelectionError, build_hamiltonian,
                        ensemble_averages, eta, eta_scan, fidelity_series, fit_scaling,
                        perturbation_comparison, sample_disorder, scan_fidelity,
                        substream, transfer_time)
+from spinchain.boxcount import DIMENSION_HEADER
 from spinchain.chain import grid_cells
 from spinchain import cli, tableio
 from spinchain.cli import OPTIONS, build_parser, main
 from spinchain.fitting import FitResult, threshold_scaling
-from spinchain.scans import PerturbationRow, points_from_rows, threshold_curves
+from spinchain.levelstats import ETA_HEADER
+from spinchain.scans import FidelityPoint, PerturbationRow, points_from_rows, threshold_curves
 from spinchain.tableio import read_csv, sidecar_path, write_sidecar
 
 
@@ -883,6 +885,27 @@ def test_table_commands_exit_naming_an_unreadable_table(tmp_path, command, conte
     with pytest.raises(SystemExit) as err:
         main([command, "--table", str(table), "--out", str(out)])
     assert str(err.value) == f"{command}: --table {table}: {reason}"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["fit-scaling", "threshold"])
+@pytest.mark.parametrize("header, column", [
+    (FidelityPoint._fields, "n_sites"), (FidelityPoint._fields, "n_real"),
+    (ETA_HEADER, "n_sites"), (DIMENSION_HEADER, "n_sites")],
+    ids=["scan-n_sites", "scan-n_real", "eta-scan", "dimension-scan"])
+@pytest.mark.parametrize("bad", ["nan", "inf", "10.7"])
+def test_table_commands_refuse_a_count_that_is_not_a_finite_integer(tmp_path, command,
+                                                                   header, column, bad):
+    counts = {"n_sites": "10", "n_real": "7"}
+    rows = [[counts.get(name, "0.5") for name in header] for _ in range(2)]
+    rows[1][header.index(column)] = bad
+    table = tmp_path / "table.csv"
+    table.write_text("\n".join(",".join(line) for line in [header, *rows]) + "\n")
+    out = tmp_path / "out.csv"
+    with pytest.raises(SystemExit) as err:
+        main([command, "--table", str(table), "--out", str(out)])
+    assert str(err.value) == (f"{command}: --table {table}: data row 2: {column} "
+                              f"{float(bad)!r} is not a finite integer")
     assert not out.exists()
 
 

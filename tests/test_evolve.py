@@ -14,7 +14,8 @@ from spinchain import (ChainSpec, DisorderRealization, FidelitySeries, build_ham
                        fidelity_series, sample_disorder, substream,
                        transfer_time)
 from spinchain import evolve, levelstats
-from spinchain.chain import TridiagonalHamiltonian, hamiltonian_block, spectral_half_width
+from spinchain.chain import (TridiagonalHamiltonian, grid_cells, hamiltonian_block,
+                             spectral_half_width)
 from spinchain.evolve import (_chebyshev_coefficients, _chebyshev_transfer_amplitude,
                               _end_to_end_weights, _newton_step,
                               _transfer_amplitude_uniform, _transfer_spectrum)
@@ -312,7 +313,8 @@ def test_ensemble_average_matches_hand_loop_over_keys():
 
 
 def test_ensemble_average_across_realization_blocks(monkeypatch):
-    # more realizations than one propagation block holds: 128 rows at N = 8
+    # more realizations than one propagation block holds: 128 rows with
+    # fields at N = 8
     monkeypatch.setattr(evolve, "_BLOCK_ELEMENTS", 8 * 128)
     spec = ChainSpec(n_sites=8, eps_j=0.3, eps_b=0.2)
     n_real = 2 * 128 + 3
@@ -327,48 +329,102 @@ def test_ensemble_average_across_realization_blocks(monkeypatch):
     assert np.array_equal(err, fid.std(axis=0, ddof=1) / np.sqrt(n_real))
 
 
+def _recording_chebyshev(monkeypatch):
+    """Every (arguments, amplitudes) of _chebyshev_transfer_amplitude's
+    calls from here on, in call order."""
+    calls, chebyshev = [], evolve._chebyshev_transfer_amplitude
+
+    def recording(*args):
+        calls.append((args, chebyshev(*args)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(evolve, "_chebyshev_transfer_amplitude", recording)
+    return calls
+
+
 @pytest.mark.parametrize("n", [2, 20])
 def test_ensemble_averages_do_not_depend_on_the_block_size(monkeypatch, n):
-    # unsorted half-widths, so every block sorts its rows and drops some
+    # unsorted half-widths, so every block sorts its rows and drops some; a
+    # subnormal eps_b draws some all-zero diagonals into a stack with fields
     cells = [(ChainSpec(n_sites=n, eps_j=eps_j, eps_b=eps_b), (i,))
              for i, (eps_j, eps_b) in enumerate([(1.0, 0.0), (0.02, 0.0), (0.3, 0.0),
-                                                 (0.1, 2.0)])]
+                                                 (0.1, 2.0), (0.1, 5e-324)])]
     n_real, t_list = 7, [0.0, transfer_time(), 5 * transfer_time()]
+    calls = _recording_chebyshev(monkeypatch)
     results = []
-    # one row per block, blocks of 5 rows that split cells, every row in one block
+    # one row per block; blocks that split cells (5 rows with fields, and 3
+    # zero-field rows at N = 2, 8 at N = 20); every row in one block
     for rows in (1, 5, len(cells) * n_real):
         monkeypatch.setattr(evolve, "_BLOCK_ELEMENTS", rows * n)
         results.append([(mean.tobytes(), err.tobytes())
                         for mean, err in ensemble_averages(cells, n_real, 3, t_list)])
     assert results[0] == results[1] == results[2]
+    # every row, the subnormal cell's too, has the bytes of its one-row call
+    for (diag, offdiag, widths, times), amp in calls:
+        for r in range(diag.shape[0]):
+            assert amp[r].tobytes() == _chebyshev_transfer_amplitude(
+                diag[r:r + 1], offdiag[r:r + 1], widths[r], times)[0].tobytes()
+    if n == 2:   # the subnormal cell's zero and nonzero diagonals share a stack
+        assert any(d.any() and not d.any(axis=1).all() for (d, *_), _ in calls)
 
 
 @pytest.mark.parametrize("n", [20, 21])
 def test_ensemble_averages_of_interleaved_sectors_do_not_depend_on_the_block_size(
         monkeypatch, n):
     # perturbation's layout: cells of the coupling sector (no fields) and of
-    # the field sector in turn; blocks of 5 rows split cells and hold both
+    # the field sector in turn; blocks split cells (5 rows with fields, 8
+    # zero-field rows)
     cells = [(ChainSpec(n_sites=n, eps_j=0.02 * (i + 1)), (0, i)) if i % 2 == 0
              else (ChainSpec(n_sites=n, eps_b=0.02 * (i + 1)), (1, i)) for i in range(4)]
     n_real, t_list = 7, [transfer_time(), 5 * transfer_time()]
-    stacks = []
-    chebyshev = evolve._chebyshev_transfer_amplitude
-
-    def recording(diag, *args):
-        stacks.append(diag.any(axis=1))
-        return chebyshev(diag, *args)
-
-    monkeypatch.setattr(evolve, "_chebyshev_transfer_amplitude", recording)
+    calls = _recording_chebyshev(monkeypatch)
     results = []
     for rows in (5, len(cells) * n_real):
         monkeypatch.setattr(evolve, "_BLOCK_ELEMENTS", rows * n)
         results.append([(mean.tobytes(), err.tobytes())
                         for mean, err in ensemble_averages(cells, n_real, 3, t_list)])
     assert results[0] == results[1]
-    # each block runs its zero-field rows and its rows with fields apart
+    # the zero-field rows and the rows with fields run apart
+    stacks = [diag.any(axis=1) for (diag, *_), _ in calls]
     assert all(fields.all() or not fields.any() for fields in stacks)
     assert sum(not fields.any() for fields in stacks) > 2
     assert sum(fields.all() for fields in stacks) > 2
+
+
+def test_ensemble_stacks_one_row_kind_per_block_sized_on_its_sites(monkeypatch):
+    # corr_p outer, then N, eps_j and eps_b: the same-N cells of one kind sit
+    # apart, behind cells of the other kind, the other N and the other corr_p
+    cells = grid_cells((20, 31), (0.1, 0.3), (0.0, 0.2), (0.3, 0.7))
+    n_real, t_list = 7, [transfer_time()]
+    calls = _recording_chebyshev(monkeypatch)
+    results = []
+    # the default holds each (N, kind)'s 28 rows in one stack; 120 elements
+    # cut them into stacks of 10 zero-field rows and 6 with fields at N = 20,
+    # and 7 and 3 at N = 31
+    for elements in (evolve._BLOCK_ELEMENTS, 120):
+        monkeypatch.setattr(evolve, "_BLOCK_ELEMENTS", elements)
+        calls.clear()
+        results.append([(mean.tobytes(), err.tobytes())
+                        for mean, err in ensemble_averages(cells, n_real, 5, t_list)])
+        stacks = [args[:2] for args, _ in calls]
+        assert all(diag.any(axis=1).all() or not diag.any() for diag, _ in stacks)
+        counted = 0
+        for n, fields in ((20, False), (20, True), (31, False), (31, True)):
+            group = [(spec, key) for spec, key in cells
+                     if spec.n_sites == n and (spec.eps_b > 0) == fields]
+            mine = [s for s in stacks if s[0].shape[1] == n and s[0].any() == fields]
+            size = max(1, elements // (n if fields else n // 2 + 2))
+            rows = len(group) * n_real
+            assert [diag.shape[0] for diag, _ in mine] == (
+                [size] * (rows // size) + [rows % size] * (rows % size > 0))
+            # the group's cells, rows in ascending r, in grid order
+            drawn = [hamiltonian_block(spec, 5, key, range(n_real)) for spec, key in group]
+            for part in (0, 1):
+                assert np.concatenate([s[part] for s in mine]).tobytes() == np.concatenate(
+                    [d[part] for d in drawn]).tobytes()
+            counted += len(mine)
+        assert counted == len(stacks)
+    assert len(results[0]) == len(cells) and results[0] == results[1]
 
 
 def test_ensemble_at_a_subnormal_time_is_the_initial_state_without_a_warning():
@@ -393,12 +449,13 @@ def test_ensemble_refuses_a_non_finite_time_before_drawing(forbid_draws, bad):
 def test_ensemble_averages_of_mixed_chain_lengths_match_calls_per_length(monkeypatch,
                                                                          rows):
     # N = 10 twice in a row (a repeated N), then 11, then 10 again; blocks of
-    # 5 rows split cells, and the repeated N's cells may share a block
+    # 5 zero-field rows and 3 with fields split cells, and the repeated N's
+    # cells may share a block
     n_values = (10, 10, 11, 10)
     cells = [(ChainSpec(n_sites=n, eps_j=0.05 * (i + 1), eps_b=0.1 * (i % 2)), (i,))
              for i, n in enumerate(n_values)]
     n_real, t_list = 7, [transfer_time(), 3 * transfer_time()]
-    monkeypatch.setattr(evolve, "_BLOCK_ELEMENTS", rows * 10)
+    monkeypatch.setattr(evolve, "_BLOCK_ELEMENTS", rows * 7)
     mixed = ensemble_averages(cells, n_real, 3, t_list)
     per_length = [result for n in sorted(set(n_values))
                   for result in ensemble_averages([c for c in cells if c[0].n_sites == n],

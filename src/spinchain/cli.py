@@ -19,8 +19,8 @@ from .boxcount import (DIMENSION_HEADER, DegenerateSeriesError, default_box_coun
 from .evolve import fidelity_series, series_length, transfer_time
 from .fitting import curves_by_n, threshold_scaling
 from .levelstats import ETA_HEADER, MAX_BIN_WIDTH, collect_spacings, eta_scan, spacing_histogram
-from .scans import (FidelityPoint, PerturbationRow, fit_scaling, points_from_rows,
-                    perturbation_comparison, scan_fidelity, threshold_curves)
+from .scans import (FidelityPoint, PerturbationRow, fit_scaling, perturbation_comparison,
+                    scan_fidelity, threshold_curves)
 from .tableio import read_csv, write_csv, write_sidecar
 
 
@@ -98,12 +98,16 @@ def _common(extra: dict) -> dict:
             "out": {"type": str, "required": True, "help": "output CSV path"}}
 
 
+def _single_chain(extra: dict) -> dict:
+    """_common with the four options _spec reads ahead of extra."""
+    return _common({"n": {"type": int, "required": True},
+                    "eps_j": {"type": float, "default": 0.0},
+                    "eps_b": {"type": float, "default": 0.0},
+                    "corr_p": {"type": float, "default": 0.5}, **extra})
+
+
 OPTIONS = {
-    "transfer": _common({
-        "n": {"type": int, "required": True},
-        "eps_j": {"type": float, "default": 0.0},
-        "eps_b": {"type": float, "default": 0.0},
-        "corr_p": {"type": float, "default": 0.5},
+    "transfer": _single_chain({
         "t_max": {"type": float, "default": 10.0},
         "dt": {"type": float, "default": 0.01},
     }),
@@ -129,11 +133,7 @@ OPTIONS = {
         "param": {"type": str, "default": "eps_j", "choices": ("eps_j", "eps_b")},
         "out": {"type": str, "required": True},
     },
-    "spectrum": _common({
-        "n": {"type": int, "required": True},
-        "eps_j": {"type": float, "default": 0.0},
-        "eps_b": {"type": float, "default": 0.0},
-        "corr_p": {"type": float, "default": 0.5},
+    "spectrum": _single_chain({
         "n_real": {"type": int, "default": 1000},
         "bin_width": {"type": float, "default": 0.05},
     }),
@@ -150,11 +150,7 @@ OPTIONS = {
         "t_max": {"type": float, "default": 1e4},
         "dt": {"type": float, "default": 0.05},
     }),
-    "fractal": _common({
-        "n": {"type": int, "required": True},
-        "eps_j": {"type": float, "default": 0.0},
-        "eps_b": {"type": float, "default": 0.0},
-        "corr_p": {"type": float, "default": 0.5},
+    "fractal": _single_chain({
         "t_max": {"type": float, "default": 1e4},
         "dt": {"type": float, "default": 0.05},
         "l_min": {"type": float, "default": None, "help": "manual fit window lower edge"},
@@ -242,14 +238,14 @@ def _write(cfg, command, header, rows, csv_extra, **sidecar):
 CURVE_MODELS = {ETA_HEADER: "eta-threshold", DIMENSION_HEADER: "dimension-threshold"}
 
 
-def _read_tables(command, paths):
-    """(metadata, header, rows) of one or more tables of one kind, the rows
-    pooled in the order given.  A missing, empty or headerless table, a
-    row that is not one number per column or whose n_sites or n_real is
-    not a finite integer, or a header that differs from the first
-    table's exits naming --table and the path.  One table's
-    metadata is carried as it is; with several, key k of the i-th table
-    becomes table<i>.k."""
+def _read_tables(command, paths, headers):
+    """(metadata, header tuple, rows) of tables of one kind, the rows pooled
+    in the order given, each row's n_sites and n_real as ints.  A missing,
+    empty or headerless table, a header that differs from the first
+    table's, a row that is not one number per column or whose n_sites or
+    n_real is not a finite integer, then a header that is none of headers
+    exit naming --table and the path.  One table's metadata is carried as
+    it is; with several, key k of the i-th table becomes table<i>.k."""
     tables = []
     for path in paths:
         try:
@@ -258,9 +254,11 @@ def _read_tables(command, paths):
             raise SystemExit(f"{command}: --table {path}: {err.strerror}") from None
         except ValueError as err:
             raise SystemExit(f"{command}: --table {path}: {err}") from None
-    header = tables[0][1]
+    header = tuple(tables[0][1])
+    counts = ("n_sites", "n_real")
+    typed = []
     for path, (_, other, rows) in zip(paths, tables):
-        if other != header:
+        if tuple(other) != header:
             raise SystemExit(f"{command}: --table {path}: header {','.join(other)} "
                              f"differs from {paths[0]}'s {','.join(header)}")
         for k, row in enumerate(rows, 1):
@@ -268,16 +266,20 @@ def _read_tables(command, paths):
                 raise SystemExit(f"{command}: --table {path}: data row {k} is not "
                                  f"{len(header)} numbers")
             for name, value in zip(header, row):
-                if name in ("n_sites", "n_real") and not value.is_integer():
+                if name in counts and not value.is_integer():
                     raise SystemExit(f"{command}: --table {path}: data row {k}: "
                                      f"{name} {value!r} is not a finite integer")
+            typed.append(tuple(int(v) if n in counts else v for n, v in zip(header, row)))
+    if header not in headers:
+        raise SystemExit(f"{command}: --table {' '.join(paths)}: expected a table with header "
+                         f"{' or '.join(map(','.join, headers))}, found {','.join(header)}")
     if len(paths) == 1:
         metadata = {"table": paths[0], **tables[0][0]}
     else:
         metadata = {"table": " ".join(paths)}
         for i, (meta, _, _) in enumerate(tables, 1):
             metadata.update({f"table{i}.{key}": value for key, value in meta.items()})
-    return metadata, header, [row for _, _, rows in tables for row in rows]
+    return metadata, header, typed
 
 
 def _cmd_transfer(cfg):
@@ -295,9 +297,9 @@ def _cmd_scan(cfg):
 
 
 def _cmd_fit_scaling(cfg):
-    metadata, header, rows = _read_tables("fit-scaling", cfg["table"])
+    metadata, _, rows = _read_tables("fit-scaling", cfg["table"], (FidelityPoint._fields,))
     try:
-        fit = fit_scaling(points_from_rows(header, rows))
+        fit = fit_scaling([FidelityPoint(*row) for row in rows])
     except ValueError as err:
         raise SystemExit(f"fit-scaling: --table {' '.join(cfg['table'])}: {err}") from None
     out_rows = [(name, fit.params[name], fit.stderr[name]) for name in sorted(fit.params)]
@@ -309,24 +311,21 @@ def _cmd_threshold(cfg):
     lengths cross is skipped and its reason recorded under the sidecar's
     targets; the command exits, naming --f-target, only when every
     target is skipped."""
-    metadata, header, rows = _read_tables("threshold", cfg["table"])
+    metadata, header, rows = _read_tables("threshold", cfg["table"],
+                                          (FidelityPoint._fields, *CURVE_MODELS))
     tables = " ".join(cfg["table"])
-    model = CURVE_MODELS.get(tuple(header))
+    model = CURVE_MODELS.get(header)
     if model is not None:
         if cfg["param"] != "eps_j":
             raise SystemExit(f"threshold: --param {cfg['param']}: the "
                              f"{','.join(header)} table {tables} holds eps_j curves only")
-        curves = curves_by_n((int(r[0]), r[1], r[2]) for r in rows)
-    elif tuple(header) == FidelityPoint._fields:
+        curves = curves_by_n(row[:3] for row in rows)
+    else:
         model = f"{cfg['param']}-threshold"
         try:
-            curves = threshold_curves(points_from_rows(header, rows), cfg["param"])
+            curves = threshold_curves([FidelityPoint(*row) for row in rows], cfg["param"])
         except ValueError as err:
             raise SystemExit(f"threshold: --table {tables}: {err}") from None
-    else:
-        accepted = " or ".join(",".join(h) for h in (FidelityPoint._fields, *CURVE_MODELS))
-        raise SystemExit(f"threshold: --table {tables}: expected a table with header "
-                         f"{accepted}, found {','.join(header)}")
     out_rows, fits = [], {}
     for target in cfg["f_target"]:
         key = format(target, ".17g")

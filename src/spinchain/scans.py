@@ -12,8 +12,8 @@ cells could be evaluated in any order.  A scan makes one
 ensemble_averages call for its whole grid, and a perturbation
 comparison one call for all of its sectors.
 
-The scan table's columns are the fields of FidelityPoint; points_from_rows
-reads them back and refuses any other header.
+The scan table's columns are the fields of FidelityPoint; fit_scaling
+and threshold_curves refuse points that no scan writes.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from .perturbation import (compute_coefficients, infidelity_sums,
 
 __all__ = [
     "FidelityPoint",
-    "points_from_rows",
     "scan_fidelity",
     "fit_scaling",
     "threshold_curves",
@@ -57,15 +56,6 @@ class FidelityPoint(NamedTuple):
     n_real: int
 
 
-def points_from_rows(header, rows) -> list:
-    """FidelityPoints of a scan table's rows; any other header raises
-    ValueError naming the expected and the found header."""
-    if tuple(header) != FidelityPoint._fields:
-        raise ValueError(f"expected a scan table with header "
-                         f"{','.join(FidelityPoint._fields)}, found {','.join(header)}")
-    return [FidelityPoint(int(r[0]), *r[1:6], int(r[6])) for r in rows]
-
-
 def scan_fidelity(n_values, eps_j_grid, n_real: int, master_seed: int,
                   eps_b_grid=(0.0,), corr_p_grid=(0.5,), t_eval: float | None = None) -> list:
     """Averaged fidelity at t_eval (default t1 = pi / 4) over the
@@ -84,12 +74,19 @@ def scan_fidelity(n_values, eps_j_grid, n_real: int, master_seed: int,
             for (spec, _), (mean, err) in zip(cells, results)]
 
 
-def _one_corr_p(points):
-    """Refuse points that pool several sign-correlation probabilities.
-
-    Each corr_p is its own fidelity curve, so a fit or a threshold over
-    rows of several would match none of them.
-    """
+def _check_points(points):
+    """Refuse a point whose fbar is no fidelity (outside [1/2, 1]) or whose
+    chain parameters ChainSpec refuses, then points of several corr_p:
+    each corr_p is its own fidelity curve, so a fit or a threshold over
+    rows of several would match none of them."""
+    for p in points:
+        try:
+            ChainSpec(p.n_sites, p.eps_j, p.eps_b, p.corr_p)
+            if not 0.5 <= p.fbar <= 1.0:
+                raise ValueError(f"fbar {p.fbar} lies outside [1/2, 1]")
+        except ValueError as err:
+            raise ValueError(f"the point N={p.n_sites}, eps_j={p.eps_j}, "
+                             f"eps_b={p.eps_b}: {err}") from None
     values = sorted({p.corr_p for p in points})
     if len(values) > 1:
         raise ValueError("the points mix corr_p values "
@@ -105,9 +102,10 @@ def fit_scaling(points) -> FitResult:
     rows and y = -kappa_b (eps_b^2 / N) on pure field rows.  Rows with
     2F - 1 <= SCALING_MASK_FLOOR are masked out.  Each constant needs at least
     four usable rows; a constant whose rows are absent entirely is
-    simply not reported.  Points of more than one corr_p are refused.
+    simply not reported.  Points of several corr_p, and a point with fbar
+    outside [1/2, 1] or parameters ChainSpec refuses, raise ValueError.
     """
-    _one_corr_p(points)
+    _check_points(points)
     sectors = (("kappa_j", "coupling", "eps_j", "eps_b",
                 lambda p: -p.n_sites * p.eps_j ** 2),
                ("kappa_b", "field", "eps_b", "eps_j",
@@ -136,12 +134,12 @@ def threshold_curves(points, param: str) -> dict:
     """Per-N curves of F(t1) against param, from the pure rows of param.
 
     The other disorder amplitude must be zero, and param positive: the
-    input of threshold_scaling.  An unknown param, points of more than
-    one corr_p and a table with no pure rows raise ValueError.
+    input of threshold_scaling.  An unknown param, the points fit_scaling
+    refuses and a table with no pure rows raise ValueError.
     """
     if param not in ("eps_j", "eps_b"):
         raise ValueError(f"param must be eps_j or eps_b, got {param!r}")
-    _one_corr_p(points)
+    _check_points(points)
     other = "eps_b" if param == "eps_j" else "eps_j"
     curves = curves_by_n((p.n_sites, getattr(p, param), p.fbar) for p in points
                          if getattr(p, other) == 0.0 and getattr(p, param) > 0.0)

@@ -2,6 +2,7 @@ import ast
 import importlib
 import inspect
 import json
+import math
 import os
 import pkgutil
 import re
@@ -26,7 +27,7 @@ from spinchain import cli, tableio
 from spinchain.cli import OPTIONS, build_parser, main
 from spinchain.fitting import FitResult, threshold_scaling
 from spinchain.levelstats import ETA_HEADER
-from spinchain.scans import FidelityPoint, PerturbationRow, points_from_rows, threshold_curves
+from spinchain.scans import FidelityPoint, PerturbationRow, threshold_curves
 from spinchain.tableio import read_csv, sidecar_path, write_sidecar
 
 
@@ -223,8 +224,8 @@ def test_scan_table_reads_back_as_the_points_that_wrote_it(tmp_path):
     out = tmp_path / "scan.csv"
     run_cli("scan", "--n", 6, 11, 17, "--eps-j", 0.0, 0.07, 0.4, "--eps-b", 0.0, 0.3,
             "--corr-p", 0.3, "--n-real", 12, "--seed", 21, "--out", out)
-    _, header, rows = read_csv(out)
-    read_back = points_from_rows(header, rows)
+    _, _, rows = cli._read_tables("fit-scaling", [str(out)], (FidelityPoint._fields,))
+    read_back = [FidelityPoint(*row) for row in rows]
     points = scan_fidelity((6, 11, 17), (0.0, 0.07, 0.4), 12, 21,
                            eps_b_grid=(0.0, 0.3), corr_p_grid=(0.3,))
     assert len(points) == 18 and read_back == points
@@ -327,6 +328,59 @@ def test_table_commands_reject_a_table_of_another_kind(tmp_path, command):
     assert f"found {found}" in message
     if command == "threshold":
         assert "n_sites,eps_j,eta or n_sites,eps_j,dimension,stderr,refused" in message
+
+
+# command -> the headers it accepts, as its refusal lists them
+ACCEPTED_HEADERS = {
+    "fit-scaling": "n_sites,eps_j,eps_b,corr_p,fbar,stderr,n_real",
+    "threshold": "n_sites,eps_j,eps_b,corr_p,fbar,stderr,n_real or n_sites,eps_j,eta "
+                 "or n_sites,eps_j,dimension,stderr,refused",
+}
+
+
+@pytest.mark.parametrize("command", ["fit-scaling", "threshold"])
+def test_table_commands_name_the_accepted_and_the_found_header(tmp_path, command):
+    table = tmp_path / "transfer.csv"
+    run_cli("transfer", "--n", 6, "--t-max", 0.05, "--seed", 1, "--out", table)
+    out = tmp_path / "x.csv"
+    with pytest.raises(SystemExit) as err:
+        main([command, "--table", str(table), "--out", str(out)])
+    assert str(err.value) == (f"{command}: --table {table}: expected a table with header "
+                              f"{ACCEPTED_HEADERS[command]}, found "
+                              "time,amp_real,amp_imag,fidelity")
+    assert not out.exists()
+
+
+# a field of the scan row N=10, eps_j=0.1 set to a value no scan writes,
+# and the refusal that names it
+IMPOSSIBLE_POINTS = [
+    ("fbar", math.inf, "fbar inf lies outside [1/2, 1]"),
+    ("fbar", math.nan, "fbar nan lies outside [1/2, 1]"),
+    ("fbar", 7.0, "fbar 7.0 lies outside [1/2, 1]"),
+    ("fbar", 0.3, "fbar 0.3 lies outside [1/2, 1]"),
+    ("eps_b", -0.1, "disorder amplitudes must be finite and >= 0"),
+    ("corr_p", 1.5, "corr_p must lie in [0, 1], got 1.5"),
+]
+
+
+@pytest.mark.parametrize("command", ["fit-scaling", "threshold"])
+@pytest.mark.parametrize("field, value, reason", IMPOSSIBLE_POINTS,
+                         ids=[f"{field}-{value}" for field, value, _ in IMPOSSIBLE_POINTS])
+def test_table_commands_refuse_an_impossible_point(tmp_path, command, field, value,
+                                                   reason):
+    points = [FidelityPoint(n, e, 0.0, 0.5, 0.5 * (1 + math.exp(-0.25 * n * e * e)),
+                            0.01, 20) for n in (10, 20) for e in (0.05, 0.1, 0.2, 0.4)]
+    intact, table = tmp_path / "intact.csv", tmp_path / "table.csv"
+    tableio.write_csv(intact, FidelityPoint._fields, points)
+    run_cli(command, "--table", intact, "--out", tmp_path / "intact-out.csv")
+    points[1] = points[1]._replace(**{field: value})
+    tableio.write_csv(table, FidelityPoint._fields, points)
+    out = tmp_path / "x.csv"
+    with pytest.raises(SystemExit) as err:
+        main([command, "--table", str(table), "--out", str(out)])
+    assert str(err.value) == (f"{command}: --table {table}: the point N=10, eps_j=0.1, "
+                              f"eps_b={points[1].eps_b}: {reason}")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["fit-scaling", "threshold"])
@@ -847,7 +901,8 @@ def test_table_commands_pool_several_tables(tmp_path, command):
                        ("b20", "--n 20 --eps-b 0.7 1.4 2.8 5.6 --seed 6")]:
         tables.append(tmp_path / f"{name}.csv")
         run_cli("scan", *argv.split(), "--n-real", 40, "--out", tables[-1])
-        points += points_from_rows(*read_csv(tables[-1])[1:])
+        _, _, rows = cli._read_tables(command, [str(tables[-1])], (FidelityPoint._fields,))
+        points += [FidelityPoint(*row) for row in rows]
     out = tmp_path / "out.csv"
     if command == "fit-scaling":
         run_cli("fit-scaling", "--table", *tables, "--out", out)

@@ -84,6 +84,29 @@ def test_fit_scaling_needs_enough_rows():
         fit_scaling([])
 
 
+@pytest.mark.parametrize("field, value, reason", [
+    ("fbar", np.inf, "fbar inf lies outside [1/2, 1]"),
+    ("fbar", np.nan, "fbar nan lies outside [1/2, 1]"),
+    ("fbar", 7.0, "fbar 7.0 lies outside [1/2, 1]"),
+    ("fbar", 0.3, "fbar 0.3 lies outside [1/2, 1]"),
+    ("eps_b", -0.1, "disorder amplitudes must be finite and >= 0"),
+    ("corr_p", 1.5, "corr_p must lie in [0, 1], got 1.5"),
+    ("n_sites", 10.7, "n_sites must be an integer >= 2, got 10.7"),
+], ids=["fbar-inf", "fbar-nan", "fbar-7", "fbar-0.3", "eps_b-negative", "corr_p-1.5",
+        "n_sites-10.7"])
+@pytest.mark.parametrize("use", [fit_scaling, lambda points: threshold_curves(points, "eps_j")],
+                         ids=["fit_scaling", "threshold_curves"])
+def test_fit_and_threshold_refuse_an_impossible_point(use, field, value, reason):
+    points = synthetic_scaling_points(kappa_j=0.25, n_values=(10, 20),
+                                      eps_j=(0.05, 0.1, 0.2, 0.4))
+    use(points)
+    points[1] = bad = points[1]._replace(**{field: value})
+    with pytest.raises(ValueError) as err:
+        use(points)
+    assert str(err.value) == (f"the point N={bad.n_sites}, eps_j=0.1, "
+                              f"eps_b={bad.eps_b}: {reason}")
+
+
 def test_threshold_extract_synthetic_exponents():
     # from the model, eps_j^c = sqrt(-ln(2 F - 1) / (kappa_j N)) ~ N^(-1/2)
     # and eps_b^c ~ N^(+1/2); shared relative grids cancel interpolation bias

@@ -319,6 +319,13 @@ def _cmd_threshold(cfg):
         if cfg["param"] != "eps_j":
             raise SystemExit(f"threshold: --param {cfg['param']}: the "
                              f"{','.join(header)} table {tables} holds eps_j curves only")
+        column = header[2]
+        for n, eps_j, value in (row[:3] for row in rows):
+            # eta is a ratio of distances; a NaN dimension is dimension_scan's refusal
+            if math.isinf(value) or (column == "eta" and not value >= 0):
+                need = "a finite number >= 0" if column == "eta" else "finite or NaN"
+                raise SystemExit(f"threshold: --table {tables}: N = {n}, eps_j = {eps_j!r}: "
+                                 f"{column} {value!r} is not {need}")
         curves = curves_by_n(row[:3] for row in rows)
     else:
         model = f"{cfg['param']}-threshold"

@@ -9,7 +9,14 @@ over s in [0, 1], normalized by the same distance for the delta peak.
 Each ensemble is one chain.hamiltonian_block, whose rows are
 diagonalized for eigenvalues only by eigvalsh_tridiagonal; realization
 r of a sample draws from substream(master_seed, *key_prefix, r), and
-eta_scan takes each cell's key prefix from chain.grid_cells.
+eta_scan takes each cell's key prefix from chain.grid_cells.  The rows
+are independent, and each LAPACK call releases the GIL (ctypes releases
+it around every foreign call), so collect_spacings runs them on
+w = min(n_real, CPUs) workers, CPUs being the CPUs this process may run
+on (os.sched_getaffinity, else os.cpu_count()); the calling thread is
+one of them, and w = 1 starts no thread.  Every row takes the same
+arithmetic whatever w, so no byte depends on it, and a failure raises
+the exception of the lowest failing row once every thread has joined.
 
 eigvalsh_tridiagonal has two routes, and evolve's fidelity series
 start from it too.  A chain with any nonzero field goes to LAPACK
@@ -29,12 +36,14 @@ command that eigensolves imports scipy.linalg.
 
 from __future__ import annotations
 
+import contextvars
 import ctypes
 import importlib.machinery
 import importlib.util
 import os
 import re
 import sys
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,8 +74,9 @@ def eigvalsh_tridiagonal(d, e):
     relative accuracy (Fernando & Parlett 1994).  For odd N that
     diagonal ends in a zero; the smallest singular value is dropped and
     the middle level is an exact 0.0.  Both routines are bound on first
-    use through ctypes from the capsules that scipy.linalg.cython_lapack
-    exports (_lapack): a missing capsule, or one with another signature,
+    use (collect_spacings binds both before its threads start) through
+    ctypes from the capsules that scipy.linalg.cython_lapack exports
+    (_lapack): a missing capsule, or one with another signature,
     raises ImportError naming scipy's version, and a nonzero INFO raises
     numpy.linalg.LinAlgError naming N.  Non-finite fields or couplings
     raise ValueError on either route, and so do couplings that are not
@@ -268,15 +278,59 @@ def collect_spacings(spec: ChainSpec, n_real: int, master_seed: int,
     realization bandwidth fluctuations before pooling.  Degenerate
     eigenvalues contribute zero spacings and are kept.  The realizations
     are the rows of one hamiltonian_block; n_real is checked first.
+
+    The rows run on w = min(n_real, CPUs) workers, CPUs being the CPUs
+    this process may run on (_cpus): worker j takes rows j, j + w,
+    j + 2w, ...  The calling thread is worker 0 and w - 1 threads, each
+    in a copy of the caller's context (numpy's errstate holds in them),
+    are the others; with w = 1 no thread starts.  Each worker writes
+    its own rows with the arithmetic of one thread, so the spacings do
+    not depend on w.  The threads overlap because a LAPACK call
+    releases the GIL.  Both LAPACK routines are bound before any thread
+    starts, so no two threads race to bind one.  A worker stops at its
+    first failing row; once every thread has joined, the exception of
+    the lowest failing row is raised, whatever w.
     """
     if n_real < 1:
         raise ValueError("n_real must be >= 1")
     diag, offdiag = hamiltonian_block(spec, master_seed, key_prefix, range(n_real))
     pooled = np.empty((n_real, spec.n_sites - 1))
-    for r in range(n_real):
-        gaps = np.diff(eigvalsh_tridiagonal(diag[r], offdiag[r]))
-        pooled[r] = gaps / gaps.mean()
+    errors = {}   # failing row -> its exception
+
+    def rows(first, step):
+        for r in range(first, n_real, step):
+            try:
+                gaps = np.diff(eigvalsh_tridiagonal(diag[r], offdiag[r]))
+                pooled[r] = gaps / gaps.mean()
+            except Exception as err:
+                errors[r] = err
+                return
+
+    for name in _SIGNATURES:
+        _lapack(name)
+    workers = min(n_real, _cpus())
+    started = []
+    try:
+        for j in range(1, workers):
+            thread = threading.Thread(target=contextvars.copy_context().run,
+                                      args=(rows, j, workers))
+            thread.start()
+            started.append(thread)
+        rows(0, workers)
+    finally:
+        for thread in started:
+            thread.join()
+    if errors:
+        raise errors[min(errors)]
     return SpacingSample(spacings=pooled.ravel(), n_realizations=n_real)
+
+
+def _cpus() -> int:
+    """The number of CPUs this process may run on: its affinity mask, or
+    os.cpu_count() where the platform has none."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def spacing_histogram(values, bin_width: float = 0.05) -> SpacingHistogram:

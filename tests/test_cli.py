@@ -737,6 +737,30 @@ def test_output_matches_the_committed_golden_table(tmp_path, monkeypatch, name, 
     assert out.read_bytes() == golden.read_bytes(), _column_gaps(out, golden)
 
 
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
+                    reason="the platform sets no CPU affinity")
+@pytest.mark.parametrize("name, argv", [
+    ("eta-scan", "eta-scan --n 10 30 --eps-j 0.003 0.1 1.0 --n-real 40 --seed 4"),
+    ("spectrum", "spectrum --n 30 --eps-j 0.2 --eps-b 0.1 --corr-p 0.3 --n-real 40 "
+                 "--seed 3"),
+])
+def test_level_statistics_bytes_do_not_depend_on_cpu_affinity(tmp_path, name, argv):
+    # collect_spacings runs one thread per CPU the process may use: one
+    # CPU runs no thread, the host's CPUs as many as there are
+    run = ("import os, sys\n"
+           "if sys.argv[1] == 'one':\n"
+           "    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+           "from spinchain.cli import main\n"
+           "sys.exit(main(sys.argv[2:]))\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(spinchain.__file__).parents[1])}
+    for cpus in ("one", "all"):
+        out = tmp_path / f"{cpus}.csv"
+        done = subprocess.run([sys.executable, "-c", run, cpus, *argv.split(),
+                               "--out", str(out)], env=env, capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        assert out.read_bytes() == (DATA / f"{name}.csv").read_bytes(), cpus
+
+
 def test_dimension_scan_command_matches_the_library(tmp_path):
     # a repeated eps_j is its own cell: its refusals are counted apart
     grid = (0.6, 0.3, 0.6)
@@ -867,6 +891,46 @@ def test_threshold_refuses_eps_b_on_a_curve_table(tmp_path):
         main(["threshold", "--table", str(table), "--param", "eps_b", "--out", str(out)])
     assert str(err.value).startswith("threshold: --param eps_b: ")
     assert not out.exists()
+
+
+def _golden_with(tmp_path, name, n, eps_j, value):
+    """The golden name.csv, its (n, eps_j) row's value column set to value."""
+    metadata, header, rows = read_csv(DATA / f"{name}.csv")
+    rows = [(*row[:2], value, *row[3:]) if tuple(row[:2]) == (n, eps_j) else row
+            for row in rows]
+    assert any(row[2] is value for row in rows)
+    return tableio.write_csv(tmp_path / f"{name}.csv", header, rows, metadata)
+
+
+@pytest.mark.parametrize("name, bad, need", [
+    ("eta-scan", math.inf, "a finite number >= 0"),
+    ("eta-scan", -math.inf, "a finite number >= 0"),
+    ("eta-scan", math.nan, "a finite number >= 0"),
+    ("eta-scan", -0.25, "a finite number >= 0"),
+    ("dimension-scan", math.inf, "finite or NaN"),
+    ("dimension-scan", -math.inf, "finite or NaN"),
+])
+def test_threshold_refuses_a_curve_value_out_of_range(tmp_path, name, bad, need):
+    # a value threshold_scaling would drop, or interpolate through, moves
+    # another cell's crossing without a word
+    # each target is crossed at both chain lengths of the golden table
+    n, eps_j, target = (10, 0.1, "0.5") if name == "eta-scan" else (12, 0.6, "1.6")
+    table = _golden_with(tmp_path, name, n, eps_j, bad)
+    out = tmp_path / "thr.csv"
+    with pytest.raises(SystemExit) as err:
+        main(["threshold", "--table", str(table), "--f-target", target, "--out", str(out)])
+    column = "eta" if name == "eta-scan" else "dimension"
+    assert str(err.value) == (f"threshold: --table {table}: N = {n}, eps_j = {eps_j!r}: "
+                              f"{column} {bad!r} is not {need}")
+    assert not out.exists()
+
+
+def test_threshold_keeps_a_refused_dimension_cell(tmp_path):
+    # NaN is dimension_scan's refusal: the cell drops out of its curve
+    table = _golden_with(tmp_path, "dimension-scan", 12, 0.6, math.nan)
+    out = tmp_path / "thr.csv"
+    run_cli("threshold", "--table", table, "--f-target", 1.6, "--out", out)
+    assert [row[2] for row in read_csv(out)[2]] == [12, 20]
 
 
 def test_threshold_keeps_the_targets_it_can_compute(tmp_path):

@@ -1,4 +1,8 @@
+import collections
 import decimal
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -159,6 +163,132 @@ def test_eta_scan_refuses_a_bin_width_before_drawing(forbid_draws, bin_width):
     # eta needs a width of at most 4; a scan checks that before its first cell
     with pytest.raises(ValueError, match=r"bin_width must lie in \(0, 4\]"):
         eta_scan((200,), (0.1,), 300, 1, bin_width=bin_width)
+
+
+# ---------------------------------------------------------------------------
+# collect_spacings on threads: worker j of w takes rows j, j + w, ...
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("spec", [ChainSpec(n_sites=18, eps_j=0.4),
+                                  ChainSpec(n_sites=17, eps_j=0.4, eps_b=0.2)],
+                         ids=["zero-field", "fields"])
+@pytest.mark.parametrize("n_real", [1, 2, 5, 9])
+def test_the_worker_count_does_not_change_the_spacings(monkeypatch, spec, n_real):
+    monkeypatch.setattr(levelstats, "_cpus", lambda: 1)
+    reference = collect_spacings(spec, n_real, 31, (2,)).spacings.tobytes()
+    for cpus in (2, 3, 7):
+        monkeypatch.setattr(levelstats, "_cpus", lambda: cpus)
+        assert collect_spacings(spec, n_real, 31, (2,)).spacings.tobytes() == reference
+
+
+def test_the_worker_count_does_not_change_eta_scan(monkeypatch):
+    args = ((10, 31), (0.003, 0.3, 1.0), 6, 4)
+    monkeypatch.setattr(levelstats, "_cpus", lambda: 1)
+    reference = eta_scan(*args)
+    for cpus in (2, 3, 7):
+        monkeypatch.setattr(levelstats, "_cpus", lambda: cpus)
+        assert eta_scan(*args) == reference
+
+
+def _rows_on_threads(monkeypatch, spec, n_real, seed, fail=None):
+    """Patch eigvalsh_tridiagonal to record row -> thread in the
+    returned dict and to call fail(row) first, when given."""
+    _, offdiag = hamiltonian_block(spec, seed, (), range(n_real))
+    real = levelstats.eigvalsh_tridiagonal
+    ran = {}
+
+    def recording(d, e):
+        r = next(k for k, row in enumerate(offdiag) if np.array_equal(row, e))
+        ran[r] = threading.current_thread()
+        if fail is not None:
+            fail(r)
+        return real(d, e)
+
+    monkeypatch.setattr(levelstats, "eigvalsh_tridiagonal", recording)
+    return ran
+
+
+@pytest.mark.parametrize("cpus, n_real", [(1, 4), (3, 8), (7, 2)])
+def test_worker_j_takes_every_wth_row_from_row_j(monkeypatch, cpus, n_real):
+    ran = _rows_on_threads(monkeypatch, ChainSpec(n_sites=12, eps_j=0.5), n_real, 8)
+    monkeypatch.setattr(levelstats, "_cpus", lambda: cpus)
+    collect_spacings(ChainSpec(n_sites=12, eps_j=0.5), n_real, 8)
+    workers = min(cpus, n_real)
+    assert sorted(ran) == list(range(n_real))
+    assert all(ran[r] == ran[r % workers] for r in ran)
+    assert ran[0] is threading.current_thread()     # the caller is worker 0
+    assert len(set(ran.values())) == workers
+
+
+def test_more_workers_than_cores_switching_every_microsecond_lose_no_row(monkeypatch):
+    spec = ChainSpec(n_sites=21, eps_j=0.7)
+    monkeypatch.setattr(levelstats, "_cpus", lambda: 1)
+    references = [collect_spacings(spec, 48, seed).spacings.tobytes() for seed in range(4)]
+    real = levelstats.eigvalsh_tridiagonal
+    rows = []       # list.append is atomic: every solved row lands once
+    monkeypatch.setattr(levelstats, "eigvalsh_tridiagonal",
+                        lambda d, e: rows.append(e.tobytes()) or real(d, e))
+    monkeypatch.setattr(levelstats, "_cpus", lambda: 9)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for seed in reversed(range(4)):
+            rows.clear()
+            assert collect_spacings(spec, 48, seed).spacings.tobytes() == references[seed]
+            assert len(rows) == len(set(rows)) == 48
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3, 7])
+def test_the_lowest_failing_row_raises_once_every_thread_joins(monkeypatch, cpus):
+    def fail(r):
+        if r == 3:
+            time.sleep(0.02)    # row 5's error comes first in time
+            raise np.linalg.LinAlgError("row 3")
+        if r == 5:
+            raise ValueError("row 5")
+
+    _rows_on_threads(monkeypatch, ChainSpec(n_sites=12, eps_j=0.5), 8, 8, fail)
+    monkeypatch.setattr(levelstats, "_cpus", lambda: cpus)
+    threads = threading.active_count()
+    with pytest.raises(np.linalg.LinAlgError, match="row 3"):
+        collect_spacings(ChainSpec(n_sites=12, eps_j=0.5), 8, 8)
+    assert threading.active_count() == threads
+
+
+def test_the_callers_errstate_holds_in_every_worker(monkeypatch):
+    # row 1, on worker 1, has a zero mean gap: 0 / 0
+    spec = ChainSpec(n_sites=12, eps_j=0.5)
+    _, offdiag = hamiltonian_block(spec, 8, (), range(4))
+    real = levelstats.eigvalsh_tridiagonal
+    monkeypatch.setattr(levelstats, "eigvalsh_tridiagonal", lambda d, e: (
+        np.zeros(d.size) if np.array_equal(e, offdiag[1]) else real(d, e)))
+    monkeypatch.setattr(levelstats, "_cpus", lambda: 2)
+    with np.errstate(invalid="raise"), pytest.raises(FloatingPointError):
+        collect_spacings(spec, 4, 8)
+
+
+def test_a_threaded_call_binds_each_routine_once(monkeypatch):
+    bound = collections.Counter()
+
+    class Counting(dict):
+        def __setitem__(self, name, routine):
+            bound[name] += 1
+            super().__setitem__(name, routine)
+
+    load = levelstats._cython_lapack
+
+    def slow_load():
+        time.sleep(0.01)        # lets every thread that binds for itself in
+        return load()
+
+    monkeypatch.setattr(levelstats, "_BOUND", Counting())
+    monkeypatch.setattr(levelstats, "_cython_lapack", slow_load)
+    monkeypatch.setattr(levelstats, "_cpus", lambda: 4)
+    collect_spacings(ChainSpec(n_sites=12, eps_j=0.5), 8, 3)
+    collect_spacings(ChainSpec(n_sites=12, eps_j=0.5, eps_b=0.3), 8, 3)
+    assert bound == {"dlasq1": 1, "dsterf": 1}
 
 
 # ---------------------------------------------------------------------------

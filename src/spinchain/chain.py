@@ -73,6 +73,10 @@ class ChainSpec:
     eps_b:   field disorder amplitude in units of J, finite and >= 0
     corr_p:  probability that consecutive coupling errors share a sign;
              0.5 is exactly the uncorrelated model
+
+    The worst-case chain (every delta_k = eps_j, every b_j = eps_b) must
+    have finite entries and Gershgorin radii, so every chain the spec
+    can draw has them too.
     """
 
     n_sites: int
@@ -88,6 +92,16 @@ class ChainSpec:
             raise ValueError("disorder amplitudes must be finite and >= 0")
         if not 0.0 <= self.corr_p <= 1.0:
             raise ValueError(f"corr_p must lie in [0, 1], got {self.corr_p}")
+        # the worst-case radius is below 2 eps_b + 2 N (1 + eps_j), so only
+        # near overflow is the chain built (spectral_half_width, about 15 us)
+        if 2 * self.eps_b + 2 * self.n_sites * (1 + self.eps_j) > 1e300:
+            with np.errstate(over="ignore"):
+                width = spectral_half_width(self)
+            if not math.isfinite(width):
+                raise ValueError(
+                    f"eps_j = {self.eps_j!r}, eps_b = {self.eps_b!r}: the worst-case chain "
+                    f"of N = {self.n_sites} (every delta = eps_j, every b = eps_b) has a "
+                    "non-finite entry or Gershgorin radius")
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,7 @@ given on the command line win over the file.  Seeds are always explicit.
 from __future__ import annotations
 
 import argparse
+import itertools
 import math
 import sys
 from pathlib import Path
@@ -191,8 +192,7 @@ def _check_ranges(command, cfg):
     bad value from the command line or a config file fails before any
     work is done."""
     for dest, (admissible, rule) in RANGES.items():
-        value = cfg.get(dest)
-        for v in value if isinstance(value, tuple) else (value,):
+        for v in _values(cfg.get(dest)):
             if v is not None and not admissible(v):
                 raise SystemExit(f"{command}: --{dest.replace('_', '-')} {v!r}: {rule}")
     if "t_max" in cfg:
@@ -203,6 +203,40 @@ def _check_ranges(command, cfg):
         except ValueError as err:
             raise SystemExit(f"{command}: --t-max {cfg['t_max']!r} --dt {cfg['dt']!r}: "
                              f"{err}") from None
+
+
+def _check_chains(command, cfg):
+    """Exit naming the flag of a disorder amplitude whose worst-case chain
+    ChainSpec refuses at one of the command's N (it overflows), before
+    anything is drawn.  Amplitudes that overflow only together, eps_j
+    with eps_b, name both flags."""
+    if "n" not in cfg:
+        return
+    if command == "perturbation":    # --eps is eps_j in sector j, eps_b in sector b
+        cells = [[("eps", f"eps_{s}", eps)] for s in ("j", "b")
+                 if cfg["sector"] in (s, "both") for eps in cfg["eps"]]
+    else:
+        cells = list(itertools.product(*([(dest, dest, v) for v in _values(cfg[dest])]
+                                         for dest in ("eps_j", "eps_b") if dest in cfg)))
+
+    def refusal(n, amplitudes):
+        try:
+            ChainSpec(n_sites=n, **{field: v for _, field, v in amplitudes})
+        except ValueError as err:
+            return err
+
+    for n in _values(cfg["n"]):
+        for cell in cells:
+            err = refusal(n, cell)
+            if err:
+                alone = [a for a in cell if refusal(n, [a])] or cell
+                flags = " ".join(f"--{dest.replace('_', '-')} {v!r}" for dest, _, v in alone)
+                raise SystemExit(f"{command}: {flags}: {err}")
+
+
+def _values(value) -> tuple:
+    """An option's values: its tuple, or its one value."""
+    return value if isinstance(value, tuple) else (value,)
 
 
 def _spec(cfg) -> ChainSpec:
@@ -457,6 +491,7 @@ def main(argv=None) -> int:
     args = build_parser(command).parse_args(argv)
     cfg = _resolve(args.command, args, OPTIONS[args.command])
     _check_ranges(args.command, cfg)
+    _check_chains(args.command, cfg)
     HANDLERS[args.command](cfg)
     return 0
 

@@ -7,16 +7,18 @@ summarized by eta, the integrated distance of P(s) from the Poisson law
 over s in [0, 1], normalized by the same distance for the delta peak.
 
 Each ensemble is one chain.hamiltonian_block, whose rows are
-diagonalized for eigenvalues only by eigvalsh_tridiagonal; realization
-r of a sample draws from substream(master_seed, *key_prefix, r), and
-eta_scan takes each cell's key prefix from chain.grid_cells.  The rows
-are independent, and each LAPACK call releases the GIL (ctypes releases
-it around every foreign call), so collect_spacings runs them on
-w = min(n_real, CPUs) workers, CPUs being the CPUs this process may run
-on (os.sched_getaffinity, else os.cpu_count()); the calling thread is
-one of them, and w = 1 starts no thread.  Every row takes the same
-arithmetic whatever w, so no byte depends on it, and a failure raises
-the exception of the lowest failing row once every thread has joined.
+diagonalized for eigenvalues only by one eigvalsh_tridiagonal call on
+the whole block; realization r of a sample draws from
+substream(master_seed, *key_prefix, r), and eta_scan takes each cell's
+key prefix from chain.grid_cells.  That call checks, routes and copies
+the block once and assembles its levels once; only the LAPACK calls
+run per chain, on w = min(R, CPUs) workers for R chains, CPUs being the
+CPUs this process may run on (os.sched_getaffinity, else
+os.cpu_count()).  The chains are independent, and ctypes releases the
+GIL around every foreign call, so the workers overlap; the calling
+thread is one of them, and one chain starts no thread.  No byte depends
+on w, and a nonzero INFO raises for the lowest failing chain once every
+thread has joined.
 
 eigvalsh_tridiagonal has two routes, and evolve's fidelity series
 start from it too.  A chain with any nonzero field goes to LAPACK
@@ -36,10 +38,10 @@ command that eigensolves imports scipy.linalg.
 
 from __future__ import annotations
 
-import contextvars
 import ctypes
 import importlib.machinery
 import importlib.util
+import math
 import os
 import re
 import sys
@@ -62,7 +64,12 @@ __all__ = [
 
 
 def eigvalsh_tridiagonal(d, e):
-    """Ascending eigenvalues of the symmetric tridiagonal (d, e).
+    """Ascending eigenvalues of symmetric tridiagonal (d, e), along the last axis.
+
+    d holds N fields and e N - 1 couplings per chain; a stack of chains
+    (leading axes alike, as chain.gershgorin_radii takes them) gives one
+    row of levels per chain, and a 1-D call one row, returned 1-D.  The
+    caller's arrays are never written to.
 
     A chain with fields (any nonzero d) goes to LAPACK sterf (root-free
     QL, robust for near-severed chains) and comes back bit for bit as
@@ -73,51 +80,116 @@ def eigvalsh_tridiagonal(d, e):
     (Golub & Kahan 1965), which LAPACK's dqds (dlasq1) computes to high
     relative accuracy (Fernando & Parlett 1994).  For odd N that
     diagonal ends in a zero; the smallest singular value is dropped and
-    the middle level is an exact 0.0.  Both routines are bound on first
-    use (collect_spacings binds both before its threads start) through
-    ctypes from the capsules that scipy.linalg.cython_lapack exports
-    (_lapack): a missing capsule, or one with another signature,
-    raises ImportError naming scipy's version, and a nonzero INFO raises
-    numpy.linalg.LinAlgError naming N.  Non-finite fields or couplings
-    raise ValueError on either route, and so do couplings that are not
-    N - 1.  The caller's arrays are never written to.
+    the middle level is an exact 0.0.
 
-    collect_spacings and evolve's series path (_transfer_spectrum) both
-    take their levels from here.  benchmark/tracer.py looks this
-    function up by name and spans its calls.
+    The block is checked, routed and copied into the routines' arrays
+    once, and its levels are assembled once; only the LAPACK calls run
+    per chain, one foreign call on that chain's row of those arrays.
+    They run on w = min(R, CPUs) workers for R chains, CPUs being the
+    CPUs this process may run on (_cpus): worker j takes chains j,
+    j + w, j + 2w, ...  The calling thread is worker 0 and w - 1
+    threads are the others; one chain starts no thread.  Each worker
+    has its own dqds WORK array and each chain its own INFO slot, so
+    no byte depends on w, and the threads overlap because ctypes
+    releases the GIL around every foreign call.  The routines the block
+    needs are bound before any thread starts, through ctypes from the
+    capsules that scipy.linalg.cython_lapack exports (_lapack): a
+    missing capsule, or one with another signature, raises ImportError
+    naming scipy's version.  Non-finite fields or couplings, or
+    couplings that are not N - 1, raise ValueError before any LAPACK
+    call.  Once every thread has joined, a nonzero INFO raises
+    numpy.linalg.LinAlgError naming the lowest failing chain, N and
+    INFO.
+
+    collect_spacings (a whole ensemble per call) and evolve's series
+    path (_transfer_spectrum, one chain per call) both take their
+    levels from here.  benchmark/tracer.py looks this function up by
+    name and spans its calls.
     """
     d = np.asarray(d, dtype=float)
     e = np.asarray(e, dtype=float)
-    n = d.size
-    if (d.ndim != 1 or e.shape != (n - 1,)
+    shape = d.shape
+    n = shape[-1] if d.ndim else 0
+    if (d.ndim == 0 or e.shape != shape[:-1] + (n - 1,)
             or not (np.isfinite(d).all() and np.isfinite(e).all())):
         raise ValueError(f"a chain of N = {n} sites needs N - 1 finite couplings and N "
                          f"finite fields, got arrays of shapes {d.shape} and {e.shape}")
-    info = ctypes.c_int(0)
-    if d.any():
-        # sterf overwrites D with the levels and E with scratch; the copies
-        # must outlive the call, which sees only their addresses
-        levels, scratch = d.copy(), e.copy()
-        _lapack("dsterf")(ctypes.byref(ctypes.c_int(n)), levels.ctypes.data,
-                          scratch.ctypes.data, ctypes.byref(info))
-        if info.value != 0:
-            raise np.linalg.LinAlgError(f"sterf failed on the chain of N = {n}: "
-                                        f"INFO = {info.value}")
-        return levels
-    e = np.abs(e)
+    chains = math.prod(shape[:-1])
+    d, e = d.reshape(chains, n), e.reshape(chains, n - 1)
+    fields = d.any(axis=1)
+    # row r of (D, E) is what chain r's routine works on in place: sterf
+    # takes (d, e) and leaves the levels in D; dqds takes the bidiagonal
+    # (|e[0::2]| and a zero for odd N, |e[1::2]|) and leaves its singular
+    # values in D, descending
+    with_fields, chiral = fields[:, None], ~fields[:, None]
     m = (n + 1) // 2
-    diag = np.zeros(m)
-    diag[:n // 2] = e[0::2]
-    superdiag = np.zeros(m)
-    superdiag[:m - 1] = e[1::2]
-    work = np.empty(4 * m)
-    _lapack("dlasq1")(ctypes.byref(ctypes.c_int(m)), diag.ctypes.data,
-                      superdiag.ctypes.data, work.ctypes.data, ctypes.byref(info))
-    if info.value != 0:
-        raise np.linalg.LinAlgError(f"dqds (dlasq1) failed on the zero-field chain of "
-                                    f"N = {n}: INFO = {info.value}")
-    sigma = diag[:n // 2]  # descending; an odd N drops its smallest, the zero level
-    return np.concatenate((-sigma, np.zeros(n % 2), sigma[::-1]))
+    lapack_d, lapack_e = np.zeros((chains, n)), np.zeros((chains, n))
+    np.copyto(lapack_d, d, where=with_fields)
+    np.copyto(lapack_e[:, :n - 1], e, where=with_fields)
+    np.copyto(lapack_d[:, :n // 2], np.abs(e[:, 0::2]), where=chiral)
+    np.copyto(lapack_e[:, :m - 1], np.abs(e[:, 1::2]), where=chiral)
+    info = np.zeros(chains, dtype=np.int32)
+    _solve_rows(n, fields.tolist(), lapack_d, lapack_e, info)
+    failed = np.flatnonzero(info)
+    if failed.size:
+        r = failed[0]
+        where = f"row {r}: " if chains > 1 else ""
+        route = "sterf failed on the" if fields[r] else "dqds (dlasq1) failed on the zero-field"
+        raise np.linalg.LinAlgError(f"{where}{route} chain of N = {n}: INFO = {info[r]}")
+    sigma = lapack_d[:, :n // 2]  # an odd N drops its smallest, the zero level
+    levels = np.zeros((chains, n))
+    levels[:, :n // 2] = -sigma
+    levels[:, m:] = sigma[:, ::-1]
+    np.copyto(levels, lapack_d, where=with_fields)
+    return levels.reshape(shape)
+
+
+def _solve_rows(n, fields, lapack_d, lapack_e, info):
+    """One LAPACK call per chain r, in place on row r of lapack_d and
+    lapack_e: sterf when fields[r], else dlasq1 on the first (N + 1) // 2
+    entries; INFO goes to info[r].
+
+    w = min(R, CPUs) workers: worker j takes chains j, j + w, ..., the
+    caller is worker 0, and every thread has joined before this returns
+    or raises.  A worker stops at an exception, and the exception of
+    the lowest chain where one stopped is raised after the join.
+    """
+    routes = {}   # fields -> (routine, the address of its N)
+    sizes = {True: ctypes.c_int(n), False: ctypes.c_int((n + 1) // 2)}
+    for route, name in ((True, "dsterf"), (False, "dlasq1")):
+        if route in fields:
+            routes[route] = _lapack(name), ctypes.addressof(sizes[route])
+    d_at, e_at, row = lapack_d.ctypes.data, lapack_e.ctypes.data, lapack_d.strides[0]
+    info_at = info.ctypes.data
+    errors = {}   # chain a worker stopped at -> its exception
+
+    def solve(first, step):
+        work = np.empty(4 * ((n + 1) // 2))   # dlasq1's WORK, one per worker
+        work_at = work.ctypes.data
+        r = first
+        try:
+            for r in range(first, len(fields), step):
+                routine, size = routes[fields[r]]
+                if fields[r]:
+                    routine(size, d_at + r * row, e_at + r * row, info_at + 4 * r)
+                else:
+                    routine(size, d_at + r * row, e_at + r * row, work_at, info_at + 4 * r)
+        except Exception as err:
+            errors[r] = err
+
+    workers = max(1, min(len(fields), _cpus()))
+    started = []
+    try:
+        for j in range(1, workers):
+            thread = threading.Thread(target=solve, args=(j, workers))
+            thread.start()
+            started.append(thread)
+        solve(0, workers)
+    finally:
+        for thread in started:
+            thread.join()
+    if errors:
+        raise errors[min(errors)]
 
 
 # The LAPACK routines eigvalsh_tridiagonal calls, with their capsules'
@@ -277,51 +349,16 @@ def collect_spacings(spec: ChainSpec, n_real: int, master_seed: int,
     are divided by their own mean, which removes realization-to-
     realization bandwidth fluctuations before pooling.  Degenerate
     eigenvalues contribute zero spacings and are kept.  The realizations
-    are the rows of one hamiltonian_block; n_real is checked first.
-
-    The rows run on w = min(n_real, CPUs) workers, CPUs being the CPUs
-    this process may run on (_cpus): worker j takes rows j, j + w,
-    j + 2w, ...  The calling thread is worker 0 and w - 1 threads, each
-    in a copy of the caller's context (numpy's errstate holds in them),
-    are the others; with w = 1 no thread starts.  Each worker writes
-    its own rows with the arithmetic of one thread, so the spacings do
-    not depend on w.  The threads overlap because a LAPACK call
-    releases the GIL.  Both LAPACK routines are bound before any thread
-    starts, so no two threads race to bind one.  A worker stops at its
-    first failing row; once every thread has joined, the exception of
-    the lowest failing row is raised, whatever w.
+    are the rows of one hamiltonian_block, n_real checked first, and
+    one eigvalsh_tridiagonal call solves them all, on one worker per CPU
+    (its docstring gives the rule); the gaps and their means are then
+    taken along each row of the block, with the arithmetic of one row.
     """
     if n_real < 1:
         raise ValueError("n_real must be >= 1")
     diag, offdiag = hamiltonian_block(spec, master_seed, key_prefix, range(n_real))
-    pooled = np.empty((n_real, spec.n_sites - 1))
-    errors = {}   # failing row -> its exception
-
-    def rows(first, step):
-        for r in range(first, n_real, step):
-            try:
-                gaps = np.diff(eigvalsh_tridiagonal(diag[r], offdiag[r]))
-                pooled[r] = gaps / gaps.mean()
-            except Exception as err:
-                errors[r] = err
-                return
-
-    for name in _SIGNATURES:
-        _lapack(name)
-    workers = min(n_real, _cpus())
-    started = []
-    try:
-        for j in range(1, workers):
-            thread = threading.Thread(target=contextvars.copy_context().run,
-                                      args=(rows, j, workers))
-            thread.start()
-            started.append(thread)
-        rows(0, workers)
-    finally:
-        for thread in started:
-            thread.join()
-    if errors:
-        raise errors[min(errors)]
+    gaps = np.diff(eigvalsh_tridiagonal(diag, offdiag), axis=1)
+    pooled = gaps / gaps.mean(axis=1, keepdims=True)
     return SpacingSample(spacings=pooled.ravel(), n_realizations=n_real)
 
 

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,7 +8,7 @@ from hypothesis import strategies as st
 from spinchain import (BoxCountCurve, ChainSpec, DisorderRealization, FidelitySeries,
                        SpacingHistogram, SpacingSample, TridiagonalHamiltonian,
                        build_hamiltonian, hamiltonian_block, sample_disorder, substream)
-from spinchain.chain import grid_cells
+from spinchain.chain import gershgorin_radii, grid_cells, spectral_half_width
 
 from oracles import sector_matrix, single_excitation_block
 
@@ -29,6 +31,26 @@ def test_spec_validation():
                           ("disorder", {"eps_b": np.inf}), ("disorder", {"eps_b": np.nan})]:
         with pytest.raises(ValueError, match=named):
             ChainSpec(**{"n_sites": 6, **kwargs})
+
+
+@pytest.mark.parametrize("finite, overflowing", [({"eps_j": 1e307}, {"eps_j": 1e308}),
+                                                 ({"eps_b": 8e307}, {"eps_b": 1e308}),
+                                                 ({"eps_j": 1e307}, {"eps_j": 1e307,
+                                                                     "eps_b": 8e307})],
+                         ids=["eps_j", "eps_b", "together"])
+def test_spec_refuses_an_amplitude_whose_worst_case_chain_overflows(finite, overflowing):
+    # at N = 6 the worst case (every delta = eps_j, every b = eps_b) has
+    # couplings up to 6 (1 + eps_j), fields 2 eps_b, and radii summing both
+    spec = ChainSpec(n_sites=6, **finite)
+    assert np.isfinite(spectral_half_width(spec))
+    diag, offdiag = hamiltonian_block(spec, 1, (), range(3))
+    assert np.isfinite(gershgorin_radii(diag, offdiag)).all()
+    named = ", ".join(f"{k} = {overflowing.get(k, 0.0)!r}" for k in ("eps_j", "eps_b"))
+    with pytest.raises(ValueError, match=rf"^{re.escape(named)}: the worst-case chain of N = 6 "):
+        ChainSpec(n_sites=6, **overflowing)
+    # a longer chain's couplings are larger: 1e307 overflows at N = 40
+    with pytest.raises(ValueError, match="N = 40 "):
+        ChainSpec(n_sites=40, eps_j=1e307)
 
 
 @pytest.mark.parametrize("n", [8.9, 8.5, np.nan, np.inf])

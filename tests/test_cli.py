@@ -1131,3 +1131,26 @@ def test_readme_quick_tour_runs():
     fit, curve = namespace["fit"], namespace["curve"]
     assert fit.model == "box-dimension" and np.isfinite(fit.params["dimension"])
     assert curve.lengths[0] <= fit.window[0] < fit.window[1] <= curve.lengths[-1]
+
+
+@pytest.mark.parametrize("argv, flags", [
+    ("spectrum --n 6 --eps-j 1e308", "--eps-j 1e+308"),
+    ("eta-scan --n 6 --eps-j 0.1 1e308", "--eps-j 1e+308"),
+    ("fractal --n 6 --eps-j 1e308", "--eps-j 1e+308"),
+    ("transfer --n 6 --eps-b 1e308", "--eps-b 1e+308"),
+    ("dimension-scan --n 6 40 --eps-j 1e307", "--eps-j 1e+307"),
+    ("scan --n 6 --eps-j 0.1 1e308", "--eps-j 1e+308"),
+    ("scan --n 6 --eps-j 1e307 --eps-b 8e307", "--eps-j 1e+307 --eps-b 8e+307"),
+    ("perturbation --n 6 --eps 1e308", "--eps 1e+308"),
+    ("perturbation --n 6 --eps 1e-3 9e307 --sector b", "--eps 9e+307"),
+], ids=["spectrum", "eta-scan", "fractal", "transfer", "dimension-scan", "scan",
+        "scan-together", "perturbation", "perturbation-b"])
+def test_an_overflowing_amplitude_exits_naming_its_flag_before_drawing(
+        tmp_path, forbid_draws, argv, flags):
+    out = tmp_path / "x.csv"
+    with pytest.raises(SystemExit) as err:
+        main(argv.split() + ["--seed", "1", "--out", str(out)])
+    message = str(err.value)
+    assert message.startswith(f"{argv.split()[0]}: {flags}: eps_j = ")
+    assert "the worst-case chain of N = " in message
+    assert not out.exists()

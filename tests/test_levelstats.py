@@ -1,4 +1,5 @@
 import collections
+import ctypes
 import decimal
 import sys
 import threading
@@ -190,21 +191,36 @@ def test_the_worker_count_does_not_change_eta_scan(monkeypatch):
         assert eta_scan(*args) == reference
 
 
+def _doubles(address, count):
+    """A copy of the count doubles at address."""
+    return np.array((ctypes.c_double * count).from_address(address))
+
+
 def _rows_on_threads(monkeypatch, spec, n_real, seed, fail=None):
-    """Patch eigvalsh_tridiagonal to record row -> thread in the
-    returned dict and to call fail(row) first, when given."""
-    _, offdiag = hamiltonian_block(spec, seed, (), range(n_real))
-    real = levelstats.eigvalsh_tridiagonal
+    """Wrap the bound LAPACK routines (the ones in levelstats._BOUND) to
+    record chain -> thread of each call in the returned dict, telling
+    the rows of hamiltonian_block(spec, seed, (), range(n_real)) apart by
+    the D each call is handed.  fail(row, D), when given, runs after the
+    real call and returns the INFO written back (0 leaves it)."""
+    diag, offdiag = hamiltonian_block(spec, seed, (), range(n_real))
+    handed = {"dsterf": diag, "dlasq1": np.abs(offdiag[:, 0::2])}
     ran = {}
 
-    def recording(d, e):
-        r = next(k for k, row in enumerate(offdiag) if np.array_equal(row, e))
-        ran[r] = threading.current_thread()
-        if fail is not None:
-            fail(r)
-        return real(d, e)
+    def wrap(name):
+        real, rows = levelstats._lapack(name), handed[name]
 
-    monkeypatch.setattr(levelstats, "eigvalsh_tridiagonal", recording)
+        def routine(*args):
+            start = _doubles(args[1], rows.shape[1])
+            r = next(k for k, row in enumerate(rows) if np.array_equal(row, start))
+            ran[r] = threading.current_thread()
+            real(*args)
+            if fail is not None and (info := fail(r, args[1])):
+                ctypes.c_int.from_address(args[-1]).value = info
+
+        monkeypatch.setitem(levelstats._BOUND, name, routine)
+
+    for name in handed:
+        wrap(name)
     return ran
 
 
@@ -224,10 +240,14 @@ def test_more_workers_than_cores_switching_every_microsecond_lose_no_row(monkeyp
     spec = ChainSpec(n_sites=21, eps_j=0.7)
     monkeypatch.setattr(levelstats, "_cpus", lambda: 1)
     references = [collect_spacings(spec, 48, seed).spacings.tobytes() for seed in range(4)]
-    real = levelstats.eigvalsh_tridiagonal
+    real = levelstats._lapack("dlasq1")
     rows = []       # list.append is atomic: every solved row lands once
-    monkeypatch.setattr(levelstats, "eigvalsh_tridiagonal",
-                        lambda d, e: rows.append(e.tobytes()) or real(d, e))
+
+    def recording(*args):
+        rows.append(_doubles(args[1], 11).tobytes())
+        real(*args)
+
+    monkeypatch.setitem(levelstats._BOUND, "dlasq1", recording)
     monkeypatch.setattr(levelstats, "_cpus", lambda: 9)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -242,31 +262,34 @@ def test_more_workers_than_cores_switching_every_microsecond_lose_no_row(monkeyp
 
 @pytest.mark.parametrize("cpus", [1, 2, 3, 7])
 def test_the_lowest_failing_row_raises_once_every_thread_joins(monkeypatch, cpus):
-    def fail(r):
+    def fail(r, d):
         if r == 3:
-            time.sleep(0.02)    # row 5's error comes first in time
-            raise np.linalg.LinAlgError("row 3")
-        if r == 5:
-            raise ValueError("row 5")
+            time.sleep(0.02)    # row 5's INFO comes first in time
+            return 3
+        return 5 if r == 5 else 0
 
-    _rows_on_threads(monkeypatch, ChainSpec(n_sites=12, eps_j=0.5), 8, 8, fail)
+    ran = _rows_on_threads(monkeypatch, ChainSpec(n_sites=12, eps_j=0.5), 8, 8, fail)
     monkeypatch.setattr(levelstats, "_cpus", lambda: cpus)
     threads = threading.active_count()
-    with pytest.raises(np.linalg.LinAlgError, match="row 3"):
+    with pytest.raises(np.linalg.LinAlgError, match=r"row 3: dqds .* N = 12: INFO = 3$"):
         collect_spacings(ChainSpec(n_sites=12, eps_j=0.5), 8, 8)
     assert threading.active_count() == threads
+    assert sorted(ran) == list(range(8))
 
 
 def test_the_callers_errstate_holds_in_every_worker(monkeypatch):
-    # row 1, on worker 1, has a zero mean gap: 0 / 0
+    # row 1, on worker 1, comes back with every level 0: a zero mean gap, 0 / 0
+    def zero_levels(r, d):
+        if r == 1:
+            ctypes.memset(d, 0, 6 * 8)
+        return 0
+
     spec = ChainSpec(n_sites=12, eps_j=0.5)
-    _, offdiag = hamiltonian_block(spec, 8, (), range(4))
-    real = levelstats.eigvalsh_tridiagonal
-    monkeypatch.setattr(levelstats, "eigvalsh_tridiagonal", lambda d, e: (
-        np.zeros(d.size) if np.array_equal(e, offdiag[1]) else real(d, e)))
+    ran = _rows_on_threads(monkeypatch, spec, 4, 8, zero_levels)
     monkeypatch.setattr(levelstats, "_cpus", lambda: 2)
     with np.errstate(invalid="raise"), pytest.raises(FloatingPointError):
         collect_spacings(spec, 4, 8)
+    assert ran[1] is not threading.current_thread()
 
 
 def test_a_threaded_call_binds_each_routine_once(monkeypatch):
@@ -393,7 +416,7 @@ def test_a_nonzero_info_from_dqds_raises_naming_n(monkeypatch):
     levelstats.eigvalsh_tridiagonal(np.zeros(2), np.ones(1))  # binds dlasq1
 
     def failing_dlasq1(n, diag, superdiag, work, info):
-        info._obj.value = 2
+        ctypes.c_int.from_address(info).value = 2
 
     monkeypatch.setitem(levelstats._BOUND, "dlasq1", failing_dlasq1)
     with pytest.raises(np.linalg.LinAlgError, match=r"N = 7: INFO = 2"):
@@ -402,7 +425,7 @@ def test_a_nonzero_info_from_dqds_raises_naming_n(monkeypatch):
 
 def test_a_nonzero_info_from_sterf_raises_naming_n(monkeypatch):
     def failing_sterf(n, d, e, info):
-        info._obj.value = 3
+        ctypes.c_int.from_address(info).value = 3
 
     monkeypatch.setitem(levelstats._BOUND, "dsterf", failing_sterf)
     with pytest.raises(np.linalg.LinAlgError, match=r"sterf failed .* N = 7: INFO = 3"):
@@ -454,3 +477,105 @@ def test_fields_must_be_finite(field):
     with pytest.raises(ValueError, match="N = 4 sites needs N - 1 finite couplings "
                                          "and N finite fields"):
         levelstats.eigvalsh_tridiagonal(d, np.ones(3))
+
+
+# ---------------------------------------------------------------------------
+# eigvalsh_tridiagonal on a stack of chains: one row of levels per chain
+# ---------------------------------------------------------------------------
+
+def _stack(n, chains, kind):
+    """chains rows of N = n: zero-field, with fields, or mixed (the odd
+    rows zero-field, row 0's one field 5e-324, the others with fields)."""
+    eps_b = 0.0 if kind == "zero-field" else 0.3
+    diag, offdiag = hamiltonian_block(ChainSpec(n_sites=n, eps_j=0.8, eps_b=eps_b),
+                                      17, (n,), range(chains))
+    if kind == "mixed":
+        diag[1::2] = diag[0] = 0.0
+        diag[0, n // 2] = 5e-324
+    return diag, offdiag
+
+
+@pytest.mark.parametrize("kind", ["zero-field", "fields", "mixed"])
+@pytest.mark.parametrize("n", [17, 18])
+@pytest.mark.parametrize("chains", [1, 2, 7])
+def test_a_stack_takes_the_bytes_of_its_chains_one_by_one(kind, n, chains):
+    diag, offdiag = _stack(n, chains, kind)
+    levels = levelstats.eigvalsh_tridiagonal(diag, offdiag)
+    assert levels.shape == (chains, n)
+    one_by_one = [levelstats.eigvalsh_tridiagonal(d, e) for d, e in zip(diag, offdiag)]
+    assert all(row.shape == (n,) for row in one_by_one)
+    assert levels.tobytes() == np.concatenate(one_by_one).tobytes()
+
+
+def test_the_worker_count_does_not_change_a_stacks_levels(monkeypatch):
+    diag, offdiag = _stack(31, 23, "mixed")
+    monkeypatch.setattr(levelstats, "_cpus", lambda: 1)
+    reference = levelstats.eigvalsh_tridiagonal(diag, offdiag).tobytes()
+    for cpus in (2, 3, 7):
+        monkeypatch.setattr(levelstats, "_cpus", lambda: cpus)
+        assert levelstats.eigvalsh_tridiagonal(diag, offdiag).tobytes() == reference
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3, 7])
+def test_a_nonzero_info_on_rows_3_and_5_raises_row_3_once_every_thread_joins(monkeypatch, cpus):
+    diag, offdiag = _stack(12, 8, "zero-field")
+    real = levelstats._lapack("dlasq1")
+    firsts = np.abs(offdiag[:, 0]).tolist()
+    solved = []
+
+    def failing_dlasq1(n, d, e, work, info):
+        r = firsts.index(ctypes.c_double.from_address(d).value)
+        real(n, d, e, work, info)
+        if r == 3:
+            time.sleep(0.02)    # row 5's INFO comes first in time
+        if r in (3, 5):
+            ctypes.c_int.from_address(info).value = r
+        if r == 6:
+            time.sleep(0.05)    # the last row to finish
+        solved.append(r)
+
+    monkeypatch.setitem(levelstats._BOUND, "dlasq1", failing_dlasq1)
+    monkeypatch.setattr(levelstats, "_cpus", lambda: cpus)
+    threads = threading.active_count()
+    with pytest.raises(np.linalg.LinAlgError,
+                       match=r"^row 3: dqds \(dlasq1\) failed on the zero-field chain "
+                             r"of N = 12: INFO = 3$"):
+        levelstats.eigvalsh_tridiagonal(diag, offdiag)
+    assert sorted(solved) == list(range(8))
+    assert threading.active_count() == threads
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3, 7])
+def test_a_workers_exception_raises_for_the_lowest_row_once_every_thread_joins(
+        monkeypatch, cpus):
+    diag, offdiag = _stack(12, 8, "fields")
+    firsts = diag[:, 0].tolist()
+
+    def raising_sterf(n, d, e, info):
+        r = firsts.index(ctypes.c_double.from_address(d).value)
+        if r == 3:
+            time.sleep(0.02)
+            raise KeyError("row 3")
+        if r == 5:
+            raise ValueError("row 5")
+
+    monkeypatch.setitem(levelstats._BOUND, "dsterf", raising_sterf)
+    monkeypatch.setattr(levelstats, "_cpus", lambda: cpus)
+    threads = threading.active_count()
+    with pytest.raises(KeyError, match="row 3"):
+        levelstats.eigvalsh_tridiagonal(diag, offdiag)
+    assert threading.active_count() == threads
+
+
+@pytest.mark.parametrize("where", ["field", "coupling"])
+def test_a_non_finite_row_raises_before_any_lapack_call(monkeypatch, where):
+    diag, offdiag = _stack(12, 6, "mixed")
+    (diag if where == "field" else offdiag)[4, 3] = np.inf
+
+    def no_lapack(*args):
+        raise AssertionError("LAPACK ran on a block with a non-finite row")
+
+    for name in levelstats._SIGNATURES:
+        monkeypatch.setitem(levelstats._BOUND, name, no_lapack)
+    with pytest.raises(ValueError, match="N = 12 sites needs N - 1 finite couplings"):
+        levelstats.eigvalsh_tridiagonal(diag, offdiag)

@@ -8,7 +8,6 @@ given on the command line win over the file.  Seeds are always explicit.
 from __future__ import annotations
 
 import argparse
-import itertools
 import math
 import sys
 from pathlib import Path
@@ -25,14 +24,23 @@ from .scans import (FidelityPoint, PerturbationRow, fit_scaling, perturbation_co
 from .tableio import read_csv, write_csv, write_sidecar
 
 
-def _config_file_values(path) -> dict:
+def _config_file_values(command, path) -> dict:
+    """The key=value lines of a config file, '#' starting a comment.  A
+    file that cannot be read as UTF-8 text, or a line that is no
+    key=value, exits naming the command, --config and the path."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except OSError as err:
+        raise SystemExit(f"{command}: --config {path}: {err.strerror}") from None
+    except ValueError as err:    # not UTF-8
+        raise SystemExit(f"{command}: --config {path}: {err}") from None
     values = {}
-    for raw in Path(path).read_text().splitlines():
+    for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
-            raise SystemExit(f"config file {path}: expected key=value, got {raw!r}")
+            raise SystemExit(f"{command}: --config {path}: expected key=value, got {raw!r}")
         key, _, val = line.partition("=")
         values[key.strip().replace("-", "_")] = val.strip()
     return values
@@ -55,7 +63,7 @@ def _resolve(command: str, args: argparse.Namespace, options: dict) -> dict:
     """Merge precedence: defaults < config file < explicit flags.  A config
     file key that names no option of the command, or a value that does
     not parse, exits naming the file, the key and the command."""
-    file_values = _config_file_values(args.config) if args.config else {}
+    file_values = _config_file_values(command, args.config) if args.config else {}
     for key in file_values:
         if key not in options:
             raise SystemExit(f"{command}: config file {args.config}: "
@@ -181,20 +189,29 @@ RANGES = {
     "t_max": (math.isfinite, "must be finite"),
     "t_eval": (math.isfinite, "must be finite"),
     "t": (math.isfinite, "must be finite"),
+    "f_target": (math.isfinite, "must be finite"),
     "l_min": (lambda v: not math.isnan(v), "must be a number"),
     "l_max": (lambda v: not math.isnan(v), "must be a number"),
     "bin_width": (lambda v: 0 < v <= MAX_BIN_WIDTH, f"must lie in (0, {MAX_BIN_WIDTH:g}]"),
 }
 
 
-def _check_ranges(command, cfg):
-    """Exit naming the flag of the first option outside its range, so a
+def _check(command, cfg):
+    """Exit naming the flag of the first option outside its range, of a
+    repeated --f-target, of a --t-max and --dt with no usable sample count
+    or of the disorder amplitudes whose worst-case chain overflows, so a
     bad value from the command line or a config file fails before any
-    work is done."""
+    work.  One chain per sector takes the largest N and amplitudes: its
+    entries and Gershgorin radii only grow with each, and rounding is
+    monotone, so it overflows exactly when some cell of the command does.
+    Amplitudes that overflow only together, eps_j with eps_b, name both."""
     for dest, (admissible, rule) in RANGES.items():
         for v in _values(cfg.get(dest)):
             if v is not None and not admissible(v):
                 raise SystemExit(f"{command}: --{dest.replace('_', '-')} {v!r}: {rule}")
+    for k, v in enumerate(cfg.get("f_target", ())):
+        if v in cfg["f_target"][:k]:
+            raise SystemExit(f"{command}: --f-target {v!r}: given more than once")
     if "t_max" in cfg:
         try:
             n_samples = series_length(cfg["t_max"], cfg["dt"])
@@ -203,35 +220,28 @@ def _check_ranges(command, cfg):
         except ValueError as err:
             raise SystemExit(f"{command}: --t-max {cfg['t_max']!r} --dt {cfg['dt']!r}: "
                              f"{err}") from None
-
-
-def _check_chains(command, cfg):
-    """Exit naming the flag of a disorder amplitude whose worst-case chain
-    ChainSpec refuses at one of the command's N (it overflows), before
-    anything is drawn.  Amplitudes that overflow only together, eps_j
-    with eps_b, name both flags."""
     if "n" not in cfg:
         return
     if command == "perturbation":    # --eps is eps_j in sector j, eps_b in sector b
-        cells = [[("eps", f"eps_{s}", eps)] for s in ("j", "b")
-                 if cfg["sector"] in (s, "both") for eps in cfg["eps"]]
+        chains = [[("eps", f"eps_{s}", max(cfg["eps"]))] for s in ("j", "b")
+                  if cfg["sector"] in (s, "both")]
     else:
-        cells = list(itertools.product(*([(dest, dest, v) for v in _values(cfg[dest])]
-                                         for dest in ("eps_j", "eps_b") if dest in cfg)))
+        chains = [[(dest, dest, max(_values(cfg[dest])))
+                   for dest in ("eps_j", "eps_b") if dest in cfg]]
+    n = max(_values(cfg["n"]))
 
-    def refusal(n, amplitudes):
+    def refusal(amplitudes):
         try:
             ChainSpec(n_sites=n, **{field: v for _, field, v in amplitudes})
         except ValueError as err:
             return err
 
-    for n in _values(cfg["n"]):
-        for cell in cells:
-            err = refusal(n, cell)
-            if err:
-                alone = [a for a in cell if refusal(n, [a])] or cell
-                flags = " ".join(f"--{dest.replace('_', '-')} {v!r}" for dest, _, v in alone)
-                raise SystemExit(f"{command}: {flags}: {err}")
+    for chain in chains:
+        err = refusal(chain)
+        if err:
+            alone = [a for a in chain if refusal([a])] or chain
+            flags = " ".join(f"--{dest.replace('_', '-')} {v!r}" for dest, _, v in alone)
+            raise SystemExit(f"{command}: {flags}: {err}")
 
 
 def _values(value) -> tuple:
@@ -490,8 +500,7 @@ def main(argv=None) -> int:
     command = next((arg for arg in argv if not arg.startswith("-")), None)
     args = build_parser(command).parse_args(argv)
     cfg = _resolve(args.command, args, OPTIONS[args.command])
-    _check_ranges(args.command, cfg)
-    _check_chains(args.command, cfg)
+    _check(args.command, cfg)
     HANDLERS[args.command](cfg)
     return 0
 

@@ -376,7 +376,7 @@ def spacing_histogram(values, bin_width: float = 0.05) -> SpacingHistogram:
     The edge grid covers [0, S_MAX] and is extended past S_MAX when
     samples demand it, so the histogram always carries total mass 1.
     """
-    if bin_width <= 0:
+    if not bin_width > 0:    # NaN fails too
         raise ValueError("bin_width must be > 0")
     values = np.asarray(values, dtype=float)
     if values.size == 0:

@@ -398,6 +398,9 @@ def _synthetic_window_curve(case):
         return BoxCountCurve(lengths=lengths, m_values=m)
     if case == "no-admissible-window":
         return BoxCountCurve(lengths=lengths, m_values=np.exp(-np.log(lengths) ** 2))
+    if case == "no-window-spans-min-ratio":
+        short = np.geomspace(1.0, 0.9 * MIN_RATIO, 30)
+        return BoxCountCurve(lengths=short, m_values=short ** -1.5)
     n_sites, eps_j, seed = case
     spec = ChainSpec(n_sites=n_sites, eps_j=eps_j)
     series = fidelity_series(build_hamiltonian(spec, sample_disorder(spec, substream(seed, 0))),
@@ -407,7 +410,8 @@ def _synthetic_window_curve(case):
 
 @pytest.mark.parametrize("case", [
     "power-law", "mirror-segments", "edge-decides", "constant-stretch",
-    "no-admissible-window", (12, 0.1, 3), (30, 0.26, 4), (60, 0.6, 5), (60, 1.2, 6)])
+    "no-admissible-window", (12, 0.1, 3), (30, 0.26, 4), (60, 0.6, 5), (60, 1.2, 6),
+    "no-window-spans-min-ratio"])
 def test_auto_window_matches_the_plain_loop(case):
     curve = _synthetic_window_curve(case)
     assert np.all(curve.m_values > 0)

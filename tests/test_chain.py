@@ -53,6 +53,29 @@ def test_spec_refuses_an_amplitude_whose_worst_case_chain_overflows(finite, over
         ChainSpec(n_sites=40, eps_j=1e307)
 
 
+def _spec_refused(n, eps_j, eps_b):
+    try:
+        ChainSpec(n_sites=n, eps_j=eps_j, eps_b=eps_b)
+    except ValueError:
+        return True
+    return False
+
+
+# 0, or an amplitude near where the worst-case chain of N <= 600 overflows
+NEAR_OVERFLOW = st.one_of(st.just(0.0), st.floats(1e305, 1.7e308))
+
+
+@settings(max_examples=300)
+@given(n=st.lists(st.integers(2, 600), min_size=2, max_size=2),
+       eps_j=st.lists(NEAR_OVERFLOW, min_size=2, max_size=2),
+       eps_b=st.lists(NEAR_OVERFLOW, min_size=2, max_size=2))
+def test_spec_refusal_is_monotone_in_n_and_each_amplitude(n, eps_j, eps_b):
+    # the CLI checks one chain, the largest N with the largest amplitudes,
+    # for a whole grid: a refused spec stays refused as any of them grows
+    small, large = zip(sorted(n), sorted(eps_j), sorted(eps_b))
+    assert not _spec_refused(*small) or _spec_refused(*large)
+
+
 @pytest.mark.parametrize("n", [8.9, 8.5, np.nan, np.inf])
 def test_grid_cells_refuse_a_non_integral_chain_length(n):
     with pytest.raises(ValueError, match=f"n_sites must be an integer >= 2, got {n!r}"):
@@ -90,6 +113,19 @@ def test_value_types_freeze_a_view_not_the_callers_arrays(cls):
         assert np.shares_memory(held, given), name   # a view, not a copy
         with pytest.raises(ValueError):
             held[...] = 0
+
+
+@pytest.mark.parametrize("cls, arrays, reason", [
+    (DisorderRealization, {"delta": np.zeros(4), "field_err": np.zeros(4)},
+     "field_err must have one more entry than delta"),
+    (TridiagonalHamiltonian, {"diag": np.zeros(4), "offdiag": np.zeros(4)},
+     "diag must have one more entry than offdiag"),
+    (FidelitySeries, {"amplitude": np.zeros(3, complex), "fidelity": np.zeros(2), "dt": 0.05},
+     "amplitude and fidelity must share a shape"),
+], ids=lambda v: v.__name__ if isinstance(v, type) else "")
+def test_value_types_refuse_arrays_of_mismatched_shape(cls, arrays, reason):
+    with pytest.raises(ValueError, match=reason):
+        cls(**arrays)
 
 
 def test_zero_amplitude_disorder_gives_zero_vectors():

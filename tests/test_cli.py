@@ -200,6 +200,12 @@ def test_sidecars_are_strict_json(tmp_path):
     assert _strict_json(sidecar_path(out))["values"] == [None, None, None, 1.5]
 
 
+def test_read_csv_skips_blank_lines(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_text("# seed=1\n\nx,y\n  \n1,2\n\n3,abc\n")
+    assert read_csv(path) == ({"seed": "1"}, ["x", "y"], [(1.0, 2.0), (3.0, "abc")])
+
+
 def test_config_file_with_flag_override(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("n = 8 12\neps-j = 0.02 0.1\nn_real = 10\nseed = 13\n")
@@ -955,6 +961,22 @@ def test_threshold_keeps_the_targets_it_can_compute(tmp_path):
     assert not (tmp_path / "none.csv").exists()
 
 
+@pytest.mark.parametrize("targets, refusal", [
+    ("nan 0.9", "--f-target nan: must be finite"),
+    ("inf", "--f-target inf: must be finite"),
+    ("0.9 0.9", "--f-target 0.9: given more than once"),
+    ("1.6 0.9 1.60", "--f-target 1.6: given more than once"),
+], ids=["nan", "inf", "repeated", "repeated-apart"])
+def test_threshold_refuses_a_target_before_reading_a_table(tmp_path, targets, refusal):
+    # the table does not exist: a refusal naming it would mean it was read first
+    out = tmp_path / "thr.csv"
+    with pytest.raises(SystemExit) as err:
+        main(["threshold", "--table", str(tmp_path / "absent.csv"),
+              "--f-target", *targets.split(), "--out", str(out)])
+    assert str(err.value) == f"threshold: {refusal}"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["fit-scaling", "threshold"])
 def test_table_commands_pool_several_tables(tmp_path, command):
     # one coupling scan plus one field scan per N, as the kappa fit and the
@@ -1058,6 +1080,34 @@ def test_config_file_key_of_no_option_exits(tmp_path, config, key):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("content, reason", [
+    (None, "No such file or directory"),
+    ("directory", "Is a directory"),
+    (b"n_real = 5\xff\n", "'utf-8' codec can't decode byte 0xff in position 10: "
+                          "invalid start byte"),
+    (b"n_real = 5\noops\n", "expected key=value, got 'oops'"),
+], ids=["missing", "directory", "not-utf-8", "no-equals-sign"])
+def test_config_file_that_cannot_be_read_exits(tmp_path, content, reason):
+    cfg = tmp_path / "run.cfg"
+    if content == "directory":
+        cfg.mkdir()
+    elif content is not None:
+        cfg.write_bytes(content)
+    out = tmp_path / "x.csv"
+    with pytest.raises(SystemExit) as err:
+        main(["scan", "--n", "6", "--seed", "1", "--config", str(cfg), "--out", str(out)])
+    assert str(err.value) == f"scan: --config {cfg}: {reason}"
+    assert not out.exists()
+
+
+def test_config_file_skips_blank_and_comment_lines(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("\n# a preset\n   \n  # indented comment\nn_real = 3  # trailing\n\n")
+    out = tmp_path / "x.csv"
+    run_cli("scan", "--n", 6, "--eps-j", 0.1, "--seed", 1, "--config", cfg, "--out", out)
+    assert [row[6] for row in read_csv(out)[2]] == [3]
+
+
 @pytest.mark.parametrize("command, config, key", [
     ("scan", "n_real = abc", "'n_real'"),
     ("scan", "eps_j = 0.1 x", "'eps_j'"),
@@ -1119,8 +1169,7 @@ def test_readme_command_block_parses():
     assert sorted({argv[1] for argv in commands}) == sorted(OPTIONS)
     for argv in commands:
         args = build_parser(argv[1]).parse_args(argv[1:])
-        cli._check_ranges(args.command, cli._resolve(args.command, args,
-                                                     OPTIONS[args.command]))
+        cli._check(args.command, cli._resolve(args.command, args, OPTIONS[args.command]))
 
 
 def test_readme_quick_tour_runs():
@@ -1153,4 +1202,17 @@ def test_an_overflowing_amplitude_exits_naming_its_flag_before_drawing(
     message = str(err.value)
     assert message.startswith(f"{argv.split()[0]}: {flags}: eps_j = ")
     assert "the worst-case chain of N = " in message
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("n", [("6", "40"), ("40", "6")], ids=["ascending", "descending"])
+def test_an_overflow_names_the_worst_chain_whatever_the_order_of_n(tmp_path, forbid_draws,
+                                                                   n):
+    # eps_j = 1e307 overflows alone at N = 40 and only with eps_b = 8e307 at N = 6
+    out = tmp_path / "x.csv"
+    with pytest.raises(SystemExit) as err:
+        main(["scan", "--n", *n, "--eps-j", "1e307", "--eps-b", "8e307", "--seed", "1",
+              "--out", str(out)])
+    assert str(err.value).startswith("scan: --eps-j 1e+307: eps_j = 1e+307, eps_b = 8e+307: "
+                                     "the worst-case chain of N = 40 ")
     assert not out.exists()

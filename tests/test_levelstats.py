@@ -77,6 +77,12 @@ def test_eta_refuses_a_bin_width_with_no_center_in_unit_interval():
         spacing_histogram(spacings, 5.0).eta
 
 
+@pytest.mark.parametrize("bin_width", [0.0, -0.05, np.nan])
+def test_spacing_histogram_refuses_a_bin_width_not_above_zero(bin_width):
+    with pytest.raises(ValueError, match="bin_width must be > 0"):
+        spacing_histogram(np.linspace(0.1, 3.0, 50), bin_width)
+
+
 def test_eta_weak_disorder_stays_high():
     spec = ChainSpec(n_sites=100, eps_j=1e-3)
     sample = collect_spacings(spec, n_real=100, master_seed=4)

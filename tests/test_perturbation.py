@@ -233,3 +233,8 @@ def test_non_finite_time_is_refused_naming_it(t, forbid_draws):
         compute_coefficients(6, t)
     with pytest.raises(ValueError, match=f"t = {t!r} is not finite"):
         perturbation_comparison(6, [0.01], ("b",), 5, 1, t=t)
+
+
+def test_negative_time_is_refused(forbid_draws):
+    with pytest.raises(ValueError, match="t must be >= 0"):
+        compute_coefficients(6, -1.0)

@@ -3,7 +3,8 @@ import pytest
 
 from spinchain import (ChainSpec, FidelityPoint, ensemble_averages, fit_scaling,
                        scan_fidelity)
-from spinchain.fitting import crossing_loglinear, power_law_fit, threshold_scaling
+from spinchain.fitting import (crossing_loglinear, fit_through_origin, line_fit,
+                               power_law_fit, threshold_scaling)
 from spinchain.scans import threshold_curves
 
 
@@ -107,6 +108,14 @@ def test_fit_and_threshold_refuse_an_impossible_point(use, field, value, reason)
                               f"eps_b={bad.eps_b}: {reason}")
 
 
+def test_threshold_curves_refuse_an_unknown_param_and_a_table_of_no_pure_rows():
+    points = synthetic_scaling_points(n_values=(10, 20), eps_j=(0.1, 0.2))
+    with pytest.raises(ValueError, match="param must be eps_j or eps_b, got 'corr_p'"):
+        threshold_curves(points, "corr_p")
+    with pytest.raises(ValueError, match="no pure eps_b rows in the table"):
+        threshold_curves(points, "eps_b")
+
+
 def test_threshold_extract_synthetic_exponents():
     # from the model, eps_j^c = sqrt(-ln(2 F - 1) / (kappa_j N)) ~ N^(-1/2)
     # and eps_b^c ~ N^(+1/2); shared relative grids cancel interpolation bias
@@ -169,6 +178,16 @@ def test_crossing_loglinear_cases():
     assert crossing_loglinear(x, np.array([0.9, 0.8, 0.7, 0.65]), 0.5) is None
     with pytest.raises(ValueError):
         crossing_loglinear(np.array([0.0, 1.0]), np.array([1.0, 0.0]), 0.5)
+
+
+@pytest.mark.parametrize("fit, x, reason", [
+    (line_fit, [1.0], "need at least two points"),
+    (line_fit, [2.0, 2.0, 2.0], "x values are all identical"),
+    (fit_through_origin, [0.0, 0.0], "x values are all zero"),
+], ids=["line-one-point", "line-one-x", "origin-zero-x"])
+def test_fits_refuse_a_degenerate_x(fit, x, reason):
+    with pytest.raises(ValueError, match=reason):
+        fit(x, np.ones(len(x)))
 
 
 def test_power_law_fit_exact():

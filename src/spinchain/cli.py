@@ -1,8 +1,9 @@
 """Command-line experiment runner; every command writes a CSV table plus
 a JSON sidecar with the full configuration.
 
-A plain key=value config file (--config) can preset any option; flags
-given on the command line win over the file.  Seeds are always explicit.
+A plain key=value config file (--config) can preset any option: its
+lines become flags that the command's own parser reads ahead of the
+command line's, so explicit flags win.  Seeds are always explicit.
 """
 
 from __future__ import annotations
@@ -21,84 +22,47 @@ from .fitting import curves_by_n, threshold_scaling
 from .levelstats import ETA_HEADER, MAX_BIN_WIDTH, collect_spacings, eta_scan, spacing_histogram
 from .scans import (FidelityPoint, PerturbationRow, fit_scaling, perturbation_comparison,
                     scan_fidelity, threshold_curves)
-from .tableio import read_csv, write_csv, write_sidecar
+from .tableio import format_value, read_csv, sidecar_path, write_csv, write_sidecar
 
 
-def _config_file_values(command, path) -> dict:
-    """The key=value lines of a config file, '#' starting a comment.  A
-    file that cannot be read as UTF-8 text, or a line that is no
-    key=value, exits naming the command, --config and the path."""
+def _config_flags(command, path, options) -> list:
+    """The flags a key=value config file presets, '#' starting a comment:
+    a list option's values, split at commas or spaces, follow its flag,
+    and a single value is joined to its flag by '=', so one that starts
+    with '-' stays a value.  A file that cannot be read as UTF-8 text, a
+    line that is no key=value or a key that names no option of the
+    command exits naming the command and the path."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as err:
         raise SystemExit(f"{command}: --config {path}: {err.strerror}") from None
     except ValueError as err:    # not UTF-8
         raise SystemExit(f"{command}: --config {path}: {err}") from None
-    values = {}
+    flags = []
     for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
             raise SystemExit(f"{command}: --config {path}: expected key=value, got {raw!r}")
-        key, _, val = line.partition("=")
-        values[key.strip().replace("-", "_")] = val.strip()
-    return values
-
-
-def _coerce(raw: str, option: dict):
-    kind = option.get("type", str)
-    if option.get("nargs"):
-        values = tuple(kind(tok) for tok in raw.replace(",", " ").split())
-        if not values:
-            raise ValueError("expected one or more values")
-        return values
-    value = kind(raw)
-    if option.get("choices") and value not in option["choices"]:
-        raise ValueError("must be one of " + ", ".join(option["choices"]))
-    return value
-
-
-def _resolve(command: str, args: argparse.Namespace, options: dict) -> dict:
-    """Merge precedence: defaults < config file < explicit flags.  A config
-    file key that names no option of the command, or a value that does
-    not parse, exits naming the file, the key and the command."""
-    file_values = _config_file_values(command, args.config) if args.config else {}
-    for key in file_values:
-        if key not in options:
-            raise SystemExit(f"{command}: config file {args.config}: "
-                             f"key {key!r} names no option of {command}")
-    merged = {}
-    for dest, option in options.items():
-        flag_value = getattr(args, dest)
-        if flag_value is not None:
-            merged[dest] = tuple(flag_value) if option.get("nargs") else flag_value
-        elif dest in file_values:
-            try:
-                merged[dest] = _coerce(file_values[dest], option)
-            except ValueError as err:
-                raise SystemExit(f"{command}: config file {args.config}: key {dest!r}: "
-                                 f"{file_values[dest]!r}: {err}") from None
+        key, _, value = line.partition("=")
+        dest = key.strip().replace("-", "_")
+        if dest not in options:
+            raise SystemExit(f"{command}: config file {path}: "
+                             f"key {dest!r} names no option of {command}")
+        flag = "--" + dest.replace("_", "-")
+        if options[dest].get("nargs"):
+            flags += [flag, *value.replace(",", " ").split()]
         else:
-            merged[dest] = option.get("default")
-    missing = [d for d, o in options.items()
-               if o.get("required") and merged[d] is None]
-    if missing:
-        raise SystemExit(f"missing required option(s): "
-                         + ", ".join("--" + m.replace("_", "-") for m in missing))
-    return merged
+            flags.append(f"{flag}={value.strip()}")
+    return flags
 
 
 def _add_options(parser: argparse.ArgumentParser, options: dict):
-    parser.add_argument("--config", default=None, help="key=value preset file")
+    parser.add_argument("--config", help="key=value file of preset flags")
     for dest, option in options.items():
-        kwargs = {"dest": dest, "default": None, "type": option.get("type", str),
-                  "help": option.get("help", "")}
-        if option.get("nargs"):
-            kwargs["nargs"] = option["nargs"]
-        if option.get("choices"):
-            kwargs["choices"] = option["choices"]
-        parser.add_argument("--" + dest.replace("_", "-"), **kwargs)
+        parser.add_argument("--" + dest.replace("_", "-"),
+                            **{k: v for k, v in option.items() if k != "required"})
 
 
 def _common(extra: dict) -> dict:
@@ -197,14 +161,21 @@ RANGES = {
 
 
 def _check(command, cfg):
-    """Exit naming the flag of the first option outside its range, of a
-    repeated --f-target, of a --t-max and --dt with no usable sample count
-    or of the disorder amplitudes whose worst-case chain overflows, so a
-    bad value from the command line or a config file fails before any
-    work.  One chain per sector takes the largest N and amplitudes: its
+    """Exit naming the flag of an --out that cannot hold the table (a
+    directory, or a .json path that its sidecar would overwrite), of the
+    first option outside its range, of a repeated --f-target, of a --t-max
+    and --dt with no usable sample count or of the disorder amplitudes
+    whose worst-case chain overflows, so a bad value from the command
+    line or a config file fails before any work.  One chain per sector takes the largest N and amplitudes: its
     entries and Gershgorin radii only grow with each, and rounding is
     monotone, so it overflows exactly when some cell of the command does.
     Amplitudes that overflow only together, eps_j with eps_b, name both."""
+    out = Path(cfg["out"])
+    if out.is_dir():
+        raise SystemExit(f"{command}: --out {cfg['out']}: Is a directory")
+    if sidecar_path(out) == out:
+        raise SystemExit(f"{command}: --out {cfg['out']}: the table's JSON sidecar "
+                         "would overwrite it")
     for dest, (admissible, rule) in RANGES.items():
         for v in _values(cfg.get(dest)):
             if v is not None and not admissible(v):
@@ -459,8 +430,7 @@ def _meta(cfg, **extra) -> dict:
         if key == "out" or value is None:
             continue
         if isinstance(value, tuple):
-            meta[key] = " ".join(format(v, ".17g") if isinstance(v, float) else str(v)
-                                 for v in value)
+            meta[key] = " ".join(map(format_value, value))
         else:
             meta[key] = value
     meta.update(extra)
@@ -494,14 +464,34 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
+def _parse(argv) -> tuple[str, dict]:
+    """The command and its options: defaults < config file < explicit
+    flags.  A config file's flags go right after the command word, ahead
+    of the command line's, and argparse keeps an option's last value."""
+    argv = list(argv)
     # the top-level options take no value, so the first bare word is the command
     command = next((arg for arg in argv if not arg.startswith("-")), None)
-    args = build_parser(command).parse_args(argv)
-    cfg = _resolve(args.command, args, OPTIONS[args.command])
-    _check(args.command, cfg)
-    HANDLERS[args.command](cfg)
+    parser = build_parser(command)
+    args = parser.parse_args(argv)
+    options = OPTIONS[command]
+    if args.config:
+        at = argv.index(command) + 1
+        argv[at:at] = _config_flags(command, args.config, options)
+        args = parser.parse_args(argv)
+    cfg = {dest: getattr(args, dest) for dest in options}
+    cfg = {dest: tuple(v) if isinstance(v, list) else v for dest, v in cfg.items()}
+    missing = [dest for dest, option in options.items()
+               if option.get("required") and cfg[dest] is None]
+    if missing:
+        raise SystemExit(f"missing required option(s): "
+                         + ", ".join("--" + m.replace("_", "-") for m in missing))
+    return command, cfg
+
+
+def main(argv=None) -> int:
+    command, cfg = _parse(sys.argv[1:] if argv is None else argv)
+    _check(command, cfg)
+    HANDLERS[command](cfg)
     return 0
 
 

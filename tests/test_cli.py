@@ -24,7 +24,7 @@ from spinchain import (ChainSpec, WindowSelectionError, build_hamiltonian,
 from spinchain.boxcount import DIMENSION_HEADER
 from spinchain.chain import grid_cells
 from spinchain import cli, tableio
-from spinchain.cli import OPTIONS, build_parser, main
+from spinchain.cli import OPTIONS, main
 from spinchain.fitting import FitResult, threshold_scaling
 from spinchain.levelstats import ETA_HEADER
 from spinchain.scans import FidelityPoint, PerturbationRow, threshold_curves
@@ -1108,20 +1108,99 @@ def test_config_file_skips_blank_and_comment_lines(tmp_path):
     assert [row[6] for row in read_csv(out)[2]] == [3]
 
 
-@pytest.mark.parametrize("command, config, key", [
-    ("scan", "n_real = abc", "'n_real'"),
-    ("scan", "eps_j = 0.1 x", "'eps_j'"),
-    ("scan", "eps_j =", "'eps_j'"),
-    ("perturbation", "sector = c", "'sector'"),
-])
-def test_config_file_value_that_does_not_parse_exits(tmp_path, command, config, key):
+# the ids of the first four cases name the config key whose value does not parse
+@pytest.mark.parametrize("command, config, flags, error", [
+    ("scan", "n_real = abc", "", "argument --n-real: invalid int value: 'abc'"),
+    ("scan", "eps_j = 0.1 x", "", "argument --eps-j: invalid float value: 'x'"),
+    ("scan", "eps_j =", "", "argument --eps-j: expected at least one argument"),
+    ("perturbation", "sector = c", "", "argument --sector: invalid choice: 'c'"),
+    ("scan", "n_real = abc", "--n-real 3", "argument --n-real: invalid int value: 'abc'"),
+], ids=["scan-n_real = abc-'n_real'", "scan-eps_j = 0.1 x-'eps_j'", "scan-eps_j =-'eps_j'",
+        "perturbation-sector = c-'sector'", "overridden-by-a-flag"])
+def test_config_file_value_that_does_not_parse_exits(tmp_path, capsys, command, config,
+                                                     flags, error):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(config + "\n")
     out = tmp_path / "x.csv"
     with pytest.raises(SystemExit) as err:
-        main([command, "--n", "6", "--seed", "1", "--config", str(cfg), "--out", str(out)])
-    assert str(err.value).startswith(f"{command}: config file {cfg}: key {key}: ")
+        main([command, "--n", "6", "--seed", "1", "--config", str(cfg), *flags.split(),
+              "--out", str(out)])
+    assert err.value.code == 2
+    assert f"spinchain {command}: error: {error}" in capsys.readouterr().err
     assert not out.exists()
+
+
+# One value per option type, as a flag gives it and as cli._parse returns it;
+# the single values start with '-' where their type allows it.
+SAMPLE_VALUES = {
+    (int, False): ("-3", -3),
+    (float, False): ("-inf", -math.inf),
+    (str, False): ("-run.csv", "-run.csv"),
+    (int, True): ("8 12", (8, 12)),
+    (float, True): ("0.5 -0.25 1e-3", (0.5, -0.25, 1e-3)),
+    (str, True): ("a.csv b.csv", ("a.csv", "b.csv")),
+}
+
+
+def _sample(dest, option):
+    """(flag arguments, config file line, parsed value) of a sample value."""
+    if option.get("choices"):
+        text = parsed = next(c for c in option["choices"] if c != option.get("default"))
+    else:
+        text, parsed = SAMPLE_VALUES[option.get("type", str), bool(option.get("nargs"))]
+    flag = "--" + dest.replace("_", "-")
+    words = [flag, *text.split()] if option.get("nargs") else [f"{flag}={text}"]
+    return words, f"{dest} = {text}", parsed
+
+
+@pytest.mark.parametrize("command, dest", [(command, dest) for command, options in
+                                           OPTIONS.items() for dest in options])
+def test_a_config_value_parses_as_the_same_flag(tmp_path, command, dest):
+    options = OPTIONS[command]
+    required = [word for d, option in options.items() if option.get("required") and d != dest
+                for word in _sample(d, option)[0]]
+    words, line, parsed = _sample(dest, options[dest])
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(line + "\n")
+    from_file = cli._parse([command, *required, "--config", str(cfg)])
+    assert from_file == cli._parse([command, *required, *words])
+    assert from_file[1][dest] == parsed
+
+
+@pytest.mark.parametrize("flags_first", [False, True], ids=["file-first", "flags-first"])
+def test_a_flag_overrides_a_config_list(tmp_path, flags_first):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("n = 8 12\neps-j = 0.1,0.2\nseed = 3\nout = a.csv\n")
+    flags = ["--n", "6", "--out", "b.csv"]
+    config = ["--config", str(cfg)]
+    _, parsed = cli._parse(["scan", *(flags + config if flags_first else config + flags)])
+    assert (parsed["n"], parsed["eps_j"], parsed["seed"], parsed["out"]) == \
+        ((6,), (0.1, 0.2), 3, "b.csv")
+
+
+def test_config_list_values_split_at_commas_or_spaces(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("n = 8,12 , 16\neps_j = 0.1, 0.2\ncorr-p = 0.1,0.9 0.5\n")
+    _, parsed = cli._parse(["scan", "--seed", "1", "--out", "x.csv", "--config", str(cfg)])
+    assert (parsed["n"], parsed["eps_j"], parsed["corr_p"]) == \
+        ((8, 12, 16), (0.1, 0.2), (0.1, 0.9, 0.5))
+
+
+@pytest.mark.parametrize("argv", ["scan --n 6 --n-real 3", "perturbation --n 6 --n-real 3",
+                                  "spectrum --n 6 --n-real 3"])
+@pytest.mark.parametrize("out, refusal", [
+    ("t.json", "the table's JSON sidecar would overwrite it"),
+    ("existing", "Is a directory"),
+], ids=["json-suffix", "directory"])
+def test_an_out_that_cannot_hold_the_table_exits_before_drawing(tmp_path, forbid_draws,
+                                                                argv, out, refusal):
+    (tmp_path / "existing").mkdir()
+    path = tmp_path / out
+    with pytest.raises(SystemExit) as err:
+        main(argv.split() + ["--seed", "1", "--out", str(path)])
+    assert str(err.value) == f"{argv.split()[0]}: --out {path}: {refusal}"
+    assert [p.name for p in tmp_path.iterdir()] == ["existing"]
+    assert list((tmp_path / "existing").iterdir()) == []
 
 
 @pytest.mark.parametrize("argv, code, stream, expected", [
@@ -1168,8 +1247,7 @@ def test_readme_command_block_parses():
     commands = _readme_commands()
     assert sorted({argv[1] for argv in commands}) == sorted(OPTIONS)
     for argv in commands:
-        args = build_parser(argv[1]).parse_args(argv[1:])
-        cli._check(args.command, cli._resolve(args.command, args, OPTIONS[args.command]))
+        cli._check(*cli._parse(argv[1:]))
 
 
 def test_readme_quick_tour_runs():

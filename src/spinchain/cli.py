@@ -162,7 +162,8 @@ RANGES = {
 
 def _check(command, cfg):
     """Exit naming the flag of an --out that cannot hold the table (a
-    directory, or a .json path that its sidecar would overwrite), of the
+    directory, a .json path that its sidecar would overwrite, or one of
+    the command's own --table inputs or their sidecars), of the
     first option outside its range, of a repeated --f-target, of a --t-max
     and --dt with no usable sample count or of the disorder amplitudes
     whose worst-case chain overflows, so a bad value from the command
@@ -176,6 +177,13 @@ def _check(command, cfg):
     if sidecar_path(out) == out:
         raise SystemExit(f"{command}: --out {cfg['out']}: the table's JSON sidecar "
                          "would overwrite it")
+    for table in cfg.get("table", ()):
+        if out.resolve() == Path(table).resolve():
+            raise SystemExit(f"{command}: --out {cfg['out']}: would overwrite "
+                             f"--table {table}")
+        if sidecar_path(out).resolve() == sidecar_path(table).resolve():
+            raise SystemExit(f"{command}: --out {cfg['out']}: its JSON sidecar would "
+                             f"overwrite --table {table}'s, {sidecar_path(table)}")
     for dest, (admissible, rule) in RANGES.items():
         for v in _values(cfg.get(dest)):
             if v is not None and not admissible(v):
@@ -450,10 +458,26 @@ HANDLERS = {
 }
 
 
+class _FloatWord:
+    """argparse's test of whether a word that starts with '-' is a value
+    and not an option.  argparse's own pattern takes plain decimals alone
+    (-0.001), so it would read -1e-3 or -inf after a flag as an unknown
+    option; here every word that parses as a float is a value."""
+
+    @staticmethod
+    def match(word: str) -> bool:
+        try:
+            float(word)
+        except ValueError:
+            return False
+        return True
+
+
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     """The parser of the named subcommand alone (building all of them costs
     about a tenth of a small table), or of every subcommand when command
-    names none, so that --help and the unknown-command error list them."""
+    names none, so that --help and the unknown-command error list them.
+    Each parser reads a word that parses as a float as a value (_FloatWord)."""
     parser = argparse.ArgumentParser(
         prog="spinchain",
         description="Disordered spin-chain state transfer experiments")
@@ -461,6 +485,8 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name in [command] if command in OPTIONS else OPTIONS:
         _add_options(sub.add_parser(name), OPTIONS[name])
+    for each in (parser, *sub.choices.values()):
+        each._negative_number_matcher = _FloatWord
     return parser
 
 

@@ -81,6 +81,11 @@ _BLOCK_ELEMENTS = 1 << 15
 # remaining term 2 |J_k(x)| falls below this.
 _CHEBYSHEV_TAIL = 1e-16
 
+# Work-array rows (sublattice rows zero-field, sites with fields) that the
+# Chebyshev sweep rounds each step's light cone out to, so that consecutive
+# steps reuse one set of slice views (README, Propagators).
+_SWEEP_CHUNK = 8
+
 # Ratios multiplied per step in _end_to_end_weights before the binary
 # exponent is split off; each ratio is at most 1 / eps, so 16 of them
 # stay below 1e251.
@@ -406,6 +411,15 @@ def _chebyshev_transfer_amplitude(diag: np.ndarray, offdiag: np.ndarray, half_wi
     amplitudes are the same to the byte (tests/oracles.py's plain
     recurrence checks both steps).
 
+    Each step's range of sites is rounded out to whole chunks of
+    _SWEEP_CHUNK work-array rows (sublattice rows zero-field, sites with
+    fields), and its slice views are kept per (parity or buffer, chunk
+    bounds) until the bounds move or the stack narrows, so most steps make
+    only their numpy calls.  The rows this adds above the light cone
+    compute zeros (of either sign; the sums start at +0.0, so neither
+    moves a byte), and those below it values that no later term reads;
+    the plain recurrence computes every site, so the bytes stay.
+
     Every spectrum must lie in its row's [-a, a]; a Hamiltonian whose
     Gershgorin radius exceeds it raises ValueError, since the recurrence
     would grow.  Truncation leaves |error| < 1e-16; rounding grows with
@@ -413,15 +427,18 @@ def _chebyshev_transfer_amplitude(diag: np.ndarray, offdiag: np.ndarray, half_wi
     8000) against a matrix-exponential oracle.
 
     Cost: K_a ~ a max(t) + O((a max(t))^(1/3)) steps for each row, each
-    updating at most N elements of it (N/2 in a zero-field stack).
-    Propagation alone at eps_j = 0.1 in ensemble_averages' blocks, one
-    core, at 1 / 5 / 10 t1: zero-field rows take 1.8 / 5.6 / 9.9 ms at
-    N = 20, R = 1000, 15 / 86 / 175 ms at N = 100, R = 1000 and
-    26 / 179 / 362 ms at N = 500, R = 100 (best of 9); rows with fields
-    (eps_b = 0.1) take 4.3 / 15 / 28, 51 / 311 / 602 and
-    80 / 580 / 1231 ms (best of 15).  Long times belong on the spectrum
-    (fidelity_series), since the coefficient table alone holds 2K
-    complex values per time.
+    updating at most N elements of it (N/2 in a zero-field stack), plus
+    a fixed cost per step for the numpy calls: at N = 200, t1, one core, a
+    step takes 4.2 us for one zero-field row and 8.3 us for 40 (5.6 and
+    9.9 us without the reused views), and with fields 6.7 and 14.9 us
+    (9.0 and 17.6).  Propagation alone at eps_j = 0.1 in
+    ensemble_averages' blocks, one core, at 1 / 5 / 10 t1, best of 9:
+    zero-field rows take 1.7 / 5.1 / 9.1 ms at N = 20, R = 1000,
+    13 / 70 / 138 ms at N = 100, R = 1000 and 20 / 153 / 333 ms at
+    N = 500, R = 100; rows with fields (eps_b = 0.1) take
+    3.5 / 11.5 / 21, 35 / 187 / 373 and 61 / 459 / 902 ms.  Long times
+    belong on the spectrum (fidelity_series), since the coefficient
+    table alone holds 2K complex values per time.
     """
     n_real, n = diag.shape
     half_width = np.broadcast_to(np.asarray(half_width, dtype=float), (n_real,))
@@ -475,42 +492,64 @@ def _chebyshev_transfer_amplitude(diag: np.ndarray, offdiag: np.ndarray, half_wi
         phi[0][0] = 1.0
         phi[1][0], phi[1][1] = 0.5 * d2[0], 0.5 * o2[0]
         end, stride = n - 1, 1
-    sums = out
+    sums, at_end, views = out, [p[end][:, None] for p in phi], {}
+    chunk = _SWEEP_CHUNK
     for k in range(1, n_terms):
         if k in running_after:
             r = running_after[k]
             phi, coupling, scratch = ([np.ascontiguousarray(a[:, :r]) for a in group]
                                       for group in (phi, coupling, scratch))
             table_of_row, sums = table_of_row[:r], out[:r]
+            at_end, views = [p[end][:, None] for p in phi], {}
         if k >= n - 1 and (k - n + 1) % stride == 0:
-            sums += phi[k % len(phi)][end][:, None] * coef[k].take(table_of_row, axis=0)
+            sums += at_end[k % len(phi)] * coef[k].take(table_of_row, axis=0)
         if k + 1 == n_terms:
             break
         # phi_(k+1) on sites lo..hi-1: beyond k+1 it is zero, and below lo
-        # no term up to K-1 reads it
+        # no term up to K-1 reads it.  The range is rounded out to whole
+        # chunks of work-array rows, so that the views of one step serve the
+        # next ones; the extra rows above hi compute zeros, and those below
+        # lo values that no term up to K-1 reads
         lo, hi = max(0, n + k + 1 - n_terms), min(k + 2, n)
         if chiral:
-            # only sublattice q = (k+1) mod 2, in place of phi_(k-1)
+            # only sublattice q = (k+1) mod 2, in place of phi_(k-1); its
+            # sites lo..hi-1 are rows a..b-1, row 0 of sublattice 1 is off the
+            # chain, and b < rows keeps the other sublattice's row b + 1 - q
             q = (k + 1) % 2
-            live, other = phi[q], phi[1 - q]
-            right, left = scratch
-            a, b = (lo + q + 1) // 2, (hi + q + 1) // 2
-            np.multiply(coupling[q][a:b], other[a + 1 - q:b + 1 - q], out=right[a:b])
-            np.multiply(coupling[1 - q][a - q:b - q], other[a - q:b - q], out=left[a:b])
-            right[a:b] += left[a:b]
-            np.subtract(right[a:b], live[a:b], out=live[a:b])
+            a = max(q, (lo + q + 1) // 2 // chunk * chunk)
+            b = min(-(-((hi + q + 1) // 2) // chunk) * chunk, rows - 1)
+            step = views.get((q, a, b))
+            if step is None:
+                live, other = phi[q], phi[1 - q]
+                right, left = scratch
+                step = views[q, a, b] = (
+                    coupling[q][a:b], other[a + 1 - q:b + 1 - q], right[a:b],
+                    coupling[1 - q][a - q:b - q], other[a - q:b - q], left[a:b], live[a:b])
+            o_right, c_right, right, o_left, c_left, left, live = step
+            np.multiply(o_right, c_right, out=right)
+            np.multiply(o_left, c_left, out=left)
+            right += left
+            np.subtract(right, live, out=live)
             continue
-        prev, cur, nxt = phi[(k - 1) % 3], phi[k % 3], phi[(k + 1) % 3]
-        (d2, o2), (tmp,) = coupling, scratch
-        np.multiply(d2[lo:hi], cur[lo:hi], out=nxt[lo:hi])
-        top = min(hi, n - 1)
-        np.multiply(o2[lo:top], cur[lo + 1:top + 1], out=tmp[lo:top])
-        nxt[lo:top] += tmp[lo:top]
-        bottom = max(lo, 1)
-        np.multiply(o2[bottom - 1:hi - 1], cur[bottom - 1:hi - 1],
-                    out=tmp[bottom - 1:hi - 1])
-        nxt[bottom:hi] += tmp[bottom - 1:hi - 1]
-        nxt[lo:hi] -= prev[lo:hi]
+        lo, hi = lo // chunk * chunk, min(-(-hi // chunk) * chunk, n)
+        step = views.get((k % 3, lo, hi))
+        if step is None:
+            prev, cur, nxt = phi[(k - 1) % 3], phi[k % 3], phi[(k + 1) % 3]
+            (d2, o2), (tmp,) = coupling, scratch
+            top, bottom = min(hi, n - 1), max(lo, 1)
+            step = views[k % 3, lo, hi] = (
+                d2[lo:hi], cur[lo:hi], nxt[lo:hi],
+                o2[lo:top], cur[lo + 1:top + 1], tmp[lo:top], nxt[lo:top],
+                o2[bottom - 1:hi - 1], cur[bottom - 1:hi - 1], tmp[bottom - 1:hi - 1],
+                nxt[bottom:hi], prev[lo:hi])
+        (d_here, c_here, n_here, o_right, c_right, right, n_right,
+         o_left, c_left, left, n_left, p_here) = step
+        np.multiply(d_here, c_here, out=n_here)
+        np.multiply(o_right, c_right, out=right)
+        n_right += right
+        np.multiply(o_left, c_left, out=left)
+        n_left += left
+        n_here -= p_here
     return out[np.argsort(order)]
 
 

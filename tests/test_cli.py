@@ -462,6 +462,13 @@ def test_sidecar_writes_a_fit_result_as_its_fields(tmp_path):
     ("perturbation --n 6", "t = -inf", "--t"),
     ("scan --n 10 --eps-j 0.1 --n-real 5 --seed -1", "", "--seed"),
     ("transfer --n 8", "seed = -1", "--seed"),
+    # after a flag every word that parses as a float is a value; argparse
+    # alone reads only plain negative decimals there as values
+    ("perturbation --n 6 --n-real 3 --t -1e-3", "", "--t"),
+    ("perturbation --n 6 --n-real 3 --t -inf", "", "--t"),
+    ("scan --n 6 --n-real 3 --eps-b 0.1 -1e-3", "", "--eps-b"),
+    ("scan --n 6 --n-real 3 --eps-j -2E-1 0.1", "", "--eps-j"),
+    ("scan --n 6 --n-real 3", "eps_b = 0.1 -1e-3", "--eps-b"),
 ])
 def test_out_of_range_options_exit_naming_the_flag(tmp_path, argv, config, flag):
     out = tmp_path / "x.csv"
@@ -1201,6 +1208,33 @@ def test_an_out_that_cannot_hold_the_table_exits_before_drawing(tmp_path, forbid
     assert str(err.value) == f"{argv.split()[0]}: --out {path}: {refusal}"
     assert [p.name for p in tmp_path.iterdir()] == ["existing"]
     assert list((tmp_path / "existing").iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["fit-scaling", "threshold"])
+@pytest.mark.parametrize("tables", [["s.csv"], ["missing.csv", "s.csv"]],
+                         ids=["one-table", "after-a-missing-table"])
+@pytest.mark.parametrize("out, refusal", [
+    ("s.csv", "would overwrite --table s.csv"),
+    ("./s.csv", "would overwrite --table s.csv"),
+    ("s", "its JSON sidecar would overwrite --table s.csv's, s.json"),
+    ("s.txt", "its JSON sidecar would overwrite --table s.csv's, s.json"),
+], ids=["same-path", "same-file", "sidecar-no-suffix", "sidecar-other-suffix"])
+def test_an_out_that_names_an_input_table_exits_before_reading_it(tmp_path, monkeypatch,
+                                                                  command, tables, out,
+                                                                  refusal):
+    # a scan table that both commands accept, with its sidecar; a missing
+    # table ahead of it shows that the refusal comes before any table is read
+    monkeypatch.chdir(tmp_path)
+    rows = [FidelityPoint(n, eps, 0.0, 0.5, 0.5 * (1 + np.exp(-0.2 * n * eps * eps)), 0.0, 1)
+            for n in (10, 40, 160)
+            for eps in np.sqrt(-np.log(0.8) / (0.2 * n)) * np.geomspace(0.3, 3, 9)]
+    tableio.write_csv("s.csv", FidelityPoint._fields, rows, metadata={"seed": 1})
+    write_sidecar("s.csv", {"command": "scan"})
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    with pytest.raises(SystemExit) as err:
+        main([command, "--table", *tables, "--out", out])
+    assert str(err.value) == f"{command}: --out {out}: {refusal}"
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
 @pytest.mark.parametrize("argv, code, stream, expected", [

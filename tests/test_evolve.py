@@ -600,6 +600,56 @@ def test_zero_field_chebyshev_matches_the_plain_recurrence(n, eps_j, times, seed
     assert f.tobytes() == _plain_recurrence(diag, offdiag, widths, times).tobytes()
 
 
+def _stretched_stack(specs, stretch, seed):
+    """(diag, offdiag, widths) of one row per stretch, row r of
+    specs[r % len(specs)] on its spec's half-width times 1 + stretch[r]."""
+    rows = [specs[r % len(specs)] for r in range(len(stretch))]
+    hams = [build_hamiltonian(s, sample_disorder(s, substream(seed, r)))
+            for r, s in enumerate(rows)]
+    return (np.array([h.diag for h in hams]), np.array([h.offdiag for h in hams]),
+            np.array([spectral_half_width(s) * (1.0 + x) for s, x in zip(rows, stretch)]))
+
+
+@pytest.mark.parametrize("kind", ["zero-field", "fields", "mixed"])
+@given(n=st.integers(2, 130), eps_j=st.floats(0.0, 3.0), eps_b=st.floats(0.05, 3.0),
+       stretch=st.lists(st.floats(0.0, 0.02), min_size=1, max_size=5),
+       times=st.lists(st.sampled_from([0.0, 1.0, 5.0]), min_size=1, max_size=3),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_chebyshev_matches_the_plain_recurrence_across_chunk_edges(kind, n, eps_j, eps_b,
+                                                                   stretch, times, seed):
+    # half-widths stretched by up to 2% give rows term counts a few apart,
+    # often less than one chunk of the sweep's views, so that the stack
+    # narrows inside a chunk; times are 0, t1 and 5 t1, alone or mixed
+    specs = {"zero-field": [ChainSpec(n_sites=n, eps_j=eps_j)],
+             "fields": [ChainSpec(n_sites=n, eps_j=eps_j, eps_b=eps_b)],
+             "mixed": [ChainSpec(n_sites=n, eps_j=eps_j),
+                       ChainSpec(n_sites=n, eps_j=eps_j, eps_b=eps_b)]}[kind]
+    diag, offdiag, widths = _stretched_stack(specs, stretch, seed)
+    times = transfer_time() * np.array(times)
+    f = _chebyshev_transfer_amplitude(diag, offdiag, widths, times)
+    assert f.tobytes() == _plain_recurrence(diag, offdiag, widths, times).tobytes()
+
+
+@pytest.mark.parametrize("n", [129, 130])
+@pytest.mark.parametrize("chunk", [1, 3, 8, 64])
+def test_chebyshev_matches_the_plain_recurrence_at_any_sweep_chunk(monkeypatch, n, chunk):
+    # rows whose term counts lie a step or two apart, less than one default
+    # chunk in all, so that the stack narrows at nearby steps, inside a
+    # chunk or at its edge
+    default = evolve._SWEEP_CHUNK
+    monkeypatch.setattr(evolve, "_SWEEP_CHUNK", chunk)
+    t1 = transfer_time()
+    specs = [ChainSpec(n_sites=n, eps_j=0.3), ChainSpec(n_sites=n, eps_j=0.3, eps_b=0.5)]
+    for stack in (specs[:1], specs[1:], specs):
+        diag, offdiag, widths = _stretched_stack(stack, np.arange(6) * 4e-4, 13)
+        terms = [_chebyshev_coefficients(a * np.array([5 * t1])).shape[1] for a in widths]
+        assert len(set(terms)) > 2 and max(terms) - min(terms) < default
+        for times in ([t1], [5 * t1], [0.0, 5 * t1, t1]):
+            times = np.array(times)
+            f = _chebyshev_transfer_amplitude(diag, offdiag, widths, times)
+            assert f.tobytes() == _plain_recurrence(diag, offdiag, widths, times).tobytes()
+
+
 def test_chebyshev_refuses_a_hamiltonian_outside_the_interval():
     spec = ChainSpec(n_sites=30, eps_j=0.1, eps_b=0.1)
     # the worst case the spec can draw sits exactly on the bound and passes
